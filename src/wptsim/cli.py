@@ -20,7 +20,7 @@ from .config import build_setup, config_set, dump_config, load_config
 from .errors import ConfigurationError, DomainError, NumericalError
 from .optimizer import pso_run
 from .signal_chain import BASEBAND
-from .simulation import evaluate_solution, run_chain
+from .simulation import evaluate_solution
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -127,7 +127,6 @@ def _stage_report(signal) -> dict:
 
 def cmd_simulate(setup) -> tuple[dict, int]:
     """Run the chain once and report per-stage series, harvest, and power."""
-    stages = run_chain(setup.tones, setup.phase_word, setup.system)
     outcome = evaluate_solution(setup.tones, setup.phase_word, setup.system)
     report = {
         "command": "simulate",
@@ -140,12 +139,7 @@ def cmd_simulate(setup) -> tuple[dict, int]:
         "harvest": _harvest_report(outcome.harvest),
         "power": _power_report(outcome.power),
         "stages": {
-            "digital": _stage_report(stages.digital),
-            "dac": _stage_report(stages.dac),
-            "lpf": _stage_report(stages.lpf),
-            "mixer": _stage_report(stages.mixer),
-            "hpa": _stage_report(stages.hpa),
-            "received": _stage_report(stages.received),
+            name: _stage_report(getattr(outcome.stages, name)) for name in _STAGE_ORDER
         },
     }
     return report, EXIT_OK

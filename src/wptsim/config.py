@@ -294,7 +294,6 @@ class RunSetup:
 
 def build_setup(cfg: dict) -> RunSetup:
     """Assemble the system model and default waveform from a normalized config."""
-    cfg = normalize_config(cfg)
     wf = cfg["waveform"]
     ch = cfg["chain"]
     tone_count = wf["tone_count"]
@@ -308,9 +307,6 @@ def build_setup(cfg: dict) -> RunSetup:
     sim_rate = ch["sim_sample_rate"]
     if sim_rate is None:
         sim_rate = default_sim_rate(ch["carrier"], bandwidth, tone_spacing)
-    loss_db = ch["ps_insertion_loss_db"]
-    if loss_db < 0:
-        raise ConfigurationError("chain.ps_insertion_loss_db must be nonnegative")
 
     try:
         chain = ChainConfig(
@@ -322,7 +318,7 @@ def build_setup(cfg: dict) -> RunSetup:
             hpa_saturation=ch["hpa_saturation"],
             hpa_smoothness=ch["hpa_smoothness"],
             ps_bits=ch["ps_bits"],
-            ps_insertion_loss=10.0 ** (loss_db / 10.0),
+            ps_insertion_loss=10.0 ** (ch["ps_insertion_loss_db"] / 10.0),
             sim_sample_rate=sim_rate,
         )
     except (ConfigurationError, DomainError) as exc:

@@ -51,6 +51,8 @@ class SwarmConfig:
             raise ConfigurationError("required_dc_power must be nonnegative")
         if self.penalty <= 0:
             raise ConfigurationError("penalty must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,18 @@ def evaluate_candidate(
     return CandidateEval(float(value), float(p_out), outcome.power, bool(feasible))
 
 
-def fitness(position: np.ndarray, system: SystemModel, swarm: SwarmConfig) -> float:
-    """Penalized objective of a raw particle position."""
+def _evaluate_position(
+    position: np.ndarray, system: SystemModel, swarm: SwarmConfig
+) -> CandidateEval:
     tones, word = decode_particle(
         position, system.tone_count, system.tone_spacing, system.chain.ps_bits
     )
-    return evaluate_candidate(tones, word, system, swarm).fitness
+    return evaluate_candidate(tones, word, system, swarm)
+
+
+def fitness(position: np.ndarray, system: SystemModel, swarm: SwarmConfig) -> float:
+    """Penalized objective of a raw particle position."""
+    return _evaluate_position(position, system, swarm).fitness
 
 
 def _substream(seed: int, iteration: int, particle: int) -> np.random.Generator:
@@ -152,55 +160,47 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     n_var = lower.size
     span = upper - lower
     v_max = VELOCITY_CLAMP * span
+    particles = range(swarm.particles)
 
-    def evaluate(position):
-        tones, word = decode_particle(
-            position, system.tone_count, system.tone_spacing, system.chain.ps_bits
-        )
-        return evaluate_candidate(tones, word, system, swarm)
+    def evaluate(positions):
+        evals = [_evaluate_position(position, system, swarm) for position in positions]
+        return evals, np.array([e.fitness for e in evals])
 
-    positions = np.empty((swarm.particles, n_var))
-    for i in range(swarm.particles):
-        positions[i] = lower + _substream(swarm.seed, 0, i).random(n_var) * span
+    draws = np.array([_substream(swarm.seed, 0, i).random(n_var) for i in particles])
+    positions = lower + draws * span
     velocities = np.zeros_like(positions)
-
-    evals = [evaluate(positions[i]) for i in range(swarm.particles)]
+    evals, best_fitness = evaluate(positions)
     best_positions = positions.copy()
-    best_evals = list(evals)
-    g_index = min(range(swarm.particles), key=lambda i: best_evals[i].fitness)
+    g_index = int(np.argmin(best_fitness))
     g_position = best_positions[g_index].copy()
-    g_eval = best_evals[g_index]
+    g_eval = evals[g_index]
     trace = [g_eval.fitness]
-    evaluations = swarm.particles
 
     for iteration in range(1, swarm.iterations + 1):
-        for i in range(swarm.particles):
-            rng = _substream(swarm.seed, iteration, i)
-            r_cog = rng.random(n_var)
-            r_soc = rng.random(n_var)
-            velocity = (
-                swarm.inertia * velocities[i]
-                + swarm.cognitive * r_cog * (best_positions[i] - positions[i])
-                + swarm.social * r_soc * (g_position - positions[i])
-            )
-            np.clip(velocity, -v_max, v_max, out=velocity)
-            moved = positions[i] + velocity
-            clamped = (moved < lower) | (moved > upper)
-            moved = np.clip(moved, lower, upper)
-            velocity[clamped] = 0.0
-            positions[i] = moved
-            velocities[i] = velocity
+        # per particle, rows r_cog and r_soc: the same draws as two random(n_var) calls
+        draws = np.array(
+            [_substream(swarm.seed, iteration, i).random((2, n_var)) for i in particles]
+        )
+        velocities = (
+            swarm.inertia * velocities
+            + swarm.cognitive * draws[:, 0] * (best_positions - positions)
+            + swarm.social * draws[:, 1] * (g_position - positions)
+        )
+        np.clip(velocities, -v_max, v_max, out=velocities)
+        moved = positions + velocities
+        velocities[(moved < lower) | (moved > upper)] = 0.0
+        positions = np.clip(moved, lower, upper)
 
-        evals = [evaluate(positions[i]) for i in range(swarm.particles)]
-        evaluations += swarm.particles
-        for i in range(swarm.particles):
-            if evals[i].fitness < best_evals[i].fitness:
-                best_evals[i] = evals[i]
-                best_positions[i] = positions[i].copy()
-        for i in range(swarm.particles):
-            if best_evals[i].fitness < g_eval.fitness:
-                g_eval = best_evals[i]
-                g_position = best_positions[i].copy()
+        evals, current = evaluate(positions)
+        improved = current < best_fitness
+        best_fitness[improved] = current[improved]
+        best_positions[improved] = positions[improved]
+        # the incumbent is the least of the old personal bests, so only a particle
+        # that improved in this iteration can beat it, and evals holds its record
+        g_index = int(np.argmin(best_fitness))
+        if best_fitness[g_index] < g_eval.fitness:
+            g_eval = evals[g_index]
+            g_position = best_positions[g_index].copy()
         trace.append(g_eval.fitness)
         if callback is not None:
             callback(iteration, positions, g_eval.fitness)
@@ -216,7 +216,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
         feasible=g_eval.feasible,
         best_fitness=g_eval.fitness,
         fitness_trace=np.asarray(trace),
-        evaluations=evaluations,
+        evaluations=swarm.particles * (swarm.iterations + 1),
     )
 
 

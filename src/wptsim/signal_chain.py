@@ -6,6 +6,7 @@ Every operation acts on exactly one fundamental period of the waveform, so
 each stage stays periodic and time averages over the period are exact.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ def _as_multiple(rate: float, step: float, name: str) -> int:
     if step <= 0:
         raise ConfigurationError("tone spacing must be positive")
     ratio = rate / step
-    n = int(round(ratio))
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
     if n <= 0 or abs(ratio - n) > 1e-6:
         raise ConfigurationError(
             f"{name} = {rate} is not a positive integer multiple of the tone spacing {step}"
@@ -328,5 +329,9 @@ def default_sim_rate(carrier: float, bandwidth: float, tone_spacing: float) -> f
     The margin above Nyquist keeps the spectral resampling well conditioned.
     """
     target = 2.5 * (carrier + bandwidth)
-    steps = int(np.ceil(target / tone_spacing - 1e-9))
-    return steps * tone_spacing
+    ratio = target / tone_spacing
+    if not math.isfinite(ratio):
+        raise ConfigurationError(
+            f"one period at tone spacing {tone_spacing} holds no finite number of samples"
+        )
+    return int(np.ceil(ratio - 1e-9)) * tone_spacing

@@ -19,6 +19,7 @@ from .signal_chain import (
     PhaseWord,
     SampledSignal,
     ToneSet,
+    _as_multiple,
     apply_phase_shifters,
     lowpass_filter,
     quantize_dac,
@@ -26,14 +27,6 @@ from .signal_chain import (
     synthesize_multitone,
     upconvert,
 )
-
-
-def _check_commensurate(rate: float, spacing: float, label: str) -> None:
-    ratio = rate / spacing
-    if abs(ratio - round(ratio)) > 1e-6 or ratio < 1:
-        raise ConfigurationError(
-            f"{label} = {rate} must be a positive integer multiple of the tone spacing {spacing}"
-        )
 
 
 @dataclass(frozen=True)
@@ -65,9 +58,8 @@ class SystemModel:
             raise ConfigurationError(
                 f"dac_sample_rate {self.chain.dac_sample_rate} below twice the bandwidth {bw}"
             )
-        _check_commensurate(self.chain.dac_sample_rate, self.tone_spacing, "dac_sample_rate")
-        _check_commensurate(self.chain.carrier, self.tone_spacing, "carrier")
-        _check_commensurate(self.chain.sim_sample_rate, self.tone_spacing, "sim_sample_rate")
+        for name in ("dac_sample_rate", "carrier", "sim_sample_rate"):
+            _as_multiple(getattr(self.chain, name), self.tone_spacing, name)
         if self.chain.sim_sample_rate < 2 * (self.chain.carrier + bw):
             raise ConfigurationError(
                 f"sim_sample_rate {self.chain.sim_sample_rate} violates Nyquist for"
@@ -113,10 +105,12 @@ class ChainStages:
 
 @dataclass(frozen=True)
 class SimulationOutcome:
-    """Harvest and consumption results for one (waveform, beam) candidate."""
+    """Harvest and consumption results for one (waveform, beam) candidate,
+    with the stage waveforms they were computed from."""
 
     harvest: HarvestResult
     power: PowerBreakdown
+    stages: ChainStages
 
 
 def _validated(tones: ToneSet, word: PhaseWord, system: SystemModel) -> None:
@@ -175,4 +169,4 @@ def evaluate_solution(tones: ToneSet, word: PhaseWord, system: SystemModel) -> S
     )
     if not (np.isfinite(harvest.p_out_dc) and np.isfinite(power.p_total)):
         raise NumericalError("evaluation produced a non-finite result")
-    return SimulationOutcome(harvest, power)
+    return SimulationOutcome(harvest, power, stages)

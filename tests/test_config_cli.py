@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
+import wptsim.cli
+import wptsim.simulation
 from wptsim import ConfigurationError
 from wptsim.cli import (
     EXIT_CONFIG,
@@ -96,9 +98,10 @@ class TestConfig:
         assert config_get(cfg, "swarm.seed") == big
 
     def test_physical_invariants_checked_at_build(self):
-        cfg = load_config(profile="desk", overrides={"chain": {"dac_bits": 0}})
-        with pytest.raises(ConfigurationError, match="chain"):
-            build_setup(cfg)
+        for chain in ({"dac_bits": 0}, {"ps_insertion_loss_db": -0.5}):
+            cfg = load_config(profile="desk", overrides={"chain": chain})
+            with pytest.raises(ConfigurationError, match="chain"):
+                build_setup(cfg)
 
     def test_default_waveform_fills_in(self):
         setup = build_setup(load_config(profile="desk"))
@@ -153,6 +156,21 @@ class TestSimulateCommand:
         lpf = report["stages"]["lpf"]
         out_band = np.abs(np.asarray(lpf["spectrum_frequency"])) > bw
         assert np.asarray(lpf["spectrum_magnitude"])[out_band].max() < 1e-14
+
+    def test_chain_runs_once(self, monkeypatch):
+        # wrap run_chain wherever a wptsim module looks it up
+        calls = []
+        original = wptsim.simulation.run_chain
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (wptsim.simulation, wptsim.cli):
+            if hasattr(module, "run_chain"):
+                monkeypatch.setattr(module, "run_chain", counted)
+        cmd_simulate(build_setup(load_config(profile="desk")))
+        assert len(calls) == 1
 
     def test_zero_amplitude_tones_give_zero_stages(self):
         setup = build_setup(
@@ -307,6 +325,23 @@ class TestMainEntryPoint:
 
     def test_unreadable_config_exits_three(self):
         assert main(["simulate", "--config", "/no/such/file.yaml"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("waveform:\n  tone_spacing: 1.0e-300\n", []),
+            ("waveform:\n  tone_spacing: 1.0e-300\nchain:\n  sim_sample_rate: 225.0e6\n", []),
+            ("swarm:\n  seed: -1\n", []),
+            ("", ["--seed", "-1"]),
+        ],
+        ids=["spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed"],
+    )
+    def test_invalid_values_exit_three_with_one_line(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["optimize", "--config", str(path), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
 
     def test_dump_config_round_trips(self, tmp_path, capsys):
         assert main(["simulate", "--profile", "desk", "--dump-config"]) == EXIT_OK

@@ -1,6 +1,10 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup, toy_setup
@@ -8,6 +12,7 @@ from wptsim import (
     ConfigurationError,
     PhaseWord,
     SwarmConfig,
+    SystemModel,
     ToneSet,
     brute_force_grid,
     decode_particle,
@@ -17,6 +22,7 @@ from wptsim import (
     particle_bounds,
     pso_run,
 )
+from wptsim.optimizer import VELOCITY_CLAMP, OptimizationResult, _substream
 
 SPACING = 1.25e6
 
@@ -152,6 +158,114 @@ def _system_swarm(setup):
     return setup.system, setup.swarm
 
 
+def serial_pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> OptimizationResult:
+    """The per-particle swarm loop that pso_run's array update must reproduce."""
+    lower, upper = particle_bounds(system.tone_count, system.element_count, swarm.amplitude_max)
+    n_var = lower.size
+    span = upper - lower
+    v_max = VELOCITY_CLAMP * span
+
+    def evaluate(position):
+        tones, word = decode_particle(
+            position, system.tone_count, system.tone_spacing, system.chain.ps_bits
+        )
+        return evaluate_candidate(tones, word, system, swarm)
+
+    positions = np.empty((swarm.particles, n_var))
+    for i in range(swarm.particles):
+        positions[i] = lower + _substream(swarm.seed, 0, i).random(n_var) * span
+    velocities = np.zeros_like(positions)
+
+    evals = [evaluate(positions[i]) for i in range(swarm.particles)]
+    best_positions = positions.copy()
+    best_evals = list(evals)
+    g_index = min(range(swarm.particles), key=lambda i: best_evals[i].fitness)
+    g_position = best_positions[g_index].copy()
+    g_eval = best_evals[g_index]
+    trace = [g_eval.fitness]
+    evaluations = swarm.particles
+
+    for iteration in range(1, swarm.iterations + 1):
+        for i in range(swarm.particles):
+            rng = _substream(swarm.seed, iteration, i)
+            r_cog = rng.random(n_var)
+            r_soc = rng.random(n_var)
+            velocity = (
+                swarm.inertia * velocities[i]
+                + swarm.cognitive * r_cog * (best_positions[i] - positions[i])
+                + swarm.social * r_soc * (g_position - positions[i])
+            )
+            np.clip(velocity, -v_max, v_max, out=velocity)
+            moved = positions[i] + velocity
+            clamped = (moved < lower) | (moved > upper)
+            moved = np.clip(moved, lower, upper)
+            velocity[clamped] = 0.0
+            positions[i] = moved
+            velocities[i] = velocity
+
+        evals = [evaluate(positions[i]) for i in range(swarm.particles)]
+        evaluations += swarm.particles
+        for i in range(swarm.particles):
+            if evals[i].fitness < best_evals[i].fitness:
+                best_evals[i] = evals[i]
+                best_positions[i] = positions[i].copy()
+        for i in range(swarm.particles):
+            if best_evals[i].fitness < g_eval.fitness:
+                g_eval = best_evals[i]
+                g_position = best_positions[i].copy()
+        trace.append(g_eval.fitness)
+        if callback is not None:
+            callback(iteration, positions, g_eval.fitness)
+
+    tones, word = decode_particle(
+        g_position, system.tone_count, system.tone_spacing, system.chain.ps_bits
+    )
+    return OptimizationResult(
+        tones=tones,
+        phase_word=word,
+        power=g_eval.power,
+        p_out_dc=g_eval.p_out_dc,
+        feasible=g_eval.feasible,
+        best_fitness=g_eval.fitness,
+        fitness_trace=np.asarray(trace),
+        evaluations=evaluations,
+    )
+
+
+def _assert_same_run(system, swarm):
+    reference = serial_pso_run(system, swarm)
+    result = pso_run(system, swarm)
+    assert np.array_equal(result.fitness_trace, reference.fitness_trace)
+    assert np.array_equal(result.tones.amplitudes, reference.tones.amplitudes)
+    assert np.array_equal(result.tones.phases, reference.tones.phases)
+    assert np.array_equal(result.phase_word.levels, reference.phase_word.levels)
+    assert result.evaluations == reference.evaluations
+    assert result.best_fitness == reference.best_fitness
+    assert result.p_out_dc == reference.p_out_dc
+    assert result.power == reference.power
+
+
+_TOY = toy_setup()
+
+
+class TestPsoMatchesSerialLoop:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        particles=st.integers(2, 8),
+        iterations=st.integers(0, 6),
+    )
+    def test_toy_bit_identical(self, seed, particles, iterations):
+        swarm = dataclasses.replace(
+            _TOY.swarm, seed=seed, particles=particles, iterations=iterations
+        )
+        _assert_same_run(_TOY.system, swarm)
+
+    def test_desk_seed_bit_identical(self):
+        setup = desk_setup(swarm={"particles": 12, "iterations": 8, "seed": 7})
+        _assert_same_run(setup.system, setup.swarm)
+
+
 class TestBruteForceGrid:
     def test_exhaustive_count_and_minimum(self):
         setup = desk_setup(
@@ -203,3 +317,5 @@ class TestSwarmConfig:
             SwarmConfig(cognitive=0.0)
         with pytest.raises(ConfigurationError):
             SwarmConfig(penalty=-1.0)
+        with pytest.raises(ConfigurationError):
+            SwarmConfig(seed=-1)
