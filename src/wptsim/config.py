@@ -7,6 +7,7 @@ A user config file deep-merges over the chosen profile.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,142 +23,98 @@ from .simulation import SystemModel
 
 TONE_SPACING = 1.25e6  # 10 MHz bandwidth split over 8 tones
 
-_BASE_PROFILE = {
+PAPER_CARRIER = 5.18e9
+
+# every leaf: type and paper default; a None default marks an optional leaf,
+# and a (list, type) pair a list of that element type
+_TABLE = {
     "waveform": {
-        "tone_count": 8,
-        "tone_spacing": TONE_SPACING,
-        "amplitudes": None,  # default: dac_range on every tone
-        "phases": None,  # default: all zero
-        "phase_word": None,  # default: all zero
+        "tone_count": (int, 8),
+        "tone_spacing": (float, TONE_SPACING),
+        "amplitudes": ((list, float), None),  # default: dac_range on every tone
+        "phases": ((list, float), None),  # default: all zero
+        "phase_word": ((list, int), None),  # default: all zero
     },
     "chain": {
-        "dac_bits": 3,
-        "dac_range": 1.0,
-        "dac_sample_rate": 100e6,
-        "carrier": 5.18e9,
-        "sim_sample_rate": None,  # default: 2.5x (carrier + bandwidth), snapped
-        "hpa_gain": 10.0,
-        "hpa_saturation": 10.0,
-        "hpa_smoothness": 4.0,
-        "ps_bits": 3,
-        "ps_insertion_loss_db": 0.5,
+        "dac_bits": (int, 3),
+        "dac_range": (float, 1.0),
+        "dac_sample_rate": (float, 100e6),
+        "carrier": (float, PAPER_CARRIER),
+        "sim_sample_rate": (float, None),  # default: 2.5x (carrier + bandwidth), snapped
+        "hpa_gain": (float, 10.0),
+        "hpa_saturation": (float, 10.0),
+        "hpa_smoothness": (float, 4.0),
+        "ps_bits": (int, 3),
+        "ps_insertion_loss_db": (float, 0.5),
     },
-    "array": {"rows": 5, "cols": 5},
-    "receiver": {"position": [0.0, 3.0, 0.0]},
+    "array": {"rows": (int, 5), "cols": (int, 5)},
+    "receiver": {"position": ((list, float), [0.0, 3.0, 0.0])},
     "channel": {
-        "boresight_exponent": 2.0,
-        "rf_carrier": None,  # default: the chain carrier
+        "boresight_exponent": (float, 2.0),
+        "rf_carrier": (float, None),  # default: the chain carrier
     },
     "rectenna": {
-        "source_resistance": 50.0,
-        "load_resistance": 1600.0,
-        "saturation_current": 5e-6,
-        "thermal_voltage": 25.86e-3,
-        "ideality": 1.05,
+        "source_resistance": (float, 50.0),
+        "load_resistance": (float, 1600.0),
+        "saturation_current": (float, 5e-6),
+        "thermal_voltage": (float, 25.86e-3),
+        "ideality": (float, 1.05),
     },
     "power": {
-        "supply_voltage": 3.0,
-        "unit_current": 10e-6,
-        "parasitic_capacitance": 1e-12,
-        "correction_factor": 1.0,
-        "mixer_power": 23e-3,
-        "oscillator_power": 5e-3,
-        "hpa_input_resistance": 1.0,
-        "hpa_output_resistance": 1.0,
+        "supply_voltage": (float, 3.0),
+        "unit_current": (float, 10e-6),
+        "parasitic_capacitance": (float, 1e-12),
+        "correction_factor": (float, 1.0),
+        "mixer_power": (float, 23e-3),
+        "oscillator_power": (float, 5e-3),
+        "hpa_input_resistance": (float, 1.0),
+        "hpa_output_resistance": (float, 1.0),
     },
     "swarm": {
-        "particles": 30,
-        "iterations": 200,
-        "inertia": 0.729,
-        "cognitive": 1.49445,
-        "social": 1.49445,
-        "seed": 1,
-        "amplitude_max": 300.0,
-        "required_dc_power": 20e-6,
-        "penalty": 1e6,
+        "particles": (int, 30),
+        "iterations": (int, 200),
+        "inertia": (float, 0.729),
+        "cognitive": (float, 1.49445),
+        "social": (float, 1.49445),
+        "seed": (int, 1),
+        "amplitude_max": (float, 300.0),
+        "required_dc_power": (float, 20e-6),
+        "penalty": (float, 1e6),
     },
-    "sweep": [],
 }
+
+
+def deep_merge(base: dict, override: dict) -> dict:
+    merged = copy.deepcopy(base)
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            merged[key] = deep_merge(merged[key], value)
+        else:
+            merged[key] = copy.deepcopy(value)
+    return merged
+
+
+_PAPER = {
+    section: {key: default for key, (_, default) in fields.items()}
+    for section, fields in _TABLE.items()
+} | {"sweep": []}
 
 PROFILES = {
-    "paper": _BASE_PROFILE,
-    "desk": {
-        **copy.deepcopy(_BASE_PROFILE),
-        "chain": {**copy.deepcopy(_BASE_PROFILE["chain"]), "carrier": 64 * TONE_SPACING},
-        "channel": {"boresight_exponent": 2.0, "rf_carrier": 5.18e9},
-    },
-}
-
-# leaf coercions; None marks optional leaves, lists carry their element type
-_SCHEMA = {
-    "waveform": {
-        "tone_count": int,
-        "tone_spacing": float,
-        "amplitudes": (list, float),
-        "phases": (list, float),
-        "phase_word": (list, int),
-    },
-    "chain": {
-        "dac_bits": int,
-        "dac_range": float,
-        "dac_sample_rate": float,
-        "carrier": float,
-        "sim_sample_rate": float,
-        "hpa_gain": float,
-        "hpa_saturation": float,
-        "hpa_smoothness": float,
-        "ps_bits": int,
-        "ps_insertion_loss_db": float,
-    },
-    "array": {"rows": int, "cols": int},
-    "receiver": {"position": (list, float)},
-    "channel": {"boresight_exponent": float, "rf_carrier": float},
-    "rectenna": {
-        "source_resistance": float,
-        "load_resistance": float,
-        "saturation_current": float,
-        "thermal_voltage": float,
-        "ideality": float,
-    },
-    "power": {
-        "supply_voltage": float,
-        "unit_current": float,
-        "parasitic_capacitance": float,
-        "correction_factor": float,
-        "mixer_power": float,
-        "oscillator_power": float,
-        "hpa_input_resistance": float,
-        "hpa_output_resistance": float,
-    },
-    "swarm": {
-        "particles": int,
-        "iterations": int,
-        "inertia": float,
-        "cognitive": float,
-        "social": float,
-        "seed": int,
-        "amplitude_max": float,
-        "required_dc_power": float,
-        "penalty": float,
-    },
-}
-
-_OPTIONAL = {
-    ("waveform", "amplitudes"),
-    ("waveform", "phases"),
-    ("waveform", "phase_word"),
-    ("chain", "sim_sample_rate"),
-    ("channel", "rf_carrier"),
+    "paper": _PAPER,
+    "desk": deep_merge(
+        _PAPER, {"chain": {"carrier": 64 * TONE_SPACING}, "channel": {"rf_carrier": PAPER_CARRIER}}
+    ),
 }
 
 
-def _coerce_leaf(value, kind, path):
+def _coerce_leaf(value, spec, path):
+    kind, default = spec
     if value is None:
-        if tuple(path.split(".")) in _OPTIONAL:
+        if default is None:
             return None
         raise ConfigurationError(f"{path}: value may not be null")
     if isinstance(kind, tuple):
-        outer, inner = kind
+        _, inner = kind
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(f"{path}: expected a list")
         return [_coerce_scalar(v, inner, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -165,6 +122,7 @@ def _coerce_leaf(value, kind, path):
 
 
 def _coerce_scalar(value, kind, path):
+    """The one check of a config number: its type, and that it is finite."""
     # YAML parses exponent-only literals like 5e-6 as strings; accept them
     if isinstance(value, bool):
         raise ConfigurationError(f"{path}: expected a number, got a boolean")
@@ -179,24 +137,27 @@ def _coerce_scalar(value, kind, path):
                 except ValueError:
                     pass
             as_float = float(value)
-            as_int = int(as_float)
+            as_int = int(as_float)  # OverflowError for +-inf, ValueError for nan
             if as_int != as_float:
                 raise ValueError
             return as_int
-        return float(value)
-    except (TypeError, ValueError):
+        number = float(value)  # OverflowError for integers beyond the double range
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"{path}: expected {kind.__name__}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def normalize_config(raw: dict) -> dict:
     """Validate section/key structure and coerce every leaf to its type."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a mapping of sections")
-    unknown = set(raw) - set(_SCHEMA) - {"sweep"}
+    unknown = set(raw) - set(_TABLE) - {"sweep"}
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
     out = {}
-    for section, fields in _SCHEMA.items():
+    for section, fields in _TABLE.items():
         given = raw.get(section, {})
         if not isinstance(given, dict):
             raise ConfigurationError(f"{section}: expected a mapping")
@@ -204,10 +165,10 @@ def normalize_config(raw: dict) -> dict:
         if extra:
             raise ConfigurationError(f"{section}: unknown keys {sorted(extra)}")
         normalized = {}
-        for key, kind in fields.items():
-            if key not in given and (section, key) not in _OPTIONAL:
+        for key, spec in fields.items():
+            if key not in given and spec[1] is not None:
                 raise ConfigurationError(f"{section}.{key}: missing required key")
-            normalized[key] = _coerce_leaf(given.get(key), kind, f"{section}.{key}")
+            normalized[key] = _coerce_leaf(given.get(key), spec, f"{section}.{key}")
         out[section] = normalized
     sweep = raw.get("sweep", [])
     if not isinstance(sweep, list):
@@ -220,16 +181,17 @@ def normalize_config(raw: dict) -> dict:
         values = entry["values"]
         if not isinstance(values, list) or not values:
             raise ConfigurationError(f"sweep[{i}]: values must be a nonempty list")
-        _require_path(out, path, f"sweep[{i}].path")
+        _leaf_spec(path, f"sweep[{i}].path")
         out_sweep.append({"path": path, "values": list(values)})
     out["sweep"] = out_sweep
     return out
 
 
-def _require_path(cfg: dict, path: str, label: str) -> None:
+def _leaf_spec(path: str, label: str) -> tuple:
     parts = path.split(".")
-    if len(parts) != 2 or parts[0] not in _SCHEMA or parts[1] not in _SCHEMA[parts[0]]:
+    if len(parts) != 2 or parts[0] not in _TABLE or parts[1] not in _TABLE[parts[0]]:
         raise ConfigurationError(f"{label}: no such parameter path {path!r}")
+    return _TABLE[parts[0]][parts[1]]
 
 
 def config_get(cfg: dict, path: str):
@@ -238,19 +200,9 @@ def config_get(cfg: dict, path: str):
 
 
 def config_set(cfg: dict, path: str, value) -> None:
-    _require_path(cfg, path, "path")
+    spec = _leaf_spec(path, "path")
     section, key = path.split(".", 1)
-    cfg[section][key] = _coerce_leaf(value, _SCHEMA[section][key], path)
-
-
-def deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+    cfg[section][key] = _coerce_leaf(value, spec, path)
 
 
 def load_config(path=None, profile: str = "desk", overrides: dict | None = None) -> dict:
@@ -298,8 +250,6 @@ def build_setup(cfg: dict) -> RunSetup:
     ch = cfg["chain"]
     tone_count = wf["tone_count"]
     tone_spacing = wf["tone_spacing"]
-    if tone_count < 1:
-        raise ConfigurationError("waveform.tone_count must be at least 1")
     if tone_spacing <= 0:
         raise ConfigurationError("waveform.tone_spacing must be positive")
     bandwidth = tone_count * tone_spacing
@@ -308,6 +258,13 @@ def build_setup(cfg: dict) -> RunSetup:
     if sim_rate is None:
         sim_rate = default_sim_rate(ch["carrier"], bandwidth, tone_spacing)
 
+    try:
+        ps_insertion_loss = 10.0 ** (ch["ps_insertion_loss_db"] / 10.0)
+    except OverflowError:
+        # the linear ratio is a finite double only up to about 3082 dB
+        raise ConfigurationError(
+            "chain: ps_insertion_loss_db is too large for a linear power ratio"
+        ) from None
     try:
         chain = ChainConfig(
             dac_bits=ch["dac_bits"],
@@ -318,7 +275,7 @@ def build_setup(cfg: dict) -> RunSetup:
             hpa_saturation=ch["hpa_saturation"],
             hpa_smoothness=ch["hpa_smoothness"],
             ps_bits=ch["ps_bits"],
-            ps_insertion_loss=10.0 ** (ch["ps_insertion_loss_db"] / 10.0),
+            ps_insertion_loss=ps_insertion_loss,
             sim_sample_rate=sim_rate,
         )
     except (ConfigurationError, DomainError) as exc:

@@ -1,7 +1,7 @@
 """Transmitter power consumption: DAC, mixer, oscillator, HPA, and signal."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,18 +23,9 @@ class PowerParams:
     hpa_output_resistance: float  # ohm
 
     def __post_init__(self):
-        for name in (
-            "supply_voltage",
-            "unit_current",
-            "parasitic_capacitance",
-            "correction_factor",
-            "mixer_power",
-            "oscillator_power",
-            "hpa_input_resistance",
-            "hpa_output_resistance",
-        ):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise DomainError(f"{f.name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ levels (exponents in the thousands) never overflow. No Taylor truncation is
 applied anywhere.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,14 +29,9 @@ class RectennaParams:
     ideality: float
 
     def __post_init__(self):
-        for name in (
-            "source_resistance",
-            "load_resistance",
-            "saturation_current",
-            "thermal_voltage",
-        ):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise DomainError(f"{f.name} must be positive")
         if self.ideality < 1:
             raise DomainError("ideality factor must be >= 1")
 

@@ -17,6 +17,12 @@ from .errors import ConfigurationError, DomainError
 BASEBAND = "baseband-complex"
 PASSBAND = "passband-real"
 
+# Largest DAC or phase-shifter resolution: the 53-bit significand of a double.
+# Up to it 2^bits - 1 is exact in float64, where the DAC step 2A/2^bits and
+# decode_particle's level scale are computed; beyond it 2.0**bits overflows at
+# 1024 bits and the int64 phase levels at 63.
+MAX_BITS = 53
+
 
 def _as_multiple(rate: float, step: float, name: str) -> int:
     """Return rate/step as an exact positive integer or raise."""
@@ -81,8 +87,8 @@ class ChainConfig:
     sim_sample_rate: float  # Hz, passband simulation rate
 
     def __post_init__(self):
-        if self.dac_bits < 1:
-            raise ConfigurationError("dac_bits must be at least 1")
+        if not 1 <= self.dac_bits <= MAX_BITS:
+            raise ConfigurationError(f"dac_bits must lie in [1, {MAX_BITS}]")
         if self.dac_range <= 0:
             raise ConfigurationError("dac_range must be positive")
         if self.dac_sample_rate <= 0 or self.sim_sample_rate <= 0:
@@ -93,8 +99,8 @@ class ChainConfig:
             raise ConfigurationError("amplifier gain and saturation must be positive")
         if self.hpa_smoothness < 1:
             raise ConfigurationError("amplifier smoothness must be >= 1")
-        if self.ps_bits < 1:
-            raise ConfigurationError("ps_bits must be at least 1")
+        if not 1 <= self.ps_bits <= MAX_BITS:
+            raise ConfigurationError(f"ps_bits must lie in [1, {MAX_BITS}]")
         if self.ps_insertion_loss < 1:
             raise ConfigurationError("insertion loss is a linear power ratio >= 1")
 

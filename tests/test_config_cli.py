@@ -1,6 +1,10 @@
 import math
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from wptsim.cli import (
     render_report,
 )
 from wptsim.config import (
+    _TABLE,
     build_setup,
     config_get,
     config_set,
@@ -98,10 +103,34 @@ class TestConfig:
         assert config_get(cfg, "swarm.seed") == big
 
     def test_physical_invariants_checked_at_build(self):
-        for chain in ({"dac_bits": 0}, {"ps_insertion_loss_db": -0.5}):
+        for chain in (
+            {"dac_bits": 0},
+            {"ps_insertion_loss_db": -0.5},
+            {"dac_bits": 54},
+            {"ps_bits": 54},
+        ):
             cfg = load_config(profile="desk", overrides={"chain": chain})
             with pytest.raises(ConfigurationError, match="chain"):
                 build_setup(cfg)
+        widest = {"chain": {"dac_bits": 53, "ps_bits": 53}}
+        build_setup(load_config(profile="desk", overrides=widest))
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            f"{section}.{key}"
+            for section, fields in _TABLE.items()
+            for key, (kind, _) in fields.items()
+            if kind in (float, (list, float))
+        ],
+    )
+    def test_non_finite_float_leaves_rejected(self, path):
+        section, key = path.split(".")
+        is_list = _TABLE[section][key][0] == (list, float)
+        cfg = load_config(profile="paper")
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match=re.escape(path)):
+                config_set(cfg, path, [1.0, x] if is_list else x)
 
     def test_default_waveform_fills_in(self):
         setup = build_setup(load_config(profile="desk"))
@@ -327,21 +356,44 @@ class TestMainEntryPoint:
         assert main(["simulate", "--config", "/no/such/file.yaml"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "text, flags",
+        "text, flags, key",
         [
-            ("waveform:\n  tone_spacing: 1.0e-300\n", []),
-            ("waveform:\n  tone_spacing: 1.0e-300\nchain:\n  sim_sample_rate: 225.0e6\n", []),
-            ("swarm:\n  seed: -1\n", []),
-            ("", ["--seed", "-1"]),
+            ("waveform:\n  tone_spacing: 1.0e-300\n", [], "tone spacing"),
+            (
+                "waveform:\n  tone_spacing: 1.0e-300\nchain:\n  sim_sample_rate: 225.0e6\n",
+                [],
+                "sim_sample_rate",
+            ),
+            ("swarm:\n  seed: -1\n", [], "seed"),
+            ("", ["--seed", "-1"], "seed"),
+            ("chain:\n  hpa_gain: .inf\n", [], "chain.hpa_gain"),
+            ("chain:\n  dac_range: .nan\n", [], "chain.dac_range"),
+            ("rectenna:\n  load_resistance: .nan\n", [], "rectenna.load_resistance"),
+            ("power:\n  mixer_power: .inf\n", [], "power.mixer_power"),
+            ("receiver:\n  position: [.nan, 3.0, 0.0]\n", [], "receiver.position"),
+            ("waveform:\n  amplitudes: [1, 1, 1, .inf, 1, 1, 1, 1]\n", [], "waveform.amplitudes"),
+            ("swarm:\n  amplitude_max: .inf\n", [], "swarm.amplitude_max"),
+            ("chain:\n  dac_bits: .inf\n", [], "chain.dac_bits"),
+            ("swarm:\n  particles: .inf\n", [], "swarm.particles"),
+            ("chain:\n  ps_insertion_loss_db: 4000\n", [], "ps_insertion_loss_db"),
+            ("chain:\n  dac_bits: 4000\n", [], "dac_bits"),
+            ("chain:\n  ps_bits: 70\n", [], "ps_bits"),
         ],
-        ids=["spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed"],
+        ids=[
+            "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
+            "hpa-gain-inf", "dac-range-nan", "load-resistance-nan", "mixer-power-inf",
+            "position-nan", "amplitude-inf", "amplitude-max-inf", "dac-bits-inf",
+            "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
+        ],
     )
-    def test_invalid_values_exit_three_with_one_line(self, tmp_path, capsys, text, flags):
+    @pytest.mark.filterwarnings("error")
+    def test_invalid_values_exit_three_with_one_line(self, tmp_path, capsys, text, flags, key):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
         assert main(["optimize", "--config", str(path), *flags]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert key in err
 
     def test_dump_config_round_trips(self, tmp_path, capsys):
         assert main(["simulate", "--profile", "desk", "--dump-config"]) == EXIT_OK
@@ -354,11 +406,29 @@ class TestMainEntryPoint:
         parsed = yaml.safe_load(out.read_text())
         assert parsed["command"] == "simulate"
 
-    @pytest.mark.skipif(shutil.which("wptsim") is None, reason="entry point not installed")
-    def test_console_script_smoke(self):
+    def test_console_script_smoke(self, tmp_path):
+        # a source checkout has no console script: run the module with its src on the path
+        command, env = ["wptsim"], None
+        if shutil.which("wptsim") is None:
+            command = [sys.executable, "-m", "wptsim.cli"]
+            src = str(Path(wptsim.cli.__file__).resolve().parents[1])
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )}
         proc = subprocess.run(
-            ["wptsim", "simulate", "--profile", "desk", "--format", "structured"],
-            capture_output=True, text=True, timeout=120,
+            [*command, "simulate", "--profile", "desk", "--format", "structured"],
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert yaml.safe_load(proc.stdout)["command"] == "simulate"
+        # numpy warnings reach a real stderr, which capsys does not see
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("chain:\n  hpa_gain: .inf\n")
+        proc = subprocess.run(
+            [*command, "simulate", "--config", str(bad)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == [
+            "configuration error: chain.hpa_gain: expected a finite number, got inf"
+        ]
