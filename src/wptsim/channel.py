@@ -143,35 +143,32 @@ def channel_coefficient(
 
 
 def received_signal(
-    element_signals: list[SampledSignal],
+    elements: SampledSignal,
     channel: ChannelMatrix,
     carrier: float,
     bandwidth: float,
 ) -> SampledSignal:
     """Propagate every element branch to the receiver and sum.
 
+    `elements` is the (N, n) stack of branches, one row per channel entry.
     Each occupied bin inside [carrier - bandwidth, carrier + bandwidth] is
     scaled by the channel at that bin's RF frequency (offsets are mapped onto
     the channel's own carrier when the simulation carrier is scaled down);
     content outside the receive band is rejected.
     """
-    if len(element_signals) != channel.count:
+    if elements.domain != PASSBAND:
+        raise DomainError("received_signal combines real passband branches")
+    shape = elements.samples.shape
+    if len(shape) != 2 or shape[0] != channel.count:
         raise DomainError(
-            f"{len(element_signals)} element signals for {channel.count} channel entries"
+            f"expected a stack of {channel.count} element signals, got shape {shape}"
         )
-    first = element_signals[0]
-    n = first.samples.size
-    for sig in element_signals:
-        if sig.domain != PASSBAND:
-            raise DomainError("received_signal combines real passband branches")
-        if sig.samples.size != n or sig.sample_rate != first.sample_rate:
-            raise DomainError("element signals must share sample rate and length")
-    freqs = np.fft.rfftfreq(n, d=1.0 / first.sample_rate)
+    n = shape[1]
+    freqs = np.fft.rfftfreq(n, d=1.0 / elements.sample_rate)
     band = np.abs(freqs - carrier) <= bandwidth * (1.0 + 1e-12)
     coeffs = channel.coefficients_at(channel.carrier + (freqs[band] - carrier))
-    stack = np.vstack([sig.samples for sig in element_signals])
-    bins = np.fft.rfft(stack, axis=1)[:, band]
+    bins = np.fft.rfft(elements.samples, axis=1)[:, band]
     spectrum = np.zeros(freqs.size, dtype=complex)
     spectrum[band] = np.sum(coeffs * bins, axis=0)
     out = np.fft.irfft(spectrum, n=n)
-    return SampledSignal(out, first.sample_rate, first.tone_spacing, PASSBAND)
+    return SampledSignal(out, elements.sample_rate, elements.tone_spacing, PASSBAND)

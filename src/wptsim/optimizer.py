@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .power_model import PowerBreakdown
+from .power_model import PowerBreakdown, dac_power
 from .signal_chain import PhaseWord, ToneSet
 from .simulation import SystemModel, evaluate_solution
 
@@ -34,7 +34,7 @@ class SwarmConfig:
     seed: int = 1
     amplitude_max: float = 300.0  # volts
     required_dc_power: float = 20e-6  # watts
-    penalty: float = 1e6  # watts, exceeds any attainable consumption
+    penalty: float = 1e6  # watts, must exceed any attainable consumption
 
     def __post_init__(self):
         if self.particles < 2:
@@ -142,6 +142,27 @@ def fitness(position: np.ndarray, system: SystemModel, swarm: SwarmConfig) -> fl
     return _evaluate_position(position, system, swarm).fitness
 
 
+def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
+    """Refuse a penalty that some feasible candidate's consumption could reach.
+
+    The HPA output stays below saturation and every tone amplitude below
+    amplitude_max, so the sum below bounds p_total from above.
+    """
+    chain, power = system.chain, system.power
+    bound = (
+        dac_power(chain.dac_bits, chain.dac_sample_rate, power)
+        + power.mixer_power
+        + power.oscillator_power
+        + chain.hpa_saturation**2 / power.hpa_output_resistance
+        + swarm.amplitude_max**2
+    )
+    if not swarm.penalty > bound:
+        raise ConfigurationError(
+            f"swarm.penalty {swarm.penalty:g} W does not exceed the {bound:g} W bound"
+            " on transmitter consumption"
+        )
+
+
 def _substream(seed: int, iteration: int, particle: int) -> np.random.Generator:
     # independent per-(iteration, particle) streams keep parallel schedules
     # and reruns bit-identical
@@ -156,6 +177,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     component zeroed, and ties keep the incumbent best. The global-best trace
     (initial swarm plus one entry per iteration) is non-increasing.
     """
+    _check_penalty(system, swarm)
     lower, upper = particle_bounds(system.tone_count, system.element_count, swarm.amplitude_max)
     n_var = lower.size
     span = upper - lower
@@ -229,6 +251,7 @@ def brute_force_grid(
     """
     if amplitude_points < 1 or phase_points < 1:
         raise DomainError("grid needs at least one point per dimension")
+    _check_penalty(system, swarm)
     tone_count = system.tone_count
     element_count = system.element_count
     bits = system.chain.ps_bits

@@ -2,20 +2,19 @@
 
 The DC operating point solves a transcendental balance between the diode
 exponential and the load line; the closed form uses the principal Lambert W
-branch evaluated from the logarithm of its argument, so realistic drive
-levels (exponents in the thousands) never overflow. No Taylor truncation is
-applied anywhere.
+branch evaluated from the logarithm of its argument as the Wright omega
+function, W(e^z) = omega(z), so realistic drive levels (exponents in the
+thousands) never overflow. No Taylor truncation is applied anywhere.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 from .errors import DomainError, NumericalError
 from .signal_chain import SampledSignal
-
-_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -54,41 +53,17 @@ class HarvestResult:
     rhs_log: float  # log of the periodic mean of the diode exponential
 
 
-def _lambert_direct(x: float) -> float:
-    # Halley iteration on w e^w = x for moderate x, started from the global
-    # two-log approximation; a handful of steps reaches a few ulp.
-    log1 = np.log1p(x)
-    w = log1 * (1.0 - np.log1p(log1) / (2.0 + log1))
-    for _ in range(_MAX_ITER):
-        ew = np.exp(w)
-        residual = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * residual / (2.0 * w + 2.0)
-        step = residual / denom
-        w -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return float(w)
-
-
 def lambert_w0_log(log_x: float) -> float:
     """Principal-branch Lambert W of exp(log_x).
 
-    For large arguments the iteration runs on the log-domain residual
-    w + ln w - log_x, which stays finite for log_x far beyond the point where
-    exp(log_x) itself would overflow (valid for log_x up to at least 1e4).
+    Evaluated as the Wright omega function omega(log_x), the solution of
+    w + ln w = log_x, which stays finite for log_x far beyond the point where
+    exp(log_x) itself would overflow.
     """
     log_x = float(log_x)
     if not np.isfinite(log_x):
         raise DomainError("log-form argument must be finite")
-    if log_x <= 3.0:
-        return _lambert_direct(np.exp(log_x))
-    w = log_x - np.log(log_x)
-    for _ in range(_MAX_ITER):
-        step = (w + np.log(w) - log_x) * w / (w + 1.0)
-        w -= step
-        if abs(step) <= 1e-16 * max(w, 1.0):
-            break
-    return float(w)
+    return float(wrightomega(log_x))
 
 
 def lambert_w0(x: float) -> float:
@@ -103,8 +78,6 @@ def lambert_w0(x: float) -> float:
         raise DomainError("principal-branch evaluation requires x >= 0")
     if x == 0.0:
         return 0.0
-    if x <= 20.0:
-        return _lambert_direct(x)
     return lambert_w0_log(np.log(x))
 
 
@@ -118,8 +91,8 @@ def rhs_log_mean(received: SampledSignal, params: RectennaParams) -> float:
         raise DomainError("rectenna input must be a real signal")
     scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
     exponents = scale * np.asarray(samples, dtype=float)
-    shift = exponents.max()
-    return float(shift + np.log(np.mean(np.exp(exponents - shift))))
+    shift = exponents.max(axis=-1)
+    return float(shift + np.log(np.mean(np.exp(exponents - shift[..., None]), axis=-1)))
 
 
 def dc_output_voltage(rhs_log: float, params: RectennaParams) -> float:

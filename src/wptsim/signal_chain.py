@@ -107,7 +107,11 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """One fundamental period of a uniformly sampled waveform."""
+    """One fundamental period of a uniformly sampled waveform.
+
+    The samples are one waveform, shape (n,), or a stack of waveforms that
+    share the sampling grid, shape (N, n), one per row.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -122,9 +126,10 @@ class SampledSignal:
         if self.domain == PASSBAND and np.iscomplexobj(samples):
             raise DomainError("passband signals must be real-valued")
         n = _as_multiple(self.sample_rate, self.tone_spacing, "sample rate")
-        if samples.ndim != 1 or samples.size != n:
+        if samples.ndim not in (1, 2) or samples.shape[-1] != n:
             raise DomainError(
-                f"signal must hold exactly one period: expected {n} samples, got {samples.size}"
+                f"signal must hold exactly one period: expected {n} samples per row,"
+                f" got shape {samples.shape}"
             )
 
     @property
@@ -133,7 +138,7 @@ class SampledSignal:
 
     def frequencies(self) -> np.ndarray:
         """Frequency of each DFT bin, in numpy fft ordering."""
-        return np.fft.fftfreq(self.samples.size, d=1.0 / self.sample_rate)
+        return np.fft.fftfreq(self.samples.shape[-1], d=1.0 / self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -305,11 +310,12 @@ def rapp_amplifier(
 
 def apply_phase_shifters(
     signal: SampledSignal, word: PhaseWord, insertion_loss: float
-) -> list[SampledSignal]:
+) -> SampledSignal:
     """Split the amplified signal across the array through B-bit phase shifters.
 
     The rotation acts on the analytic envelope (an ideal RF phase shift at the
-    carrier); each branch is scaled by 1/sqrt(insertion_loss * N).
+    carrier); each branch is scaled by 1/sqrt(insertion_loss * N). Returns the
+    (N, n) stack of branches, one row per element.
     """
     if signal.domain != PASSBAND:
         raise DomainError("phase shifters act on the real passband signal")
@@ -323,10 +329,7 @@ def apply_phase_shifters(
     branches = scale * (
         np.cos(angles)[:, None] * x[None, :] + np.sin(angles)[:, None] * quadrature[None, :]
     )
-    return [
-        SampledSignal(branch, signal.sample_rate, signal.tone_spacing, PASSBAND)
-        for branch in branches
-    ]
+    return SampledSignal(branches, signal.sample_rate, signal.tone_spacing, PASSBAND)
 
 
 def default_sim_rate(carrier: float, bandwidth: float, tone_spacing: float) -> float:

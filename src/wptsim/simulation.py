@@ -99,7 +99,7 @@ class ChainStages:
     lpf: SampledSignal
     mixer: SampledSignal
     hpa: SampledSignal
-    elements: list[SampledSignal]
+    elements: SampledSignal  # (N, n) stack of element branches
     received: SampledSignal
 
 
@@ -133,6 +133,8 @@ def _stage(name: str, fn, *args):
         raise NumericalError(f"{name} stage failed: {exc}") from exc
 
 
+# a floating-point overflow or invalid operation fails as the stage it happened in
+@np.errstate(over="raise", invalid="raise")
 def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStages:
     """Push one waveform through every transmitter stage to the receiver."""
     _validated(tones, word, system)
@@ -153,6 +155,7 @@ def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStag
     return ChainStages(digital, dac, lpf, mixer, hpa, elements, received)
 
 
+@np.errstate(over="raise", invalid="raise")
 def evaluate_solution(tones: ToneSet, word: PhaseWord, system: SystemModel) -> SimulationOutcome:
     """Full-chain harvest and power evaluation of one candidate."""
     stages = run_chain(tones, word, system)

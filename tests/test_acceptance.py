@@ -185,12 +185,9 @@ def test_criterion_08_channel_values():
     rate, n, carrier, bw = 180 * SPACING, 180, 64 * SPACING, 8 * SPACING
     geom2 = element_positions(1, 2, 5.18e9)
     channel = __import__("wptsim").build_channel_matrix(geom2, receiver, 8, SPACING)
-    a = [SampledSignal(rng.normal(size=n), rate, SPACING, PASSBAND) for _ in range(2)]
-    b = [SampledSignal(rng.normal(size=n), rate, SPACING, PASSBAND) for _ in range(2)]
-    mixed = [
-        SampledSignal(3.0 * x.samples + 0.25 * y.samples, rate, SPACING, PASSBAND)
-        for x, y in zip(a, b)
-    ]
+    a = SampledSignal(rng.normal(size=(2, n)), rate, SPACING, PASSBAND)
+    b = SampledSignal(rng.normal(size=(2, n)), rate, SPACING, PASSBAND)
+    mixed = SampledSignal(3.0 * a.samples + 0.25 * b.samples, rate, SPACING, PASSBAND)
     out_mixed = received_signal(mixed, channel, carrier, bw)
     out_a = received_signal(a, channel, carrier, bw)
     out_b = received_signal(b, channel, carrier, bw)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.constants import speed_of_light
 
@@ -33,9 +35,27 @@ class _ConstantChannel:
         return np.full((self.count, freqs.size), self.gain, dtype=complex)
 
 
+class _OneElement:
+    """One row of a channel, as a channel of its own."""
+
+    def __init__(self, parent, index):
+        self.parent, self.index = parent, index
+        self.count, self.carrier = 1, parent.carrier
+
+    def coefficients_at(self, freqs):
+        return self.parent.coefficients_at(freqs)[self.index : self.index + 1]
+
+
 def passband_tone(carrier_bins, n, rate):
     samples = np.cos(2.0 * np.pi * carrier_bins * np.arange(n) / n)
     return SampledSignal(samples, rate, SPACING, PASSBAND)
+
+
+def stack(*signals):
+    """Element branches as one (N, n) stack."""
+    first = signals[0]
+    rows = np.vstack([sig.samples for sig in signals])
+    return SampledSignal(rows, first.sample_rate, SPACING, first.domain)
 
 
 class TestGeometry:
@@ -146,19 +166,19 @@ class TestReceivedSignal:
     def test_identity_channel_passthrough(self):
         sig = passband_tone(64, self.N_SAMP, self.RATE)
         channel = _ConstantChannel(1)
-        out = received_signal([sig], channel, self.CARRIER_SIM, 8 * SPACING)
+        out = received_signal(stack(sig), channel, self.CARRIER_SIM, 8 * SPACING)
         assert_allclose(out.samples, sig.samples, atol=1e-12)
 
     def test_zero_channel(self):
         sig = passband_tone(64, self.N_SAMP, self.RATE)
         channel = _ConstantChannel(1, gain=0.0)
-        out = received_signal([sig], channel, self.CARRIER_SIM, 8 * SPACING)
+        out = received_signal(stack(sig), channel, self.CARRIER_SIM, 8 * SPACING)
         assert np.all(out.samples == 0.0)
 
     def test_coherent_pair_doubles_amplitude(self):
         sig = passband_tone(64, self.N_SAMP, self.RATE)
-        single = received_signal([sig], _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
-        pair = received_signal([sig, sig], _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING)
+        single = received_signal(stack(sig), _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
+        pair = received_signal(stack(sig, sig), _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING)
         assert_allclose(pair.samples, 2.0 * single.samples, atol=1e-12)
 
     def test_superposition_oracle(self, rng):
@@ -169,21 +189,40 @@ class TestReceivedSignal:
         sig_a = passband_tone(64, self.N_SAMP, self.RATE)
         noise = rng.normal(size=self.N_SAMP)
         sig_b = SampledSignal(noise, self.RATE, SPACING, PASSBAND)
-        joint = received_signal([sig_a, sig_b], channel, self.CARRIER_SIM, 8 * SPACING)
-
-        class _OneElement:
-            def __init__(self, parent, index):
-                self.parent, self.index = parent, index
-                self.count, self.carrier = 1, parent.carrier
-
-            def coefficients_at(self, freqs):
-                return self.parent.coefficients_at(freqs)[self.index : self.index + 1]
+        joint = received_signal(stack(sig_a, sig_b), channel, self.CARRIER_SIM, 8 * SPACING)
 
         parts = [
-            received_signal([sig], _OneElement(channel, i), self.CARRIER_SIM, 8 * SPACING)
+            received_signal(stack(sig), _OneElement(channel, i), self.CARRIER_SIM, 8 * SPACING)
             for i, sig in enumerate([sig_a, sig_b])
         ]
         assert_allclose(joint.samples, parts[0].samples + parts[1].samples, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 2),
+        cols=st.integers(1, 3),
+        position=st.tuples(
+            st.floats(-1.0, 1.0), st.floats(0.3, 5.0), st.floats(-1.0, 1.0)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_sum_of_rows(self, rows, cols, position, seed):
+        # generalises the superposition oracle to random stacks and receivers
+        geom = element_positions(rows, cols, CARRIER_RF)
+        channel = build_channel_matrix(geom, ReceiverPosition(*position), 8, SPACING)
+        samples = np.random.default_rng(seed).normal(size=(geom.count, self.N_SAMP))
+        joint = received_signal(
+            SampledSignal(samples, self.RATE, SPACING, PASSBAND),
+            channel, self.CARRIER_SIM, 8 * SPACING,
+        ).samples
+        parts = sum(
+            received_signal(
+                SampledSignal(row[None, :], self.RATE, SPACING, PASSBAND),
+                _OneElement(channel, i), self.CARRIER_SIM, 8 * SPACING,
+            ).samples
+            for i, row in enumerate(samples)
+        )
+        assert_allclose(joint, parts, rtol=0, atol=1e-12 * np.max(np.abs(parts)))
 
     def test_linearity_in_signals(self, rng):
         geom = element_positions(1, 1, CARRIER_RF)
@@ -191,13 +230,13 @@ class TestReceivedSignal:
         a = rng.normal(size=self.N_SAMP)
         b = rng.normal(size=self.N_SAMP)
         mix = SampledSignal(2.0 * a + 0.5 * b, self.RATE, SPACING, PASSBAND)
-        out_mix = received_signal([mix], channel, self.CARRIER_SIM, 8 * SPACING)
+        out_mix = received_signal(stack(mix), channel, self.CARRIER_SIM, 8 * SPACING)
         out_a = received_signal(
-            [SampledSignal(a, self.RATE, SPACING, PASSBAND)],
+            stack(SampledSignal(a, self.RATE, SPACING, PASSBAND)),
             channel, self.CARRIER_SIM, 8 * SPACING,
         )
         out_b = received_signal(
-            [SampledSignal(b, self.RATE, SPACING, PASSBAND)],
+            stack(SampledSignal(b, self.RATE, SPACING, PASSBAND)),
             channel, self.CARRIER_SIM, 8 * SPACING,
         )
         assert_allclose(
@@ -210,21 +249,27 @@ class TestReceivedSignal:
         total = SampledSignal(
             in_band.samples + out_band.samples, self.RATE, SPACING, PASSBAND
         )
-        out = received_signal([total], _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
+        out = received_signal(stack(total), _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
         assert_allclose(out.samples, in_band.samples, atol=1e-12)
 
     def test_mismatched_lengths_rejected(self):
-        sig = passband_tone(64, self.N_SAMP, self.RATE)
+        # every row of a stack holds one period at its rate: half-period rows are refused
         short = passband_tone(16, 90, 90 * SPACING)
         with pytest.raises(DomainError):
-            received_signal([sig, short], _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING)
+            received_signal(
+                SampledSignal(np.vstack([short.samples] * 2), self.RATE, SPACING, PASSBAND),
+                _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING,
+            )
 
     def test_wrong_element_count_rejected(self):
         sig = passband_tone(64, self.N_SAMP, self.RATE)
         with pytest.raises(DomainError):
-            received_signal([sig], _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING)
+            received_signal(stack(sig), _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING)
+        # a single waveform is not a stack, even for a one-element channel
+        with pytest.raises(DomainError):
+            received_signal(sig, _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
 
     def test_baseband_branch_rejected(self):
         sig = SampledSignal(np.zeros(self.N_SAMP, dtype=complex), self.RATE, SPACING, BASEBAND)
         with pytest.raises(DomainError):
-            received_signal([sig], _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
+            received_signal(stack(sig), _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)

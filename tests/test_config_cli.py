@@ -16,6 +16,7 @@ from wptsim import ConfigurationError
 from wptsim.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     cmd_optimize,
     cmd_simulate,
@@ -378,12 +379,14 @@ class TestMainEntryPoint:
             ("chain:\n  ps_insertion_loss_db: 4000\n", [], "ps_insertion_loss_db"),
             ("chain:\n  dac_bits: 4000\n", [], "dac_bits"),
             ("chain:\n  ps_bits: 70\n", [], "ps_bits"),
+            ("chain:\n  dac_bits: 40\n", [], "swarm.penalty"),
         ],
         ids=[
             "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
             "hpa-gain-inf", "dac-range-nan", "load-resistance-nan", "mixer-power-inf",
             "position-nan", "amplitude-inf", "amplitude-max-inf", "dac-bits-inf",
             "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
+            "penalty-below-dac-power",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -432,3 +435,12 @@ class TestMainEntryPoint:
         assert proc.stderr.splitlines() == [
             "configuration error: chain.hpa_gain: expected a finite number, got inf"
         ]
+        # a finite gain that overflows in the amplifier fails as that stage
+        bad.write_text("chain:\n  hpa_gain: 1.0e+308\n")
+        proc = subprocess.run(
+            [*command, "optimize", "--config", str(bad)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("numerical failure: hpa stage failed: overflow")

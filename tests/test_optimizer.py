@@ -308,6 +308,18 @@ class TestBruteForceGrid:
 
 
 class TestSwarmConfig:
+    def test_penalty_must_exceed_consumption_bound(self):
+        # a 36-bit DAC alone draws 1.03e6 W, above the default 1e6 W penalty
+        setup = desk_setup(
+            waveform={"tone_count": 1},
+            array={"rows": 1, "cols": 2},
+            chain={"ps_bits": 1, "dac_bits": 36},
+        )
+        with pytest.raises(ConfigurationError, match="swarm.penalty"):
+            pso_run(setup.system, setup.swarm)
+        with pytest.raises(ConfigurationError, match="swarm.penalty"):
+            brute_force_grid(2, 2, setup.system, setup.swarm)
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError):
             SwarmConfig(particles=1)

@@ -100,10 +100,6 @@ class TestTotalPower:
         b = total_power(tones, x, y, 3, 100e6, power_params)
         assert b.p_total == b.p_dac + b.p_mix + b.p_lo + b.p_hpa + b.p_s
 
-    def test_breakdown_sum_validated(self):
-        with pytest.raises(DomainError):
-            PowerBreakdown(1.0, 1.0, 1.0, 1.0, 1.0, 4.0)
-
     def test_negative_hpa_flagged(self):
-        b = PowerBreakdown(0.0, 0.0, 0.0, -0.5, 0.0, -0.5)
+        b = PowerBreakdown(0.0, 0.0, 0.0, -0.5, 0.0)
         assert b.hpa_negative

@@ -277,22 +277,22 @@ class TestPhaseShifters:
     def test_zero_phase_unit_loss_is_exact_identity(self):
         sig = self._passband_tone()
         word = PhaseWord([0], 3)
-        (out,) = apply_phase_shifters(sig, word, 1.0)
-        assert np.array_equal(out.samples, sig.samples)
+        (out,) = apply_phase_shifters(sig, word, 1.0).samples
+        assert np.array_equal(out, sig.samples)
 
     def test_one_bit_flip(self):
         sig = self._passband_tone()
         word = PhaseWord([1], 1)
-        (out,) = apply_phase_shifters(sig, word, 1.0)
-        assert_allclose(out.samples, -sig.samples, atol=1e-12)
+        (out,) = apply_phase_shifters(sig, word, 1.0).samples
+        assert_allclose(out, -sig.samples, atol=1e-12)
 
     def test_amplitude_scale_with_insertion_loss(self):
         sig = self._passband_tone()
         loss = 10.0**0.05  # 0.5 dB
         word = PhaseWord(np.zeros(25, dtype=int), 3)
-        branches = apply_phase_shifters(sig, word, loss)
+        branches = apply_phase_shifters(sig, word, loss).samples
         assert len(branches) == 25
-        scale = np.max(np.abs(branches[0].samples)) / np.max(np.abs(sig.samples))
+        scale = np.max(np.abs(branches[0])) / np.max(np.abs(sig.samples))
         assert_allclose(scale, 0.1888, rtol=1e-3)
 
     def test_out_of_range_level_rejected(self):
@@ -304,10 +304,10 @@ class TestPhaseShifters:
         idx = np.arange(n)
         sig = self._passband_tone(n, cycles)
         word = PhaseWord([3], 3)
-        (out,) = apply_phase_shifters(sig, word, 1.0)
+        (out,) = apply_phase_shifters(sig, word, 1.0).samples
         angle = 2.0 * np.pi * 3 / 8
         expected = np.cos(2.0 * np.pi * cycles * idx / n - angle)
-        assert_allclose(out.samples, expected, atol=1e-12)
+        assert_allclose(out, expected, atol=1e-12)
 
 
 class TestSampledSignal:

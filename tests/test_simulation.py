@@ -10,6 +10,7 @@ from wptsim import (
     DomainError,
     NumericalError,
     PhaseWord,
+    SampledSignal,
     ToneSet,
     apply_phase_shifters,
     evaluate_solution,
@@ -41,7 +42,7 @@ class TestRunChain:
             assert stage.domain == PASSBAND
             assert stage.sample_rate == chain.sim_sample_rate
             assert stage.samples.size == 180
-        assert len(stages.elements) == 25
+        assert stages.elements.samples.shape == (25, 180)
 
     def test_matches_hand_composition(self):
         # recompute every stage by direct calls to the public operations
@@ -81,7 +82,7 @@ class TestRunChain:
     def test_received_power_below_radiated_power(self):
         setup = desk_setup()
         stages = run_chain(setup.tones, setup.phase_word, setup.system)
-        radiated = sum(np.mean(s.samples**2) for s in stages.elements)
+        radiated = np.sum(np.mean(stages.elements.samples**2, axis=1))
         received = np.mean(stages.received.samples**2)
         assert received < 1e-3 * radiated
 
@@ -118,6 +119,20 @@ class TestEvaluateSolution:
         b = evaluate_solution(setup.tones, setup.phase_word, setup.system)
         assert a.harvest.v_out_dc == b.harvest.v_out_dc
         assert a.power.p_total == b.power.p_total
+
+    def test_one_evaluation_builds_seven_signals(self, monkeypatch):
+        # one signal per stage: the 25 element branches travel as one stack
+        setup = desk_setup()
+        built = []
+        original = SampledSignal.__post_init__
+
+        def counting(signal):
+            built.append(signal.domain)
+            original(signal)
+
+        monkeypatch.setattr(SampledSignal, "__post_init__", counting)
+        evaluate_solution(setup.tones, setup.phase_word, setup.system)
+        assert len(built) == 7
 
     def test_numerical_failures_carry_stage_tag(self, monkeypatch):
         setup = desk_setup()
