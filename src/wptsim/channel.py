@@ -6,7 +6,7 @@ import numpy as np
 from scipy.constants import speed_of_light
 
 from .errors import DomainError
-from .signal_chain import PASSBAND, SampledSignal
+from .signal_chain import PASSBAND, PhaseWord, SampledSignal
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,21 @@ def channel_coefficient(
     return matrix.coefficients_at(geometry.carrier + tone_index * tone_spacing)[:, 0]
 
 
+def receive_band(
+    channel: ChannelMatrix, n: int, sample_rate: float, carrier: float, bandwidth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft bins of an n-sample period the receiver keeps, and their channel.
+
+    Returns the indices of the bins inside [carrier - bandwidth,
+    carrier + bandwidth] and the (N, bins) channel coefficients at each bin's
+    RF frequency (offsets are mapped onto the channel's own carrier when the
+    simulation carrier is scaled down).
+    """
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    band = np.flatnonzero(np.abs(freqs - carrier) <= bandwidth * (1.0 + 1e-12))
+    return band, channel.coefficients_at(channel.carrier + (freqs[band] - carrier))
+
+
 def received_signal(
     elements: SampledSignal,
     channel: ChannelMatrix,
@@ -151,10 +166,8 @@ def received_signal(
     """Propagate every element branch to the receiver and sum.
 
     `elements` is the (N, n) stack of branches, one row per channel entry.
-    Each occupied bin inside [carrier - bandwidth, carrier + bandwidth] is
-    scaled by the channel at that bin's RF frequency (offsets are mapped onto
-    the channel's own carrier when the simulation carrier is scaled down);
-    content outside the receive band is rejected.
+    Each occupied bin of the receive band (see receive_band) is scaled by the
+    channel at that bin's RF frequency; content outside the band is rejected.
     """
     if elements.domain != PASSBAND:
         raise DomainError("received_signal combines real passband branches")
@@ -164,11 +177,45 @@ def received_signal(
             f"expected a stack of {channel.count} element signals, got shape {shape}"
         )
     n = shape[1]
-    freqs = np.fft.rfftfreq(n, d=1.0 / elements.sample_rate)
-    band = np.abs(freqs - carrier) <= bandwidth * (1.0 + 1e-12)
-    coeffs = channel.coefficients_at(channel.carrier + (freqs[band] - carrier))
+    band, coeffs = receive_band(channel, n, elements.sample_rate, carrier, bandwidth)
     bins = np.fft.rfft(elements.samples, axis=1)[:, band]
-    spectrum = np.zeros(freqs.size, dtype=complex)
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
     spectrum[band] = np.sum(coeffs * bins, axis=0)
     out = np.fft.irfft(spectrum, n=n)
     return SampledSignal(out, elements.sample_rate, elements.tone_spacing, PASSBAND)
+
+
+def beamformed_received(
+    hpa: SampledSignal,
+    word: PhaseWord,
+    insertion_loss: float,
+    band: np.ndarray,
+    band_coefficients: np.ndarray,
+) -> SampledSignal:
+    """The amplified period through the phase shifters and the channel, in one pass.
+
+    Equals received_signal(apply_phase_shifters(hpa, word, insertion_loss), ...)
+    for the `band` and `band_coefficients` of receive_band. The model is linear
+    after the amplifier: inside the band, branch i holds s e^{-j theta_i} X[k],
+    with X the rfft of the period and s = (insertion_loss N)^-1/2, so the
+    received bins are X[band] times the per-bin beam gain
+    g = s e^{-j theta}^T H_band and no branch is formed. The band must avoid
+    DC and Nyquist, where a real branch has no quadrature.
+    """
+    if hpa.domain != PASSBAND or hpa.samples.ndim != 1:
+        raise DomainError("the phase shifters act on one real passband signal")
+    if insertion_loss < 1:
+        raise DomainError("insertion loss is a linear power ratio >= 1")
+    if band_coefficients.shape[0] != word.count:
+        raise DomainError(
+            f"expected {band_coefficients.shape[0]} phase levels, got {word.count}"
+        )
+    n = hpa.samples.size
+    if band.size and (band[0] == 0 or 2 * band[-1] >= n):
+        raise DomainError("the receive band must lie strictly between DC and Nyquist")
+    scale = 1.0 / np.sqrt(insertion_loss * word.count)
+    gain = (scale * np.exp(-1j * word.angles())) @ band_coefficients
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    spectrum[band] = np.fft.rfft(hpa.samples)[band] * gain
+    out = np.fft.irfft(spectrum, n=n)
+    return SampledSignal(out, hpa.sample_rate, hpa.tone_spacing, PASSBAND)

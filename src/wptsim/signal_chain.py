@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .errors import ConfigurationError, DomainError
 
@@ -322,7 +321,12 @@ def apply_phase_shifters(
     if insertion_loss < 1:
         raise DomainError("insertion loss is a linear power ratio >= 1")
     x = signal.samples
-    quadrature = np.imag(hilbert(x))
+    # Hilbert transform: -j on every positive-frequency bin, none at DC or Nyquist
+    spectrum = -1j * np.fft.rfft(x)
+    spectrum[0] = 0.0
+    if x.size % 2 == 0:
+        spectrum[-1] = 0.0
+    quadrature = np.fft.irfft(spectrum, n=x.size)
     scale = 1.0 / np.sqrt(insertion_loss * word.count)
     angles = word.angles()
     # Re{(x + j q) e^{-j angle}} = x cos(angle) + q sin(angle)

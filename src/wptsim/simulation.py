@@ -8,8 +8,9 @@ from .channel import (
     ArrayGeometry,
     ChannelMatrix,
     ReceiverPosition,
+    beamformed_received,
     build_channel_matrix,
-    received_signal,
+    receive_band,
 )
 from .errors import ConfigurationError, DomainError, NumericalError
 from .power_model import PowerBreakdown, PowerParams, total_power
@@ -20,7 +21,6 @@ from .signal_chain import (
     SampledSignal,
     ToneSet,
     _as_multiple,
-    apply_phase_shifters,
     lowpass_filter,
     quantize_dac,
     rapp_amplifier,
@@ -35,7 +35,9 @@ class SystemModel:
 
     The waveform (ToneSet) and beam (PhaseWord) are the free variables; all
     sampling rates are validated to be commensurate with the tone spacing so
-    simulations cover exactly one fundamental period.
+    simulations cover exactly one fundamental period. The receive band's rfft
+    bins of the passband period and the channel at them (H_band, N x bins) are
+    computed once here.
     """
 
     tone_count: int
@@ -47,6 +49,8 @@ class SystemModel:
     power: PowerParams
     boresight_exponent: float = 2.0
     channel: ChannelMatrix = field(init=False, repr=False)
+    band: np.ndarray = field(init=False, repr=False)
+    band_coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tone_count < 1:
@@ -58,12 +62,15 @@ class SystemModel:
             raise ConfigurationError(
                 f"dac_sample_rate {self.chain.dac_sample_rate} below twice the bandwidth {bw}"
             )
-        for name in ("dac_sample_rate", "carrier", "sim_sample_rate"):
+        for name in ("dac_sample_rate", "carrier"):
             _as_multiple(getattr(self.chain, name), self.tone_spacing, name)
-        if self.chain.sim_sample_rate < 2 * (self.chain.carrier + bw):
+        n = _as_multiple(self.chain.sim_sample_rate, self.tone_spacing, "sim_sample_rate")
+        # strict: at equality the top receive bin is the Nyquist bin, which
+        # holds no quadrature for the phase shifters to rotate
+        if self.chain.sim_sample_rate <= 2 * (self.chain.carrier + bw):
             raise ConfigurationError(
-                f"sim_sample_rate {self.chain.sim_sample_rate} violates Nyquist for"
-                f" carrier {self.chain.carrier} plus bandwidth {bw}"
+                f"sim_sample_rate {self.chain.sim_sample_rate} must exceed the Nyquist rate"
+                f" 2 x (carrier {self.chain.carrier} + bandwidth {bw})"
             )
         if self.chain.carrier <= bw:
             raise ConfigurationError("carrier must exceed the baseband bandwidth")
@@ -79,7 +86,12 @@ class SystemModel:
             )
         except DomainError as exc:
             raise ConfigurationError(f"channel: {exc}") from exc
+        band, coefficients = receive_band(
+            matrix, n, self.chain.sim_sample_rate, self.chain.carrier, bw
+        )
         object.__setattr__(self, "channel", matrix)
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "band_coefficients", coefficients)
 
     @property
     def bandwidth(self) -> float:
@@ -99,7 +111,6 @@ class ChainStages:
     lpf: SampledSignal
     mixer: SampledSignal
     hpa: SampledSignal
-    elements: SampledSignal  # (N, n) stack of element branches
     received: SampledSignal
 
 
@@ -148,11 +159,16 @@ def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStag
     hpa = _stage(
         "hpa", rapp_amplifier, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
     )
-    elements = _stage("phase-shifters", apply_phase_shifters, hpa, word, chain.ps_insertion_loss)
     received = _stage(
-        "channel", received_signal, elements, system.channel, chain.carrier, system.bandwidth
+        "channel",
+        beamformed_received,
+        hpa,
+        word,
+        chain.ps_insertion_loss,
+        system.band,
+        system.band_coefficients,
     )
-    return ChainStages(digital, dac, lpf, mixer, hpa, elements, received)
+    return ChainStages(digital, dac, lpf, mixer, hpa, received)
 
 
 @np.errstate(over="raise", invalid="raise")

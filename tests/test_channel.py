@@ -9,14 +9,18 @@ from wptsim import (
     BASEBAND,
     PASSBAND,
     DomainError,
+    PhaseWord,
     ReceiverPosition,
     SampledSignal,
+    apply_phase_shifters,
+    beamformed_received,
     build_channel_matrix,
     channel_coefficient,
     element_positions,
     radiation_profile,
     received_signal,
 )
+from wptsim.channel import receive_band
 
 SPACING = 1.25e6
 CARRIER_RF = 5.18e9
@@ -273,3 +277,83 @@ class TestReceivedSignal:
         sig = SampledSignal(np.zeros(self.N_SAMP, dtype=complex), self.RATE, SPACING, BASEBAND)
         with pytest.raises(DomainError):
             received_signal(stack(sig), _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
+
+
+class TestBeamformedReceived:
+    RATE = 180 * SPACING
+    N_SAMP = 180
+    CARRIER_SIM = 64 * SPACING
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        position=st.tuples(
+            st.floats(-1.0, 1.0), st.floats(0.3, 5.0), st.floats(-1.0, 1.0)
+        ),
+        tones=st.integers(1, 8),
+        bits=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fold_equals_explicit_branches(self, rows, cols, position, tones, bits, seed):
+        # a random real period (energy in every bin), carrier bin and length
+        # strictly above Nyquist, word, insertion loss, array and receiver
+        rng = np.random.default_rng(seed)
+        carrier_bins = int(rng.integers(tones + 1, 65))
+        n = 2 * (carrier_bins + tones) + int(rng.integers(1, 41))
+        rate, carrier, bandwidth = n * SPACING, carrier_bins * SPACING, tones * SPACING
+        geom = element_positions(rows, cols, CARRIER_RF)
+        channel = build_channel_matrix(geom, ReceiverPosition(*position), tones, SPACING)
+        period = SampledSignal(rng.normal(size=n), rate, SPACING, PASSBAND)
+        word = PhaseWord(rng.integers(0, 2**bits, geom.count), bits)
+        loss = float(rng.uniform(1.0, 4.0))
+        band, coefficients = receive_band(channel, n, rate, carrier, bandwidth)
+        fold = beamformed_received(period, word, loss, band, coefficients).samples
+        branches = apply_phase_shifters(period, word, loss)
+        explicit = received_signal(branches, channel, carrier, bandwidth).samples
+        # the scale is the peak of the summed magnitudes of the N element
+        # contributions, which a beam that cancels at the receiver keeps
+        parts = np.zeros((geom.count, n // 2 + 1), dtype=complex)
+        parts[:, band] = coefficients * np.fft.rfft(branches.samples, axis=1)[:, band]
+        peak = np.max(np.sum(np.abs(np.fft.irfft(parts, n=n, axis=1)), axis=0))
+        assert_allclose(fold, explicit, rtol=0, atol=1e-12 * peak)
+
+    def test_band_at_nyquist_or_dc_rejected(self):
+        channel = build_channel_matrix(
+            element_positions(1, 2, CARRIER_RF), ReceiverPosition(0.0, 3.0, 0.0), 8, SPACING
+        )
+        word = PhaseWord([0, 1], 1)
+        # 144 samples: the top band bin, 72, is the Nyquist bin
+        sig = passband_tone(64, 144, 144 * SPACING)
+        band, coefficients = receive_band(
+            channel, 144, 144 * SPACING, self.CARRIER_SIM, 8 * SPACING
+        )
+        with pytest.raises(DomainError):
+            beamformed_received(sig, word, 1.0, band, coefficients)
+        sig = passband_tone(4, self.N_SAMP, self.RATE)
+        # a 4-bin carrier: the band reaches DC
+        band, coefficients = receive_band(
+            channel, self.N_SAMP, self.RATE, 4 * SPACING, 8 * SPACING
+        )
+        with pytest.raises(DomainError):
+            beamformed_received(sig, word, 1.0, band, coefficients)
+
+    def test_inputs_checked(self):
+        channel = build_channel_matrix(
+            element_positions(1, 2, CARRIER_RF), ReceiverPosition(0.0, 3.0, 0.0), 8, SPACING
+        )
+        band, coefficients = receive_band(
+            channel, self.N_SAMP, self.RATE, self.CARRIER_SIM, 8 * SPACING
+        )
+        sig = passband_tone(64, self.N_SAMP, self.RATE)
+        with pytest.raises(DomainError):
+            beamformed_received(sig, PhaseWord([0, 0, 0], 2), 1.0, band, coefficients)
+        with pytest.raises(DomainError):
+            beamformed_received(sig, PhaseWord([0, 0], 2), 0.5, band, coefficients)
+        with pytest.raises(DomainError):
+            beamformed_received(stack(sig, sig), PhaseWord([0, 0], 2), 1.0, band, coefficients)
+        baseband = SampledSignal(
+            np.zeros(self.N_SAMP, dtype=complex), self.RATE, SPACING, BASEBAND
+        )
+        with pytest.raises(DomainError):
+            beamformed_received(baseband, PhaseWord([0, 0], 2), 1.0, band, coefficients)

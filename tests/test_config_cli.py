@@ -380,13 +380,14 @@ class TestMainEntryPoint:
             ("chain:\n  dac_bits: 4000\n", [], "dac_bits"),
             ("chain:\n  ps_bits: 70\n", [], "ps_bits"),
             ("chain:\n  dac_bits: 40\n", [], "swarm.penalty"),
+            ("chain:\n  sim_sample_rate: 180.0e6\n", [], "sim_sample_rate"),
         ],
         ids=[
             "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
             "hpa-gain-inf", "dac-range-nan", "load-resistance-nan", "mixer-power-inf",
             "position-nan", "amplitude-inf", "amplitude-max-inf", "dac-bits-inf",
             "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
-            "penalty-below-dac-power",
+            "penalty-below-dac-power", "nyquist-boundary",
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -1,9 +1,15 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.signal
 from numpy.testing import assert_allclose
 
+import wptsim
 from wptsim import (
     BASEBAND,
     PASSBAND,
@@ -308,6 +314,28 @@ class TestPhaseShifters:
         angle = 2.0 * np.pi * 3 / 8
         expected = np.cos(2.0 * np.pi * cycles * idx / n - angle)
         assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 8, 163, 180, 10380])
+    def test_quadrature_matches_scipy_hilbert(self, n):
+        # a quarter-turn rotation leaves the Hilbert transform, odd and even n
+        x = np.random.default_rng(n).normal(size=n)
+        sig = SampledSignal(x, n * SPACING, SPACING, PASSBAND)
+        (out,) = apply_phase_shifters(sig, PhaseWord([2], 3), 1.0).samples
+        assert_allclose(out, np.imag(scipy.signal.hilbert(x)), rtol=0, atol=1e-14)
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal costs most of the import time and wptsim needs none of it
+    src = str(Path(wptsim.__file__).resolve().parents[1])
+    code = "import sys, wptsim; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSampledSignal:

@@ -13,6 +13,7 @@ from wptsim import (
     SampledSignal,
     ToneSet,
     apply_phase_shifters,
+    beamformed_received,
     evaluate_solution,
     harvest_from_signal,
     lowpass_filter,
@@ -25,6 +26,7 @@ from wptsim import (
     upconvert,
 )
 import wptsim.simulation
+from wptsim.channel import ChannelMatrix
 
 SPACING = 1.25e6
 
@@ -42,27 +44,38 @@ class TestRunChain:
             assert stage.domain == PASSBAND
             assert stage.sample_rate == chain.sim_sample_rate
             assert stage.samples.size == 180
-        assert stages.elements.samples.shape == (25, 180)
+        branches = apply_phase_shifters(stages.hpa, setup.phase_word, chain.ps_insertion_loss)
+        assert branches.samples.shape == (25, 180)
 
     def test_matches_hand_composition(self):
         # recompute every stage by direct calls to the public operations
         setup = desk_setup()
-        system, tones, word = setup.system, setup.tones, setup.phase_word
+        system, tones = setup.system, setup.tones
         chain = system.chain
+        # every level, so a wrong sign or scale of the beam gain shows
+        word = PhaseWord(np.arange(system.element_count) % 2**chain.ps_bits, chain.ps_bits)
         stages = run_chain(tones, word, system)
         digital = synthesize_multitone(tones, chain.dac_sample_rate)
         dac = quantize_dac(digital, chain.dac_bits, chain.dac_range)
         lpf = lowpass_filter(dac, system.bandwidth)
         mixer = upconvert(lpf, chain.carrier, chain.sim_sample_rate, system.bandwidth)
         hpa = rapp_amplifier(mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness)
-        elements = apply_phase_shifters(hpa, word, chain.ps_insertion_loss)
-        received = received_signal(elements, system.channel, chain.carrier, system.bandwidth)
+        received = beamformed_received(
+            hpa, word, chain.ps_insertion_loss, system.band, system.band_coefficients
+        )
         assert np.array_equal(stages.digital.samples, digital.samples)
         assert np.array_equal(stages.dac.samples, dac.samples)
         assert np.array_equal(stages.lpf.samples, lpf.samples)
         assert np.array_equal(stages.mixer.samples, mixer.samples)
         assert np.array_equal(stages.hpa.samples, hpa.samples)
         assert np.array_equal(stages.received.samples, received.samples)
+        # the explicit N branches through the per-element channel: the reference
+        elements = apply_phase_shifters(hpa, word, chain.ps_insertion_loss)
+        explicit = received_signal(elements, system.channel, chain.carrier, system.bandwidth)
+        assert_allclose(
+            stages.received.samples, explicit.samples,
+            rtol=0, atol=1e-12 * np.max(np.abs(explicit.samples)),
+        )
 
     def test_stages_consistent_across_simulation_rates(self):
         # doubling the passband rate must reproduce the coarser run at the
@@ -82,7 +95,9 @@ class TestRunChain:
     def test_received_power_below_radiated_power(self):
         setup = desk_setup()
         stages = run_chain(setup.tones, setup.phase_word, setup.system)
-        radiated = np.sum(np.mean(stages.elements.samples**2, axis=1))
+        loss = setup.system.chain.ps_insertion_loss
+        branches = apply_phase_shifters(stages.hpa, setup.phase_word, loss)
+        radiated = np.sum(np.mean(branches.samples**2, axis=1))
         received = np.mean(stages.received.samples**2)
         assert received < 1e-3 * radiated
 
@@ -120,8 +135,8 @@ class TestEvaluateSolution:
         assert a.harvest.v_out_dc == b.harvest.v_out_dc
         assert a.power.p_total == b.power.p_total
 
-    def test_one_evaluation_builds_seven_signals(self, monkeypatch):
-        # one signal per stage: the 25 element branches travel as one stack
+    def test_one_evaluation_builds_six_signals(self, monkeypatch):
+        # one signal per stage: the phase shifters and the channel are one stage
         setup = desk_setup()
         built = []
         original = SampledSignal.__post_init__
@@ -132,7 +147,21 @@ class TestEvaluateSolution:
 
         monkeypatch.setattr(SampledSignal, "__post_init__", counting)
         evaluate_solution(setup.tones, setup.phase_word, setup.system)
-        assert len(built) == 7
+        assert len(built) == 6
+
+    def test_channel_not_recomputed_per_evaluation(self, monkeypatch):
+        # the receive band's channel is computed once, by SystemModel
+        setup = desk_setup()
+        calls = []
+        original = ChannelMatrix.coefficients_at
+
+        def counting(channel, frequencies):
+            calls.append(frequencies)
+            return original(channel, frequencies)
+
+        monkeypatch.setattr(ChannelMatrix, "coefficients_at", counting)
+        evaluate_solution(setup.tones, setup.phase_word, setup.system)
+        assert calls == []
 
     def test_numerical_failures_carry_stage_tag(self, monkeypatch):
         setup = desk_setup()
@@ -164,6 +193,10 @@ class TestSystemModelValidation:
     def test_nyquist_violation_rejected(self):
         with pytest.raises(ConfigurationError):
             desk_setup(chain={"sim_sample_rate": 100e6})
+        # strict: at 2 (carrier + BW) the top receive bin is the Nyquist bin
+        with pytest.raises(ConfigurationError, match="sim_sample_rate"):
+            desk_setup(chain={"sim_sample_rate": 180e6})
+        assert desk_setup(chain={"sim_sample_rate": 181.25e6}).system.band.size == 17
 
     def test_dac_rate_below_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
