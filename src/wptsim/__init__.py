@@ -39,10 +39,7 @@ from .rectenna import (
     solve_rectifier_equation,
 )
 from .signal_chain import (
-    BASEBAND,
-    PASSBAND,
     PhaseWord,
-    SampledSignal,
     ToneSet,
     apply_phase_shifters,
     default_sim_rate,
@@ -57,17 +54,14 @@ from .simulation import SystemModel, evaluate_solution, run_chain
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASEBAND",
     "ConfigurationError",
     "DomainError",
     "NumericalError",
-    "PASSBAND",
     "PhaseWord",
     "PowerBreakdown",
     "PowerParams",
     "ReceiverPosition",
     "RectennaParams",
-    "SampledSignal",
     "SwarmConfig",
     "SystemModel",
     "ToneSet",

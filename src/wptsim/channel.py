@@ -6,7 +6,7 @@ import numpy as np
 from scipy.constants import speed_of_light
 
 from .errors import DomainError
-from .signal_chain import PASSBAND, PhaseWord, SampledSignal
+from .signal_chain import PhaseWord
 
 
 @dataclass(frozen=True)
@@ -158,51 +158,47 @@ def receive_band(
 
 
 def received_signal(
-    elements: SampledSignal,
-    channel: ChannelMatrix,
-    carrier: float,
-    bandwidth: float,
-) -> SampledSignal:
+    elements: np.ndarray, band: np.ndarray, band_coefficients: np.ndarray
+) -> np.ndarray:
     """Propagate every element branch to the receiver and sum.
 
-    `elements` is the (N, n) stack of branches, one row per channel entry.
-    Each occupied bin of the receive band (see receive_band) is scaled by the
-    channel at that bin's RF frequency; content outside the band is rejected.
+    `elements` is the real (N, n) stack of branches, one row per channel
+    entry. Each bin of the receive band (`band` and `band_coefficients`, from
+    receive_band) is scaled by the channel at that bin's RF frequency; content
+    outside the band is rejected.
     """
-    if elements.domain != PASSBAND:
+    if np.iscomplexobj(elements):
         raise DomainError("received_signal combines real passband branches")
-    shape = elements.samples.shape
-    if len(shape) != 2 or shape[0] != channel.count:
+    count = band_coefficients.shape[0]
+    if elements.ndim != 2 or elements.shape[0] != count:
         raise DomainError(
-            f"expected a stack of {channel.count} element signals, got shape {shape}"
+            f"expected a stack of {count} element signals, got shape {elements.shape}"
         )
-    n = shape[1]
-    band, coeffs = receive_band(channel, n, elements.sample_rate, carrier, bandwidth)
-    bins = np.fft.rfft(elements.samples, axis=1)[:, band]
+    n = elements.shape[1]
+    bins = np.fft.rfft(elements, axis=1)[:, band]
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[band] = np.sum(coeffs * bins, axis=0)
-    out = np.fft.irfft(spectrum, n=n)
-    return SampledSignal(out, elements.sample_rate, elements.tone_spacing, PASSBAND)
+    spectrum[band] = np.sum(band_coefficients * bins, axis=0)
+    return np.fft.irfft(spectrum, n=n)
 
 
 def beamformed_received(
-    hpa: SampledSignal,
+    hpa: np.ndarray,
     word: PhaseWord,
     insertion_loss: float,
     band: np.ndarray,
     band_coefficients: np.ndarray,
-) -> SampledSignal:
+) -> np.ndarray:
     """The amplified period through the phase shifters and the channel, in one pass.
 
-    Equals received_signal(apply_phase_shifters(hpa, word, insertion_loss), ...)
-    for the `band` and `band_coefficients` of receive_band. The model is linear
-    after the amplifier: inside the band, branch i holds s e^{-j theta_i} X[k],
-    with X the rfft of the period and s = (insertion_loss N)^-1/2, so the
-    received bins are X[band] times the per-bin beam gain
-    g = s e^{-j theta}^T H_band and no branch is formed. The band must avoid
-    DC and Nyquist, where a real branch has no quadrature.
+    Equals received_signal(apply_phase_shifters(hpa, word, insertion_loss),
+    band, band_coefficients). The model is linear after the amplifier: inside
+    the band, branch i holds s e^{-j theta_i} X[k], with X the rfft of the
+    period and s = (insertion_loss N)^-1/2, so the received bins are X[band]
+    times the per-bin beam gain g = s e^{-j theta}^T H_band and no branch is
+    formed. The band must avoid DC and Nyquist, where a real branch has no
+    quadrature.
     """
-    if hpa.domain != PASSBAND or hpa.samples.ndim != 1:
+    if np.iscomplexobj(hpa) or hpa.ndim != 1:
         raise DomainError("the phase shifters act on one real passband signal")
     if insertion_loss < 1:
         raise DomainError("insertion loss is a linear power ratio >= 1")
@@ -210,12 +206,11 @@ def beamformed_received(
         raise DomainError(
             f"expected {band_coefficients.shape[0]} phase levels, got {word.count}"
         )
-    n = hpa.samples.size
+    n = hpa.size
     if band.size and (band[0] == 0 or 2 * band[-1] >= n):
         raise DomainError("the receive band must lie strictly between DC and Nyquist")
     scale = 1.0 / np.sqrt(insertion_loss * word.count)
     gain = (scale * np.exp(-1j * word.angles())) @ band_coefficients
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[band] = np.fft.rfft(hpa.samples)[band] * gain
-    out = np.fft.irfft(spectrum, n=n)
-    return SampledSignal(out, hpa.sample_rate, hpa.tone_spacing, PASSBAND)
+    spectrum[band] = np.fft.rfft(hpa)[band] * gain
+    return np.fft.irfft(spectrum, n=n)

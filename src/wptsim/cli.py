@@ -19,7 +19,6 @@ import numpy as np
 from .config import build_setup, config_set, dump_config, load_config
 from .errors import ConfigurationError, DomainError, NumericalError
 from .optimizer import pso_run
-from .signal_chain import BASEBAND
 from .simulation import evaluate_solution
 
 EXIT_OK = 0
@@ -28,6 +27,7 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
 _STAGE_ORDER = ("digital", "dac", "lpf", "mixer", "hpa", "received")
+_BASEBAND_STAGES = ("digital", "dac", "lpf")  # sampled at chain.dac_sample_rate
 
 
 def format_float(value: float) -> str:
@@ -104,22 +104,23 @@ def _power_report(power) -> dict:
     }
 
 
-def _stage_report(signal) -> dict:
-    n = signal.samples.size
+def _stage_report(samples: np.ndarray, sample_rate: float) -> dict:
+    n = samples.size
+    baseband = np.iscomplexobj(samples)
     report = {
-        "domain": signal.domain,
-        "sample_rate": signal.sample_rate,
+        "domain": "baseband-complex" if baseband else "passband-real",
+        "sample_rate": sample_rate,
         "samples": n,
     }
-    if signal.domain == BASEBAND:
-        report["time_real"] = signal.samples.real
-        report["time_imag"] = signal.samples.imag
-        freqs = np.fft.fftshift(signal.frequencies())
-        mags = np.abs(np.fft.fftshift(np.fft.fft(signal.samples))) / n
+    if baseband:
+        report["time_real"] = samples.real
+        report["time_imag"] = samples.imag
+        freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate))
+        mags = np.abs(np.fft.fftshift(np.fft.fft(samples))) / n
     else:
-        report["time"] = signal.samples
-        freqs = np.fft.rfftfreq(n, d=1.0 / signal.sample_rate)
-        mags = np.abs(np.fft.rfft(signal.samples)) / n
+        report["time"] = samples
+        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+        mags = np.abs(np.fft.rfft(samples)) / n
     report["spectrum_frequency"] = freqs
     report["spectrum_magnitude"] = mags
     return report
@@ -128,6 +129,7 @@ def _stage_report(signal) -> dict:
 def cmd_simulate(setup) -> tuple[dict, int]:
     """Run the chain once and report per-stage series, harvest, and power."""
     outcome = evaluate_solution(setup.tones, setup.phase_word, setup.system)
+    chain = setup.system.chain
     report = {
         "command": "simulate",
         "tones": {
@@ -139,7 +141,11 @@ def cmd_simulate(setup) -> tuple[dict, int]:
         "harvest": _harvest_report(outcome.harvest),
         "power": _power_report(outcome.power),
         "stages": {
-            name: _stage_report(getattr(outcome.stages, name)) for name in _STAGE_ORDER
+            name: _stage_report(
+                getattr(outcome.stages, name),
+                chain.dac_sample_rate if name in _BASEBAND_STAGES else chain.sim_sample_rate,
+            )
+            for name in _STAGE_ORDER
         },
     }
     return report, EXIT_OK

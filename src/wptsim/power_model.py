@@ -5,7 +5,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .signal_chain import SampledSignal, ToneSet
+from .signal_chain import ToneSet
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def dac_power(bits: int, sample_rate: float, params: PowerParams) -> float:
 
 
 def hpa_power(
-    amplifier_in: SampledSignal,
-    amplifier_out: SampledSignal,
+    amplifier_in: np.ndarray,
+    amplifier_out: np.ndarray,
     input_resistance: float,
     output_resistance: float,
 ) -> float:
@@ -70,12 +70,10 @@ def hpa_power(
     """
     if input_resistance <= 0 or output_resistance <= 0:
         raise DomainError("port resistances must be positive")
-    if amplifier_in.samples.size != amplifier_out.samples.size:
+    if amplifier_in.size != amplifier_out.size:
         raise DomainError("amplifier input and output must share length")
-    if amplifier_in.sample_rate != amplifier_out.sample_rate:
-        raise DomainError("amplifier input and output must share sample rate")
-    p_in = np.mean(np.abs(amplifier_in.samples) ** 2, axis=-1) / input_resistance
-    p_out = np.mean(np.abs(amplifier_out.samples) ** 2, axis=-1) / output_resistance
+    p_in = np.mean(np.abs(amplifier_in) ** 2, axis=-1) / input_resistance
+    p_out = np.mean(np.abs(amplifier_out) ** 2, axis=-1) / output_resistance
     return float(p_out - p_in)
 
 
@@ -86,8 +84,8 @@ def signal_power(tones: ToneSet) -> float:
 
 def total_power(
     tones: ToneSet,
-    amplifier_in: SampledSignal,
-    amplifier_out: SampledSignal,
+    amplifier_in: np.ndarray,
+    amplifier_out: np.ndarray,
     dac_bits: int,
     dac_sample_rate: float,
     params: PowerParams,

@@ -14,7 +14,6 @@ from scipy.optimize import brentq
 from scipy.special import wrightomega
 
 from .errors import DomainError, NumericalError
-from .signal_chain import SampledSignal
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,15 @@ def lambert_w0(x: float) -> float:
     return lambert_w0_log(np.log(x))
 
 
-def rhs_log_mean(received: SampledSignal, params: RectennaParams) -> float:
+def rhs_log_mean(received: np.ndarray, params: RectennaParams) -> float:
     """Log of the one-period mean of exp(sqrt(R_s) r(t) / (eta V_0)).
 
     Evaluated with log-sum-exp so hot diode drives stay finite.
     """
-    samples = received.samples
-    if np.iscomplexobj(samples):
+    if np.iscomplexobj(received):
         raise DomainError("rectenna input must be a real signal")
     scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
-    exponents = scale * np.asarray(samples, dtype=float)
+    exponents = scale * np.asarray(received, dtype=float)
     shift = exponents.max(axis=-1)
     return float(shift + np.log(np.mean(np.exp(exponents - shift[..., None]), axis=-1)))
 
@@ -118,7 +116,7 @@ def harvested_power(v_out: float, load_resistance: float) -> float:
     return v_out * v_out / load_resistance
 
 
-def harvest_from_signal(received: SampledSignal, params: RectennaParams) -> HarvestResult:
+def harvest_from_signal(received: np.ndarray, params: RectennaParams) -> HarvestResult:
     """Full harvest evaluation for one period of the received signal."""
     rhs_log = rhs_log_mean(received, params)
     v_out = dc_output_voltage(rhs_log, params)

@@ -3,7 +3,10 @@
 Multi-tone synthesis, DAC quantization, brick-wall low-pass filtering,
 upconversion, the smooth-saturation amplifier, and analog phase shifting.
 Every operation acts on exactly one fundamental period of the waveform, so
-each stage stays periodic and time averages over the period are exact.
+each stage stays periodic and time averages over the period are exact. The
+stages take and return plain arrays: the sampling plan (sizes, synthesis
+grid, filter mask, carrier phasor) is fixed once, by SystemModel, and the
+stages never see a sample rate.
 """
 
 import math
@@ -13,9 +16,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-BASEBAND = "baseband-complex"
-PASSBAND = "passband-real"
-
 # Largest DAC or phase-shifter resolution: the 53-bit significand of a double.
 # Up to it 2^bits - 1 is exact in float64, where the DAC step 2A/2^bits and
 # decode_particle's level scale are computed; beyond it 2.0**bits overflows at
@@ -24,9 +24,7 @@ MAX_BITS = 53
 
 
 def _as_multiple(rate: float, step: float, name: str) -> int:
-    """Return rate/step as an exact positive integer or raise."""
-    if step <= 0:
-        raise ConfigurationError("tone spacing must be positive")
+    """Return rate/step (step > 0) as an exact positive integer or raise."""
     ratio = rate / step
     n = int(round(ratio)) if math.isfinite(ratio) else 0
     if n <= 0 or abs(ratio - n) > 1e-6:
@@ -105,42 +103,6 @@ class ChainConfig:
 
 
 @dataclass(frozen=True)
-class SampledSignal:
-    """One fundamental period of a uniformly sampled waveform.
-
-    The samples are one waveform, shape (n,), or a stack of waveforms that
-    share the sampling grid, shape (N, n), one per row.
-    """
-
-    samples: np.ndarray
-    sample_rate: float
-    tone_spacing: float
-    domain: str
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples)
-        object.__setattr__(self, "samples", samples)
-        if self.domain not in (BASEBAND, PASSBAND):
-            raise DomainError(f"unknown signal domain {self.domain!r}")
-        if self.domain == PASSBAND and np.iscomplexobj(samples):
-            raise DomainError("passband signals must be real-valued")
-        n = _as_multiple(self.sample_rate, self.tone_spacing, "sample rate")
-        if samples.ndim not in (1, 2) or samples.shape[-1] != n:
-            raise DomainError(
-                f"signal must hold exactly one period: expected {n} samples per row,"
-                f" got shape {samples.shape}"
-            )
-
-    @property
-    def period(self) -> float:
-        return 1.0 / self.tone_spacing
-
-    def frequencies(self) -> np.ndarray:
-        """Frequency of each DFT bin, in numpy fft ordering."""
-        return np.fft.fftfreq(self.samples.shape[-1], d=1.0 / self.sample_rate)
-
-
-@dataclass(frozen=True)
 class PhaseWord:
     """Selected quantized level of each element's phase shifter."""
 
@@ -167,21 +129,35 @@ class PhaseWord:
         return 2.0 * np.pi * self.levels / 2.0**self.bits
 
 
-def synthesize_multitone(tones: ToneSet, sample_rate: float) -> SampledSignal:
-    """Evaluate the inverse-DFT multi-tone waveform over one period.
+def synthesis_grid(n: int, count: int) -> np.ndarray:
+    """Phase 2*pi*((t*k) mod n)/n of tone k at sample t, shape (n, count).
 
-    The per-sample phase k*n/n_period is reduced modulo one revolution in
-    integer arithmetic, which keeps the synthesized period exactly periodic.
+    The turn count is reduced modulo one revolution in integer arithmetic,
+    which keeps the synthesized period exactly periodic.
     """
-    n = _as_multiple(sample_rate, tones.tone_spacing, "sample rate")
-    if sample_rate < 2 * tones.bandwidth:
-        raise ConfigurationError(
-            f"sample rate {sample_rate} below twice the baseband bandwidth {tones.bandwidth}"
-        )
-    turns = (np.arange(n)[:, None] * np.arange(tones.count)[None, :]) % n
-    phase = 2.0 * np.pi * (turns / n) + tones.phases[None, :]
-    samples = (np.exp(1j * phase) @ tones.amplitudes) / tones.count
-    return SampledSignal(samples, sample_rate, tones.tone_spacing, BASEBAND)
+    turns = (np.arange(n)[:, None] * np.arange(count)[None, :]) % n
+    return 2.0 * np.pi * (turns / n)
+
+
+def lowpass_mask(n: int, cutoff_bins: int) -> np.ndarray:
+    """The DFT bins of an n-sample period within cutoff_bins of DC (Nyquist included)."""
+    bins = np.arange(n)
+    return np.minimum(bins, n - bins) <= cutoff_bins
+
+
+def carrier_phasor(m: int, n: int) -> np.ndarray:
+    """exp(j*2*pi*((m*t) mod n)/n): carrier bin m over one n-sample period.
+
+    The phase advances by the exact integer bin ratio per sample, so the
+    mixer's product is exactly periodic over the same fundamental period.
+    """
+    return np.exp(1j * (2.0 * np.pi * ((m * np.arange(n)) % n) / n))
+
+
+def synthesize_multitone(tones: ToneSet, grid: np.ndarray) -> np.ndarray:
+    """The inverse-DFT multi-tone waveform over one period of synthesis_grid."""
+    phase = grid + tones.phases
+    return (np.exp(1j * phase) @ tones.amplitudes) / tones.count
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
@@ -189,7 +165,7 @@ def _round_half_away(values: np.ndarray) -> np.ndarray:
     return np.sign(values) * np.floor(np.abs(values) + 0.5)
 
 
-def quantize_dac(signal: SampledSignal, bits: int, full_scale: float) -> SampledSignal:
+def quantize_dac(samples: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
     """Saturating uniform quantizer with step 2A/2^bits.
 
     In-phase and quadrature components are quantized independently; inputs
@@ -206,35 +182,23 @@ def quantize_dac(signal: SampledSignal, bits: int, full_scale: float) -> Sampled
         clamped = np.clip(component, -full_scale, full_scale)
         return _round_half_away(clamped / step) * step
 
-    s = signal.samples
-    if np.iscomplexobj(s):
-        out = quantize(s.real) + 1j * quantize(s.imag)
-    else:
-        out = quantize(s)
-    return SampledSignal(out, signal.sample_rate, signal.tone_spacing, signal.domain)
+    if np.iscomplexobj(samples):
+        return quantize(samples.real) + 1j * quantize(samples.imag)
+    return quantize(samples)
 
 
-def lowpass_filter(signal: SampledSignal, cutoff: float) -> SampledSignal:
-    """Ideal brick-wall low-pass: zero every DFT bin with |f| > cutoff."""
-    if cutoff < 0:
-        raise DomainError("cutoff must be nonnegative")
-    spectrum = np.fft.fft(signal.samples)
-    keep = np.abs(signal.frequencies()) <= cutoff * (1.0 + 1e-12)
-    out = np.fft.ifft(spectrum * keep)
-    if not np.iscomplexobj(signal.samples):
-        out = out.real
-    return SampledSignal(out, signal.sample_rate, signal.tone_spacing, signal.domain)
+def lowpass_filter(samples: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Ideal brick-wall low-pass: zero every DFT bin outside `keep` (lowpass_mask)."""
+    out = np.fft.ifft(np.fft.fft(samples) * keep)
+    return out if np.iscomplexobj(samples) else out.real
 
 
-def _resample_exact(signal: SampledSignal, n_out: int) -> np.ndarray:
-    """Zero-pad the one-period spectrum up to n_out samples (exact for
-    band-limited periods; an even input's Nyquist bin is split in half)."""
-    samples = signal.samples
+def _resample_exact(samples: np.ndarray, n_out: int) -> np.ndarray:
+    """Zero-pad the one-period spectrum up to n_out >= len(samples) samples
+    (exact for band-limited periods; an even input's Nyquist bin is split in half)."""
     n_in = samples.size
     if n_out == n_in:
         return np.asarray(samples, dtype=complex)
-    if n_out < n_in:
-        raise ConfigurationError("resampling only raises the rate")
     spec_in = np.fft.fft(samples)
     spec = np.zeros(n_out, dtype=complex)
     half = n_in // 2
@@ -249,32 +213,17 @@ def _resample_exact(signal: SampledSignal, n_out: int) -> np.ndarray:
     return np.fft.ifft(spec) * (n_out / n_in)
 
 
-def upconvert(
-    signal: SampledSignal, carrier: float, sim_rate: float, bandwidth: float
-) -> SampledSignal:
-    """Resample the baseband period to the passband rate and mix onto the carrier.
+def upconvert(baseband: np.ndarray, phasor: np.ndarray) -> np.ndarray:
+    """Resample the baseband period to the phasor's length and mix onto its carrier.
 
-    The carrier phase advances by the exact integer bin ratio per sample, so
-    the passband product is exactly periodic over the same fundamental period.
+    `phasor` is the carrier_phasor of the passband period; the result is real.
     """
-    if signal.domain != BASEBAND:
-        raise DomainError("upconvert expects a complex baseband signal")
-    m = _as_multiple(carrier, signal.tone_spacing, "carrier")
-    n_out = _as_multiple(sim_rate, signal.tone_spacing, "simulation rate")
-    if sim_rate < 2.0 * (carrier + bandwidth):
-        raise ConfigurationError(
-            f"simulation rate {sim_rate} violates Nyquist for carrier {carrier}"
-            f" plus bandwidth {bandwidth}"
-        )
-    base = _resample_exact(signal, n_out)
-    phase = 2.0 * np.pi * ((m * np.arange(n_out)) % n_out) / n_out
-    out = np.real(base * np.exp(1j * phase))
-    return SampledSignal(out, sim_rate, signal.tone_spacing, PASSBAND)
+    return np.real(_resample_exact(baseband, phasor.size) * phasor)
 
 
 def rapp_amplifier(
-    signal: SampledSignal, gain: float, saturation: float, smoothness: float
-) -> SampledSignal:
+    x: np.ndarray, gain: float, saturation: float, smoothness: float
+) -> np.ndarray:
     """Smooth saturating memoryless amplifier.
 
     y = G x (1 + (G|x|/A_s)^(2 beta))^(-1/(2 beta)); above the knee the
@@ -285,7 +234,6 @@ def rapp_amplifier(
         raise DomainError("smoothness must be >= 1")
     if gain <= 0 or saturation <= 0:
         raise DomainError("gain and saturation must be positive")
-    x = signal.samples
     drive = gain * np.abs(x) / saturation
     exponent = 2.0 * smoothness
     compression = np.empty_like(drive)
@@ -304,23 +252,20 @@ def rapp_amplifier(
             out[over] *= limit / magnitude[over]
     else:
         np.clip(out, -limit, limit, out=out)
-    return SampledSignal(out, signal.sample_rate, signal.tone_spacing, signal.domain)
+    return out
 
 
-def apply_phase_shifters(
-    signal: SampledSignal, word: PhaseWord, insertion_loss: float
-) -> SampledSignal:
-    """Split the amplified signal across the array through B-bit phase shifters.
+def apply_phase_shifters(x: np.ndarray, word: PhaseWord, insertion_loss: float) -> np.ndarray:
+    """Split the amplified passband period across the array through B-bit phase shifters.
 
     The rotation acts on the analytic envelope (an ideal RF phase shift at the
     carrier); each branch is scaled by 1/sqrt(insertion_loss * N). Returns the
     (N, n) stack of branches, one row per element.
     """
-    if signal.domain != PASSBAND:
+    if np.iscomplexobj(x):
         raise DomainError("phase shifters act on the real passband signal")
     if insertion_loss < 1:
         raise DomainError("insertion loss is a linear power ratio >= 1")
-    x = signal.samples
     # Hilbert transform: -j on every positive-frequency bin, none at DC or Nyquist
     spectrum = -1j * np.fft.rfft(x)
     spectrum[0] = 0.0
@@ -330,10 +275,9 @@ def apply_phase_shifters(
     scale = 1.0 / np.sqrt(insertion_loss * word.count)
     angles = word.angles()
     # Re{(x + j q) e^{-j angle}} = x cos(angle) + q sin(angle)
-    branches = scale * (
+    return scale * (
         np.cos(angles)[:, None] * x[None, :] + np.sin(angles)[:, None] * quadrature[None, :]
     )
-    return SampledSignal(branches, signal.sample_rate, signal.tone_spacing, PASSBAND)
 
 
 def default_sim_rate(carrier: float, bandwidth: float, tone_spacing: float) -> float:

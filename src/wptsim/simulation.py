@@ -18,12 +18,14 @@ from .rectenna import HarvestResult, RectennaParams, harvest_from_signal
 from .signal_chain import (
     ChainConfig,
     PhaseWord,
-    SampledSignal,
     ToneSet,
     _as_multiple,
+    carrier_phasor,
     lowpass_filter,
+    lowpass_mask,
     quantize_dac,
     rapp_amplifier,
+    synthesis_grid,
     synthesize_multitone,
     upconvert,
 )
@@ -33,11 +35,14 @@ from .signal_chain import (
 class SystemModel:
     """Everything fixed about the transmitter, channel, and receiver.
 
-    The waveform (ToneSet) and beam (PhaseWord) are the free variables; all
-    sampling rates are validated to be commensurate with the tone spacing so
-    simulations cover exactly one fundamental period. The receive band's rfft
-    bins of the passband period and the channel at them (H_band, N x bins) are
-    computed once here.
+    The waveform (ToneSet) and beam (PhaseWord) are the free variables. The
+    sampling plan is checked and fixed here, once: every rate is a multiple
+    of the tone spacing, so each stage holds exactly one fundamental period,
+    n_dac baseband samples and n_sim >= n_dac passband samples with the
+    carrier at bin carrier_bin. From the plan come the synthesis grid, the
+    low-pass filter's kept bins, the carrier phasor, and the receive band's
+    rfft bins of the passband period with the channel at them (H_band,
+    N x bins); the stages take these arrays and never see a rate.
     """
 
     tone_count: int
@@ -49,6 +54,12 @@ class SystemModel:
     power: PowerParams
     boresight_exponent: float = 2.0
     channel: ChannelMatrix = field(init=False, repr=False)
+    n_dac: int = field(init=False)
+    n_sim: int = field(init=False)
+    carrier_bin: int = field(init=False)
+    synthesis_grid: np.ndarray = field(init=False, repr=False)
+    lpf_keep: np.ndarray = field(init=False, repr=False)
+    carrier_phasor: np.ndarray = field(init=False, repr=False)
     band: np.ndarray = field(init=False, repr=False)
     band_coefficients: np.ndarray = field(init=False, repr=False)
 
@@ -57,22 +68,27 @@ class SystemModel:
             raise ConfigurationError("tone_count must be at least 1")
         if self.tone_spacing <= 0:
             raise ConfigurationError("tone_spacing must be positive")
-        bw = self.bandwidth
-        if self.chain.dac_sample_rate < 2 * bw:
+        chain, bw = self.chain, self.bandwidth
+        if chain.dac_sample_rate < 2 * bw:
             raise ConfigurationError(
-                f"dac_sample_rate {self.chain.dac_sample_rate} below twice the bandwidth {bw}"
+                f"dac_sample_rate {chain.dac_sample_rate} below twice the bandwidth {bw}"
             )
-        for name in ("dac_sample_rate", "carrier"):
-            _as_multiple(getattr(self.chain, name), self.tone_spacing, name)
-        n = _as_multiple(self.chain.sim_sample_rate, self.tone_spacing, "sim_sample_rate")
+        n_dac = _as_multiple(chain.dac_sample_rate, self.tone_spacing, "dac_sample_rate")
+        m = _as_multiple(chain.carrier, self.tone_spacing, "carrier")
+        n_sim = _as_multiple(chain.sim_sample_rate, self.tone_spacing, "sim_sample_rate")
+        if n_sim < n_dac:
+            raise ConfigurationError(
+                f"dac_sample_rate {chain.dac_sample_rate} must not exceed"
+                f" sim_sample_rate {chain.sim_sample_rate}"
+            )
         # strict: at equality the top receive bin is the Nyquist bin, which
         # holds no quadrature for the phase shifters to rotate
-        if self.chain.sim_sample_rate <= 2 * (self.chain.carrier + bw):
+        if chain.sim_sample_rate <= 2 * (chain.carrier + bw):
             raise ConfigurationError(
-                f"sim_sample_rate {self.chain.sim_sample_rate} must exceed the Nyquist rate"
-                f" 2 x (carrier {self.chain.carrier} + bandwidth {bw})"
+                f"sim_sample_rate {chain.sim_sample_rate} must exceed the Nyquist rate"
+                f" 2 x (carrier {chain.carrier} + bandwidth {bw})"
             )
-        if self.chain.carrier <= bw:
+        if chain.carrier <= bw:
             raise ConfigurationError("carrier must exceed the baseband bandwidth")
         if self.geometry.carrier <= bw:
             raise ConfigurationError("RF carrier must exceed the baseband bandwidth")
@@ -87,11 +103,20 @@ class SystemModel:
         except DomainError as exc:
             raise ConfigurationError(f"channel: {exc}") from exc
         band, coefficients = receive_band(
-            matrix, n, self.chain.sim_sample_rate, self.chain.carrier, bw
+            matrix, n_sim, chain.sim_sample_rate, chain.carrier, bw
         )
-        object.__setattr__(self, "channel", matrix)
-        object.__setattr__(self, "band", band)
-        object.__setattr__(self, "band_coefficients", coefficients)
+        for name, value in (
+            ("channel", matrix),
+            ("n_dac", n_dac),
+            ("n_sim", n_sim),
+            ("carrier_bin", m),
+            ("synthesis_grid", synthesis_grid(n_dac, self.tone_count)),
+            ("lpf_keep", lowpass_mask(n_dac, self.tone_count)),
+            ("carrier_phasor", carrier_phasor(m, n_sim)),
+            ("band", band),
+            ("band_coefficients", coefficients),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def bandwidth(self) -> float:
@@ -104,14 +129,16 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class ChainStages:
-    """Per-stage waveforms of one simulation pass."""
+    """Per-stage waveforms of one simulation pass, one period each: n_dac
+    complex baseband samples for the first three, n_sim real passband
+    samples for the rest."""
 
-    digital: SampledSignal
-    dac: SampledSignal
-    lpf: SampledSignal
-    mixer: SampledSignal
-    hpa: SampledSignal
-    received: SampledSignal
+    digital: np.ndarray
+    dac: np.ndarray
+    lpf: np.ndarray
+    mixer: np.ndarray
+    hpa: np.ndarray
+    received: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,12 +177,10 @@ def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStag
     """Push one waveform through every transmitter stage to the receiver."""
     _validated(tones, word, system)
     chain = system.chain
-    digital = _stage("synthesis", synthesize_multitone, tones, chain.dac_sample_rate)
+    digital = _stage("synthesis", synthesize_multitone, tones, system.synthesis_grid)
     dac = _stage("dac", quantize_dac, digital, chain.dac_bits, chain.dac_range)
-    lpf = _stage("lpf", lowpass_filter, dac, system.bandwidth)
-    mixer = _stage(
-        "mixer", upconvert, lpf, chain.carrier, chain.sim_sample_rate, system.bandwidth
-    )
+    lpf = _stage("lpf", lowpass_filter, dac, system.lpf_keep)
+    mixer = _stage("mixer", upconvert, lpf, system.carrier_phasor)
     hpa = _stage(
         "hpa", rapp_amplifier, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
     )

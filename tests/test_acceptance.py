@@ -13,11 +13,9 @@ from numpy.testing import assert_allclose
 
 from conftest import desk_setup, toy_setup
 from wptsim import (
-    PASSBAND,
     PhaseWord,
     RectennaParams,
     ReceiverPosition,
-    SampledSignal,
     ToneSet,
     brute_force_grid,
     channel_coefficient,
@@ -38,6 +36,7 @@ from wptsim import (
     run_chain,
     solve_rectifier_equation,
 )
+from wptsim.channel import receive_band
 
 SPACING = 1.25e6
 
@@ -87,10 +86,9 @@ def test_criterion_02_closed_form_vs_implicit():
 def test_criterion_03_bessel_cross_check():
     start = time.perf_counter()
     n = 4096
-    rate = n * SPACING
     phase = 2.0 * np.pi * np.arange(n) / n
     for amplitude in np.linspace(1e-3, 1.0, 20):
-        signal = SampledSignal(amplitude * np.cos(phase), rate, SPACING, PASSBAND)
+        signal = amplitude * np.cos(phase)
         z = np.sqrt(50.0) * amplitude / (1.05 * 25.86e-3)
         expected = z + np.log(scipy.special.ive(0, z))
         assert_allclose(rhs_log_mean(signal, TABLE_RECTENNA), expected, rtol=1e-6)
@@ -112,17 +110,14 @@ def test_criterion_05_rapp_model():
     rng = np.random.default_rng(5)
     n = 4096
     values = np.concatenate([rng.uniform(-1e3, 1e3, n - 2), [0.0, 1e3]])
-    sig = SampledSignal(values, n * SPACING, SPACING, PASSBAND)
-    neg = SampledSignal(-values, n * SPACING, SPACING, PASSBAND)
-    out = rapp_amplifier(sig, gain, saturation, smoothness)
-    out_neg = rapp_amplifier(neg, gain, saturation, smoothness)
-    assert np.array_equal(out_neg.samples, -out.samples)  # oddness, exact
-    assert np.all(np.abs(out.samples) < saturation)
+    out = rapp_amplifier(values, gain, saturation, smoothness)
+    out_neg = rapp_amplifier(-values, gain, saturation, smoothness)
+    assert np.array_equal(out_neg, -out)  # oddness, exact
+    assert np.all(np.abs(out) < saturation)
     small = np.linspace(-1e-3, 1e-3, n)  # |x| <= 1e-3 * A_s / G
-    small_sig = SampledSignal(small, n * SPACING, SPACING, PASSBAND)
-    small_out = rapp_amplifier(small_sig, gain, saturation, smoothness)
+    small_out = rapp_amplifier(small, gain, saturation, smoothness)
     nonzero = small != 0.0
-    deviation = np.abs(small_out.samples[nonzero] / (gain * small[nonzero]) - 1.0)
+    deviation = np.abs(small_out[nonzero] / (gain * small[nonzero]) - 1.0)
     assert np.all(deviation < 1e-6)
     _report(5, "Rapp amplifier odd, strictly bounded, linear to 1e-6 in the small-signal regime")
 
@@ -134,8 +129,7 @@ def test_criterion_06_quantizer():
         for full_scale in (0.5, 1.0, 2.0):
             step = 2.0 * full_scale / 2**bits
             values = rng.uniform(-2 * full_scale, 2 * full_scale, n)
-            sig = SampledSignal(values, n * SPACING, SPACING, PASSBAND)
-            out = quantize_dac(sig, bits, full_scale).samples
+            out = quantize_dac(values, bits, full_scale)
             clamped = np.clip(values, -full_scale, full_scale)
             assert np.all(np.abs(out - clamped) <= step / 2 + 1e-12)
             assert np.all(np.abs(out) <= full_scale)
@@ -149,9 +143,10 @@ def test_criterion_07_chain_spectra():
     setup = desk_setup(chain={"dac_bits": 2})  # K=8, n_b=2, B=3, N=25
     stages = run_chain(setup.tones, setup.phase_word, setup.system)
     bw = setup.system.bandwidth
+    chain = setup.system.chain
 
-    lpf_spectrum = np.fft.fft(stages.lpf.samples)
-    lpf_freqs = stages.lpf.frequencies()
+    lpf_spectrum = np.fft.fft(stages.lpf)
+    lpf_freqs = np.fft.fftfreq(stages.lpf.size, d=1.0 / chain.dac_sample_rate)
     out_band = np.abs(lpf_freqs) > bw
     lpf_total = np.sum(np.abs(lpf_spectrum) ** 2)
     lpf_outside = np.sum(np.abs(lpf_spectrum[out_band]) ** 2)
@@ -159,9 +154,9 @@ def test_criterion_07_chain_spectra():
     assert lpf_outside <= 1e-20 * lpf_total
 
     received = stages.received
-    spectrum = np.fft.rfft(received.samples)
-    freqs = np.fft.rfftfreq(received.samples.size, d=1.0 / received.sample_rate)
-    carrier = setup.system.chain.carrier
+    spectrum = np.fft.rfft(received)
+    freqs = np.fft.rfftfreq(received.size, d=1.0 / chain.sim_sample_rate)
+    carrier = chain.carrier
     outside = np.abs(freqs - carrier) > bw * (1.0 + 1e-12)
     total = np.sum(np.abs(spectrum) ** 2)
     outside_energy = np.sum(np.abs(spectrum[outside]) ** 2)
@@ -185,15 +180,13 @@ def test_criterion_08_channel_values():
     rate, n, carrier, bw = 180 * SPACING, 180, 64 * SPACING, 8 * SPACING
     geom2 = element_positions(1, 2, 5.18e9)
     channel = __import__("wptsim").build_channel_matrix(geom2, receiver, 8, SPACING)
-    a = SampledSignal(rng.normal(size=(2, n)), rate, SPACING, PASSBAND)
-    b = SampledSignal(rng.normal(size=(2, n)), rate, SPACING, PASSBAND)
-    mixed = SampledSignal(3.0 * a.samples + 0.25 * b.samples, rate, SPACING, PASSBAND)
-    out_mixed = received_signal(mixed, channel, carrier, bw)
-    out_a = received_signal(a, channel, carrier, bw)
-    out_b = received_signal(b, channel, carrier, bw)
-    assert_allclose(
-        out_mixed.samples, 3.0 * out_a.samples + 0.25 * out_b.samples, atol=1e-10
-    )
+    band, coefficients = receive_band(channel, n, rate, carrier, bw)
+    a = rng.normal(size=(2, n))
+    b = rng.normal(size=(2, n))
+    out_mixed = received_signal(3.0 * a + 0.25 * b, band, coefficients)
+    out_a = received_signal(a, band, coefficients)
+    out_b = received_signal(b, band, coefficients)
+    assert_allclose(out_mixed, 3.0 * out_a + 0.25 * out_b, atol=1e-10)
     _report(8, "boresight gain 3.761e-3, profile peak 2(b+1), combiner linear to 1e-10")
 
 

@@ -6,12 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.constants import speed_of_light
 
 from wptsim import (
-    BASEBAND,
-    PASSBAND,
     DomainError,
     PhaseWord,
     ReceiverPosition,
-    SampledSignal,
     apply_phase_shifters,
     beamformed_received,
     build_channel_matrix,
@@ -50,16 +47,13 @@ class _OneElement:
         return self.parent.coefficients_at(freqs)[self.index : self.index + 1]
 
 
-def passband_tone(carrier_bins, n, rate):
-    samples = np.cos(2.0 * np.pi * carrier_bins * np.arange(n) / n)
-    return SampledSignal(samples, rate, SPACING, PASSBAND)
+def passband_tone(carrier_bins, n):
+    return np.cos(2.0 * np.pi * carrier_bins * np.arange(n) / n)
 
 
 def stack(*signals):
     """Element branches as one (N, n) stack."""
-    first = signals[0]
-    rows = np.vstack([sig.samples for sig in signals])
-    return SampledSignal(rows, first.sample_rate, SPACING, first.domain)
+    return np.vstack(signals)
 
 
 class TestGeometry:
@@ -167,39 +161,43 @@ class TestReceivedSignal:
     N_SAMP = 180
     CARRIER_SIM = 64 * SPACING
 
+    def received(self, elements, channel):
+        """received_signal over the receive band of `channel` on the 180-sample period."""
+        band, coefficients = receive_band(
+            channel, self.N_SAMP, self.RATE, self.CARRIER_SIM, 8 * SPACING
+        )
+        return received_signal(elements, band, coefficients)
+
     def test_identity_channel_passthrough(self):
-        sig = passband_tone(64, self.N_SAMP, self.RATE)
-        channel = _ConstantChannel(1)
-        out = received_signal(stack(sig), channel, self.CARRIER_SIM, 8 * SPACING)
-        assert_allclose(out.samples, sig.samples, atol=1e-12)
+        sig = passband_tone(64, self.N_SAMP)
+        out = self.received(stack(sig), _ConstantChannel(1))
+        assert_allclose(out, sig, atol=1e-12)
 
     def test_zero_channel(self):
-        sig = passband_tone(64, self.N_SAMP, self.RATE)
-        channel = _ConstantChannel(1, gain=0.0)
-        out = received_signal(stack(sig), channel, self.CARRIER_SIM, 8 * SPACING)
-        assert np.all(out.samples == 0.0)
+        sig = passband_tone(64, self.N_SAMP)
+        out = self.received(stack(sig), _ConstantChannel(1, gain=0.0))
+        assert np.all(out == 0.0)
 
     def test_coherent_pair_doubles_amplitude(self):
-        sig = passband_tone(64, self.N_SAMP, self.RATE)
-        single = received_signal(stack(sig), _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
-        pair = received_signal(stack(sig, sig), _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING)
-        assert_allclose(pair.samples, 2.0 * single.samples, atol=1e-12)
+        sig = passband_tone(64, self.N_SAMP)
+        single = self.received(stack(sig), _ConstantChannel(1))
+        pair = self.received(stack(sig, sig), _ConstantChannel(2))
+        assert_allclose(pair, 2.0 * single, atol=1e-12)
 
     def test_superposition_oracle(self, rng):
         # propagate each element separately and sum; must match the joint call
         geom = element_positions(1, 2, CARRIER_RF)
         er = ReceiverPosition(0.2, 2.5, -0.1)
         channel = build_channel_matrix(geom, er, 8, SPACING)
-        sig_a = passband_tone(64, self.N_SAMP, self.RATE)
-        noise = rng.normal(size=self.N_SAMP)
-        sig_b = SampledSignal(noise, self.RATE, SPACING, PASSBAND)
-        joint = received_signal(stack(sig_a, sig_b), channel, self.CARRIER_SIM, 8 * SPACING)
+        sig_a = passband_tone(64, self.N_SAMP)
+        sig_b = rng.normal(size=self.N_SAMP)
+        joint = self.received(stack(sig_a, sig_b), channel)
 
         parts = [
-            received_signal(stack(sig), _OneElement(channel, i), self.CARRIER_SIM, 8 * SPACING)
+            self.received(stack(sig), _OneElement(channel, i))
             for i, sig in enumerate([sig_a, sig_b])
         ]
-        assert_allclose(joint.samples, parts[0].samples + parts[1].samples, atol=1e-10)
+        assert_allclose(joint, parts[0] + parts[1], atol=1e-10)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -215,15 +213,9 @@ class TestReceivedSignal:
         geom = element_positions(rows, cols, CARRIER_RF)
         channel = build_channel_matrix(geom, ReceiverPosition(*position), 8, SPACING)
         samples = np.random.default_rng(seed).normal(size=(geom.count, self.N_SAMP))
-        joint = received_signal(
-            SampledSignal(samples, self.RATE, SPACING, PASSBAND),
-            channel, self.CARRIER_SIM, 8 * SPACING,
-        ).samples
+        joint = self.received(samples, channel)
         parts = sum(
-            received_signal(
-                SampledSignal(row[None, :], self.RATE, SPACING, PASSBAND),
-                _OneElement(channel, i), self.CARRIER_SIM, 8 * SPACING,
-            ).samples
+            self.received(row[None, :], _OneElement(channel, i))
             for i, row in enumerate(samples)
         )
         assert_allclose(joint, parts, rtol=0, atol=1e-12 * np.max(np.abs(parts)))
@@ -233,50 +225,29 @@ class TestReceivedSignal:
         channel = build_channel_matrix(geom, ReceiverPosition(0.0, 3.0, 0.0), 8, SPACING)
         a = rng.normal(size=self.N_SAMP)
         b = rng.normal(size=self.N_SAMP)
-        mix = SampledSignal(2.0 * a + 0.5 * b, self.RATE, SPACING, PASSBAND)
-        out_mix = received_signal(stack(mix), channel, self.CARRIER_SIM, 8 * SPACING)
-        out_a = received_signal(
-            stack(SampledSignal(a, self.RATE, SPACING, PASSBAND)),
-            channel, self.CARRIER_SIM, 8 * SPACING,
-        )
-        out_b = received_signal(
-            stack(SampledSignal(b, self.RATE, SPACING, PASSBAND)),
-            channel, self.CARRIER_SIM, 8 * SPACING,
-        )
-        assert_allclose(
-            out_mix.samples, 2.0 * out_a.samples + 0.5 * out_b.samples, atol=1e-10
-        )
+        out_mix = self.received(stack(2.0 * a + 0.5 * b), channel)
+        out_a = self.received(stack(a), channel)
+        out_b = self.received(stack(b), channel)
+        assert_allclose(out_mix, 2.0 * out_a + 0.5 * out_b, atol=1e-10)
 
     def test_out_of_band_content_rejected(self):
-        in_band = passband_tone(64, self.N_SAMP, self.RATE)
-        out_band = passband_tone(30, self.N_SAMP, self.RATE)
-        total = SampledSignal(
-            in_band.samples + out_band.samples, self.RATE, SPACING, PASSBAND
-        )
-        out = received_signal(stack(total), _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
-        assert_allclose(out.samples, in_band.samples, atol=1e-12)
-
-    def test_mismatched_lengths_rejected(self):
-        # every row of a stack holds one period at its rate: half-period rows are refused
-        short = passband_tone(16, 90, 90 * SPACING)
-        with pytest.raises(DomainError):
-            received_signal(
-                SampledSignal(np.vstack([short.samples] * 2), self.RATE, SPACING, PASSBAND),
-                _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING,
-            )
+        in_band = passband_tone(64, self.N_SAMP)
+        out_band = passband_tone(30, self.N_SAMP)
+        out = self.received(stack(in_band + out_band), _ConstantChannel(1))
+        assert_allclose(out, in_band, atol=1e-12)
 
     def test_wrong_element_count_rejected(self):
-        sig = passband_tone(64, self.N_SAMP, self.RATE)
+        sig = passband_tone(64, self.N_SAMP)
         with pytest.raises(DomainError):
-            received_signal(stack(sig), _ConstantChannel(2), self.CARRIER_SIM, 8 * SPACING)
+            self.received(stack(sig), _ConstantChannel(2))
         # a single waveform is not a stack, even for a one-element channel
         with pytest.raises(DomainError):
-            received_signal(sig, _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
+            self.received(sig, _ConstantChannel(1))
 
     def test_baseband_branch_rejected(self):
-        sig = SampledSignal(np.zeros(self.N_SAMP, dtype=complex), self.RATE, SPACING, BASEBAND)
+        sig = np.zeros(self.N_SAMP, dtype=complex)
         with pytest.raises(DomainError):
-            received_signal(stack(sig), _ConstantChannel(1), self.CARRIER_SIM, 8 * SPACING)
+            self.received(stack(sig), _ConstantChannel(1))
 
 
 class TestBeamformedReceived:
@@ -304,17 +275,17 @@ class TestBeamformedReceived:
         rate, carrier, bandwidth = n * SPACING, carrier_bins * SPACING, tones * SPACING
         geom = element_positions(rows, cols, CARRIER_RF)
         channel = build_channel_matrix(geom, ReceiverPosition(*position), tones, SPACING)
-        period = SampledSignal(rng.normal(size=n), rate, SPACING, PASSBAND)
+        period = rng.normal(size=n)
         word = PhaseWord(rng.integers(0, 2**bits, geom.count), bits)
         loss = float(rng.uniform(1.0, 4.0))
         band, coefficients = receive_band(channel, n, rate, carrier, bandwidth)
-        fold = beamformed_received(period, word, loss, band, coefficients).samples
+        fold = beamformed_received(period, word, loss, band, coefficients)
         branches = apply_phase_shifters(period, word, loss)
-        explicit = received_signal(branches, channel, carrier, bandwidth).samples
+        explicit = received_signal(branches, band, coefficients)
         # the scale is the peak of the summed magnitudes of the N element
         # contributions, which a beam that cancels at the receiver keeps
         parts = np.zeros((geom.count, n // 2 + 1), dtype=complex)
-        parts[:, band] = coefficients * np.fft.rfft(branches.samples, axis=1)[:, band]
+        parts[:, band] = coefficients * np.fft.rfft(branches, axis=1)[:, band]
         peak = np.max(np.sum(np.abs(np.fft.irfft(parts, n=n, axis=1)), axis=0))
         assert_allclose(fold, explicit, rtol=0, atol=1e-12 * peak)
 
@@ -324,13 +295,13 @@ class TestBeamformedReceived:
         )
         word = PhaseWord([0, 1], 1)
         # 144 samples: the top band bin, 72, is the Nyquist bin
-        sig = passband_tone(64, 144, 144 * SPACING)
+        sig = passband_tone(64, 144)
         band, coefficients = receive_band(
             channel, 144, 144 * SPACING, self.CARRIER_SIM, 8 * SPACING
         )
         with pytest.raises(DomainError):
             beamformed_received(sig, word, 1.0, band, coefficients)
-        sig = passband_tone(4, self.N_SAMP, self.RATE)
+        sig = passband_tone(4, self.N_SAMP)
         # a 4-bin carrier: the band reaches DC
         band, coefficients = receive_band(
             channel, self.N_SAMP, self.RATE, 4 * SPACING, 8 * SPACING
@@ -345,15 +316,13 @@ class TestBeamformedReceived:
         band, coefficients = receive_band(
             channel, self.N_SAMP, self.RATE, self.CARRIER_SIM, 8 * SPACING
         )
-        sig = passband_tone(64, self.N_SAMP, self.RATE)
+        sig = passband_tone(64, self.N_SAMP)
         with pytest.raises(DomainError):
             beamformed_received(sig, PhaseWord([0, 0, 0], 2), 1.0, band, coefficients)
         with pytest.raises(DomainError):
             beamformed_received(sig, PhaseWord([0, 0], 2), 0.5, band, coefficients)
         with pytest.raises(DomainError):
             beamformed_received(stack(sig, sig), PhaseWord([0, 0], 2), 1.0, band, coefficients)
-        baseband = SampledSignal(
-            np.zeros(self.N_SAMP, dtype=complex), self.RATE, SPACING, BASEBAND
-        )
+        baseband = np.zeros(self.N_SAMP, dtype=complex)
         with pytest.raises(DomainError):
             beamformed_received(baseband, PhaseWord([0, 0], 2), 1.0, band, coefficients)

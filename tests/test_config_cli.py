@@ -381,13 +381,16 @@ class TestMainEntryPoint:
             ("chain:\n  ps_bits: 70\n", [], "ps_bits"),
             ("chain:\n  dac_bits: 40\n", [], "swarm.penalty"),
             ("chain:\n  sim_sample_rate: 180.0e6\n", [], "sim_sample_rate"),
+            ("chain:\n  dac_sample_rate: 1.0e+9\n", [], "must not exceed sim_sample_rate"),
+            ("chain:\n  dac_sample_rate: 100.3e6\n", [], "dac_sample_rate"),
         ],
         ids=[
             "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
             "hpa-gain-inf", "dac-range-nan", "load-resistance-nan", "mixer-power-inf",
             "position-nan", "amplitude-inf", "amplitude-max-inf", "dac-bits-inf",
             "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
-            "penalty-below-dac-power", "nyquist-boundary",
+            "penalty-below-dac-power", "nyquist-boundary", "dac-rate-above-sim-rate",
+            "dac-rate-not-multiple",
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -4,9 +4,7 @@ from numpy.testing import assert_allclose
 
 from wptsim import (
     DomainError,
-    PASSBAND,
     PowerBreakdown,
-    SampledSignal,
     ToneSet,
     dac_power,
     hpa_power,
@@ -16,10 +14,6 @@ from wptsim import (
 )
 
 SPACING = 1.25e6
-
-
-def passband(samples, rate=80 * SPACING):
-    return SampledSignal(np.asarray(samples, dtype=float), rate, SPACING, PASSBAND)
 
 
 class TestDacPower:
@@ -41,32 +35,31 @@ class TestDacPower:
 
 class TestHpaPower:
     def test_identical_signals_cancel(self):
-        sig = passband(np.linspace(-1, 1, 80))
+        sig = np.linspace(-1, 1, 80)
         assert hpa_power(sig, sig, 1.0, 1.0) == 0.0
 
     def test_zero_input(self):
-        sig = passband(np.zeros(80))
+        sig = np.zeros(80)
         assert hpa_power(sig, sig, 1.0, 1.0) == 0.0
 
     def test_small_signal_gain_squared(self):
         # linear regime: output power is G^2 x input power, so the difference
         # is (G^2 - 1) * P_in
         peak = 0.01 * 10.0 / 10.0  # 0.01 * A_s / G
-        x = passband(peak * np.cos(2.0 * np.pi * np.arange(80) * 8 / 80))
+        x = peak * np.cos(2.0 * np.pi * np.arange(80) * 8 / 80)
         y = rapp_amplifier(x, 10.0, 10.0, 4.0)
-        p_in = np.mean(x.samples**2)
+        p_in = np.mean(x**2)
         assert_allclose(hpa_power(x, y, 1.0, 1.0), 99.0 * p_in, rtol=1e-3)
 
     def test_nonnegative_for_random_drives(self, rng):
         for _ in range(20):
-            samples = rng.uniform(-2.0, 2.0, 80)
-            x = passband(samples)
+            x = rng.uniform(-2.0, 2.0, 80)
             y = rapp_amplifier(x, 10.0, 10.0, 4.0)
             assert hpa_power(x, y, 1.0, 1.0) >= 0.0
 
     def test_mismatched_signals_rejected(self):
-        a = passband(np.zeros(80))
-        b = passband(np.zeros(160), rate=160 * SPACING)
+        a = np.zeros(80)
+        b = np.zeros(160)
         with pytest.raises(DomainError):
             hpa_power(a, b, 1.0, 1.0)
 
@@ -86,7 +79,7 @@ class TestSignalPower:
 class TestTotalPower:
     def test_zero_waveform_floor(self, power_params):
         tones = ToneSet(np.zeros(8), np.zeros(8), SPACING)
-        zero = passband(np.zeros(80))
+        zero = np.zeros(80)
         breakdown = total_power(tones, zero, zero, 3, 100e6, power_params)
         assert_allclose(breakdown.p_total, 29.455e-3, rtol=1e-12)
         assert breakdown.p_hpa == 0.0
@@ -95,7 +88,7 @@ class TestTotalPower:
 
     def test_total_is_exact_sum(self, power_params, rng):
         tones = ToneSet(rng.random(8), np.zeros(8), SPACING)
-        x = passband(rng.uniform(-1, 1, 80))
+        x = rng.uniform(-1, 1, 80)
         y = rapp_amplifier(x, 10.0, 10.0, 4.0)
         b = total_power(tones, x, y, 3, 100e6, power_params)
         assert b.p_total == b.p_dac + b.p_mix + b.p_lo + b.p_hpa + b.p_s

@@ -4,13 +4,10 @@ from numpy.testing import assert_allclose
 
 from conftest import desk_setup
 from wptsim import (
-    BASEBAND,
-    PASSBAND,
     ConfigurationError,
     DomainError,
     NumericalError,
     PhaseWord,
-    SampledSignal,
     ToneSet,
     apply_phase_shifters,
     beamformed_received,
@@ -25,27 +22,30 @@ from wptsim import (
     total_power,
     upconvert,
 )
+import wptsim.signal_chain
 import wptsim.simulation
-from wptsim.channel import ChannelMatrix
+from wptsim.channel import ChannelMatrix, receive_band
+from wptsim.signal_chain import carrier_phasor, lowpass_mask, synthesis_grid
 
 SPACING = 1.25e6
 
 
 class TestRunChain:
     def test_stage_domains_rates_and_lengths(self):
+        # one period at each rate: 100 MHz / 1.25 MHz and 225 MHz / 1.25 MHz
         setup = desk_setup()
-        stages = run_chain(setup.tones, setup.phase_word, setup.system)
-        chain = setup.system.chain
+        system = setup.system
+        stages = run_chain(setup.tones, setup.phase_word, system)
+        assert (system.n_dac, system.n_sim, system.carrier_bin) == (80, 180, 64)
         for stage in (stages.digital, stages.dac, stages.lpf):
-            assert stage.domain == BASEBAND
-            assert stage.sample_rate == chain.dac_sample_rate
-            assert stage.samples.size == 80
+            assert stage.dtype == complex
+            assert stage.shape == (80,)
         for stage in (stages.mixer, stages.hpa, stages.received):
-            assert stage.domain == PASSBAND
-            assert stage.sample_rate == chain.sim_sample_rate
-            assert stage.samples.size == 180
-        branches = apply_phase_shifters(stages.hpa, setup.phase_word, chain.ps_insertion_loss)
-        assert branches.samples.shape == (25, 180)
+            assert stage.dtype == float
+            assert stage.shape == (180,)
+        loss = system.chain.ps_insertion_loss
+        branches = apply_phase_shifters(stages.hpa, setup.phase_word, loss)
+        assert branches.shape == (25, 180)
 
     def test_matches_hand_composition(self):
         # recompute every stage by direct calls to the public operations
@@ -55,26 +55,28 @@ class TestRunChain:
         # every level, so a wrong sign or scale of the beam gain shows
         word = PhaseWord(np.arange(system.element_count) % 2**chain.ps_bits, chain.ps_bits)
         stages = run_chain(tones, word, system)
-        digital = synthesize_multitone(tones, chain.dac_sample_rate)
+        digital = synthesize_multitone(tones, synthesis_grid(80, 8))
         dac = quantize_dac(digital, chain.dac_bits, chain.dac_range)
-        lpf = lowpass_filter(dac, system.bandwidth)
-        mixer = upconvert(lpf, chain.carrier, chain.sim_sample_rate, system.bandwidth)
+        lpf = lowpass_filter(dac, lowpass_mask(80, 8))
+        mixer = upconvert(lpf, carrier_phasor(64, 180))
         hpa = rapp_amplifier(mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness)
         received = beamformed_received(
             hpa, word, chain.ps_insertion_loss, system.band, system.band_coefficients
         )
-        assert np.array_equal(stages.digital.samples, digital.samples)
-        assert np.array_equal(stages.dac.samples, dac.samples)
-        assert np.array_equal(stages.lpf.samples, lpf.samples)
-        assert np.array_equal(stages.mixer.samples, mixer.samples)
-        assert np.array_equal(stages.hpa.samples, hpa.samples)
-        assert np.array_equal(stages.received.samples, received.samples)
+        assert np.array_equal(stages.digital, digital)
+        assert np.array_equal(stages.dac, dac)
+        assert np.array_equal(stages.lpf, lpf)
+        assert np.array_equal(stages.mixer, mixer)
+        assert np.array_equal(stages.hpa, hpa)
+        assert np.array_equal(stages.received, received)
         # the explicit N branches through the per-element channel: the reference
         elements = apply_phase_shifters(hpa, word, chain.ps_insertion_loss)
-        explicit = received_signal(elements, system.channel, chain.carrier, system.bandwidth)
+        band, coefficients = receive_band(
+            system.channel, 180, chain.sim_sample_rate, chain.carrier, system.bandwidth
+        )
+        explicit = received_signal(elements, band, coefficients)
         assert_allclose(
-            stages.received.samples, explicit.samples,
-            rtol=0, atol=1e-12 * np.max(np.abs(explicit.samples)),
+            stages.received, explicit, rtol=0, atol=1e-12 * np.max(np.abs(explicit))
         )
 
     def test_stages_consistent_across_simulation_rates(self):
@@ -84,21 +86,17 @@ class TestRunChain:
         fine = desk_setup(chain={"sim_sample_rate": 360 * SPACING})
         coarse_stages = run_chain(setup.tones, setup.phase_word, setup.system)
         fine_stages = run_chain(fine.tones, fine.phase_word, fine.system)
-        assert fine_stages.mixer.samples.size == 2 * coarse_stages.mixer.samples.size
-        assert_allclose(
-            fine_stages.mixer.samples[::2], coarse_stages.mixer.samples, atol=1e-9
-        )
-        assert_allclose(
-            fine_stages.hpa.samples[::2], coarse_stages.hpa.samples, atol=1e-9
-        )
+        assert fine_stages.mixer.size == 2 * coarse_stages.mixer.size
+        assert_allclose(fine_stages.mixer[::2], coarse_stages.mixer, atol=1e-9)
+        assert_allclose(fine_stages.hpa[::2], coarse_stages.hpa, atol=1e-9)
 
     def test_received_power_below_radiated_power(self):
         setup = desk_setup()
         stages = run_chain(setup.tones, setup.phase_word, setup.system)
         loss = setup.system.chain.ps_insertion_loss
         branches = apply_phase_shifters(stages.hpa, setup.phase_word, loss)
-        radiated = np.sum(np.mean(branches.samples**2, axis=1))
-        received = np.mean(stages.received.samples**2)
+        radiated = np.sum(np.mean(branches**2, axis=1))
+        received = np.mean(stages.received**2)
         assert received < 1e-3 * radiated
 
     def test_waveform_mismatch_rejected(self):
@@ -135,19 +133,21 @@ class TestEvaluateSolution:
         assert a.harvest.v_out_dc == b.harvest.v_out_dc
         assert a.power.p_total == b.power.p_total
 
-    def test_one_evaluation_builds_six_signals(self, monkeypatch):
-        # one signal per stage: the phase shifters and the channel are one stage
+    def test_sampling_plan_not_rechecked_per_evaluation(self, monkeypatch):
+        # SystemModel checks the rates against the tone spacing once; the
+        # stages take its sizes and plan arrays and check no rate again
         setup = desk_setup()
-        built = []
-        original = SampledSignal.__post_init__
+        calls = []
+        original = wptsim.signal_chain._as_multiple
 
-        def counting(signal):
-            built.append(signal.domain)
-            original(signal)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(SampledSignal, "__post_init__", counting)
+        monkeypatch.setattr(wptsim.signal_chain, "_as_multiple", counting)
+        monkeypatch.setattr(wptsim.simulation, "_as_multiple", counting)
         evaluate_solution(setup.tones, setup.phase_word, setup.system)
-        assert len(built) == 6
+        assert calls == []
 
     def test_channel_not_recomputed_per_evaluation(self, monkeypatch):
         # the receive band's channel is computed once, by SystemModel
