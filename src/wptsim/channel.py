@@ -143,18 +143,20 @@ def channel_coefficient(
 
 
 def receive_band(
-    channel: ChannelMatrix, n: int, sample_rate: float, carrier: float, bandwidth: float
+    channel: ChannelMatrix, carrier_bin: int, tone_count: int, tone_spacing: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rfft bins of an n-sample period the receiver keeps, and their channel.
+    """The rfft bins the receiver keeps, and the channel at them.
 
-    Returns the indices of the bins inside [carrier - bandwidth,
-    carrier + bandwidth] and the (N, bins) channel coefficients at each bin's
-    RF frequency (offsets are mapped onto the channel's own carrier when the
-    simulation carrier is scaled down).
+    The band is the 2K+1 bins m + k, k = -K..K, around carrier bin m. Bin
+    m + k sits k tone spacings off the carrier, so its channel is taken at
+    channel.carrier + k * tone_spacing (offsets are mapped onto the channel's
+    own carrier when the simulation carrier is scaled down). Returns the bins
+    and the (N, 2K+1) coefficients.
     """
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    band = np.flatnonzero(np.abs(freqs - carrier) <= bandwidth * (1.0 + 1e-12))
-    return band, channel.coefficients_at(channel.carrier + (freqs[band] - carrier))
+    offsets = np.arange(-tone_count, tone_count + 1)
+    return carrier_bin + offsets, channel.coefficients_at(
+        channel.carrier + offsets * tone_spacing
+    )
 
 
 def received_signal(
@@ -175,6 +177,8 @@ def received_signal(
             f"expected a stack of {count} element signals, got shape {elements.shape}"
         )
     n = elements.shape[1]
+    if band.size and (band[0] < 0 or 2 * band[-1] > n):
+        raise DomainError("the receive band must lie between DC and Nyquist")
     bins = np.fft.rfft(elements, axis=1)[:, band]
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
     spectrum[band] = np.sum(band_coefficients * bins, axis=0)
@@ -195,8 +199,8 @@ def beamformed_received(
     the band, branch i holds s e^{-j theta_i} X[k], with X the rfft of the
     period and s = (insertion_loss N)^-1/2, so the received bins are X[band]
     times the per-bin beam gain g = s e^{-j theta}^T H_band and no branch is
-    formed. The band must avoid DC and Nyquist, where a real branch has no
-    quadrature.
+    formed. The band must lie strictly between DC and Nyquist: a real branch
+    has no quadrature at either, and a bin index below DC would wrap.
     """
     if np.iscomplexobj(hpa) or hpa.ndim != 1:
         raise DomainError("the phase shifters act on one real passband signal")
@@ -207,7 +211,7 @@ def beamformed_received(
             f"expected {band_coefficients.shape[0]} phase levels, got {word.count}"
         )
     n = hpa.size
-    if band.size and (band[0] == 0 or 2 * band[-1] >= n):
+    if band.size and (band[0] <= 0 or 2 * band[-1] >= n):
         raise DomainError("the receive band must lie strictly between DC and Nyquist")
     scale = 1.0 / np.sqrt(insertion_loss * word.count)
     gain = (scale * np.exp(-1j * word.angles())) @ band_coefficients

@@ -4,9 +4,9 @@ Multi-tone synthesis, DAC quantization, brick-wall low-pass filtering,
 upconversion, the smooth-saturation amplifier, and analog phase shifting.
 Every operation acts on exactly one fundamental period of the waveform, so
 each stage stays periodic and time averages over the period are exact. The
-stages take and return plain arrays: the sampling plan (sizes, synthesis
-grid, filter mask, carrier phasor) is fixed once, by SystemModel, and the
-stages never see a sample rate.
+stages take and return plain arrays: the sampling plan (sizes, carrier bin,
+synthesis grid, filter mask) is fixed once, by SystemModel, and the stages
+never see a sample rate.
 """
 
 import math
@@ -145,15 +145,6 @@ def lowpass_mask(n: int, cutoff_bins: int) -> np.ndarray:
     return np.minimum(bins, n - bins) <= cutoff_bins
 
 
-def carrier_phasor(m: int, n: int) -> np.ndarray:
-    """exp(j*2*pi*((m*t) mod n)/n): carrier bin m over one n-sample period.
-
-    The phase advances by the exact integer bin ratio per sample, so the
-    mixer's product is exactly periodic over the same fundamental period.
-    """
-    return np.exp(1j * (2.0 * np.pi * ((m * np.arange(n)) % n) / n))
-
-
 def synthesize_multitone(tones: ToneSet, grid: np.ndarray) -> np.ndarray:
     """The inverse-DFT multi-tone waveform over one period of synthesis_grid."""
     phase = grid + tones.phases
@@ -193,32 +184,26 @@ def lowpass_filter(samples: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out if np.iscomplexobj(samples) else out.real
 
 
-def _resample_exact(samples: np.ndarray, n_out: int) -> np.ndarray:
-    """Zero-pad the one-period spectrum up to n_out >= len(samples) samples
-    (exact for band-limited periods; an even input's Nyquist bin is split in half)."""
-    n_in = samples.size
-    if n_out == n_in:
-        return np.asarray(samples, dtype=complex)
-    spec_in = np.fft.fft(samples)
-    spec = np.zeros(n_out, dtype=complex)
-    half = n_in // 2
-    if n_in % 2:
-        spec[: half + 1] = spec_in[: half + 1]
-        spec[n_out - half :] = spec_in[half + 1 :]
-    else:
-        spec[:half] = spec_in[:half]
-        spec[n_out - half + 1 :] = spec_in[half + 1 :]
-        spec[half] = 0.5 * spec_in[half]
-        spec[n_out - half] = 0.5 * spec_in[half]
-    return np.fft.ifft(spec) * (n_out / n_in)
+def upconvert(
+    baseband: np.ndarray, tone_count: int, carrier_bin: int, n_sim: int
+) -> np.ndarray:
+    """Mix the baseband period onto carrier bin m of a real n_sim-sample period.
 
-
-def upconvert(baseband: np.ndarray, phasor: np.ndarray) -> np.ndarray:
-    """Resample the baseband period to the phasor's length and mix onto its carrier.
-
-    `phasor` is the carrier_phasor of the passband period; the result is real.
+    Offset k = -K..K of the band, the baseband's DFT bin k mod n_dac, is
+    written at rfft bin m + k, scaled by n_sim / (2 n_dac); one irfft gives
+    Re{z(t) e^{j 2 pi m t / n_sim}} with z the band-limited baseband period
+    at n_sim samples. When n_dac = 2K the Nyquist bin stands for both k = +-K
+    and is split in half between them. SystemModel keeps the band strictly
+    inside (0, n_sim / 2).
     """
-    return np.real(_resample_exact(baseband, phasor.size) * phasor)
+    n_dac = baseband.size
+    offsets = np.arange(-tone_count, tone_count + 1)
+    bins = np.fft.fft(baseband)[offsets % n_dac] * (n_sim / (2 * n_dac))
+    if n_dac == 2 * tone_count:
+        bins[[0, -1]] *= 0.5
+    spectrum = np.zeros(n_sim // 2 + 1, dtype=complex)
+    spectrum[carrier_bin + offsets] = bins
+    return np.fft.irfft(spectrum, n=n_sim)
 
 
 def rapp_amplifier(
@@ -283,7 +268,9 @@ def apply_phase_shifters(x: np.ndarray, word: PhaseWord, insertion_loss: float) 
 def default_sim_rate(carrier: float, bandwidth: float, tone_spacing: float) -> float:
     """Smallest multiple of the tone spacing at or above 2.5x (carrier + bandwidth).
 
-    The margin above Nyquist keeps the spectral resampling well conditioned.
+    Any rate above Nyquist gives the exact period, but the amplifier's
+    harmonics alias back into the receive band by an amount that depends on
+    the rate, so reported numbers depend on this 2.5x margin.
     """
     target = 2.5 * (carrier + bandwidth)
     ratio = target / tone_spacing

@@ -20,7 +20,6 @@ from .signal_chain import (
     PhaseWord,
     ToneSet,
     _as_multiple,
-    carrier_phasor,
     lowpass_filter,
     lowpass_mask,
     quantize_dac,
@@ -29,6 +28,11 @@ from .signal_chain import (
     synthesize_multitone,
     upconvert,
 )
+
+# Most samples in one simulated period (n_dac <= n_sim). An evaluation holds
+# a few dozen period-long arrays, so 2^20 keeps it to a few hundred MiB, 100x
+# the paper profile's 10380; a 1 mHz tone spacing puts 2e11 in a desk period.
+MAX_PERIOD_SAMPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -39,10 +43,11 @@ class SystemModel:
     sampling plan is checked and fixed here, once: every rate is a multiple
     of the tone spacing, so each stage holds exactly one fundamental period,
     n_dac baseband samples and n_sim >= n_dac passband samples with the
-    carrier at bin carrier_bin. From the plan come the synthesis grid, the
-    low-pass filter's kept bins, the carrier phasor, and the receive band's
-    rfft bins of the passband period with the channel at them (H_band,
-    N x bins); the stages take these arrays and never see a rate.
+    carrier at bin m = carrier_bin. The band is the integer offsets
+    k = -K..K: the low-pass filter keeps baseband bins k, the mixer writes
+    them at passband bins m + k, and the receiver keeps those bins (band)
+    with the channel at them (H_band, N x 2K+1). Every rule on the plan is
+    checked in bins, and the stages take these arrays and never see a rate.
     """
 
     tone_count: int
@@ -59,7 +64,6 @@ class SystemModel:
     carrier_bin: int = field(init=False)
     synthesis_grid: np.ndarray = field(init=False, repr=False)
     lpf_keep: np.ndarray = field(init=False, repr=False)
-    carrier_phasor: np.ndarray = field(init=False, repr=False)
     band: np.ndarray = field(init=False, repr=False)
     band_coefficients: np.ndarray = field(init=False, repr=False)
 
@@ -68,27 +72,32 @@ class SystemModel:
             raise ConfigurationError("tone_count must be at least 1")
         if self.tone_spacing <= 0:
             raise ConfigurationError("tone_spacing must be positive")
-        chain, bw = self.chain, self.bandwidth
-        if chain.dac_sample_rate < 2 * bw:
-            raise ConfigurationError(
-                f"dac_sample_rate {chain.dac_sample_rate} below twice the bandwidth {bw}"
-            )
+        chain, tones, bw = self.chain, self.tone_count, self.bandwidth
         n_dac = _as_multiple(chain.dac_sample_rate, self.tone_spacing, "dac_sample_rate")
         m = _as_multiple(chain.carrier, self.tone_spacing, "carrier")
         n_sim = _as_multiple(chain.sim_sample_rate, self.tone_spacing, "sim_sample_rate")
+        if n_dac < 2 * tones:
+            raise ConfigurationError(
+                f"dac_sample_rate {chain.dac_sample_rate} below twice the bandwidth {bw}"
+            )
         if n_sim < n_dac:
             raise ConfigurationError(
                 f"dac_sample_rate {chain.dac_sample_rate} must not exceed"
                 f" sim_sample_rate {chain.sim_sample_rate}"
             )
+        if n_sim > MAX_PERIOD_SAMPLES:
+            raise ConfigurationError(
+                f"waveform.tone_spacing {self.tone_spacing} puts {n_sim:.3g} samples in one"
+                f" period at sim_sample_rate; at most {MAX_PERIOD_SAMPLES} are simulated"
+            )
         # strict: at equality the top receive bin is the Nyquist bin, which
         # holds no quadrature for the phase shifters to rotate
-        if chain.sim_sample_rate <= 2 * (chain.carrier + bw):
+        if n_sim <= 2 * (m + tones):
             raise ConfigurationError(
                 f"sim_sample_rate {chain.sim_sample_rate} must exceed the Nyquist rate"
                 f" 2 x (carrier {chain.carrier} + bandwidth {bw})"
             )
-        if chain.carrier <= bw:
+        if m <= tones:
             raise ConfigurationError("carrier must exceed the baseband bandwidth")
         if self.geometry.carrier <= bw:
             raise ConfigurationError("RF carrier must exceed the baseband bandwidth")
@@ -102,9 +111,7 @@ class SystemModel:
             )
         except DomainError as exc:
             raise ConfigurationError(f"channel: {exc}") from exc
-        band, coefficients = receive_band(
-            matrix, n_sim, chain.sim_sample_rate, chain.carrier, bw
-        )
+        band, coefficients = receive_band(matrix, m, tones, self.tone_spacing)
         for name, value in (
             ("channel", matrix),
             ("n_dac", n_dac),
@@ -112,7 +119,6 @@ class SystemModel:
             ("carrier_bin", m),
             ("synthesis_grid", synthesis_grid(n_dac, self.tone_count)),
             ("lpf_keep", lowpass_mask(n_dac, self.tone_count)),
-            ("carrier_phasor", carrier_phasor(m, n_sim)),
             ("band", band),
             ("band_coefficients", coefficients),
         ):
@@ -180,7 +186,7 @@ def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStag
     digital = _stage("synthesis", synthesize_multitone, tones, system.synthesis_grid)
     dac = _stage("dac", quantize_dac, digital, chain.dac_bits, chain.dac_range)
     lpf = _stage("lpf", lowpass_filter, dac, system.lpf_keep)
-    mixer = _stage("mixer", upconvert, lpf, system.carrier_phasor)
+    mixer = _stage("mixer", upconvert, lpf, system.tone_count, system.carrier_bin, system.n_sim)
     hpa = _stage(
         "hpa", rapp_amplifier, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
     )

@@ -177,10 +177,10 @@ def test_criterion_08_channel_values():
 
     # superposition linearity of the receive combiner
     rng = np.random.default_rng(8)
-    rate, n, carrier, bw = 180 * SPACING, 180, 64 * SPACING, 8 * SPACING
+    n = 180
     geom2 = element_positions(1, 2, 5.18e9)
     channel = __import__("wptsim").build_channel_matrix(geom2, receiver, 8, SPACING)
-    band, coefficients = receive_band(channel, n, rate, carrier, bw)
+    band, coefficients = receive_band(channel, 64, 8, SPACING)
     a = rng.normal(size=(2, n))
     b = rng.normal(size=(2, n))
     out_mixed = received_signal(3.0 * a + 0.25 * b, band, coefficients)

@@ -157,15 +157,12 @@ class TestChannelCoefficient:
 
 
 class TestReceivedSignal:
-    RATE = 180 * SPACING
     N_SAMP = 180
-    CARRIER_SIM = 64 * SPACING
+    CARRIER_BIN = 64
 
     def received(self, elements, channel):
         """received_signal over the receive band of `channel` on the 180-sample period."""
-        band, coefficients = receive_band(
-            channel, self.N_SAMP, self.RATE, self.CARRIER_SIM, 8 * SPACING
-        )
+        band, coefficients = receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         return received_signal(elements, band, coefficients)
 
     def test_identity_channel_passthrough(self):
@@ -249,11 +246,21 @@ class TestReceivedSignal:
         with pytest.raises(DomainError):
             self.received(stack(sig), _ConstantChannel(1))
 
+    def test_band_outside_the_period_rejected(self):
+        # a 4-bin carrier puts the band's first bins below DC, where numpy
+        # indexing would wrap to the top of the spectrum
+        band, coefficients = receive_band(_ConstantChannel(1), 4, 8, SPACING)
+        sig = stack(passband_tone(4, self.N_SAMP))
+        with pytest.raises(DomainError):
+            received_signal(sig, band, coefficients)
+        band, coefficients = receive_band(_ConstantChannel(1), 64, 8, SPACING)
+        with pytest.raises(DomainError):
+            received_signal(sig[:, :142], band, coefficients)
+
 
 class TestBeamformedReceived:
-    RATE = 180 * SPACING
     N_SAMP = 180
-    CARRIER_SIM = 64 * SPACING
+    CARRIER_BIN = 64
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -272,13 +279,12 @@ class TestBeamformedReceived:
         rng = np.random.default_rng(seed)
         carrier_bins = int(rng.integers(tones + 1, 65))
         n = 2 * (carrier_bins + tones) + int(rng.integers(1, 41))
-        rate, carrier, bandwidth = n * SPACING, carrier_bins * SPACING, tones * SPACING
         geom = element_positions(rows, cols, CARRIER_RF)
         channel = build_channel_matrix(geom, ReceiverPosition(*position), tones, SPACING)
         period = rng.normal(size=n)
         word = PhaseWord(rng.integers(0, 2**bits, geom.count), bits)
         loss = float(rng.uniform(1.0, 4.0))
-        band, coefficients = receive_band(channel, n, rate, carrier, bandwidth)
+        band, coefficients = receive_band(channel, carrier_bins, tones, SPACING)
         fold = beamformed_received(period, word, loss, band, coefficients)
         branches = apply_phase_shifters(period, word, loss)
         explicit = received_signal(branches, band, coefficients)
@@ -296,16 +302,12 @@ class TestBeamformedReceived:
         word = PhaseWord([0, 1], 1)
         # 144 samples: the top band bin, 72, is the Nyquist bin
         sig = passband_tone(64, 144)
-        band, coefficients = receive_band(
-            channel, 144, 144 * SPACING, self.CARRIER_SIM, 8 * SPACING
-        )
+        band, coefficients = receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         with pytest.raises(DomainError):
             beamformed_received(sig, word, 1.0, band, coefficients)
         sig = passband_tone(4, self.N_SAMP)
-        # a 4-bin carrier: the band reaches DC
-        band, coefficients = receive_band(
-            channel, self.N_SAMP, self.RATE, 4 * SPACING, 8 * SPACING
-        )
+        # a 4-bin carrier: the band reaches below DC
+        band, coefficients = receive_band(channel, 4, 8, SPACING)
         with pytest.raises(DomainError):
             beamformed_received(sig, word, 1.0, band, coefficients)
 
@@ -313,9 +315,7 @@ class TestBeamformedReceived:
         channel = build_channel_matrix(
             element_positions(1, 2, CARRIER_RF), ReceiverPosition(0.0, 3.0, 0.0), 8, SPACING
         )
-        band, coefficients = receive_band(
-            channel, self.N_SAMP, self.RATE, self.CARRIER_SIM, 8 * SPACING
-        )
+        band, coefficients = receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         sig = passband_tone(64, self.N_SAMP)
         with pytest.raises(DomainError):
             beamformed_received(sig, PhaseWord([0, 0, 0], 2), 1.0, band, coefficients)

@@ -383,6 +383,9 @@ class TestMainEntryPoint:
             ("chain:\n  sim_sample_rate: 180.0e6\n", [], "sim_sample_rate"),
             ("chain:\n  dac_sample_rate: 1.0e+9\n", [], "must not exceed sim_sample_rate"),
             ("chain:\n  dac_sample_rate: 100.3e6\n", [], "dac_sample_rate"),
+            ("chain:\n  sim_sample_rate: 180000000.625\n", [], "sim_sample_rate"),
+            ("waveform:\n  tone_spacing: 1.0e-200\n", [], "waveform.tone_spacing"),
+            ("waveform:\n  tone_spacing: 1.0e-3\n", [], "waveform.tone_spacing"),
         ],
         ids=[
             "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
@@ -390,7 +393,8 @@ class TestMainEntryPoint:
             "position-nan", "amplitude-inf", "amplitude-max-inf", "dac-bits-inf",
             "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
             "penalty-below-dac-power", "nyquist-boundary", "dac-rate-above-sim-rate",
-            "dac-rate-not-multiple",
+            "dac-rate-not-multiple", "nyquist-off-multiple", "spacing-1e-200-samples-bound",
+            "spacing-1e-3-samples-bound",
         ],
     )
     @pytest.mark.filterwarnings("error")

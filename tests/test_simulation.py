@@ -25,7 +25,7 @@ from wptsim import (
 import wptsim.signal_chain
 import wptsim.simulation
 from wptsim.channel import ChannelMatrix, receive_band
-from wptsim.signal_chain import carrier_phasor, lowpass_mask, synthesis_grid
+from wptsim.signal_chain import lowpass_mask, synthesis_grid
 
 SPACING = 1.25e6
 
@@ -58,7 +58,7 @@ class TestRunChain:
         digital = synthesize_multitone(tones, synthesis_grid(80, 8))
         dac = quantize_dac(digital, chain.dac_bits, chain.dac_range)
         lpf = lowpass_filter(dac, lowpass_mask(80, 8))
-        mixer = upconvert(lpf, carrier_phasor(64, 180))
+        mixer = upconvert(lpf, 8, 64, 180)
         hpa = rapp_amplifier(mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness)
         received = beamformed_received(
             hpa, word, chain.ps_insertion_loss, system.band, system.band_coefficients
@@ -71,9 +71,7 @@ class TestRunChain:
         assert np.array_equal(stages.received, received)
         # the explicit N branches through the per-element channel: the reference
         elements = apply_phase_shifters(hpa, word, chain.ps_insertion_loss)
-        band, coefficients = receive_band(
-            system.channel, 180, chain.sim_sample_rate, chain.carrier, system.bandwidth
-        )
+        band, coefficients = receive_band(system.channel, 64, 8, SPACING)
         explicit = received_signal(elements, band, coefficients)
         assert_allclose(
             stages.received, explicit, rtol=0, atol=1e-12 * np.max(np.abs(explicit))
@@ -197,6 +195,18 @@ class TestSystemModelValidation:
         with pytest.raises(ConfigurationError, match="sim_sample_rate"):
             desk_setup(chain={"sim_sample_rate": 180e6})
         assert desk_setup(chain={"sim_sample_rate": 181.25e6}).system.band.size == 17
+
+    @pytest.mark.parametrize(
+        "chain", [{"sim_sample_rate": 225000000.625}, {"carrier": 79999999.375}]
+    )
+    def test_rate_within_the_multiple_slack_keeps_the_whole_band(self, chain):
+        # 180 + 5e-7 and 64 - 5e-7 tone spacings: the same plan as the exact
+        # multiples, so the same 17 bins and the same harvest
+        exact, off = desk_setup(), desk_setup(chain=chain)
+        assert np.array_equal(off.system.band, exact.system.band)
+        assert off.system.band.size == 17
+        outcomes = [evaluate_solution(s.tones, s.phase_word, s.system) for s in (exact, off)]
+        assert outcomes[1].harvest.p_out_dc == outcomes[0].harvest.p_out_dc
 
     def test_dac_rate_below_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
