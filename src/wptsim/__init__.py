@@ -4,10 +4,8 @@ from .channel import (
     ReceiverPosition,
     beamformed_received,
     build_channel_matrix,
-    channel_coefficient,
     element_positions,
     radiation_profile,
-    received_signal,
 )
 from .config import build_setup, load_config
 from .errors import ConfigurationError, DomainError, NumericalError
@@ -41,8 +39,6 @@ from .rectenna import (
 from .signal_chain import (
     PhaseWord,
     ToneSet,
-    apply_phase_shifters,
-    default_sim_rate,
     lowpass_filter,
     quantize_dac,
     rapp_amplifier,
@@ -65,16 +61,13 @@ __all__ = [
     "SwarmConfig",
     "SystemModel",
     "ToneSet",
-    "apply_phase_shifters",
     "beamformed_received",
     "brute_force_grid",
     "build_channel_matrix",
     "build_setup",
-    "channel_coefficient",
     "dac_power",
     "dc_output_voltage",
     "decode_particle",
-    "default_sim_rate",
     "element_positions",
     "evaluate_candidate",
     "evaluate_solution",
@@ -91,7 +84,6 @@ __all__ = [
     "quantize_dac",
     "radiation_profile",
     "rapp_amplifier",
-    "received_signal",
     "rhs_log_mean",
     "run_chain",
     "signal_power",

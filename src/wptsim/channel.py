@@ -83,7 +83,6 @@ class ChannelMatrix:
     elevations: np.ndarray  # (N,) radians off boresight
     boresight_exponent: float
     carrier: float  # RF carrier the tone grid hangs off
-    tone_frequencies: np.ndarray  # (K,) absolute RF frequencies
 
     @property
     def count(self) -> int:
@@ -100,18 +99,9 @@ class ChannelMatrix:
         phase = np.exp(-2j * np.pi * np.outer(self.distances, freqs) / speed_of_light)
         return amplitude * phase
 
-    @property
-    def tone_coefficients(self) -> np.ndarray:
-        """Coefficients at the nominal tone frequencies, shape (N, K)."""
-        return self.coefficients_at(self.tone_frequencies)
-
 
 def build_channel_matrix(
-    geometry: ArrayGeometry,
-    receiver: ReceiverPosition,
-    tone_count: int,
-    tone_spacing: float,
-    boresight_exponent: float = 2.0,
+    geometry: ArrayGeometry, receiver: ReceiverPosition, boresight_exponent: float = 2.0
 ) -> ChannelMatrix:
     """Assemble the per-element channel for the given receiver location."""
     delta = receiver.as_array()[None, :] - geometry.positions
@@ -120,26 +110,7 @@ def build_channel_matrix(
         raise DomainError("receiver coincides with an array element")
     cos_elev = np.clip(delta[:, 1] / distances, -1.0, 1.0)
     elevations = np.arccos(cos_elev)
-    tone_frequencies = geometry.carrier + np.arange(tone_count) * tone_spacing
-    return ChannelMatrix(
-        distances, elevations, boresight_exponent, geometry.carrier, tone_frequencies
-    )
-
-
-def channel_coefficient(
-    geometry: ArrayGeometry,
-    receiver: ReceiverPosition,
-    tone_index: int,
-    tone_spacing: float,
-    boresight_exponent: float = 2.0,
-) -> np.ndarray:
-    """Per-element complex gain for one tone, wavelength taken at its RF frequency."""
-    if tone_index < 0:
-        raise DomainError("tone index must be nonnegative")
-    matrix = build_channel_matrix(
-        geometry, receiver, tone_index + 1, tone_spacing, boresight_exponent
-    )
-    return matrix.coefficients_at(geometry.carrier + tone_index * tone_spacing)[:, 0]
+    return ChannelMatrix(distances, elevations, boresight_exponent, geometry.carrier)
 
 
 def receive_band(
@@ -159,32 +130,6 @@ def receive_band(
     )
 
 
-def received_signal(
-    elements: np.ndarray, band: np.ndarray, band_coefficients: np.ndarray
-) -> np.ndarray:
-    """Propagate every element branch to the receiver and sum.
-
-    `elements` is the real (N, n) stack of branches, one row per channel
-    entry. Each bin of the receive band (`band` and `band_coefficients`, from
-    receive_band) is scaled by the channel at that bin's RF frequency; content
-    outside the band is rejected.
-    """
-    if np.iscomplexobj(elements):
-        raise DomainError("received_signal combines real passband branches")
-    count = band_coefficients.shape[0]
-    if elements.ndim != 2 or elements.shape[0] != count:
-        raise DomainError(
-            f"expected a stack of {count} element signals, got shape {elements.shape}"
-        )
-    n = elements.shape[1]
-    if band.size and (band[0] < 0 or 2 * band[-1] > n):
-        raise DomainError("the receive band must lie between DC and Nyquist")
-    bins = np.fft.rfft(elements, axis=1)[:, band]
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[band] = np.sum(band_coefficients * bins, axis=0)
-    return np.fft.irfft(spectrum, n=n)
-
-
 def beamformed_received(
     hpa: np.ndarray,
     word: PhaseWord,
@@ -194,8 +139,9 @@ def beamformed_received(
 ) -> np.ndarray:
     """The amplified period through the phase shifters and the channel, in one pass.
 
-    Equals received_signal(apply_phase_shifters(hpa, word, insertion_loss),
-    band, band_coefficients). The model is linear after the amplifier: inside
+    Equals forming the N real element branches, each the period rotated by
+    theta_i on its analytic envelope, and summing each through the channel
+    on the band. The model is linear after the amplifier: inside
     the band, branch i holds s e^{-j theta_i} X[k], with X the rfft of the
     period and s = (insertion_loss N)^-1/2, so the received bins are X[band]
     times the per-bin beam gain g = s e^{-j theta}^T H_band and no branch is

@@ -1,7 +1,7 @@
 """Transmit-chain signal processing.
 
 Multi-tone synthesis, DAC quantization, brick-wall low-pass filtering,
-upconversion, the smooth-saturation amplifier, and analog phase shifting.
+upconversion and the smooth-saturation amplifier.
 Every operation acts on exactly one fundamental period of the waveform, so
 each stage stays periodic and time averages over the period are exact. The
 stages take and return plain arrays: the sampling plan (sizes, carrier bin,
@@ -152,8 +152,12 @@ def synthesize_multitone(tones: ToneSet, grid: np.ndarray) -> np.ndarray:
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
-    # symmetric about zero, unlike numpy's round-half-even
-    return np.sign(values) * np.floor(np.abs(values) + 0.5)
+    # symmetric about zero, unlike numpy's round-half-even; the fraction
+    # |v| - floor(|v|) is exact, whereas floor(|v| + 0.5) rounds the largest
+    # double below 0.5 up because the sum rounds to 1.0
+    magnitude = np.abs(values)
+    whole = np.floor(magnitude)
+    return np.sign(values) * (whole + (magnitude - whole >= 0.5))
 
 
 def quantize_dac(samples: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
@@ -215,6 +219,8 @@ def rapp_amplifier(
     compression factor is evaluated in reciprocal form so the power term never
     overflows, and |y| stays strictly below the saturation voltage.
     """
+    if np.iscomplexobj(x):
+        raise DomainError("the amplifier acts on the real passband signal")
     if smoothness < 1:
         raise DomainError("smoothness must be >= 1")
     if gain <= 0 or saturation <= 0:
@@ -230,39 +236,8 @@ def rapp_amplifier(
     # the true output is strictly below saturation but deep drives round up to
     # it in double precision; cap one ulp under the rail
     limit = np.nextafter(saturation, 0.0)
-    if np.iscomplexobj(out):
-        magnitude = np.abs(out)
-        over = magnitude > limit
-        if np.any(over):
-            out[over] *= limit / magnitude[over]
-    else:
-        np.clip(out, -limit, limit, out=out)
+    np.clip(out, -limit, limit, out=out)
     return out
-
-
-def apply_phase_shifters(x: np.ndarray, word: PhaseWord, insertion_loss: float) -> np.ndarray:
-    """Split the amplified passband period across the array through B-bit phase shifters.
-
-    The rotation acts on the analytic envelope (an ideal RF phase shift at the
-    carrier); each branch is scaled by 1/sqrt(insertion_loss * N). Returns the
-    (N, n) stack of branches, one row per element.
-    """
-    if np.iscomplexobj(x):
-        raise DomainError("phase shifters act on the real passband signal")
-    if insertion_loss < 1:
-        raise DomainError("insertion loss is a linear power ratio >= 1")
-    # Hilbert transform: -j on every positive-frequency bin, none at DC or Nyquist
-    spectrum = -1j * np.fft.rfft(x)
-    spectrum[0] = 0.0
-    if x.size % 2 == 0:
-        spectrum[-1] = 0.0
-    quadrature = np.fft.irfft(spectrum, n=x.size)
-    scale = 1.0 / np.sqrt(insertion_loss * word.count)
-    angles = word.angles()
-    # Re{(x + j q) e^{-j angle}} = x cos(angle) + q sin(angle)
-    return scale * (
-        np.cos(angles)[:, None] * x[None, :] + np.sin(angles)[:, None] * quadrature[None, :]
-    )
 
 
 def default_sim_rate(carrier: float, bandwidth: float, tone_spacing: float) -> float:

@@ -33,6 +33,11 @@ from .signal_chain import (
 # a few dozen period-long arrays, so 2^20 keeps it to a few hundred MiB, 100x
 # the paper profile's 10380; a 1 mHz tone spacing puts 2e11 in a desk period.
 MAX_PERIOD_SAMPLES = 2**20
+# Most entries n_dac x K in the synthesis grid. The grid holds 8 bytes an
+# entry and each synthesis makes complex copies of it (about 48 bytes an
+# entry at its peak), so 2^22 keeps an evaluation near 200 MiB; either
+# profile uses 640.
+MAX_SYNTHESIS_ELEMENTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,12 @@ class SystemModel:
                 f"waveform.tone_spacing {self.tone_spacing} puts {n_sim:.3g} samples in one"
                 f" period at sim_sample_rate; at most {MAX_PERIOD_SAMPLES} are simulated"
             )
+        if n_dac * tones > MAX_SYNTHESIS_ELEMENTS:
+            raise ConfigurationError(
+                f"waveform.tone_count {tones} at {n_dac} samples per period puts"
+                f" {n_dac * tones:.3g} entries in the synthesis grid; at most"
+                f" {MAX_SYNTHESIS_ELEMENTS} are synthesized"
+            )
         # strict: at equality the top receive bin is the Nyquist bin, which
         # holds no quadrature for the phase shifters to rotate
         if n_sim <= 2 * (m + tones):
@@ -102,13 +113,7 @@ class SystemModel:
         if self.geometry.carrier <= bw:
             raise ConfigurationError("RF carrier must exceed the baseband bandwidth")
         try:
-            matrix = build_channel_matrix(
-                self.geometry,
-                self.receiver,
-                self.tone_count,
-                self.tone_spacing,
-                self.boresight_exponent,
-            )
+            matrix = build_channel_matrix(self.geometry, self.receiver, self.boresight_exponent)
         except DomainError as exc:
             raise ConfigurationError(f"channel: {exc}") from exc
         band, coefficients = receive_band(matrix, m, tones, self.tone_spacing)

@@ -12,13 +12,15 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup, toy_setup
+from reference import received_signal
 from wptsim import (
     PhaseWord,
     RectennaParams,
     ReceiverPosition,
     ToneSet,
+    beamformed_received,
     brute_force_grid,
-    channel_coefficient,
+    build_channel_matrix,
     dac_power,
     dc_output_voltage,
     element_positions,
@@ -31,7 +33,6 @@ from wptsim import (
     quantize_dac,
     radiation_profile,
     rapp_amplifier,
-    received_signal,
     rhs_log_mean,
     run_chain,
     solve_rectifier_equation,
@@ -170,16 +171,17 @@ def test_criterion_07_chain_spectra():
 def test_criterion_08_channel_values():
     geometry = element_positions(1, 1, 5.18e9)
     receiver = ReceiverPosition(0.0, 3.0, 0.0)
-    gain = channel_coefficient(geometry, receiver, 0, SPACING, boresight_exponent=2.0)
-    assert_allclose(abs(gain[0]), 3.761e-3, rtol=1e-3)
+    gain = build_channel_matrix(geometry, receiver, 2.0).coefficients_at(geometry.carrier)
+    assert_allclose(abs(gain[0, 0]), 3.761e-3, rtol=1e-3)
     assert radiation_profile(0.0, 2.0) == 6.0
     assert radiation_profile(0.0, 3.0) == 8.0
 
-    # superposition linearity of the receive combiner
+    # superposition linearity of the receive combiner: the per-branch
+    # reference and the library's one-pass beam gain
     rng = np.random.default_rng(8)
     n = 180
     geom2 = element_positions(1, 2, 5.18e9)
-    channel = __import__("wptsim").build_channel_matrix(geom2, receiver, 8, SPACING)
+    channel = build_channel_matrix(geom2, receiver)
     band, coefficients = receive_band(channel, 64, 8, SPACING)
     a = rng.normal(size=(2, n))
     b = rng.normal(size=(2, n))
@@ -187,6 +189,10 @@ def test_criterion_08_channel_values():
     out_a = received_signal(a, band, coefficients)
     out_b = received_signal(b, band, coefficients)
     assert_allclose(out_mixed, 3.0 * out_a + 0.25 * out_b, atol=1e-10)
+    word = PhaseWord([1, 6], 3)
+    beam = [beamformed_received(x, word, 1.5, band, coefficients) for x in (a[0], b[0])]
+    out_mixed = beamformed_received(3.0 * a[0] + 0.25 * b[0], word, 1.5, band, coefficients)
+    assert_allclose(out_mixed, 3.0 * beam[0] + 0.25 * beam[1], atol=1e-10)
     _report(8, "boresight gain 3.761e-3, profile peak 2(b+1), combiner linear to 1e-10")
 
 

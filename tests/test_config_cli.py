@@ -386,6 +386,13 @@ class TestMainEntryPoint:
             ("chain:\n  sim_sample_rate: 180000000.625\n", [], "sim_sample_rate"),
             ("waveform:\n  tone_spacing: 1.0e-200\n", [], "waveform.tone_spacing"),
             ("waveform:\n  tone_spacing: 1.0e-3\n", [], "waveform.tone_spacing"),
+            (
+                "waveform:\n  tone_count: 200000\nchain:\n  dac_sample_rate: 5.0e+11\n"
+                "  sim_sample_rate: 1.25e+12\n  carrier: 3.125e+11\n"
+                "channel:\n  rf_carrier: 1.0e+12\n",
+                [],
+                "waveform.tone_count",
+            ),
         ],
         ids=[
             "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
@@ -394,7 +401,7 @@ class TestMainEntryPoint:
             "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
             "penalty-below-dac-power", "nyquist-boundary", "dac-rate-above-sim-rate",
             "dac-rate-not-multiple", "nyquist-off-multiple", "spacing-1e-200-samples-bound",
-            "spacing-1e-3-samples-bound",
+            "spacing-1e-3-samples-bound", "tone-count-synthesis-bound",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -405,6 +412,19 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert key in err
+
+    def test_synthesis_grid_within_the_budget_runs(self, tmp_path, capsys):
+        # 2048 DAC samples x 1024 tones = 2^21 grid entries, half the budget
+        text = (
+            "waveform:\n  tone_count: 1024\n"
+            "chain:\n  dac_sample_rate: 2.56e+9\n  carrier: 2.56e+9\n"
+        )
+        path = tmp_path / "wide.yaml"
+        path.write_text(text)
+        system = build_setup(load_config(path)).system
+        assert system.n_dac * system.tone_count == 2**21
+        assert main(["simulate", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_dump_config_round_trips(self, tmp_path, capsys):
         assert main(["simulate", "--profile", "desk", "--dump-config"]) == EXIT_OK

@@ -1,7 +1,9 @@
 import cmath
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,6 @@ from wptsim import (
     DomainError,
     PhaseWord,
     ToneSet,
-    apply_phase_shifters,
-    default_sim_rate,
     lowpass_filter,
     quantize_dac,
     rapp_amplifier,
@@ -26,7 +26,8 @@ from wptsim import (
     synthesize_multitone,
     upconvert,
 )
-from wptsim.signal_chain import lowpass_mask, synthesis_grid
+from reference import apply_phase_shifters
+from wptsim.signal_chain import default_sim_rate, lowpass_mask, synthesis_grid
 
 SPACING = 1.25e6
 
@@ -46,9 +47,9 @@ def multitone_oracle(amplitudes, phases, tone_spacing, sample_rate):
 
 
 def quantizer_oracle(value, bits, full_scale):
-    """Independent scalar saturating quantizer (integer-code formulation)."""
+    """Independent scalar saturating quantizer (integer codes, exact rationals)."""
     step = 2.0 * full_scale / 2**bits
-    code = np.floor(abs(value) / step + 0.5)
+    code = math.floor(Fraction(abs(value)) / Fraction(step) + Fraction(1, 2))
     code = min(code, 2 ** (bits - 1))
     return np.copysign(code * step, value)
 
@@ -175,6 +176,22 @@ class TestQuantizer:
                 codes = out / step
                 assert_allclose(codes, np.round(codes), atol=1e-9)
 
+    def test_half_step_boundary_rounds_exactly(self):
+        # the largest double below half a step rounds to 0, even though
+        # |v| / step + 0.5 rounds to exactly 1.0; half a step rounds away
+        below = np.nextafter(0.125, 0.0)
+        sig = np.array([below, -below, 0.125, -0.125]) + 0j
+        out = quantize_dac(sig, 3, 1.0).real
+        assert np.array_equal(out, [0.0, 0.0, 0.25, -0.25])
+        for bits, full_scale in ((1, 1.0), (3, 2.0), (6, 0.5), (52, 1.0)):
+            step = 2.0 * full_scale / 2**bits
+            top = 2 ** (bits - 1)
+            for code in {0, top // 2, top - 1}:
+                edge = (code + 0.5) * step
+                values = np.array([np.nextafter(edge, 0.0), edge])
+                out = quantize_dac(values, bits, full_scale)
+                assert list(out / step) == [code, code + 1]
+
     def test_components_quantized_independently(self, rng):
         values = rng.uniform(-1.5, 1.5, 8) + 1j * rng.uniform(-1.5, 1.5, 8)
         out = quantize_dac(values, 3, 1.0)
@@ -271,6 +288,11 @@ class TestRapp:
         with pytest.raises(DomainError):
             rapp_amplifier(np.zeros(8), 10.0, 10.0, 0.5)
 
+    def test_complex_input_rejected(self):
+        # the amplifier only ever sees the real passband period
+        with pytest.raises(DomainError):
+            rapp_amplifier(np.zeros(8, dtype=complex), 10.0, 10.0, 4.0)
+
 
 class TestPhaseShifters:
     def _passband_tone(self, n=160, cycles=40):
@@ -335,6 +357,26 @@ def test_import_leaves_scipy_signal_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_public_names_resolve_and_the_removed_ones_are_gone():
+    src = str(Path(wptsim.__file__).resolve().parents[1])
+    code = (
+        "import wptsim\n"
+        "from wptsim import *\n"
+        "missing = [n for n in wptsim.__all__ if n not in globals()]\n"
+        "removed = ['apply_phase_shifters', 'received_signal', 'channel_coefficient',"
+        " 'default_sim_rate']\n"
+        "print(len(wptsim.__all__), missing, [n for n in removed if hasattr(wptsim, n)])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "41 [] []"
 
 
 def test_default_sim_rate_snaps_up():
