@@ -8,6 +8,12 @@ from scipy.constants import speed_of_light
 from .errors import DomainError
 from .signal_chain import PhaseWord
 
+# Most entries in the channel H_band, N elements x (2K+1) band bins: building
+# it peaks near 43 bytes an entry (measured at 2^21), so 2^22 keeps it under
+# 200 MiB; either profile uses 425. H_band is at least 3N, so the same budget
+# on N keeps the geometry from being built for an array the channel rejects.
+MAX_CHANNEL_ENTRIES = 2**22
+
 
 @dataclass(frozen=True)
 class ReceiverPosition:
@@ -47,6 +53,11 @@ def element_positions(rows: int, cols: int, carrier: float) -> ArrayGeometry:
     """Lay out the rows x cols element grid for the given RF carrier."""
     if rows < 1 or cols < 1:
         raise DomainError("array must have at least one row and one column")
+    if rows * cols > MAX_CHANNEL_ENTRIES:
+        raise DomainError(
+            f"array.rows x array.cols = {rows} x {cols} elements; at most"
+            f" {MAX_CHANNEL_ENTRIES} are modelled"
+        )
     if carrier <= 0:
         raise DomainError("carrier frequency must be positive")
     spacing = 0.5 * speed_of_light / carrier

@@ -7,6 +7,7 @@ digits. Exit codes: 0 success, 2 infeasible optimum, 3 configuration error,
 """
 
 import argparse
+import contextlib
 import copy
 import hashlib
 import io
@@ -296,17 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.profile)
-        if args.seed is not None:
-            config_set(cfg, "swarm.seed", args.seed)
-        if args.dump_config:
-            _write(args.out, dump_config(cfg))
-            return EXIT_OK
-        setup = build_setup(cfg)
-        command = {"simulate": cmd_simulate, "optimize": cmd_optimize, "sweep": cmd_sweep}
-        report, code = command[args.command](setup)
-        fmt = args.format or _DEFAULT_FORMAT[args.command]
-        _write(args.out, render_report(report, fmt))
+        with _open_out(args.out) as out:
+            cfg = load_config(args.config, args.profile)
+            if args.seed is not None:
+                config_set(cfg, "swarm.seed", args.seed)
+            if args.dump_config:
+                out.write(dump_config(cfg))
+                return EXIT_OK
+            setup = build_setup(cfg)
+            command = {"simulate": cmd_simulate, "optimize": cmd_optimize, "sweep": cmd_sweep}
+            report, code = command[args.command](setup)
+            fmt = args.format or _DEFAULT_FORMAT[args.command]
+            out.write(render_report(report, fmt))
         if code == EXIT_INFEASIBLE:
             print(
                 "optimize: best solution is infeasible "
@@ -325,12 +327,15 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-def _write(path, text: str) -> None:
+def _open_out(path):
+    """The --out file, opened before the run so that a bad path fails before any work;
+    stdout (left open) when no path is given."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output file {path}: {exc}") from exc
 
 
 if __name__ == "__main__":

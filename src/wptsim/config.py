@@ -214,7 +214,7 @@ def load_config(path=None, profile: str = "desk", overrides: dict | None = None)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 user = yaml.safe_load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"cannot parse config file {path}: {exc}") from exc

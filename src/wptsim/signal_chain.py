@@ -5,8 +5,7 @@ upconversion and the smooth-saturation amplifier.
 Every operation acts on exactly one fundamental period of the waveform, so
 each stage stays periodic and time averages over the period are exact. The
 stages take and return plain arrays: the sampling plan (sizes, carrier bin,
-synthesis grid, filter mask) is fixed once, by SystemModel, and the stages
-never see a sample rate.
+band) is fixed once, by SystemModel, and the stages never see a sample rate.
 """
 
 import math
@@ -129,26 +128,15 @@ class PhaseWord:
         return 2.0 * np.pi * self.levels / 2.0**self.bits
 
 
-def synthesis_grid(n: int, count: int) -> np.ndarray:
-    """Phase 2*pi*((t*k) mod n)/n of tone k at sample t, shape (n, count).
+def synthesize_multitone(tones: ToneSet, n: int) -> np.ndarray:
+    """One n-sample period of (1/K) sum_k a_k e^{j(2 pi k t / n + phi_k)}, n >= K.
 
-    The turn count is reduced modulo one revolution in integer arithmetic,
-    which keeps the synthesized period exactly periodic.
+    Tone k is DFT bin k of the period, so one unnormalized inverse DFT of the
+    bins a_k e^{j phi_k} synthesizes it, exactly periodic by construction.
     """
-    turns = (np.arange(n)[:, None] * np.arange(count)[None, :]) % n
-    return 2.0 * np.pi * (turns / n)
-
-
-def lowpass_mask(n: int, cutoff_bins: int) -> np.ndarray:
-    """The DFT bins of an n-sample period within cutoff_bins of DC (Nyquist included)."""
-    bins = np.arange(n)
-    return np.minimum(bins, n - bins) <= cutoff_bins
-
-
-def synthesize_multitone(tones: ToneSet, grid: np.ndarray) -> np.ndarray:
-    """The inverse-DFT multi-tone waveform over one period of synthesis_grid."""
-    phase = grid + tones.phases
-    return (np.exp(1j * phase) @ tones.amplitudes) / tones.count
+    bins = np.zeros(n, dtype=complex)
+    bins[: tones.count] = tones.amplitudes * np.exp(1j * tones.phases)
+    return np.fft.ifft(bins, norm="forward") / tones.count
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
@@ -182,9 +170,12 @@ def quantize_dac(samples: np.ndarray, bits: int, full_scale: float) -> np.ndarra
     return quantize(samples)
 
 
-def lowpass_filter(samples: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Ideal brick-wall low-pass: zero every DFT bin outside `keep` (lowpass_mask)."""
-    out = np.fft.ifft(np.fft.fft(samples) * keep)
+def lowpass_filter(samples: np.ndarray, tone_count: int) -> np.ndarray:
+    """Ideal brick-wall low-pass: keep the DFT bins at offsets -K..K (mod n), the
+    bins upconvert reads, and zero the rest (none when n <= 2K + 1)."""
+    spectrum = np.fft.fft(samples)
+    spectrum[tone_count + 1 : samples.size - tone_count] = 0.0
+    out = np.fft.ifft(spectrum)
     return out if np.iscomplexobj(samples) else out.real
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
+    MAX_CHANNEL_ENTRIES,
     ArrayGeometry,
     ChannelMatrix,
     ReceiverPosition,
@@ -21,10 +22,8 @@ from .signal_chain import (
     ToneSet,
     _as_multiple,
     lowpass_filter,
-    lowpass_mask,
     quantize_dac,
     rapp_amplifier,
-    synthesis_grid,
     synthesize_multitone,
     upconvert,
 )
@@ -33,11 +32,6 @@ from .signal_chain import (
 # a few dozen period-long arrays, so 2^20 keeps it to a few hundred MiB, 100x
 # the paper profile's 10380; a 1 mHz tone spacing puts 2e11 in a desk period.
 MAX_PERIOD_SAMPLES = 2**20
-# Most entries n_dac x K in the synthesis grid. The grid holds 8 bytes an
-# entry and each synthesis makes complex copies of it (about 48 bytes an
-# entry at its peak), so 2^22 keeps an evaluation near 200 MiB; either
-# profile uses 640.
-MAX_SYNTHESIS_ELEMENTS = 2**22
 
 
 @dataclass(frozen=True)
@@ -48,11 +42,11 @@ class SystemModel:
     sampling plan is checked and fixed here, once: every rate is a multiple
     of the tone spacing, so each stage holds exactly one fundamental period,
     n_dac baseband samples and n_sim >= n_dac passband samples with the
-    carrier at bin m = carrier_bin. The band is the integer offsets
-    k = -K..K: the low-pass filter keeps baseband bins k, the mixer writes
-    them at passband bins m + k, and the receiver keeps those bins (band)
-    with the channel at them (H_band, N x 2K+1). Every rule on the plan is
-    checked in bins, and the stages take these arrays and never see a rate.
+    carrier at bin m = carrier_bin. Tone k is baseband DFT bin k; the band
+    is the offsets k = -K..K: the low-pass filter keeps baseband bins k, the
+    mixer writes them at passband bins m + k, and the receiver keeps those
+    bins (band) with the channel at them (H_band, N x 2K+1). Every rule on
+    the plan is checked in bins, and the stages never see a rate.
     """
 
     tone_count: int
@@ -67,14 +61,12 @@ class SystemModel:
     n_dac: int = field(init=False)
     n_sim: int = field(init=False)
     carrier_bin: int = field(init=False)
-    synthesis_grid: np.ndarray = field(init=False, repr=False)
-    lpf_keep: np.ndarray = field(init=False, repr=False)
     band: np.ndarray = field(init=False, repr=False)
     band_coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.tone_count < 1:
-            raise ConfigurationError("tone_count must be at least 1")
+            raise ConfigurationError("waveform.tone_count must be at least 1")
         if self.tone_spacing <= 0:
             raise ConfigurationError("tone_spacing must be positive")
         chain, tones, bw = self.chain, self.tone_count, self.bandwidth
@@ -95,12 +87,6 @@ class SystemModel:
                 f"waveform.tone_spacing {self.tone_spacing} puts {n_sim:.3g} samples in one"
                 f" period at sim_sample_rate; at most {MAX_PERIOD_SAMPLES} are simulated"
             )
-        if n_dac * tones > MAX_SYNTHESIS_ELEMENTS:
-            raise ConfigurationError(
-                f"waveform.tone_count {tones} at {n_dac} samples per period puts"
-                f" {n_dac * tones:.3g} entries in the synthesis grid; at most"
-                f" {MAX_SYNTHESIS_ELEMENTS} are synthesized"
-            )
         # strict: at equality the top receive bin is the Nyquist bin, which
         # holds no quadrature for the phase shifters to rotate
         if n_sim <= 2 * (m + tones):
@@ -111,19 +97,24 @@ class SystemModel:
         if m <= tones:
             raise ConfigurationError("carrier must exceed the baseband bandwidth")
         if self.geometry.carrier <= bw:
-            raise ConfigurationError("RF carrier must exceed the baseband bandwidth")
+            raise ConfigurationError(f"channel.rf_carrier must exceed the baseband bandwidth {bw}")
+        entries = self.element_count * (2 * tones + 1)
+        if entries > MAX_CHANNEL_ENTRIES:
+            raise ConfigurationError(
+                f"waveform.tone_count {tones} and array.rows x array.cols {self.geometry.rows}"
+                f" x {self.geometry.cols} put {entries:.3g} entries in the channel H_band;"
+                f" at most {MAX_CHANNEL_ENTRIES} are modelled"
+            )
         try:
             matrix = build_channel_matrix(self.geometry, self.receiver, self.boresight_exponent)
         except DomainError as exc:
-            raise ConfigurationError(f"channel: {exc}") from exc
+            raise ConfigurationError(f"receiver.position: {exc}") from exc
         band, coefficients = receive_band(matrix, m, tones, self.tone_spacing)
         for name, value in (
             ("channel", matrix),
             ("n_dac", n_dac),
             ("n_sim", n_sim),
             ("carrier_bin", m),
-            ("synthesis_grid", synthesis_grid(n_dac, self.tone_count)),
-            ("lpf_keep", lowpass_mask(n_dac, self.tone_count)),
             ("band", band),
             ("band_coefficients", coefficients),
         ):
@@ -188,9 +179,9 @@ def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStag
     """Push one waveform through every transmitter stage to the receiver."""
     _validated(tones, word, system)
     chain = system.chain
-    digital = _stage("synthesis", synthesize_multitone, tones, system.synthesis_grid)
+    digital = _stage("synthesis", synthesize_multitone, tones, system.n_dac)
     dac = _stage("dac", quantize_dac, digital, chain.dac_bits, chain.dac_range)
-    lpf = _stage("lpf", lowpass_filter, dac, system.lpf_keep)
+    lpf = _stage("lpf", lowpass_filter, dac, system.tone_count)
     mixer = _stage("mixer", upconvert, lpf, system.tone_count, system.carrier_bin, system.n_sim)
     hpa = _stage(
         "hpa", rapp_amplifier, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness

@@ -356,6 +356,34 @@ class TestMainEntryPoint:
     def test_unreadable_config_exits_three(self):
         assert main(["simulate", "--config", "/no/such/file.yaml"]) == EXIT_CONFIG
 
+    def test_config_that_is_not_utf8_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "binary.yaml"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config file")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_three_before_the_run(self, tmp_path, capsys, monkeypatch, where):
+        def run_started(cfg):
+            raise AssertionError("the run started before --out was opened")
+
+        monkeypatch.setattr(wptsim.cli, "build_setup", run_started)
+        out = tmp_path / "missing" / "r.yaml" if where == "missing-directory" else tmp_path
+        assert main(["sweep", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write output file {out}")
+        assert err.count("\n") == 1
+
+    def test_failed_run_leaves_the_out_file_empty(self, tmp_path):
+        config = tmp_path / "bad.yaml"
+        config.write_text("chain:\n  dac_bits: 0\n")
+        out = tmp_path / "report.yaml"
+        out.write_text("an earlier report\n")
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert out.read_text() == ""
+
     @pytest.mark.parametrize(
         "text, flags, key",
         [
@@ -393,6 +421,12 @@ class TestMainEntryPoint:
                 [],
                 "waveform.tone_count",
             ),
+            ("waveform:\n  tone_count: 0\n", [], "waveform.tone_count"),
+            ("channel:\n  rf_carrier: 5.0e+6\n", [], "channel.rf_carrier"),
+            ("receiver:\n  position: [0.0, 0.0, 0.0]\n", [], "receiver.position"),
+            ("array:\n  rows: 1000\n  cols: 1000\n", [], "array.rows x array.cols"),
+            ("array:\n  rows: 3000\n  cols: 3000\n", [], "array.rows x array.cols"),
+            ("array:\n  rows: 100000\n  cols: 100000\n", [], "array.rows x array.cols"),
         ],
         ids=[
             "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
@@ -401,7 +435,9 @@ class TestMainEntryPoint:
             "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
             "penalty-below-dac-power", "nyquist-boundary", "dac-rate-above-sim-rate",
             "dac-rate-not-multiple", "nyquist-off-multiple", "spacing-1e-200-samples-bound",
-            "spacing-1e-3-samples-bound", "tone-count-synthesis-bound",
+            "spacing-1e-3-samples-bound", "tone-count-synthesis-bound", "tone-count-zero",
+            "rf-carrier-below-bandwidth", "receiver-on-element", "array-channel-bound",
+            "array-3000-squared", "array-100000-squared",
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -414,7 +450,7 @@ class TestMainEntryPoint:
         assert key in err
 
     def test_synthesis_grid_within_the_budget_runs(self, tmp_path, capsys):
-        # 2048 DAC samples x 1024 tones = 2^21 grid entries, half the budget
+        # 1024 tones at 2048 DAC samples a period; H_band is 25 x 2049
         text = (
             "waveform:\n  tone_count: 1024\n"
             "chain:\n  dac_sample_rate: 2.56e+9\n  carrier: 2.56e+9\n"
@@ -422,8 +458,19 @@ class TestMainEntryPoint:
         path = tmp_path / "wide.yaml"
         path.write_text(text)
         system = build_setup(load_config(path)).system
-        assert system.n_dac * system.tone_count == 2**21
+        assert system.band_coefficients.shape == (25, 2049)
         assert main(["simulate", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_2048_tones_run(self, tmp_path, capsys):
+        # 2048 tones at 4096 DAC samples a period; H_band is 25 x 4097
+        path = tmp_path / "wider.yaml"
+        path.write_text(
+            "waveform:\n  tone_count: 2048\n"
+            "chain:\n  dac_sample_rate: 5.12e+9\n  carrier: 5.12e+9\n"
+        )
+        out = tmp_path / "r.yaml"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
     def test_dump_config_round_trips(self, tmp_path, capsys):

@@ -10,30 +10,33 @@ import pytest
 from wptsim.cli import cmd_optimize, cmd_simulate, emit_structured
 from wptsim.config import build_setup, config_set, load_config
 
+# The default waveform puts its samples t = 5, 15, ..., 75 exactly on the
+# 3-bit DAC's half step, so these blocks also pin which of them the
+# synthesis rounds up (README, "Default waveform").
 SIMULATE_BLOCKS = {
     "desk": """harvest:
-  v_out_dc: 0.944116381
-  p_out_dc: 0.000557097338
-  rhs_log: 39.5494877
+  v_out_dc: 0.940849371
+  p_out_dc: 0.000553248462
+  rhs_log: 39.425732
 power:
   p_dac: 0.001455
   p_mix: 0.023
   p_lo: 0.005
-  p_hpa: 6.14211498
+  p_hpa: 6.22899387
   p_s: 1
-  p_total: 7.17156998
+  p_total: 7.25844887
   hpa_negative: false""",
     "paper": """harvest:
-  v_out_dc: 0.929657764
-  p_out_dc: 0.000540164723
-  rhs_log: 39.0016986
+  v_out_dc: 0.925620734
+  p_out_dc: 0.000535483589
+  rhs_log: 38.8487067
 power:
   p_dac: 0.001455
   p_mix: 0.023
   p_lo: 0.005
-  p_hpa: 6.14557355
+  p_hpa: 6.23282382
   p_s: 1
-  p_total: 7.17502855
+  p_total: 7.26227882
   hpa_negative: false""",
 }
 

@@ -27,7 +27,7 @@ from wptsim import (
     upconvert,
 )
 from reference import apply_phase_shifters
-from wptsim.signal_chain import default_sim_rate, lowpass_mask, synthesis_grid
+from wptsim.signal_chain import default_sim_rate
 
 SPACING = 1.25e6
 
@@ -73,18 +73,18 @@ class TestToneSet:
 class TestSynthesize:
     def test_single_dc_tone_is_constant(self):
         tones = ToneSet([1.0], [0.0], SPACING)
-        sig = synthesize_multitone(tones, synthesis_grid(8, 1))
+        sig = synthesize_multitone(tones, 8)
         assert np.iscomplexobj(sig)
         assert np.all(sig == 1.0 + 0.0j)
 
     def test_zero_amplitudes(self):
         tones = ToneSet([0.0, 0.0], [0.0, 0.0], SPACING)
-        sig = synthesize_multitone(tones, synthesis_grid(8, 2))
+        sig = synthesize_multitone(tones, 8)
         assert np.all(sig == 0.0)
 
     def test_two_tone_against_oracle(self):
         tones = ToneSet([1.0, 1.0], [0.0, 0.0], SPACING)
-        sig = synthesize_multitone(tones, synthesis_grid(8, 2))
+        sig = synthesize_multitone(tones, 8)
         assert sig.size == 8
         assert_allclose(sig[0], 1.0 + 0.0j, rtol=1e-12)
         expected = multitone_oracle([1.0, 1.0], [0.0, 0.0], SPACING, 10e6)
@@ -97,14 +97,14 @@ class TestSynthesize:
             phases = rng.random(k) * 2.0 * np.pi * 0.999
             n = 2 * 16 * 2  # covers K up to 16
             tones = ToneSet(amplitudes, phases, SPACING)
-            sig = synthesize_multitone(tones, synthesis_grid(n, k))
+            sig = synthesize_multitone(tones, n)
             expected = multitone_oracle(amplitudes, phases, SPACING, n * SPACING)
             assert_allclose(sig, expected, rtol=1e-10, atol=1e-12)
 
     def test_periodicity_of_first_wrapped_sample(self, rng):
         amplitudes = rng.random(8)
         tones = ToneSet(amplitudes, np.zeros(8), SPACING)
-        sig = synthesize_multitone(tones, synthesis_grid(80, 8))
+        sig = synthesize_multitone(tones, 80)
         # continue the series one sample past the period by direct evaluation
         wrapped = multitone_oracle(amplitudes, np.zeros(8), SPACING, 100e6)[0]
         assert abs(sig[0] - wrapped) <= 1e-9
@@ -204,25 +204,25 @@ class TestQuantizer:
 class TestLowpass:
     def test_passband_identity(self):
         tones = ToneSet(np.ones(4), np.zeros(4), SPACING)
-        sig = synthesize_multitone(tones, synthesis_grid(80, 4))
-        out = lowpass_filter(sig, lowpass_mask(80, 4))
+        sig = synthesize_multitone(tones, 80)
+        out = lowpass_filter(sig, 4)
         assert_allclose(out, sig, atol=1e-12)
 
     def test_stopband_annihilation(self):
         n = 80
         tone = np.exp(2j * np.pi * np.arange(n) * 6 / n)
-        out = lowpass_filter(tone, lowpass_mask(n, 2))
+        out = lowpass_filter(tone, 2)
         assert_allclose(out, 0.0, atol=1e-12)
 
     def test_dac_spectrum_cleared_above_bandwidth(self):
         tones = ToneSet(np.ones(8), np.zeros(8), SPACING)
-        sig = synthesize_multitone(tones, synthesis_grid(80, 8))
+        sig = synthesize_multitone(tones, 80)
         dac = quantize_dac(sig, 2, 1.0)
         spectrum_dac = np.fft.fft(dac)
         freqs = np.fft.fftfreq(80, d=1.0 / 100e6)
         outside = np.abs(freqs) > tones.bandwidth
         assert np.any(np.abs(spectrum_dac[outside]) > 1e-6)  # DAC spills out of band
-        out = lowpass_filter(dac, lowpass_mask(80, 8))
+        out = lowpass_filter(dac, 8)
         spectrum = np.fft.fft(out)
         total_energy = np.sum(np.abs(spectrum) ** 2)
         outside_energy = np.sum(np.abs(spectrum[outside]) ** 2)
@@ -231,12 +231,28 @@ class TestLowpass:
     def test_idempotent_and_linear(self, rng):
         values = rng.normal(size=80) + 1j * rng.normal(size=80)
         other = rng.normal(size=80) + 1j * rng.normal(size=80)
-        keep = lowpass_mask(80, 8)  # 10 MHz at 100 MHz
-        once = lowpass_filter(values, keep)
-        twice = lowpass_filter(once, keep)
+        tone_count = 8  # 10 MHz at 100 MHz
+        once = lowpass_filter(values, tone_count)
+        twice = lowpass_filter(once, tone_count)
         assert_allclose(twice, once, atol=1e-12)
-        combined = lowpass_filter(2.0 * values + 3.0 * other, keep)
-        assert_allclose(combined, 2.0 * once + 3.0 * lowpass_filter(other, keep), atol=1e-12)
+        combined = lowpass_filter(2.0 * values + 3.0 * other, tone_count)
+        assert_allclose(
+            combined, 2.0 * once + 3.0 * lowpass_filter(other, tone_count), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n, tone_count", [(80, 8), (80, 1), (16, 8), (17, 8), (16, 12)])
+    def test_keeps_the_bins_within_tone_count_of_dc(self, rng, n, tone_count):
+        # the band offsets -K..K mod n against a mask on the circular distance
+        # to DC; at n = 2K both keep the Nyquist bin, and below 2K + 1 every bin
+        bins = np.arange(n)
+        mask = np.minimum(bins, n - bins) <= tone_count
+        for _ in range(20):
+            values = rng.normal(size=n) + 1j * rng.normal(size=n)
+            for signal in (values, values.real):
+                expected = np.fft.ifft(np.fft.fft(signal) * mask)
+                if not np.iscomplexobj(signal):
+                    expected = expected.real
+                assert np.array_equal(lowpass_filter(signal, tone_count), expected)
 
 
 class TestUpconvert:
@@ -252,7 +268,7 @@ class TestUpconvert:
 
     def test_parseval_half_power(self, rng):
         tones = ToneSet(rng.random(8), rng.random(8) * 6.2, SPACING)
-        base = synthesize_multitone(tones, synthesis_grid(80, 8))
+        base = synthesize_multitone(tones, 80)
         n_sim = round(default_sim_rate(64 * SPACING, tones.bandwidth, SPACING) / SPACING)
         out = upconvert(base, 8, 64, n_sim)
         base_power = np.mean(np.abs(base) ** 2)

@@ -24,7 +24,6 @@ from wptsim import (
 import wptsim.signal_chain
 import wptsim.simulation
 from wptsim.channel import ChannelMatrix, receive_band
-from wptsim.signal_chain import lowpass_mask, synthesis_grid
 
 SPACING = 1.25e6
 
@@ -54,9 +53,9 @@ class TestRunChain:
         # every level, so a wrong sign or scale of the beam gain shows
         word = PhaseWord(np.arange(system.element_count) % 2**chain.ps_bits, chain.ps_bits)
         stages = run_chain(tones, word, system)
-        digital = synthesize_multitone(tones, synthesis_grid(80, 8))
+        digital = synthesize_multitone(tones, 80)
         dac = quantize_dac(digital, chain.dac_bits, chain.dac_range)
-        lpf = lowpass_filter(dac, lowpass_mask(80, 8))
+        lpf = lowpass_filter(dac, 8)
         mixer = upconvert(lpf, 8, 64, 180)
         hpa = rapp_amplifier(mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness)
         received = beamformed_received(
