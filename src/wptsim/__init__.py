@@ -2,7 +2,6 @@
 
 from .channel import (
     ReceiverPosition,
-    beamformed_received,
     build_channel_matrix,
     element_positions,
     radiation_profile,
@@ -31,7 +30,6 @@ from .rectenna import (
     dc_output_voltage,
     harvest_from_signal,
     harvested_power,
-    lambert_w0,
     lambert_w0_log,
     rhs_log_mean,
     solve_rectifier_equation,
@@ -43,7 +41,6 @@ from .signal_chain import (
     quantize_dac,
     rapp_amplifier,
     synthesize_multitone,
-    upconvert,
 )
 from .simulation import SystemModel, evaluate_solution, run_chain
 
@@ -61,7 +58,6 @@ __all__ = [
     "SwarmConfig",
     "SystemModel",
     "ToneSet",
-    "beamformed_received",
     "brute_force_grid",
     "build_channel_matrix",
     "build_setup",
@@ -75,7 +71,6 @@ __all__ = [
     "harvest_from_signal",
     "harvested_power",
     "hpa_power",
-    "lambert_w0",
     "lambert_w0_log",
     "load_config",
     "lowpass_filter",
@@ -90,5 +85,4 @@ __all__ = [
     "solve_rectifier_equation",
     "synthesize_multitone",
     "total_power",
-    "upconvert",
 ]

@@ -3,10 +3,12 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import speed_of_light
-
 from .errors import DomainError
-from .signal_chain import PhaseWord
+from .signal_chain import PhaseWord, band_bins
+
+# m/s, exact by the SI definition of the metre (scipy.constants.speed_of_light;
+# importing that module costs about 1 MB of memory for this one number)
+speed_of_light = 299_792_458.0
 
 # Most entries in the channel H_band, N elements x (2K+1) band bins: building
 # it peaks near 43 bytes an entry (measured at 2^21), so 2^22 keeps it under
@@ -127,7 +129,7 @@ def build_channel_matrix(
 def receive_band(
     channel: ChannelMatrix, carrier_bin: int, tone_count: int, tone_spacing: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rfft bins the receiver keeps, and the channel at them.
+    """The passband bins the receiver keeps, and the channel at them.
 
     The band is the 2K+1 bins m + k, k = -K..K, around carrier bin m. Bin
     m + k sits k tone spacings off the carrier, so its channel is taken at
@@ -142,36 +144,32 @@ def receive_band(
 
 
 def beamformed_received(
-    hpa: np.ndarray,
-    word: PhaseWord,
-    insertion_loss: float,
-    band: np.ndarray,
-    band_coefficients: np.ndarray,
+    envelope: np.ndarray, word: PhaseWord, insertion_loss: float, band_coefficients: np.ndarray
 ) -> np.ndarray:
-    """The amplified period through the phase shifters and the channel, in one pass.
+    """The amplified envelope through the phase shifters and the channel, in one pass.
 
-    Equals forming the N real element branches, each the period rotated by
-    theta_i on its analytic envelope, and summing each through the channel
-    on the band. The model is linear after the amplifier: inside
-    the band, branch i holds s e^{-j theta_i} X[k], with X the rfft of the
-    period and s = (insertion_loss N)^-1/2, so the received bins are X[band]
-    times the per-bin beam gain g = s e^{-j theta}^T H_band and no branch is
-    formed. The band must lie strictly between DC and Nyquist: a real branch
-    has no quadrature at either, and a bin index below DC would wrap.
+    The model is linear after the amplifier, and the receiver keeps only the
+    band offsets k = -K..K. There, branch i holds s e^{-j theta_i} X[k], with
+    X the DFT of the envelope period and s = (insertion_loss N)^-1/2, so the
+    received envelope's bins are X[k] times the per-bin beam gain
+    g = s e^{-j theta}^T H_band; one inverse DFT of them gives the received
+    envelope on the amplified envelope's samples, and no branch is formed.
     """
-    if np.iscomplexobj(hpa) or hpa.ndim != 1:
-        raise DomainError("the phase shifters act on one real passband signal")
+    if not np.iscomplexobj(envelope) or envelope.ndim != 1:
+        raise DomainError("the phase shifters act on one complex envelope")
     if insertion_loss < 1:
         raise DomainError("insertion loss is a linear power ratio >= 1")
     if band_coefficients.shape[0] != word.count:
         raise DomainError(
             f"expected {band_coefficients.shape[0]} phase levels, got {word.count}"
         )
-    n = hpa.size
-    if band.size and (band[0] <= 0 or 2 * band[-1] >= n):
-        raise DomainError("the receive band must lie strictly between DC and Nyquist")
+    n = envelope.size
+    tone_count = band_coefficients.shape[1] // 2
+    if n <= 2 * tone_count:
+        raise DomainError("the envelope period must hold every band bin")
+    bins = band_bins(tone_count, n)
     scale = 1.0 / np.sqrt(insertion_loss * word.count)
     gain = (scale * np.exp(-1j * word.angles())) @ band_coefficients
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[band] = np.fft.rfft(hpa)[band] * gain
-    return np.fft.irfft(spectrum, n=n)
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[bins] = np.fft.fft(envelope)[bins] * gain
+    return np.fft.ifft(spectrum)

@@ -28,7 +28,9 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
 _STAGE_ORDER = ("digital", "dac", "lpf", "mixer", "hpa", "received")
-_BASEBAND_STAGES = ("digital", "dac", "lpf")  # sampled at chain.dac_sample_rate
+# sampled at chain.dac_sample_rate; the rest are complex envelopes around the
+# carrier, n_env samples a period
+_BASEBAND_STAGES = ("digital", "dac", "lpf")
 
 
 def format_float(value: float) -> str:
@@ -105,32 +107,33 @@ def _power_report(power) -> dict:
     }
 
 
-def _stage_report(samples: np.ndarray, sample_rate: float) -> dict:
+def _stage_report(samples: np.ndarray, sample_rate: float, domain: str) -> dict:
+    """One period of a stage: its samples, and its spectrum over frequencies
+    relative to DC (baseband) or to the carrier (envelope)."""
     n = samples.size
-    baseband = np.iscomplexobj(samples)
-    report = {
-        "domain": "baseband-complex" if baseband else "passband-real",
+    freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate))
+    return {
+        "domain": domain,
         "sample_rate": sample_rate,
         "samples": n,
+        "time_real": samples.real,
+        "time_imag": samples.imag,
+        "spectrum_frequency": freqs,
+        "spectrum_magnitude": np.abs(np.fft.fftshift(np.fft.fft(samples))) / n,
     }
-    if baseband:
-        report["time_real"] = samples.real
-        report["time_imag"] = samples.imag
-        freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate))
-        mags = np.abs(np.fft.fftshift(np.fft.fft(samples))) / n
-    else:
-        report["time"] = samples
-        freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-        mags = np.abs(np.fft.rfft(samples)) / n
-    report["spectrum_frequency"] = freqs
-    report["spectrum_magnitude"] = mags
-    return report
 
 
 def cmd_simulate(setup) -> tuple[dict, int]:
     """Run the chain once and report per-stage series, harvest, and power."""
     outcome = evaluate_solution(setup.tones, setup.phase_word, setup.system)
-    chain = setup.system.chain
+    system = setup.system
+    stages = {}
+    for name in _STAGE_ORDER:
+        if name in _BASEBAND_STAGES:
+            domain, rate = "baseband-complex", system.chain.dac_sample_rate
+        else:
+            domain, rate = "envelope-complex", system.n_env * system.tone_spacing
+        stages[name] = _stage_report(getattr(outcome.stages, name), rate, domain)
     report = {
         "command": "simulate",
         "tones": {
@@ -141,13 +144,7 @@ def cmd_simulate(setup) -> tuple[dict, int]:
         "phase_word": setup.phase_word.levels,
         "harvest": _harvest_report(outcome.harvest),
         "power": _power_report(outcome.power),
-        "stages": {
-            name: _stage_report(
-                getattr(outcome.stages, name),
-                chain.dac_sample_rate if name in _BASEBAND_STAGES else chain.sim_sample_rate,
-            )
-            for name in _STAGE_ORDER
-        },
+        "stages": stages,
     }
     return report, EXIT_OK
 
@@ -249,10 +246,9 @@ def _flatten_for_table(report: dict) -> tuple[list[str], list[list]]:
     for stage in _STAGE_ORDER:
         data = report["stages"][stage]
         rate = data["sample_rate"]
-        for series in ("time", "time_real", "time_imag"):
-            if series in data:
-                for i, value in enumerate(np.asarray(data[series])):
-                    rows.append([stage, series, i, i / rate, value])
+        for series in ("time_real", "time_imag"):
+            for i, value in enumerate(np.asarray(data[series])):
+                rows.append([stage, series, i, i / rate, value])
         freqs = np.asarray(data["spectrum_frequency"])
         mags = np.asarray(data["spectrum_magnitude"])
         for i, (freq, mag) in enumerate(zip(freqs, mags)):

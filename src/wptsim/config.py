@@ -1,9 +1,11 @@
 """Run configuration: built-in profiles, YAML loading, validation, assembly.
 
-Two first-class profiles exist. "paper" simulates the passband at the true
-5.18 GHz carrier; "desk" snaps the simulated carrier down to 64 tone spacings
-(80 MHz) for fast runs while the channel keeps the faithful RF wavelengths.
-A user config file deep-merges over the chosen profile.
+Two first-class profiles exist. "paper" places the passband reference at
+the true 5.18 GHz carrier; "desk" snaps it down to 64 tone spacings (80 MHz)
+while the channel keeps the faithful RF wavelengths. The chain runs on the
+complex envelope and reads neither carrier nor passband rate, so both
+profiles report the same numbers. A user config file deep-merges over the
+chosen profile.
 """
 
 import copy
@@ -25,13 +27,20 @@ TONE_SPACING = 1.25e6  # 10 MHz bandwidth split over 8 tones
 
 PAPER_CARRIER = 5.18e9
 
+# The default simulate waveform drives every tone at this share of the DAC
+# range. At full range its samples t = 5, 15, ..., 75 sit exactly on a half
+# step of the 3-bit DAC, so the rounding of the synthesis arithmetic decided
+# which way they quantized; at 0.95 every DAC input sample of the default
+# waveform lies at least 1.6e-3 steps from a half step at 1 to 8 bits.
+DEFAULT_AMPLITUDE_SHARE = 0.95
+
 # every leaf: type and paper default; a None default marks an optional leaf,
 # and a (list, type) pair a list of that element type
 _TABLE = {
     "waveform": {
         "tone_count": (int, 8),
         "tone_spacing": (float, TONE_SPACING),
-        "amplitudes": ((list, float), None),  # default: dac_range on every tone
+        "amplitudes": ((list, float), None),  # default: 0.95 dac_range on every tone
         "phases": ((list, float), None),  # default: all zero
         "phase_word": ((list, int), None),  # default: all zero
     },
@@ -40,7 +49,8 @@ _TABLE = {
         "dac_range": (float, 1.0),
         "dac_sample_rate": (float, 100e6),
         "carrier": (float, PAPER_CARRIER),
-        "sim_sample_rate": (float, None),  # default: 2.5x (carrier + bandwidth), snapped
+        # the passband reference's rate; default 2.5x (carrier + bandwidth), snapped
+        "sim_sample_rate": (float, None),
         "hpa_gain": (float, 10.0),
         "hpa_saturation": (float, 10.0),
         "hpa_smoothness": (float, 4.0),
@@ -320,7 +330,7 @@ def build_setup(cfg: dict) -> RunSetup:
 
     amplitudes = wf["amplitudes"]
     if amplitudes is None:
-        amplitudes = [chain.dac_range] * tone_count
+        amplitudes = [DEFAULT_AMPLITUDE_SHARE * chain.dac_range] * tone_count
     phases = wf["phases"]
     if phases is None:
         phases = [0.0] * tone_count

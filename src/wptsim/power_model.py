@@ -58,23 +58,18 @@ def dac_power(bits: int, sample_rate: float, params: PowerParams) -> float:
 
 
 def hpa_power(
-    amplifier_in: np.ndarray,
-    amplifier_out: np.ndarray,
-    input_resistance: float,
-    output_resistance: float,
+    input_power: float, output_power: float, input_resistance: float, output_resistance: float
 ) -> float:
     """Difference of the period-mean output and input powers of the amplifier.
 
-    A dissipation proxy, not a drain-efficiency model; it can come out
-    negative for deeply saturated drives with equal port resistances.
+    The powers are period means of the squared port voltages (mean |a|^2 / 2
+    and mean h(|a|) of the amplifier's first zone). A dissipation proxy, not
+    a drain-efficiency model; it can come out negative for deeply saturated
+    drives with equal port resistances.
     """
     if input_resistance <= 0 or output_resistance <= 0:
         raise DomainError("port resistances must be positive")
-    if amplifier_in.size != amplifier_out.size:
-        raise DomainError("amplifier input and output must share length")
-    p_in = np.mean(np.abs(amplifier_in) ** 2, axis=-1) / input_resistance
-    p_out = np.mean(np.abs(amplifier_out) ** 2, axis=-1) / output_resistance
-    return float(p_out - p_in)
+    return float(output_power / output_resistance - input_power / input_resistance)
 
 
 def signal_power(tones: ToneSet) -> float:
@@ -84,13 +79,14 @@ def signal_power(tones: ToneSet) -> float:
 
 def total_power(
     tones: ToneSet,
-    amplifier_in: np.ndarray,
-    amplifier_out: np.ndarray,
+    amplifier_in: float,
+    amplifier_out: float,
     dac_bits: int,
     dac_sample_rate: float,
     params: PowerParams,
 ) -> PowerBreakdown:
-    """Assemble the five-component consumption total."""
+    """Assemble the five-component consumption total; amplifier_in and
+    amplifier_out are the amplifier's period-mean port powers into 1 ohm."""
     p_dac = dac_power(dac_bits, dac_sample_rate, params)
     p_hpa = hpa_power(
         amplifier_in, amplifier_out, params.hpa_input_resistance, params.hpa_output_resistance

@@ -5,13 +5,17 @@ exponential and the load line; the closed form uses the principal Lambert W
 branch evaluated from the logarithm of its argument as the Wright omega
 function, W(e^z) = omega(z), so realistic drive levels (exponents in the
 thousands) never overflow. No Taylor truncation is applied anywhere.
+
+The diode sees the received passband signal Re{b(t) e^{j w_c t}}. Over one
+carrier cycle the mean of exp(c r) is I0(c|b|), so the period mean of the
+diode exponential is the mean of I0(c|b(t)|) over the received envelope b.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import wrightomega
+from scipy.special import i0e, wrightomega
 
 from .errors import DomainError, NumericalError
 
@@ -65,32 +69,20 @@ def lambert_w0_log(log_x: float) -> float:
     return float(wrightomega(log_x))
 
 
-def lambert_w0(x: float) -> float:
-    """Principal-branch Lambert W for nonnegative arguments.
+def rhs_log_mean(envelope: np.ndarray, params: RectennaParams) -> float:
+    """Log of the one-period mean of I0(c |b(t)|), c = sqrt(R_s) / (eta V_0).
 
-    Satisfies w * exp(w) = x to a relative residual of about 1e-12 over the
-    full double range; arguments too large to exponentiate should be passed
-    through lambert_w0_log instead.
+    That is the period mean of the diode exponential exp(c r(t)) for the
+    passband signal r with complex envelope b. It is evaluated as
+    log I0(z) = z + log i0e(z) with the largest exponent shifted out, so hot
+    diode drives stay finite.
     """
-    x = float(x)
-    if x < 0 or np.isnan(x):
-        raise DomainError("principal-branch evaluation requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    return lambert_w0_log(np.log(x))
-
-
-def rhs_log_mean(received: np.ndarray, params: RectennaParams) -> float:
-    """Log of the one-period mean of exp(sqrt(R_s) r(t) / (eta V_0)).
-
-    Evaluated with log-sum-exp so hot diode drives stay finite.
-    """
-    if np.iscomplexobj(received):
-        raise DomainError("rectenna input must be a real signal")
     scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
-    exponents = scale * np.asarray(received, dtype=float)
-    shift = exponents.max(axis=-1)
-    return float(shift + np.log(np.mean(np.exp(exponents - shift[..., None]), axis=-1)))
+    exponents = scale * np.abs(envelope)
+    shift = exponents.max()
+    terms = np.exp(exponents - shift)
+    terms *= i0e(exponents)
+    return float(shift + np.log(terms.sum() / terms.size))
 
 
 def dc_output_voltage(rhs_log: float, params: RectennaParams) -> float:
@@ -117,7 +109,7 @@ def harvested_power(v_out: float, load_resistance: float) -> float:
 
 
 def harvest_from_signal(received: np.ndarray, params: RectennaParams) -> HarvestResult:
-    """Full harvest evaluation for one period of the received signal."""
+    """Full harvest evaluation for one period of the received complex envelope."""
     rhs_log = rhs_log_mean(received, params)
     v_out = dc_output_voltage(rhs_log, params)
     return HarvestResult(v_out, harvested_power(v_out, params.load_resistance), rhs_log)
@@ -127,7 +119,9 @@ def solve_rectifier_equation(rhs_log: float, params: RectennaParams) -> float:
     """Bracketed root of the implicit rectifier balance, as a verification oracle.
 
     Solves v/(eta V_0) + log1p(v/(R_L I_0)) = rhs_log directly, independent of
-    the Lambert W path, to an absolute tolerance of 1e-12 V.
+    the Lambert W path, by bisection to within 1e-12 V (or to adjacent doubles,
+    where those lie further apart). Bisection needs no solver library, so
+    calling the oracle loads no more of scipy than the model does.
     """
     if not np.isfinite(rhs_log):
         raise DomainError("rhs_log must be finite")
@@ -135,7 +129,7 @@ def solve_rectifier_equation(rhs_log: float, params: RectennaParams) -> float:
     diode_v = params.ideality * params.thermal_voltage
 
     def residual(v):
-        return v / diode_v + np.log1p(v / floor_v) - rhs_log
+        return v / diode_v + math.log1p(v / floor_v) - rhs_log
 
     lo = -floor_v * (1.0 - 1e-9)
     if residual(lo) >= 0:
@@ -147,4 +141,13 @@ def solve_rectifier_equation(rhs_log: float, params: RectennaParams) -> float:
         hi *= 2.0
     else:
         raise NumericalError("failed to bracket the rectifier operating point")
-    return float(brentq(residual, lo, hi, xtol=1e-12))
+    # the residual increases with v, so the root stays inside [lo, hi]
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if residual(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

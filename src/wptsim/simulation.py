@@ -20,17 +20,19 @@ from .signal_chain import (
     ChainConfig,
     PhaseWord,
     ToneSet,
+    ENVELOPE_SAMPLES_PER_TONE,
     _as_multiple,
+    amplify_envelope,
+    complex_envelope,
     lowpass_filter,
     quantize_dac,
-    rapp_amplifier,
     synthesize_multitone,
-    upconvert,
 )
 
-# Most samples in one simulated period (n_dac <= n_sim). An evaluation holds
-# a few dozen period-long arrays, so 2^20 keeps it to a few hundred MiB, 100x
-# the paper profile's 10380; a 1 mHz tone spacing puts 2e11 in a desk period.
+# Most samples in one period of the envelope, or at the DAC or the passband
+# reference's rate (n_dac <= n_sim). A run holds a few dozen period-long
+# arrays, so 2^20 keeps it to a few hundred MiB, 100x the paper profile's
+# 10380 passband samples; a 1 mHz tone spacing puts 2e11 in a desk period.
 MAX_PERIOD_SAMPLES = 2**20
 
 
@@ -41,12 +43,17 @@ class SystemModel:
     The waveform (ToneSet) and beam (PhaseWord) are the free variables. The
     sampling plan is checked and fixed here, once: every rate is a multiple
     of the tone spacing, so each stage holds exactly one fundamental period,
-    n_dac baseband samples and n_sim >= n_dac passband samples with the
-    carrier at bin m = carrier_bin. Tone k is baseband DFT bin k; the band
-    is the offsets k = -K..K: the low-pass filter keeps baseband bins k, the
-    mixer writes them at passband bins m + k, and the receiver keeps those
-    bins (band) with the channel at them (H_band, N x 2K+1). Every rule on
-    the plan is checked in bins, and the stages never see a rate.
+    n_dac baseband samples and then n_env = M complex envelope samples. Tone
+    k is baseband DFT bin k; the band is the offsets k = -K..K: the low-pass
+    filter keeps baseband bins k, the mixer's envelope holds them at bins
+    k mod M, and the receiver keeps those bins with the channel at them
+    (H_band, N x 2K+1, taken at the RF carrier plus k tone spacings). Every
+    rule on the plan is checked in bins, and the stages never see a rate.
+
+    n_sim, carrier_bin and band place the band on a real passband period at
+    chain.sim_sample_rate with the carrier at chain.carrier. The chain does
+    not read them; they describe the passband reference the tests hold the
+    envelope chain to.
     """
 
     tone_count: int
@@ -59,6 +66,7 @@ class SystemModel:
     boresight_exponent: float = 2.0
     channel: ChannelMatrix = field(init=False, repr=False)
     n_dac: int = field(init=False)
+    n_env: int = field(init=False)
     n_sim: int = field(init=False)
     carrier_bin: int = field(init=False)
     band: np.ndarray = field(init=False, repr=False)
@@ -94,6 +102,12 @@ class SystemModel:
                 f"sim_sample_rate {chain.sim_sample_rate} must exceed the Nyquist rate"
                 f" 2 x (carrier {chain.carrier} + bandwidth {bw})"
             )
+        n_env = ENVELOPE_SAMPLES_PER_TONE * max(tones, 4)
+        if n_env > MAX_PERIOD_SAMPLES:
+            raise ConfigurationError(
+                f"waveform.tone_count {tones} puts {n_env:.3g} envelope samples in one"
+                f" period; at most {MAX_PERIOD_SAMPLES} are simulated"
+            )
         if m <= tones:
             raise ConfigurationError("carrier must exceed the baseband bandwidth")
         if self.geometry.carrier <= bw:
@@ -113,6 +127,7 @@ class SystemModel:
         for name, value in (
             ("channel", matrix),
             ("n_dac", n_dac),
+            ("n_env", n_env),
             ("n_sim", n_sim),
             ("carrier_bin", m),
             ("band", band),
@@ -132,15 +147,24 @@ class SystemModel:
 @dataclass(frozen=True)
 class ChainStages:
     """Per-stage waveforms of one simulation pass, one period each: n_dac
-    complex baseband samples for the first three, n_sim real passband
-    samples for the rest."""
+    complex baseband samples for digital, dac and lpf, n_env complex envelope
+    samples around the carrier for the rest; and the amplifier's period-mean
+    input and output powers into 1 ohm."""
 
     digital: np.ndarray
     dac: np.ndarray
-    lpf: np.ndarray
     mixer: np.ndarray
     hpa: np.ndarray
     received: np.ndarray
+    hpa_input_power: float
+    hpa_output_power: float
+    tone_count: int
+
+    @property
+    def lpf(self) -> np.ndarray:
+        """The low-pass filter's output. The mixer's envelope filters the DAC
+        output itself, so this period is formed only when it is read."""
+        return lowpass_filter(self.dac, self.tone_count)
 
 
 @dataclass(frozen=True)
@@ -181,21 +205,14 @@ def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStag
     chain = system.chain
     digital = _stage("synthesis", synthesize_multitone, tones, system.n_dac)
     dac = _stage("dac", quantize_dac, digital, chain.dac_bits, chain.dac_range)
-    lpf = _stage("lpf", lowpass_filter, dac, system.tone_count)
-    mixer = _stage("mixer", upconvert, lpf, system.tone_count, system.carrier_bin, system.n_sim)
-    hpa = _stage(
-        "hpa", rapp_amplifier, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
+    mixer = _stage("mixer", complex_envelope, dac, system.tone_count, system.n_env)
+    hpa, p_in, p_out = _stage(
+        "hpa", amplify_envelope, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
     )
     received = _stage(
-        "channel",
-        beamformed_received,
-        hpa,
-        word,
-        chain.ps_insertion_loss,
-        system.band,
-        system.band_coefficients,
+        "channel", beamformed_received, hpa, word, chain.ps_insertion_loss, system.band_coefficients
     )
-    return ChainStages(digital, dac, lpf, mixer, hpa, received)
+    return ChainStages(digital, dac, mixer, hpa, received, p_in, p_out, system.tone_count)
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -207,8 +224,8 @@ def evaluate_solution(tones: ToneSet, word: PhaseWord, system: SystemModel) -> S
         "power-model",
         total_power,
         tones,
-        stages.mixer,
-        stages.hpa,
+        stages.hpa_input_power,
+        stages.hpa_output_power,
         system.chain.dac_bits,
         system.chain.dac_sample_rate,
         system.power,

@@ -1,14 +1,101 @@
-"""The per-branch passband path, kept as the tests' reference.
+"""The passband chain, kept as the tests' oversampled reference.
 
-The chain runs the phase shifters and the channel as one per-bin beam gain
-(wptsim.channel.beamformed_received). The tests check that fold against the
-explicit path here: apply_phase_shifters forms the N real element branches,
-and received_signal propagates each through the channel and sums them.
+The library runs the chain on the complex envelope: the amplifier's first
+zone, one per-bin beam gain and a log-mean of I0 at the rectenna. The tests
+check it against the real passband period here, sampled at
+chain.sim_sample_rate with the carrier at carrier bin m, where the amplifier's
+harmonics are present and alias back into the band by an amount that shrinks
+as the rate grows.
+
+- upconvert mixes the filtered baseband onto the carrier;
+- beamformed_received runs the phase shifters and the channel as one per-bin
+  beam gain on the passband period, and apply_phase_shifters and
+  received_signal form and sum the N element branches explicitly;
+- rhs_log_mean and hpa_power take their period means over passband samples;
+- passband_outcome runs the whole chain this way.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from wptsim import DomainError, PhaseWord
+from wptsim import DomainError, PhaseWord, ToneSet, lambert_w0_log, rapp_amplifier
+from wptsim.rectenna import RectennaParams, dc_output_voltage
+from wptsim.signal_chain import lowpass_filter, quantize_dac, synthesize_multitone
+from wptsim.simulation import SystemModel
+
+
+def lambert_w0(x: float) -> float:
+    """Principal-branch Lambert W for nonnegative arguments.
+
+    Satisfies w * exp(w) = x to a relative residual of about 1e-12 over the
+    full double range; arguments too large to exponentiate should be passed
+    through lambert_w0_log instead.
+    """
+    x = float(x)
+    if x < 0 or np.isnan(x):
+        raise DomainError("principal-branch evaluation requires x >= 0")
+    if x == 0.0:
+        return 0.0
+    return lambert_w0_log(np.log(x))
+
+
+def upconvert(
+    baseband: np.ndarray, tone_count: int, carrier_bin: int, n_sim: int
+) -> np.ndarray:
+    """Mix the baseband period onto carrier bin m of a real n_sim-sample period.
+
+    Offset k = -K..K of the band, the baseband's DFT bin k mod n_dac, is
+    written at rfft bin m + k, scaled by n_sim / (2 n_dac); one irfft gives
+    Re{z(t) e^{j 2 pi m t / n_sim}} with z the band-limited baseband period
+    at n_sim samples. When n_dac = 2K the Nyquist bin stands for both k = +-K
+    and is split in half between them. SystemModel keeps the band strictly
+    inside (0, n_sim / 2).
+    """
+    n_dac = baseband.size
+    offsets = np.arange(-tone_count, tone_count + 1)
+    bins = np.fft.fft(baseband)[offsets % n_dac] * (n_sim / (2 * n_dac))
+    if n_dac == 2 * tone_count:
+        bins[[0, -1]] *= 0.5
+    spectrum = np.zeros(n_sim // 2 + 1, dtype=complex)
+    spectrum[carrier_bin + offsets] = bins
+    return np.fft.irfft(spectrum, n=n_sim)
+
+
+def beamformed_received(
+    hpa: np.ndarray,
+    word: PhaseWord,
+    insertion_loss: float,
+    band: np.ndarray,
+    band_coefficients: np.ndarray,
+) -> np.ndarray:
+    """The amplified passband period through the phase shifters and the channel.
+
+    Equals forming the N real element branches, each the period rotated by
+    theta_i on its analytic envelope, and summing each through the channel
+    on the band. The model is linear after the amplifier: inside
+    the band, branch i holds s e^{-j theta_i} X[k], with X the rfft of the
+    period and s = (insertion_loss N)^-1/2, so the received bins are X[band]
+    times the per-bin beam gain g = s e^{-j theta}^T H_band and no branch is
+    formed. The band must lie strictly between DC and Nyquist: a real branch
+    has no quadrature at either, and a bin index below DC would wrap.
+    """
+    if np.iscomplexobj(hpa) or hpa.ndim != 1:
+        raise DomainError("the phase shifters act on one real passband signal")
+    if insertion_loss < 1:
+        raise DomainError("insertion loss is a linear power ratio >= 1")
+    if band_coefficients.shape[0] != word.count:
+        raise DomainError(
+            f"expected {band_coefficients.shape[0]} phase levels, got {word.count}"
+        )
+    n = hpa.size
+    if band.size and (band[0] <= 0 or 2 * band[-1] >= n):
+        raise DomainError("the receive band must lie strictly between DC and Nyquist")
+    scale = 1.0 / np.sqrt(insertion_loss * word.count)
+    gain = (scale * np.exp(-1j * word.angles())) @ band_coefficients
+    spectrum = np.zeros(n // 2 + 1, dtype=complex)
+    spectrum[band] = np.fft.rfft(hpa)[band] * gain
+    return np.fft.irfft(spectrum, n=n)
 
 
 def apply_phase_shifters(x: np.ndarray, word: PhaseWord, insertion_loss: float) -> np.ndarray:
@@ -60,3 +147,65 @@ def received_signal(
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
     spectrum[band] = np.sum(band_coefficients * bins, axis=0)
     return np.fft.irfft(spectrum, n=n)
+
+
+def rhs_log_mean(received: np.ndarray, params: RectennaParams) -> float:
+    """Log of the one-period mean of exp(sqrt(R_s) r(t) / (eta V_0)).
+
+    Evaluated with log-sum-exp so hot diode drives stay finite.
+    """
+    if np.iscomplexobj(received):
+        raise DomainError("rectenna input must be a real signal")
+    scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
+    exponents = scale * np.asarray(received, dtype=float)
+    shift = exponents.max(axis=-1)
+    return float(shift + np.log(np.mean(np.exp(exponents - shift[..., None]), axis=-1)))
+
+
+def hpa_power(
+    amplifier_in: np.ndarray,
+    amplifier_out: np.ndarray,
+    input_resistance: float,
+    output_resistance: float,
+) -> float:
+    """Difference of the period-mean output and input powers of the amplifier.
+
+    A dissipation proxy, not a drain-efficiency model; it can come out
+    negative for deeply saturated drives with equal port resistances.
+    """
+    if input_resistance <= 0 or output_resistance <= 0:
+        raise DomainError("port resistances must be positive")
+    if amplifier_in.size != amplifier_out.size:
+        raise DomainError("amplifier input and output must share length")
+    p_in = np.mean(np.abs(amplifier_in) ** 2, axis=-1) / input_resistance
+    p_out = np.mean(np.abs(amplifier_out) ** 2, axis=-1) / output_resistance
+    return float(p_out - p_in)
+
+
+@dataclass(frozen=True)
+class PassbandOutcome:
+    """The passband chain's periods and its harvest and amplifier power."""
+
+    mixer: np.ndarray
+    hpa: np.ndarray
+    received: np.ndarray
+    p_out_dc: float
+    p_hpa: float
+
+
+def passband_outcome(tones: ToneSet, word: PhaseWord, system: SystemModel) -> PassbandOutcome:
+    """The chain on the real passband period at the system's sim_sample_rate."""
+    chain = system.chain
+    digital = synthesize_multitone(tones, system.n_dac)
+    lpf = lowpass_filter(quantize_dac(digital, chain.dac_bits, chain.dac_range), system.tone_count)
+    mixer = upconvert(lpf, system.tone_count, system.carrier_bin, system.n_sim)
+    hpa = rapp_amplifier(mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness)
+    received = beamformed_received(
+        hpa, word, chain.ps_insertion_loss, system.band, system.band_coefficients
+    )
+    v_out = dc_output_voltage(rhs_log_mean(received, system.rectenna), system.rectenna)
+    power = system.power
+    p_hpa = hpa_power(mixer, hpa, power.hpa_input_resistance, power.hpa_output_resistance)
+    return PassbandOutcome(
+        mixer, hpa, received, v_out * v_out / system.rectenna.load_resistance, p_hpa
+    )

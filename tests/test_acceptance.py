@@ -12,13 +12,13 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup, toy_setup
-from reference import received_signal
+import reference
+from reference import lambert_w0, received_signal
 from wptsim import (
     PhaseWord,
     RectennaParams,
     ReceiverPosition,
     ToneSet,
-    beamformed_received,
     brute_force_grid,
     build_channel_matrix,
     dac_power,
@@ -26,7 +26,6 @@ from wptsim import (
     element_positions,
     evaluate_candidate,
     evaluate_solution,
-    lambert_w0,
     lambert_w0_log,
     particle_bounds,
     pso_run,
@@ -37,7 +36,7 @@ from wptsim import (
     run_chain,
     solve_rectifier_equation,
 )
-from wptsim.channel import receive_band
+from wptsim.channel import beamformed_received, receive_band
 
 SPACING = 1.25e6
 
@@ -92,7 +91,10 @@ def test_criterion_03_bessel_cross_check():
         signal = amplitude * np.cos(phase)
         z = np.sqrt(50.0) * amplitude / (1.05 * 25.86e-3)
         expected = z + np.log(scipy.special.ive(0, z))
-        assert_allclose(rhs_log_mean(signal, TABLE_RECTENNA), expected, rtol=1e-6)
+        assert_allclose(reference.rhs_log_mean(signal, TABLE_RECTENNA), expected, rtol=1e-6)
+        # the library takes the carrier-cycle mean as I0 of the envelope
+        envelope = np.full(16, amplitude * np.exp(1j * amplitude))
+        assert_allclose(rhs_log_mean(envelope, TABLE_RECTENNA), expected, rtol=1e-13)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report(3, f"sinusoid mean-exponential matches Bessel I0 for 20 amplitudes in {elapsed:.2f} s")
@@ -154,7 +156,18 @@ def test_criterion_07_chain_spectra():
     assert lpf_total > 0
     assert lpf_outside <= 1e-20 * lpf_total
 
+    # the received envelope holds only the band offsets -K..K around the carrier
     received = stages.received
+    spectrum = np.fft.fft(received)
+    offsets = np.fft.fftfreq(received.size, d=1.0 / received.size)
+    outside = np.abs(offsets) > setup.system.tone_count
+    total = np.sum(np.abs(spectrum) ** 2)
+    outside_energy = np.sum(np.abs(spectrum[outside]) ** 2)
+    assert total > 0
+    assert outside_energy < 1e-20 * total
+
+    # and so does the passband reference's received period, around the carrier
+    received = reference.passband_outcome(setup.tones, setup.phase_word, setup.system).received
     spectrum = np.fft.rfft(received)
     freqs = np.fft.rfftfreq(received.size, d=1.0 / chain.sim_sample_rate)
     carrier = chain.carrier
@@ -190,9 +203,15 @@ def test_criterion_08_channel_values():
     out_b = received_signal(b, band, coefficients)
     assert_allclose(out_mixed, 3.0 * out_a + 0.25 * out_b, atol=1e-10)
     word = PhaseWord([1, 6], 3)
-    beam = [beamformed_received(x, word, 1.5, band, coefficients) for x in (a[0], b[0])]
-    out_mixed = beamformed_received(3.0 * a[0] + 0.25 * b[0], word, 1.5, band, coefficients)
+    beam = [reference.beamformed_received(x, word, 1.5, band, coefficients) for x in (a[0], b[0])]
+    mixed = 3.0 * a[0] + 0.25 * b[0]
+    out_mixed = reference.beamformed_received(mixed, word, 1.5, band, coefficients)
     assert_allclose(out_mixed, 3.0 * beam[0] + 0.25 * beam[1], atol=1e-10)
+    # the library's fold on complex envelopes, with complex weights
+    a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
+    beam = [beamformed_received(x, word, 1.5, coefficients) for x in (a, b)]
+    out_mixed = beamformed_received((3.0 - 1.0j) * a + 0.25j * b, word, 1.5, coefficients)
+    assert_allclose(out_mixed, (3.0 - 1.0j) * beam[0] + 0.25j * beam[1], atol=1e-10)
     _report(8, "boresight gain 3.761e-3, profile peak 2(b+1), combiner linear to 1e-10")
 
 

@@ -9,13 +9,13 @@ from wptsim import (
     DomainError,
     PhaseWord,
     ReceiverPosition,
-    beamformed_received,
     build_channel_matrix,
     element_positions,
     radiation_profile,
 )
+import reference
 from reference import apply_phase_shifters, received_signal
-from wptsim.channel import receive_band
+from wptsim.channel import beamformed_received, receive_band
 
 SPACING = 1.25e6
 CARRIER_RF = 5.18e9
@@ -290,7 +290,7 @@ class TestBeamformedReceived:
         word = PhaseWord(rng.integers(0, 2**bits, geom.count), bits)
         loss = float(rng.uniform(1.0, 4.0))
         band, coefficients = receive_band(channel, carrier_bins, tones, SPACING)
-        fold = beamformed_received(period, word, loss, band, coefficients)
+        fold = reference.beamformed_received(period, word, loss, band, coefficients)
         branches = apply_phase_shifters(period, word, loss)
         explicit = received_signal(branches, band, coefficients)
         # the scale is the peak of the summed magnitudes of the N element
@@ -299,6 +299,18 @@ class TestBeamformedReceived:
         parts[:, band] = coefficients * np.fft.rfft(branches, axis=1)[:, band]
         peak = np.max(np.sum(np.abs(np.fft.irfft(parts, n=n, axis=1)), axis=0))
         assert_allclose(fold, explicit, rtol=0, atol=1e-12 * peak)
+        # the library's fold on a random complex envelope, against its N
+        # branches s e^{-j theta_i} y, each through its channel row on the band
+        m = 2 * tones + 1 + int(rng.integers(0, 40))
+        envelope = rng.normal(size=m) + 1j * rng.normal(size=m)
+        fold = beamformed_received(envelope, word, loss, coefficients)
+        bins = np.arange(-tones, tones + 1) % m
+        branches = np.exp(-1j * word.angles())[:, None] * envelope / np.sqrt(loss * geom.count)
+        parts = np.zeros((geom.count, m), dtype=complex)
+        parts[:, bins] = coefficients * np.fft.fft(branches, axis=1)[:, bins]
+        contributions = np.fft.ifft(parts, axis=1)
+        peak = np.max(np.sum(np.abs(contributions), axis=0))
+        assert_allclose(fold, contributions.sum(axis=0), rtol=0, atol=1e-12 * peak)
 
     def test_band_at_nyquist_or_dc_rejected(self):
         channel = build_channel_matrix(
@@ -309,12 +321,16 @@ class TestBeamformedReceived:
         sig = passband_tone(64, 144)
         band, coefficients = receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         with pytest.raises(DomainError):
-            beamformed_received(sig, word, 1.0, band, coefficients)
+            reference.beamformed_received(sig, word, 1.0, band, coefficients)
         sig = passband_tone(4, self.N_SAMP)
         # a 4-bin carrier: the band reaches below DC
         band, coefficients = receive_band(channel, 4, 8, SPACING)
         with pytest.raises(DomainError):
-            beamformed_received(sig, word, 1.0, band, coefficients)
+            reference.beamformed_received(sig, word, 1.0, band, coefficients)
+        # an envelope period must hold all 2K + 1 band bins
+        with pytest.raises(DomainError):
+            beamformed_received(np.ones(16, dtype=complex), word, 1.0, coefficients)
+        assert beamformed_received(np.ones(17, dtype=complex), word, 1.0, coefficients).size == 17
 
     def test_inputs_checked(self):
         channel = build_channel_matrix(
@@ -323,11 +339,25 @@ class TestBeamformedReceived:
         band, coefficients = receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         sig = passband_tone(64, self.N_SAMP)
         with pytest.raises(DomainError):
-            beamformed_received(sig, PhaseWord([0, 0, 0], 2), 1.0, band, coefficients)
+            reference.beamformed_received(
+                sig, PhaseWord([0, 0, 0], 2), 1.0, band, coefficients
+            )
         with pytest.raises(DomainError):
-            beamformed_received(sig, PhaseWord([0, 0], 2), 0.5, band, coefficients)
+            reference.beamformed_received(sig, PhaseWord([0, 0], 2), 0.5, band, coefficients)
         with pytest.raises(DomainError):
-            beamformed_received(stack(sig, sig), PhaseWord([0, 0], 2), 1.0, band, coefficients)
+            reference.beamformed_received(
+                stack(sig, sig), PhaseWord([0, 0], 2), 1.0, band, coefficients
+            )
         baseband = np.zeros(self.N_SAMP, dtype=complex)
         with pytest.raises(DomainError):
-            beamformed_received(baseband, PhaseWord([0, 0], 2), 1.0, band, coefficients)
+            reference.beamformed_received(baseband, PhaseWord([0, 0], 2), 1.0, band, coefficients)
+        # the library's fold takes one complex envelope
+        envelope = np.ones(self.N_SAMP, dtype=complex)
+        with pytest.raises(DomainError):
+            beamformed_received(envelope, PhaseWord([0, 0, 0], 2), 1.0, coefficients)
+        with pytest.raises(DomainError):
+            beamformed_received(envelope, PhaseWord([0, 0], 2), 0.5, coefficients)
+        with pytest.raises(DomainError):
+            beamformed_received(stack(envelope, envelope), PhaseWord([0, 0], 2), 1.0, coefficients)
+        with pytest.raises(DomainError):
+            beamformed_received(sig, PhaseWord([0, 0], 2), 1.0, coefficients)

@@ -135,7 +135,8 @@ class TestConfig:
 
     def test_default_waveform_fills_in(self):
         setup = build_setup(load_config(profile="desk"))
-        assert np.all(setup.tones.amplitudes == 1.0)
+        # 0.95 of the 1 V DAC range, off the 3-bit DAC's rounding boundary
+        assert np.all(setup.tones.amplitudes == 0.95)
         assert np.all(setup.tones.phases == 0.0)
         assert np.all(setup.phase_word.levels == 0)
 
@@ -421,6 +422,12 @@ class TestMainEntryPoint:
                 [],
                 "waveform.tone_count",
             ),
+            (
+                "waveform:\n  tone_count: 30000\nchain:\n  dac_sample_rate: 7.5e+10\n"
+                "  carrier: 1.0e+11\nchannel:\n  rf_carrier: 1.0e+12\n",
+                [],
+                "waveform.tone_count",
+            ),
             ("waveform:\n  tone_count: 0\n", [], "waveform.tone_count"),
             ("channel:\n  rf_carrier: 5.0e+6\n", [], "channel.rf_carrier"),
             ("receiver:\n  position: [0.0, 0.0, 0.0]\n", [], "receiver.position"),
@@ -435,7 +442,8 @@ class TestMainEntryPoint:
             "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
             "penalty-below-dac-power", "nyquist-boundary", "dac-rate-above-sim-rate",
             "dac-rate-not-multiple", "nyquist-off-multiple", "spacing-1e-200-samples-bound",
-            "spacing-1e-3-samples-bound", "tone-count-synthesis-bound", "tone-count-zero",
+            "spacing-1e-3-samples-bound", "tone-count-synthesis-bound",
+            "tone-count-envelope-bound", "tone-count-zero",
             "rf-carrier-below-bandwidth", "receiver-on-element", "array-channel-bound",
             "array-3000-squared", "array-100000-squared",
         ],

@@ -1,0 +1,198 @@
+"""The envelope chain: the amplifier's first zone, its error budget, and the
+passband reference it replaces."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from conftest import desk_setup
+from reference import passband_outcome
+from wptsim import PhaseWord, ToneSet, evaluate_solution, rapp_amplifier
+from wptsim.channel import beamformed_received
+from wptsim.cli import EXIT_OK, main
+from wptsim.config import build_setup, load_config
+from wptsim.power_model import hpa_power
+from wptsim.rectenna import harvest_from_signal
+from wptsim.signal_chain import (
+    ZONE_POINTS,
+    ZONE_TABLE_NODES,
+    amplify_envelope,
+    complex_envelope,
+    first_zone,
+    quantize_dac,
+    synthesize_multitone,
+)
+
+SPACING = 1.25e6
+GAIN, SATURATION, SMOOTHNESS = 10.0, 10.0, 4.0
+
+
+def candidates(rng, system, bounds, per_bound=6):
+    """The system's default waveform is added by the callers; these are random."""
+    bits = system.chain.ps_bits
+    for bound in bounds:
+        for _ in range(per_bound):
+            tones = ToneSet(
+                rng.uniform(0.0, bound, system.tone_count),
+                rng.uniform(0.0, 2.0 * np.pi, system.tone_count),
+                SPACING,
+            )
+            yield tones, PhaseWord(rng.integers(0, 2**bits, system.element_count), bits)
+
+
+def harvest_and_hpa(tones, word, system, samples, points, nodes):
+    """p_out_dc and p_hpa of the envelope chain at M = samples, P = points and a
+    table of `nodes` nodes."""
+    chain, power = system.chain, system.power
+    dac = quantize_dac(
+        synthesize_multitone(tones, system.n_dac), chain.dac_bits, chain.dac_range
+    )
+    mixer = complex_envelope(dac, system.tone_count, samples)
+    hpa, p_in, p_out = amplify_envelope(
+        mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness, points, nodes
+    )
+    received = beamformed_received(hpa, word, chain.ps_insertion_loss, system.band_coefficients)
+    return (
+        harvest_from_signal(received, system.rectenna).p_out_dc,
+        hpa_power(p_in, p_out, power.hpa_input_resistance, power.hpa_output_resistance),
+    )
+
+
+def test_matches_the_passband_reference_at_sixteen_times_the_paper_rate():
+    # the passband chain aliases the amplifier's harmonics into the band by
+    # an amount that depends on the rate (+1.1% p_out_dc at the default
+    # 2.5x); at 16x it is the high-rate value the envelope chain must give
+    default = build_setup(load_config(profile="paper"))
+    fine = build_setup(load_config(profile="paper", overrides={
+        "chain": {"sim_sample_rate": 16 * default.system.chain.sim_sample_rate}
+    }))
+    assert fine.system.n_sim == 16 * default.system.n_sim == 16 * 10380
+    pairs = [(default.tones, default.phase_word)]
+    pairs += candidates(np.random.default_rng(16), default.system, (3.0, 30.0, 300.0))
+    for tones, word in pairs:
+        outcome = evaluate_solution(tones, word, default.system)
+        reference = passband_outcome(tones, word, fine.system)
+        assert_allclose(outcome.harvest.p_out_dc, reference.p_out_dc, rtol=1e-4)
+        assert_allclose(outcome.power.p_hpa, reference.p_hpa, rtol=1e-4)
+
+
+@pytest.mark.parametrize("tone_count", [1, 8])
+def test_doubling_the_envelope_the_zone_rule_or_the_table_moves_nothing(tone_count):
+    setup = desk_setup(waveform={"tone_count": tone_count})
+    system = setup.system
+    samples = system.n_env
+    pairs = [(setup.tones, setup.phase_word)]
+    pairs += candidates(np.random.default_rng(tone_count), system, (3.0, 30.0, 300.0, 1000.0))
+    for tones, word in pairs:
+        base = harvest_and_hpa(tones, word, system, samples, ZONE_POINTS, ZONE_TABLE_NODES)
+        # the helper is the chain
+        outcome = evaluate_solution(tones, word, system)
+        assert base == (outcome.harvest.p_out_dc, outcome.power.p_hpa)
+        for doubled in (
+            (2 * samples, ZONE_POINTS, ZONE_TABLE_NODES),
+            (samples, 2 * ZONE_POINTS, ZONE_TABLE_NODES),
+            (samples, ZONE_POINTS, 2 * ZONE_TABLE_NODES - 1),
+        ):
+            moved = harvest_and_hpa(tones, word, system, *doubled)
+            assert_allclose(moved, base, rtol=1e-9, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drive=st.floats(1e-6, 300.0), smoothness=st.sampled_from([1.0, 2.5, 4.0, 8.0]))
+def test_zone_is_the_first_harmonic_and_the_mean_square(drive, smoothness):
+    # c1(A) and h(A) against the rfft of the amplifier output over one cycle
+    n = 4096
+    amplitude = drive * SATURATION / GAIN
+    output = rapp_amplifier(
+        amplitude * np.cos(2.0 * np.pi * np.arange(n) / n), GAIN, SATURATION, smoothness
+    )
+    ratio, power = first_zone(np.array([amplitude]), GAIN, SATURATION, smoothness, points=n)
+    assert_allclose(ratio[0] * amplitude, 2.0 * np.fft.rfft(output)[1].real / n, rtol=1e-9)
+    assert_allclose(power[0], np.mean(output**2), rtol=1e-9)
+
+
+def zone_reference(amplitude, smoothness):
+    """c1(A)/A and h(A) by the rule at four times the chain's points per carrier
+    cycle and octave of drive, one amplitude at a time."""
+    ratio, power = np.empty_like(amplitude), np.empty_like(amplitude)
+    for i, value in enumerate(amplitude):
+        octaves = max(0, int(np.ceil(np.log2(max(GAIN * value / SATURATION, 1.0)))))
+        points = 4 * ZONE_POINTS * 2**octaves
+        pair = first_zone(np.array([value]), GAIN, SATURATION, smoothness, points)
+        ratio[i], power[i] = pair[0][0], pair[1][0]
+    return ratio, power
+
+
+def test_zone_small_signal_limit_and_deep_saturation():
+    ratio, power = first_zone(
+        np.array([0.0, 1e-300, 1e-8]), GAIN, SATURATION, SMOOTHNESS, ZONE_POINTS
+    )
+    # no 0/0 at a zero sample: the small-signal gain G, and no output power
+    assert_allclose(ratio, GAIN, rtol=1e-15)
+    assert power[0] == 0.0
+    assert_allclose(power[2], (GAIN * 1e-8) ** 2 / 2, rtol=1e-12)
+    # deep in saturation the output tends to a square wave: c1 -> (4/pi) A_s
+    # and h -> A_s^2, at drive 1e5 to within the knee's 1/D share
+    envelope = np.array([1e5 * SATURATION / GAIN + 0j])
+    output, _, p_out = amplify_envelope(envelope, GAIN, SATURATION, SMOOTHNESS)
+    assert_allclose(abs(output[0]), 4.0 / np.pi * SATURATION, rtol=1e-5)
+    assert_allclose(p_out, SATURATION**2, rtol=1e-5)
+
+
+@pytest.mark.parametrize("smoothness", [1.0, 2.5, 4.0])
+def test_table_reads_the_zone_rule(smoothness):
+    # the chain reads c1 and h from the cubic table; against the rule itself,
+    # over the drives the DAC lets through and far past them, up to 1000
+    rng = np.random.default_rng(3)
+    amplitude = np.concatenate([
+        [0.0], rng.uniform(0.0, 2.0, 200), rng.uniform(2.0, 60.0, 100), 10 ** rng.uniform(1, 3, 40)
+    ])
+    envelope = amplitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, amplitude.size))
+    output, p_in, p_out = amplify_envelope(envelope, GAIN, SATURATION, smoothness)
+    ratio, power = zone_reference(amplitude, smoothness)
+    # within the chain's 1e-9 budget (measured 1.8e-10 at worst, at smoothness 1)
+    assert_allclose(output, ratio * envelope, rtol=1e-9, atol=0)
+    assert_allclose(p_out, np.mean(power), rtol=1e-9)
+    assert_allclose(p_in, np.mean(amplitude**2) / 2, rtol=1e-14)
+
+
+def test_zero_and_deep_drive_evaluate():
+    zero = desk_setup(waveform={"amplitudes": [0.0] * 8})
+    outcome = evaluate_solution(zero.tones, zero.phase_word, zero.system)
+    assert outcome.harvest.p_out_dc == 0.0
+    assert outcome.power.p_hpa == 0.0
+    for overrides in ({"waveform": {"amplitudes": [1000.0] * 8}}, {"chain": {"hpa_gain": 1e12}}):
+        deep = desk_setup(**overrides)
+        outcome = evaluate_solution(deep.tones, deep.phase_word, deep.system)
+        assert outcome.harvest.p_out_dc > 0 and np.isfinite(outcome.power.p_hpa)
+        # the first zone's output stays below (4/pi) A_s, its square-wave limit
+        rail = 4.0 / np.pi * deep.system.chain.hpa_saturation
+        assert np.max(np.abs(outcome.stages.hpa)) <= rail * (1.0 + 1e-12)
+
+
+def test_results_do_not_depend_on_the_passband_plan():
+    # the chain never reads the carrier bin or the simulation rate
+    base = desk_setup()
+    expected = evaluate_solution(base.tones, base.phase_word, base.system)
+    for chain in ({"sim_sample_rate": 4 * 180 * SPACING}, {"carrier": 100 * SPACING}):
+        other = desk_setup(chain=chain)
+        outcome = evaluate_solution(other.tones, other.phase_word, other.system)
+        assert outcome.harvest == expected.harvest
+        assert outcome.power == expected.power
+    paper = build_setup(load_config(profile="paper"))
+    outcome = evaluate_solution(paper.tones, paper.phase_word, paper.system)
+    assert outcome.harvest == expected.harvest
+    assert outcome.power == expected.power
+
+
+@pytest.mark.parametrize(
+    "text", ["waveform:\n  amplitudes: [0, 0, 0, 0, 0, 0, 0, 0]\n", "chain:\n  hpa_gain: 1.0e+12\n"]
+)
+def test_zero_and_deep_drive_simulate_exits_zero(tmp_path, capsys, text):
+    path = tmp_path / "drive.yaml"
+    path.write_text(text)
+    assert main(["simulate", "--profile", "paper", "--config", str(path),
+                 "--out", str(tmp_path / "report.yaml")]) == EXIT_OK
+    assert capsys.readouterr().err == ""

@@ -12,6 +12,7 @@ from wptsim import (
     signal_power,
     total_power,
 )
+import reference
 
 SPACING = 1.25e6
 
@@ -34,13 +35,16 @@ class TestDacPower:
 
 
 class TestHpaPower:
+    # the passband reference takes sample means; the library takes the means
     def test_identical_signals_cancel(self):
         sig = np.linspace(-1, 1, 80)
-        assert hpa_power(sig, sig, 1.0, 1.0) == 0.0
+        assert reference.hpa_power(sig, sig, 1.0, 1.0) == 0.0
+        assert hpa_power(0.3, 0.3, 1.0, 1.0) == 0.0
 
     def test_zero_input(self):
         sig = np.zeros(80)
-        assert hpa_power(sig, sig, 1.0, 1.0) == 0.0
+        assert reference.hpa_power(sig, sig, 1.0, 1.0) == 0.0
+        assert hpa_power(0.0, 0.0, 1.0, 1.0) == 0.0
 
     def test_small_signal_gain_squared(self):
         # linear regime: output power is G^2 x input power, so the difference
@@ -49,19 +53,25 @@ class TestHpaPower:
         x = peak * np.cos(2.0 * np.pi * np.arange(80) * 8 / 80)
         y = rapp_amplifier(x, 10.0, 10.0, 4.0)
         p_in = np.mean(x**2)
-        assert_allclose(hpa_power(x, y, 1.0, 1.0), 99.0 * p_in, rtol=1e-3)
+        assert_allclose(reference.hpa_power(x, y, 1.0, 1.0), 99.0 * p_in, rtol=1e-3)
+        assert_allclose(hpa_power(p_in, np.mean(y**2), 1.0, 1.0), 99.0 * p_in, rtol=1e-3)
+        # each port's own resistance
+        assert hpa_power(2.0, 8.0, 4.0, 2.0) == 3.5
 
     def test_nonnegative_for_random_drives(self, rng):
         for _ in range(20):
             x = rng.uniform(-2.0, 2.0, 80)
             y = rapp_amplifier(x, 10.0, 10.0, 4.0)
-            assert hpa_power(x, y, 1.0, 1.0) >= 0.0
+            assert reference.hpa_power(x, y, 1.0, 1.0) >= 0.0
+            assert hpa_power(np.mean(x**2), np.mean(y**2), 1.0, 1.0) >= 0.0
 
     def test_mismatched_signals_rejected(self):
         a = np.zeros(80)
         b = np.zeros(160)
         with pytest.raises(DomainError):
-            hpa_power(a, b, 1.0, 1.0)
+            reference.hpa_power(a, b, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            hpa_power(1.0, 1.0, 0.0, 1.0)
 
 
 class TestSignalPower:
@@ -79,8 +89,7 @@ class TestSignalPower:
 class TestTotalPower:
     def test_zero_waveform_floor(self, power_params):
         tones = ToneSet(np.zeros(8), np.zeros(8), SPACING)
-        zero = np.zeros(80)
-        breakdown = total_power(tones, zero, zero, 3, 100e6, power_params)
+        breakdown = total_power(tones, 0.0, 0.0, 3, 100e6, power_params)
         assert_allclose(breakdown.p_total, 29.455e-3, rtol=1e-12)
         assert breakdown.p_hpa == 0.0
         assert breakdown.p_s == 0.0
@@ -90,7 +99,7 @@ class TestTotalPower:
         tones = ToneSet(rng.random(8), np.zeros(8), SPACING)
         x = rng.uniform(-1, 1, 80)
         y = rapp_amplifier(x, 10.0, 10.0, 4.0)
-        b = total_power(tones, x, y, 3, 100e6, power_params)
+        b = total_power(tones, np.mean(x**2), np.mean(y**2), 3, 100e6, power_params)
         assert b.p_total == b.p_dac + b.p_mix + b.p_lo + b.p_hpa + b.p_s
 
     def test_negative_hpa_flagged(self):

@@ -9,11 +9,12 @@ from wptsim import (
     dc_output_voltage,
     harvest_from_signal,
     harvested_power,
-    lambert_w0,
     lambert_w0_log,
     rhs_log_mean,
     solve_rectifier_equation,
 )
+import reference
+from reference import lambert_w0
 
 
 def sinusoid(amplitude, n=4096):
@@ -55,34 +56,52 @@ class TestLambertW:
             lambert_w0(-0.1)
 
 
+def bessel_log_mean(amplitude):
+    """log I0(z) at the rectenna's exponent z = sqrt(R_s) A / (eta V_0)."""
+    z = np.sqrt(50.0) * amplitude / (1.05 * 25.86e-3)
+    return z + np.log(scipy.special.ive(0, z))
+
+
 class TestRhsLogMean:
     def test_zero_signal(self, rectenna_params):
-        assert rhs_log_mean(np.zeros(64), rectenna_params) == 0.0
+        assert rhs_log_mean(np.zeros(64, dtype=complex), rectenna_params) == 0.0
+        assert reference.rhs_log_mean(np.zeros(64), rectenna_params) == 0.0
 
     def test_constant_signal(self, rectenna_params):
         c = 0.05
-        sig = np.full(64, c)
+        # a constant passband voltage gives the plain exponent; a constant
+        # envelope is a carrier of amplitude c, whose cycle mean is I0
         expected = np.sqrt(50.0) * c / (1.05 * 25.86e-3)
-        assert_allclose(rhs_log_mean(sig, rectenna_params), expected, rtol=1e-12)
+        passband = reference.rhs_log_mean(np.full(64, c), rectenna_params)
+        assert_allclose(passband, expected, rtol=1e-12)
+        envelope = np.full(64, c * np.exp(0.3j))
+        assert_allclose(rhs_log_mean(envelope, rectenna_params), bessel_log_mean(c), rtol=1e-14)
 
     def test_sinusoid_matches_bessel(self, rectenna_params):
-        # periodic mean of exp(z cos) is the order-zero modified Bessel function
+        # periodic mean of exp(z cos) is the order-zero modified Bessel function:
+        # the passband reference's sample mean, and the library's envelope form
         for amplitude in np.linspace(1e-3, 1.0, 8):
-            z = np.sqrt(50.0) * amplitude / (1.05 * 25.86e-3)
-            expected = z + np.log(scipy.special.ive(0, z))
-            got = rhs_log_mean(sinusoid(amplitude), rectenna_params)
+            expected = bessel_log_mean(amplitude)
+            got = reference.rhs_log_mean(sinusoid(amplitude), rectenna_params)
             assert_allclose(got, expected, rtol=1e-6)
+            envelope = np.full(16, amplitude + 0j)
+            assert_allclose(rhs_log_mean(envelope, rectenna_params), expected, rtol=1e-13)
 
     def test_overflow_safe_at_hot_drive(self, rectenna_params):
         # sqrt(Rs) * |r| = 100 V puts the exponent near 3.9e3
         amplitude = 100.0 / np.sqrt(50.0)
-        value = rhs_log_mean(sinusoid(amplitude), rectenna_params)
+        value = reference.rhs_log_mean(sinusoid(amplitude), rectenna_params)
+        assert np.isfinite(value)
+        assert value > 3.5e3
+        envelope = amplitude * np.exp(2j * np.pi * np.arange(64) / 64) * np.linspace(0, 1, 64)
+        value = rhs_log_mean(envelope, rectenna_params)
         assert np.isfinite(value)
         assert value > 3.5e3
 
     def test_complex_input_rejected(self, rectenna_params):
+        # the passband reference takes real samples only
         with pytest.raises(DomainError):
-            rhs_log_mean(np.zeros(8, dtype=complex), rectenna_params)
+            reference.rhs_log_mean(np.zeros(8, dtype=complex), rectenna_params)
 
 
 class TestDcOutputVoltage:

@@ -9,36 +9,36 @@ import pytest
 
 from wptsim.cli import cmd_optimize, cmd_simulate, emit_structured
 from wptsim.config import build_setup, config_set, load_config
+from wptsim.signal_chain import synthesize_multitone
 
-# The default waveform puts its samples t = 5, 15, ..., 75 exactly on the
-# 3-bit DAC's half step, so these blocks also pin which of them the
-# synthesis rounds up (README, "Default waveform").
-SIMULATE_BLOCKS = {
-    "desk": """harvest:
-  v_out_dc: 0.940849371
-  p_out_dc: 0.000553248462
-  rhs_log: 39.425732
+# The default waveform drives every tone at 0.95 of the DAC range, so that no
+# DAC input sample sits on a rounding boundary (test below), and the envelope
+# chain reads no passband rate, so desk and paper report the same numbers.
+BLOCK = """harvest:
+  v_out_dc: 0.89795155
+  p_out_dc: 0.000503948117
+  rhs_log: 37.7996121
 power:
   p_dac: 0.001455
   p_mix: 0.023
   p_lo: 0.005
-  p_hpa: 6.22899387
-  p_s: 1
-  p_total: 7.25844887
-  hpa_negative: false""",
-    "paper": """harvest:
-  v_out_dc: 0.925620734
-  p_out_dc: 0.000535483589
-  rhs_log: 38.8487067
-power:
-  p_dac: 0.001455
-  p_mix: 0.023
-  p_lo: 0.005
-  p_hpa: 6.23282382
-  p_s: 1
-  p_total: 7.26227882
-  hpa_negative: false""",
-}
+  p_hpa: 5.28080123
+  p_s: 0.9025
+  p_total: 6.21275623
+  hpa_negative: false"""
+SIMULATE_BLOCKS = {"desk": BLOCK, "paper": BLOCK}
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_default_waveform_keeps_off_the_dac_rounding_boundary(bits):
+    setup = build_setup(load_config(profile="desk", overrides={"chain": {"dac_bits": bits}}))
+    chain = setup.system.chain
+    digital = synthesize_multitone(setup.tones, setup.system.n_dac)
+    step = 2.0 * chain.dac_range / 2**bits
+    codes = np.abs(np.concatenate([digital.real, digital.imag])) / step
+    unclipped = codes < 2 ** (bits - 1)
+    margin = np.abs(codes - np.floor(codes) - 0.5)[unclipped]
+    assert margin.min() > 1e-3
 
 
 @pytest.mark.parametrize("profile", ["desk", "paper"])
@@ -59,8 +59,8 @@ def test_desk_optimize_seed_seven():
         "last_trace": np.asarray(report["fitness_trace"])[-1],
     }
     assert emit_structured(pinned) == (
-        "best_fitness: 2.26060351\n"
-        "p_out_dc: 2.08695273e-05\n"
+        "best_fitness: 1.74666109\n"
+        "p_out_dc: 2.11350187e-05\n"
         "evaluations: 6030\n"
-        "last_trace: 2.26060351"
+        "last_trace: 1.74666109"
     )

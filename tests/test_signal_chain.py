@@ -24,9 +24,8 @@ from wptsim import (
     rapp_amplifier,
     run_chain,
     synthesize_multitone,
-    upconvert,
 )
-from reference import apply_phase_shifters
+from reference import apply_phase_shifters, upconvert
 from wptsim.signal_chain import default_sim_rate
 
 SPACING = 1.25e6
@@ -139,17 +138,27 @@ def test_chain_matches_direct_sums_on_every_grid(tones, dac_extra, carrier_extra
     stages = run_chain(ToneSet(amplitudes, phases, SPACING), setup.phase_word, setup.system)
     expected = multitone_oracle(amplitudes, phases, SPACING, n_dac * SPACING)
     assert_allclose(stages.digital, expected, rtol=1e-10, atol=1e-12)
-    # Re{(1/n_dac) sum_k L[k] e^{j 2 pi (m + k) t / n_sim}} over the LPF's DFT
-    # bins k, the Nyquist bin of an even period split between +-n_dac/2
-    t = np.arange(n_sim)
-    direct = np.zeros(n_sim, dtype=complex)
+    # the LPF's DFT bins k, the Nyquist bin of an even period split between
+    # +-n_dac/2, summed at M envelope samples and, through the passband
+    # reference, at n_sim passband samples with the carrier at bin m:
+    # (1/n_dac) sum_k L[k] e^{j 2 pi k t / M} and
+    # Re{(1/n_dac) sum_k L[k] e^{j 2 pi (m + k) t / n_sim}}
+    n_env = setup.system.n_env
+    envelope = np.zeros(n_env, dtype=complex)
+    passband = np.zeros(n_sim, dtype=complex)
     for j, value in enumerate(np.fft.fft(stages.lpf)):
         k = j if 2 * j < n_dac else j - n_dac
         terms = [(k, 0.5), (-k, 0.5)] if 2 * j == n_dac else [(k, 1.0)]
         for offset, weight in terms:
-            direct += weight * value * np.exp(2j * np.pi * (((m + offset) * t) % n_sim) / n_sim)
-    direct = direct.real / n_dac
-    assert_allclose(stages.mixer, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)))
+            t = np.arange(n_env)
+            envelope += weight * value * np.exp(2j * np.pi * ((offset * t) % n_env) / n_env)
+            t = np.arange(n_sim)
+            passband += weight * value * np.exp(2j * np.pi * (((m + offset) * t) % n_sim) / n_sim)
+    envelope /= n_dac
+    passband = passband.real / n_dac
+    assert_allclose(stages.mixer, envelope, rtol=0, atol=1e-12 * np.max(np.abs(envelope)))
+    mixer = upconvert(stages.lpf, tones, m, n_sim)
+    assert_allclose(mixer, passband, rtol=0, atol=1e-12 * np.max(np.abs(passband)))
 
 
 class TestQuantizer:
@@ -363,8 +372,23 @@ class TestPhaseShifters:
 
 def test_import_leaves_scipy_signal_out():
     # scipy.signal costs most of the import time and wptsim needs none of it
+    assert not _loaded_after("import wptsim", "scipy.signal")
+
+
+def test_import_leaves_scipy_optimize_out():
+    # it costs a third of the import time and 20 MB; the root-solver oracle
+    # bisects without it
+    assert not _loaded_after("import wptsim", "scipy.optimize")
+    oracle = (
+        "from wptsim import RectennaParams, solve_rectifier_equation\n"
+        "solve_rectifier_equation(38.0, RectennaParams(50.0, 1600.0, 5e-6, 0.02586, 1.05))"
+    )
+    assert not _loaded_after(oracle, "scipy.optimize")
+
+
+def _loaded_after(code: str, module: str) -> bool:
     src = str(Path(wptsim.__file__).resolve().parents[1])
-    code = "import sys, wptsim; print('scipy.signal' in sys.modules)"
+    code = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -372,7 +396,7 @@ def test_import_leaves_scipy_signal_out():
         )},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
 
 
 def test_public_names_resolve_and_the_removed_ones_are_gone():
@@ -382,7 +406,7 @@ def test_public_names_resolve_and_the_removed_ones_are_gone():
         "from wptsim import *\n"
         "missing = [n for n in wptsim.__all__ if n not in globals()]\n"
         "removed = ['apply_phase_shifters', 'received_signal', 'channel_coefficient',"
-        " 'default_sim_rate']\n"
+        " 'default_sim_rate', 'upconvert', 'beamformed_received', 'lambert_w0']\n"
         "print(len(wptsim.__all__), missing, [n for n in removed if hasattr(wptsim, n)])"
     )
     proc = subprocess.run(
@@ -392,7 +416,7 @@ def test_public_names_resolve_and_the_removed_ones_are_gone():
         )},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "41 [] []"
+    assert proc.stdout.strip() == "38 [] []"
 
 
 def test_default_sim_rate_snaps_up():

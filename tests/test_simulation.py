@@ -3,47 +3,47 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup
-from reference import apply_phase_shifters, received_signal
+from reference import passband_outcome
 from wptsim import (
     ConfigurationError,
     DomainError,
     NumericalError,
     PhaseWord,
     ToneSet,
-    beamformed_received,
     evaluate_solution,
     harvest_from_signal,
     lowpass_filter,
     quantize_dac,
-    rapp_amplifier,
     run_chain,
     synthesize_multitone,
     total_power,
-    upconvert,
 )
 import wptsim.signal_chain
 import wptsim.simulation
-from wptsim.channel import ChannelMatrix, receive_band
+from wptsim.channel import ChannelMatrix, beamformed_received
+from wptsim.signal_chain import amplify_envelope, complex_envelope
 
 SPACING = 1.25e6
 
 
 class TestRunChain:
     def test_stage_domains_rates_and_lengths(self):
-        # one period at each rate: 100 MHz / 1.25 MHz and 225 MHz / 1.25 MHz
+        # one period at each rate: 100 MHz / 1.25 MHz baseband samples, then
+        # 48 envelope samples per tone; the passband reference at 225 MHz
         setup = desk_setup()
         system = setup.system
         stages = run_chain(setup.tones, setup.phase_word, system)
-        assert (system.n_dac, system.n_sim, system.carrier_bin) == (80, 180, 64)
+        assert (system.n_dac, system.n_env, system.n_sim, system.carrier_bin) == (80, 384, 180, 64)
         for stage in (stages.digital, stages.dac, stages.lpf):
             assert stage.dtype == complex
             assert stage.shape == (80,)
         for stage in (stages.mixer, stages.hpa, stages.received):
+            assert stage.dtype == complex
+            assert stage.shape == (384,)
+        reference = passband_outcome(setup.tones, setup.phase_word, system)
+        for stage in (reference.mixer, reference.hpa, reference.received):
             assert stage.dtype == float
             assert stage.shape == (180,)
-        loss = system.chain.ps_insertion_loss
-        branches = apply_phase_shifters(stages.hpa, setup.phase_word, loss)
-        assert branches.shape == (25, 180)
 
     def test_matches_hand_composition(self):
         # recompute every stage by direct calls to the public operations
@@ -56,43 +56,51 @@ class TestRunChain:
         digital = synthesize_multitone(tones, 80)
         dac = quantize_dac(digital, chain.dac_bits, chain.dac_range)
         lpf = lowpass_filter(dac, 8)
-        mixer = upconvert(lpf, 8, 64, 180)
-        hpa = rapp_amplifier(mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness)
-        received = beamformed_received(
-            hpa, word, chain.ps_insertion_loss, system.band, system.band_coefficients
+        mixer = complex_envelope(dac, 8, 384)
+        hpa, p_in, p_out = amplify_envelope(
+            mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
         )
+        received = beamformed_received(hpa, word, chain.ps_insertion_loss, system.band_coefficients)
         assert np.array_equal(stages.digital, digital)
         assert np.array_equal(stages.dac, dac)
         assert np.array_equal(stages.lpf, lpf)
         assert np.array_equal(stages.mixer, mixer)
         assert np.array_equal(stages.hpa, hpa)
         assert np.array_equal(stages.received, received)
-        # the explicit N branches through the per-element channel: the reference
-        elements = apply_phase_shifters(hpa, word, chain.ps_insertion_loss)
-        band, coefficients = receive_band(system.channel, 64, 8, SPACING)
-        explicit = received_signal(elements, band, coefficients)
+        assert (stages.hpa_input_power, stages.hpa_output_power) == (p_in, p_out)
+        # the envelope is the filter's output resampled: built from the LPF
+        # output it is the same period
+        assert_allclose(complex_envelope(lpf, 8, 384), mixer, rtol=0, atol=1e-15)
+        # the explicit N element envelopes through the per-element channel
+        branches = (
+            np.exp(-1j * word.angles())[:, None] * hpa
+            / np.sqrt(chain.ps_insertion_loss * system.element_count)
+        )
+        bins = np.arange(-8, 9) % 384
+        parts = np.zeros((system.element_count, 384), dtype=complex)
+        parts[:, bins] = system.band_coefficients * np.fft.fft(branches, axis=1)[:, bins]
+        explicit = np.fft.ifft(parts, axis=1).sum(axis=0)
         assert_allclose(
             stages.received, explicit, rtol=0, atol=1e-12 * np.max(np.abs(explicit))
         )
 
     def test_stages_consistent_across_simulation_rates(self):
-        # doubling the passband rate must reproduce the coarser run at the
-        # shared sample instants: the period is exact at any commensurate rate
+        # the chain reads no passband rate: doubling it changes no stage
         setup = desk_setup()
         fine = desk_setup(chain={"sim_sample_rate": 360 * SPACING})
+        assert fine.system.n_sim == 2 * setup.system.n_sim
         coarse_stages = run_chain(setup.tones, setup.phase_word, setup.system)
         fine_stages = run_chain(fine.tones, fine.phase_word, fine.system)
-        assert fine_stages.mixer.size == 2 * coarse_stages.mixer.size
-        assert_allclose(fine_stages.mixer[::2], coarse_stages.mixer, atol=1e-9)
-        assert_allclose(fine_stages.hpa[::2], coarse_stages.hpa, atol=1e-9)
+        for name in ("digital", "dac", "mixer", "hpa", "received"):
+            assert np.array_equal(getattr(fine_stages, name), getattr(coarse_stages, name))
 
     def test_received_power_below_radiated_power(self):
         setup = desk_setup()
         stages = run_chain(setup.tones, setup.phase_word, setup.system)
         loss = setup.system.chain.ps_insertion_loss
-        branches = apply_phase_shifters(stages.hpa, setup.phase_word, loss)
-        radiated = np.sum(np.mean(branches**2, axis=1))
-        received = np.mean(stages.received**2)
+        # N branches of |hpa|^2 / (L N) each: the radiated envelope power
+        radiated = np.mean(np.abs(stages.hpa) ** 2) / loss
+        received = np.mean(np.abs(stages.received) ** 2)
         assert received < 1e-3 * radiated
 
     def test_waveform_mismatch_rejected(self):
@@ -113,8 +121,8 @@ class TestEvaluateSolution:
         harvest = harvest_from_signal(stages.received, setup.system.rectenna)
         power = total_power(
             setup.tones,
-            stages.mixer,
-            stages.hpa,
+            np.mean(np.abs(stages.mixer) ** 2) / 2,
+            stages.hpa_output_power,
             setup.system.chain.dac_bits,
             setup.system.chain.dac_sample_rate,
             setup.system.power,
@@ -165,7 +173,7 @@ class TestEvaluateSolution:
         def explode(*args, **kwargs):
             raise FloatingPointError("synthetic overflow")
 
-        monkeypatch.setattr(wptsim.simulation, "rapp_amplifier", explode)
+        monkeypatch.setattr(wptsim.simulation, "amplify_envelope", explode)
         with pytest.raises(NumericalError, match="hpa stage"):
             run_chain(setup.tones, setup.phase_word, setup.system)
 
@@ -215,8 +223,9 @@ class TestSystemModelValidation:
             desk_setup(receiver={"position": [0.0, 0.0, 0.0]})
 
     def test_paper_profile_agrees_with_desk_scale(self):
-        # the desk profile snaps the simulated carrier down; harvest and
-        # amplifier power must track the faithful 5.18 GHz simulation
+        # the desk profile snaps the simulated carrier down; the envelope chain
+        # reads neither carrier nor rate, so harvest and amplifier power are
+        # those of the faithful 5.18 GHz configuration, to the last bit
         from wptsim.config import build_setup, load_config
 
         paper = build_setup(load_config(profile="paper"))
@@ -224,8 +233,8 @@ class TestSystemModelValidation:
         assert paper.system.chain.sim_sample_rate == 10380 * SPACING
         full = evaluate_solution(paper.tones, paper.phase_word, paper.system)
         fast = evaluate_solution(desk.tones, desk.phase_word, desk.system)
-        assert_allclose(fast.harvest.p_out_dc, full.harvest.p_out_dc, rtol=0.1)
-        assert_allclose(fast.power.p_hpa, full.power.p_hpa, rtol=0.01)
+        assert fast.harvest.p_out_dc == full.harvest.p_out_dc
+        assert fast.power.p_hpa == full.power.p_hpa
 
     def test_desk_profile_keeps_rf_wavelengths(self):
         setup = desk_setup()
