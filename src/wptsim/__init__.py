@@ -13,7 +13,6 @@ from .optimizer import (
     brute_force_grid,
     decode_particle,
     evaluate_candidate,
-    fitness,
     particle_bounds,
     pso_run,
 )
@@ -42,7 +41,7 @@ from .signal_chain import (
     rapp_amplifier,
     synthesize_multitone,
 )
-from .simulation import SystemModel, evaluate_solution, run_chain
+from .simulation import SystemModel, evaluate_batch, evaluate_solution, run_chain
 
 __version__ = "0.1.0"
 
@@ -65,9 +64,9 @@ __all__ = [
     "dc_output_voltage",
     "decode_particle",
     "element_positions",
+    "evaluate_batch",
     "evaluate_candidate",
     "evaluate_solution",
-    "fitness",
     "harvest_from_signal",
     "harvested_power",
     "hpa_power",

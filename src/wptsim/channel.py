@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from .errors import DomainError
-from .signal_chain import PhaseWord, band_bins
+from .signal_chain import band_bins
 
 # m/s, exact by the SI definition of the metre (scipy.constants.speed_of_light;
 # importing that module costs about 1 MB of memory for this one number)
@@ -144,32 +144,41 @@ def receive_band(
 
 
 def beamformed_received(
-    envelope: np.ndarray, word: PhaseWord, insertion_loss: float, band_coefficients: np.ndarray
+    envelope: np.ndarray, angles: np.ndarray, insertion_loss: float, band_coefficients: np.ndarray
 ) -> np.ndarray:
     """The amplified envelope through the phase shifters and the channel, in one pass.
 
+    envelope is (..., n) and angles, the shifters' rotations theta in
+    radians, (..., N) with the same leading axes: one beam per period.
     The model is linear after the amplifier, and the receiver keeps only the
     band offsets k = -K..K. There, branch i holds s e^{-j theta_i} X[k], with
     X the DFT of the envelope period and s = (insertion_loss N)^-1/2, so the
     received envelope's bins are X[k] times the per-bin beam gain
     g = s e^{-j theta}^T H_band; one inverse DFT of them gives the received
     envelope on the amplified envelope's samples, and no branch is formed.
+    Each beam's gain is its own vector-matrix product, as for a single
+    period; one (P, N) @ (N, 2K+1) product would round a row differently
+    with the batch size.
     """
-    if not np.iscomplexobj(envelope) or envelope.ndim != 1:
-        raise DomainError("the phase shifters act on one complex envelope")
+    if not np.iscomplexobj(envelope) or envelope.ndim < 1:
+        raise DomainError("the phase shifters act on complex envelopes")
+    if envelope.shape[:-1] != angles.shape[:-1]:
+        raise DomainError(
+            f"{envelope.shape[:-1]} envelope periods but {angles.shape[:-1]} beams"
+        )
     if insertion_loss < 1:
         raise DomainError("insertion loss is a linear power ratio >= 1")
-    if band_coefficients.shape[0] != word.count:
-        raise DomainError(
-            f"expected {band_coefficients.shape[0]} phase levels, got {word.count}"
-        )
-    n = envelope.size
+    elements = band_coefficients.shape[0]
+    if angles.shape[-1] != elements:
+        raise DomainError(f"expected {elements} phase levels, got {angles.shape[-1]}")
+    n = envelope.shape[-1]
     tone_count = band_coefficients.shape[1] // 2
     if n <= 2 * tone_count:
         raise DomainError("the envelope period must hold every band bin")
     bins = band_bins(tone_count, n)
-    scale = 1.0 / np.sqrt(insertion_loss * word.count)
-    gain = (scale * np.exp(-1j * word.angles())) @ band_coefficients
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[bins] = np.fft.fft(envelope)[bins] * gain
+    scale = 1.0 / np.sqrt(insertion_loss * elements)
+    weights = scale * np.exp(-1j * angles)
+    gain = (weights[..., None, :] @ band_coefficients)[..., 0, :]
+    spectrum = np.zeros(envelope.shape, dtype=complex)
+    spectrum[..., bins] = np.fft.fft(envelope)[..., bins] * gain
     return np.fft.ifft(spectrum)

@@ -6,7 +6,6 @@ plus the normalized violation so infeasible particles are still ranked and
 pulled toward feasibility. A brute-force grid provides toy-scale ground truth.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +13,17 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .power_model import PowerBreakdown, dac_power
 from .signal_chain import PhaseWord, ToneSet
-from .simulation import SystemModel, evaluate_solution
+from .simulation import SystemModel, evaluate_batch, evaluate_solution
 
 # fraction of each dimension's range; unclamped velocities pin particles on bounds
 VELOCITY_CLAMP = 0.2
 
 GRID_BUDGET = 10_000_000
+# Most envelope samples (candidates x n_env) in one batch of the grid, so its
+# memory does not grow with the grid: the amplifier's table gather holds 8
+# doubles a sample, 1 MiB a chunk. (A swarm is one batch per iteration; the
+# desk swarm, 30 x 384 samples, is smaller than one chunk.)
+GRID_CHUNK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -106,12 +110,30 @@ def decode_particle(
     position = np.asarray(position, dtype=float)
     if position.size <= 2 * tone_count:
         raise DomainError("particle must carry 2K tone entries plus N beam entries")
-    amplitudes = position[:tone_count]
-    phases = np.mod(position[tone_count : 2 * tone_count], 2.0 * np.pi)
-    relaxed = position[2 * tone_count :]
+    amplitudes, phases, levels = _decode_swarm(position[None], tone_count, ps_bits)
+    return ToneSet(amplitudes[0], phases[0], tone_spacing), PhaseWord(levels[0], ps_bits)
+
+
+def _decode_swarm(
+    positions: np.ndarray, tone_count: int, ps_bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """decode_particle's rule on every row of a (P, 2K + N) swarm at once:
+    the candidates' amplitudes, phases and phase levels as arrays."""
     top = 2**ps_bits - 1
-    levels = np.clip(np.floor(relaxed * top).astype(int), 0, top)
-    return ToneSet(amplitudes, phases, tone_spacing), PhaseWord(levels, ps_bits)
+    amplitudes = positions[:, :tone_count]
+    phases = np.mod(positions[:, tone_count : 2 * tone_count], 2.0 * np.pi)
+    levels = np.clip(np.floor(positions[:, 2 * tone_count :] * top).astype(int), 0, top)
+    return amplitudes, phases, levels
+
+
+def _penalised(p_out, p_total, swarm: SwarmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Consumption where the harvest is feasible, ranked penalty where not."""
+    p_out = np.asarray(p_out)
+    feasible = p_out >= swarm.required_dc_power
+    values = np.array(p_total, dtype=float)
+    shortfall = swarm.required_dc_power - p_out[~feasible]
+    values[~feasible] = swarm.penalty + shortfall / swarm.required_dc_power
+    return values, feasible
 
 
 def evaluate_candidate(
@@ -119,27 +141,20 @@ def evaluate_candidate(
 ) -> CandidateEval:
     """Objective of one candidate: consumption if feasible, ranked penalty if not."""
     outcome = evaluate_solution(tones, word, system)
-    p_out = outcome.harvest.p_out_dc
-    feasible = p_out >= swarm.required_dc_power
-    if feasible:
-        value = outcome.power.p_total
-    else:
-        value = swarm.penalty + (swarm.required_dc_power - p_out) / swarm.required_dc_power
-    return CandidateEval(float(value), float(p_out), outcome.power, bool(feasible))
+    value, feasible = _penalised(outcome.harvest.p_out_dc, outcome.power.p_total, swarm)
+    return CandidateEval(float(value), outcome.harvest.p_out_dc, outcome.power, bool(feasible))
 
 
-def _evaluate_position(
-    position: np.ndarray, system: SystemModel, swarm: SwarmConfig
-) -> CandidateEval:
-    tones, word = decode_particle(
-        position, system.tone_count, system.tone_spacing, system.chain.ps_bits
-    )
-    return evaluate_candidate(tones, word, system, swarm)
+def _evaluate_rows(amplitudes, phases, levels, system: SystemModel, swarm: SwarmConfig):
+    """Fitness of each row of a batch, and a function building row p's CandidateEval."""
+    harvest, power = evaluate_batch(amplitudes, phases, levels, system)
+    values, feasible = _penalised(harvest.p_out_dc, power.p_total, swarm)
 
+    def record(p: int) -> CandidateEval:
+        row = PowerBreakdown(*(float(v[p]) for v in vars(power).values()))
+        return CandidateEval(float(values[p]), float(harvest.p_out_dc[p]), row, bool(feasible[p]))
 
-def fitness(position: np.ndarray, system: SystemModel, swarm: SwarmConfig) -> float:
-    """Penalized objective of a raw particle position."""
-    return _evaluate_position(position, system, swarm).fitness
+    return values, record
 
 
 def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
@@ -185,17 +200,19 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     particles = range(swarm.particles)
 
     def evaluate(positions):
-        evals = [_evaluate_position(position, system, swarm) for position in positions]
-        return evals, np.array([e.fitness for e in evals])
+        amplitudes, phases, levels = _decode_swarm(
+            positions, system.tone_count, system.chain.ps_bits
+        )
+        return _evaluate_rows(amplitudes, phases, levels, system, swarm)
 
     draws = np.array([_substream(swarm.seed, 0, i).random(n_var) for i in particles])
     positions = lower + draws * span
     velocities = np.zeros_like(positions)
-    evals, best_fitness = evaluate(positions)
+    best_fitness, record = evaluate(positions)
     best_positions = positions.copy()
     g_index = int(np.argmin(best_fitness))
     g_position = best_positions[g_index].copy()
-    g_eval = evals[g_index]
+    g_eval = record(g_index)
     trace = [g_eval.fitness]
 
     for iteration in range(1, swarm.iterations + 1):
@@ -213,15 +230,15 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
         velocities[(moved < lower) | (moved > upper)] = 0.0
         positions = np.clip(moved, lower, upper)
 
-        evals, current = evaluate(positions)
+        current, record = evaluate(positions)
         improved = current < best_fitness
         best_fitness[improved] = current[improved]
         best_positions[improved] = positions[improved]
         # the incumbent is the least of the old personal bests, so only a particle
-        # that improved in this iteration can beat it, and evals holds its record
+        # that improved in this iteration can beat it, and this batch holds its record
         g_index = int(np.argmin(best_fitness))
         if best_fitness[g_index] < g_eval.fitness:
-            g_eval = evals[g_index]
+            g_eval = record(g_index)
             g_position = best_positions[g_index].copy()
         trace.append(g_eval.fitness)
         if callback is not None:
@@ -263,24 +280,30 @@ def brute_force_grid(
 
     amplitude_axis = np.linspace(0.0, swarm.amplitude_max, amplitude_points)
     phase_axis = np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False)
-    levels_axis = range(2**bits)
+    # flat index i enumerates the grid as nested loops, the first amplitude
+    # outermost and the last phase level innermost
+    radices = (amplitude_points,) * tone_count + (phase_points,) * tone_count
+    radices += (2**bits,) * element_count
+    chunk = max(1, GRID_CHUNK_SAMPLES // system.n_env)
 
-    best_eval = None
-    best_tones = None
-    best_word = None
-    for amplitudes in itertools.product(amplitude_axis, repeat=tone_count):
-        for phases in itertools.product(phase_axis, repeat=tone_count):
-            tones = ToneSet(np.array(amplitudes), np.array(phases), system.tone_spacing)
-            for levels in itertools.product(levels_axis, repeat=element_count):
-                word = PhaseWord(np.array(levels), bits)
-                candidate = evaluate_candidate(tones, word, system, swarm)
-                if best_eval is None or candidate.fitness < best_eval.fitness:
-                    best_eval = candidate
-                    best_tones = tones
-                    best_word = word
+    best_fitness, best = np.inf, None
+    for start in range(0, total, chunk):
+        indices = np.arange(start, min(start + chunk, total))
+        digits = np.stack(np.unravel_index(indices, radices), axis=1)
+        amplitudes = amplitude_axis[digits[:, :tone_count]]
+        phases = phase_axis[digits[:, tone_count : 2 * tone_count]]
+        levels = digits[:, 2 * tone_count :]
+        values, record = _evaluate_rows(amplitudes, phases, levels, system, swarm)
+        # ties keep the first point in enumeration order: argmin within a
+        # chunk, a strict improvement across chunks
+        row = int(np.argmin(values))
+        if values[row] < best_fitness:
+            best_fitness = values[row]
+            best = record(row), amplitudes[row], phases[row], levels[row]
+    best_eval, amplitudes, phases, levels = best
     return OptimizationResult(
-        tones=best_tones,
-        phase_word=best_word,
+        tones=ToneSet(amplitudes, phases, system.tone_spacing),
+        phase_word=PhaseWord(levels, bits),
         power=best_eval.power,
         p_out_dc=best_eval.p_out_dc,
         feasible=best_eval.feasible,

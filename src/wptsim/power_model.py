@@ -5,7 +5,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError
-from .signal_chain import ToneSet
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,8 @@ class PowerParams:
 
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """Per-component transmitter power draw, in watts."""
+    """Per-component transmitter power draw, in watts: one number per
+    component, or one array entry per candidate of a batch."""
 
     p_dac: float
     p_mix: float
@@ -57,9 +57,7 @@ def dac_power(bits: int, sample_rate: float, params: PowerParams) -> float:
     return 0.5 * params.correction_factor * (static + switching)
 
 
-def hpa_power(
-    input_power: float, output_power: float, input_resistance: float, output_resistance: float
-) -> float:
+def hpa_power(input_power, output_power, input_resistance: float, output_resistance: float):
     """Difference of the period-mean output and input powers of the amplifier.
 
     The powers are period means of the squared port voltages (mean |a|^2 / 2
@@ -69,27 +67,29 @@ def hpa_power(
     """
     if input_resistance <= 0 or output_resistance <= 0:
         raise DomainError("port resistances must be positive")
-    return float(output_power / output_resistance - input_power / input_resistance)
+    return output_power / output_resistance - input_power / input_resistance
 
 
-def signal_power(tones: ToneSet) -> float:
-    """Mean squared tone amplitude (implicit 1-ohm convention)."""
-    return float(np.mean(tones.amplitudes**2))
+def signal_power(amplitudes: np.ndarray):
+    """Mean squared tone amplitude (implicit 1-ohm convention), along the last axis."""
+    return (amplitudes**2).sum(axis=-1) / amplitudes.shape[-1]
 
 
 def total_power(
-    tones: ToneSet,
-    amplifier_in: float,
-    amplifier_out: float,
+    amplitudes: np.ndarray,
+    amplifier_in,
+    amplifier_out,
     dac_bits: int,
     dac_sample_rate: float,
     params: PowerParams,
 ) -> PowerBreakdown:
-    """Assemble the five-component consumption total; amplifier_in and
-    amplifier_out are the amplifier's period-mean port powers into 1 ohm."""
+    """Assemble the five-component consumption total of each candidate:
+    amplitudes are (..., K) and amplifier_in and amplifier_out, the
+    amplifier's period-mean port powers into 1 ohm, (...). p_hpa and p_s
+    come out with the candidates' shape, the other three as numbers."""
     p_dac = dac_power(dac_bits, dac_sample_rate, params)
     p_hpa = hpa_power(
         amplifier_in, amplifier_out, params.hpa_input_resistance, params.hpa_output_resistance
     )
-    p_s = signal_power(tones)
+    p_s = signal_power(amplitudes)
     return PowerBreakdown(p_dac, params.mixer_power, params.oscillator_power, p_hpa, p_s)

@@ -49,50 +49,51 @@ class RectennaParams:
 
 @dataclass(frozen=True)
 class HarvestResult:
-    """DC operating point of the rectenna for one waveform period."""
+    """DC operating point of the rectenna for one waveform period, or one
+    array entry per period of a batch."""
 
     v_out_dc: float  # volts
     p_out_dc: float  # watts
     rhs_log: float  # log of the periodic mean of the diode exponential
 
 
-def lambert_w0_log(log_x: float) -> float:
-    """Principal-branch Lambert W of exp(log_x).
+def lambert_w0_log(log_x):
+    """Principal-branch Lambert W of exp(log_x), elementwise.
 
     Evaluated as the Wright omega function omega(log_x), the solution of
     w + ln w = log_x, which stays finite for log_x far beyond the point where
     exp(log_x) itself would overflow.
     """
-    log_x = float(log_x)
-    if not np.isfinite(log_x):
+    if not np.isfinite(log_x).all():
         raise DomainError("log-form argument must be finite")
-    return float(wrightomega(log_x))
+    return wrightomega(log_x)
 
 
-def rhs_log_mean(envelope: np.ndarray, params: RectennaParams) -> float:
-    """Log of the one-period mean of I0(c |b(t)|), c = sqrt(R_s) / (eta V_0).
+def rhs_log_mean(envelope: np.ndarray, params: RectennaParams):
+    """Log of the one-period mean of I0(c |b(t)|), c = sqrt(R_s) / (eta V_0),
+    one per period along the last axis of the received envelope b.
 
     That is the period mean of the diode exponential exp(c r(t)) for the
     passband signal r with complex envelope b. It is evaluated as
-    log I0(z) = z + log i0e(z) with the largest exponent shifted out, so hot
-    diode drives stay finite.
+    log I0(z) = z + log i0e(z) with each period's largest exponent shifted
+    out, so hot diode drives stay finite.
     """
     scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
     exponents = scale * np.abs(envelope)
-    shift = exponents.max()
-    terms = np.exp(exponents - shift)
+    shift = exponents.max(axis=-1)
+    terms = np.exp(exponents - shift[..., None])
     terms *= i0e(exponents)
-    return float(shift + np.log(terms.sum() / terms.size))
+    return shift + np.log(terms.sum(axis=-1) / terms.shape[-1])
 
 
-def dc_output_voltage(rhs_log: float, params: RectennaParams) -> float:
-    """DC load voltage from the closed-form rectifier balance.
+def dc_output_voltage(rhs_log, params: RectennaParams):
+    """DC load voltage from the closed-form rectifier balance, elementwise.
 
     The Lambert W argument c * e^c * e^rhs_log is handed over in log form
-    (c + ln c + rhs_log), so the result is finite for any drive level.
+    (c + ln c + rhs_log), so the result is finite for any drive level; that
+    argument is finite exactly when rhs_log is, and lambert_w0_log rejects
+    it otherwise.
     """
-    if not np.isfinite(rhs_log):
-        raise DomainError("rhs_log must be finite")
     c = params.load_constant
     w = lambert_w0_log(c + np.log(c) + rhs_log)
     return (
@@ -101,7 +102,7 @@ def dc_output_voltage(rhs_log: float, params: RectennaParams) -> float:
     )
 
 
-def harvested_power(v_out: float, load_resistance: float) -> float:
+def harvested_power(v_out, load_resistance: float):
     """DC power delivered to the load."""
     if load_resistance <= 0:
         raise DomainError("load resistance must be positive")
@@ -109,7 +110,8 @@ def harvested_power(v_out: float, load_resistance: float) -> float:
 
 
 def harvest_from_signal(received: np.ndarray, params: RectennaParams) -> HarvestResult:
-    """Full harvest evaluation for one period of the received complex envelope."""
+    """Full harvest evaluation of each period of the received complex envelope
+    along its last axis; a (..., n) envelope gives (...)-shaped results."""
     rhs_log = rhs_log_mean(received, params)
     v_out = dc_output_voltage(rhs_log, params)
     return HarvestResult(v_out, harvested_power(v_out, params.load_resistance), rhs_log)

@@ -61,6 +61,23 @@ def _as_multiple(rate: float, step: float, name: str) -> int:
     return n
 
 
+def _check_tones(amplitudes: np.ndarray, phases: np.ndarray) -> None:
+    if (amplitudes < 0).any():
+        raise DomainError("tone amplitudes must be nonnegative")
+    if ((phases < 0) | (phases >= 2 * np.pi)).any():
+        raise DomainError("tone phases must lie in [0, 2*pi)")
+
+
+def _check_levels(levels: np.ndarray, bits: int) -> None:
+    top = 2**bits - 1
+    if ((levels < 0) | (levels > top)).any():
+        raise DomainError(f"phase levels must lie in [0, {top}]")
+
+
+def _angles(levels: np.ndarray, bits: int) -> np.ndarray:
+    return 2.0 * np.pi * levels / 2.0**bits
+
+
 @dataclass(frozen=True)
 class ToneSet:
     """Amplitudes (volts) and phases (radians) of the equally spaced tones."""
@@ -78,10 +95,7 @@ class ToneSet:
             raise DomainError("amplitudes and phases must be 1-D vectors of equal length")
         if amplitudes.size == 0:
             raise DomainError("at least one tone is required")
-        if (amplitudes < 0).any():
-            raise DomainError("tone amplitudes must be nonnegative")
-        if ((phases < 0) | (phases >= 2 * np.pi)).any():
-            raise DomainError("tone phases must lie in [0, 2*pi)")
+        _check_tones(amplitudes, phases)
         if not self.tone_spacing > 0:
             raise DomainError("tone spacing must be positive")
 
@@ -143,9 +157,7 @@ class PhaseWord:
             raise DomainError("phase shifter resolution must be at least 1 bit")
         if levels.ndim != 1 or levels.size == 0:
             raise DomainError("phase word must be a nonempty 1-D vector")
-        top = 2**self.bits - 1
-        if ((levels < 0) | (levels > top)).any():
-            raise DomainError(f"phase levels must lie in [0, {top}]")
+        _check_levels(levels, self.bits)
 
     @property
     def count(self) -> int:
@@ -153,18 +165,20 @@ class PhaseWord:
 
     def angles(self) -> np.ndarray:
         """Rotation 2*pi*level/2^bits applied by each shifter."""
-        return 2.0 * np.pi * self.levels / 2.0**self.bits
+        return _angles(self.levels, self.bits)
 
 
-def synthesize_multitone(tones: ToneSet, n: int) -> np.ndarray:
-    """One n-sample period of (1/K) sum_k a_k e^{j(2 pi k t / n + phi_k)}, n >= K.
+def synthesize_multitone(amplitudes: np.ndarray, phases: np.ndarray, n: int) -> np.ndarray:
+    """One n-sample period of (1/K) sum_k a_k e^{j(2 pi k t / n + phi_k)}, n >= K,
+    per candidate: amplitudes and phases are (..., K), the result (..., n).
 
     Tone k is DFT bin k of the period, so one unnormalized inverse DFT of the
     bins a_k e^{j phi_k} synthesizes it, exactly periodic by construction.
     """
-    bins = np.zeros(n, dtype=complex)
-    bins[: tones.count] = tones.amplitudes * np.exp(1j * tones.phases)
-    return np.fft.ifft(bins, norm="forward") / tones.count
+    tone_count = amplitudes.shape[-1]
+    bins = np.zeros((*amplitudes.shape[:-1], n), dtype=complex)
+    bins[..., :tone_count] = amplitudes * np.exp(1j * phases)
+    return np.fft.ifft(bins, norm="forward") / tone_count
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
@@ -219,7 +233,8 @@ def band_bins(tone_count: int, n: int) -> np.ndarray:
 
 
 def complex_envelope(baseband: np.ndarray, tone_count: int, samples: int) -> np.ndarray:
-    """The low-pass filtered baseband period, resampled to `samples` points.
+    """The low-pass filtered baseband period, resampled to `samples` points,
+    along the last axis of a (..., n_dac) array.
 
     Offset k = -K..K of the band, the baseband's DFT bin k mod n_dac (the
     bins lowpass_filter keeps), is zero-padded to bin k mod M of an M-point
@@ -228,12 +243,12 @@ def complex_envelope(baseband: np.ndarray, tone_count: int, samples: int) -> np.
     input may be the DAC output or the filter's. When n_dac = 2K the Nyquist
     bin stands for both k = +-K and is split in half between them.
     """
-    n_dac = baseband.size
-    bins = np.fft.fft(baseband)[band_bins(tone_count, n_dac)] / n_dac
+    n_dac = baseband.shape[-1]
+    bins = np.fft.fft(baseband)[..., band_bins(tone_count, n_dac)] / n_dac
     if n_dac == 2 * tone_count:
-        bins[[0, -1]] *= 0.5
-    spectrum = np.zeros(samples, dtype=complex)
-    spectrum[band_bins(tone_count, samples)] = bins
+        bins[..., [0, -1]] *= 0.5
+    spectrum = np.zeros((*baseband.shape[:-1], samples), dtype=complex)
+    spectrum[..., band_bins(tone_count, samples)] = bins
     return np.fft.ifft(spectrum, norm="forward")
 
 
@@ -370,13 +385,14 @@ def amplify_envelope(
     smoothness: float,
     points: int = ZONE_POINTS,
     nodes: int = ZONE_TABLE_NODES,
-) -> tuple[np.ndarray, float, float]:
-    """The amplifier on the mixer's complex envelope.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The amplifier on the mixer's complex envelope, along the last axis.
 
     Returns the output envelope c1(|a|) a/|a| at the carrier and the
     period-mean input and output powers (into 1 ohm), mean |a|^2 / 2 and
-    mean h(|a|). c1 and h are read from the first zone's table at each
-    sample's drive.
+    mean h(|a|), one per period. c1 and h are read from the first zone's
+    table at each sample's drive. The means are one dot product per period
+    (`vecdot`), so a period's powers do not depend on the rest of a batch.
     """
     if smoothness < 1:
         raise DomainError("smoothness must be >= 1")
@@ -391,7 +407,7 @@ def amplify_envelope(
     interval = np.minimum(position.astype(np.intp), nodes - 2)
     t = position - interval
     # the two scaled functions by Horner's rule in t, in place
-    piece = np.take(table, interval, axis=2)
+    piece = np.take(table, interval, axis=2)  # (4, 2, ..., n)
     scaled = piece[3] * t
     scaled += piece[2]
     scaled *= t
@@ -400,8 +416,9 @@ def amplify_envelope(
     scaled += piece[0]
     ratio = gain * scaled[0] * inverse
     x *= x  # h(A) = (A_s x)^2 times the second function
-    p_out = saturation**2 * float(scaled[1] @ x) / x.size
-    p_in = 0.5 * float(amplitude @ amplitude) / amplitude.size
+    n = envelope.shape[-1]
+    p_out = saturation**2 * np.vecdot(scaled[1], x) / n
+    p_in = 0.5 * np.vecdot(amplitude, amplitude) / n
     return ratio * envelope, p_in, p_out
 
 

@@ -1,6 +1,6 @@
 """End-to-end system model: transmit chain, propagation, harvest, and power."""
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,10 @@ from .signal_chain import (
     PhaseWord,
     ToneSet,
     ENVELOPE_SAMPLES_PER_TONE,
+    _angles,
     _as_multiple,
+    _check_levels,
+    _check_tones,
     amplify_envelope,
     complex_envelope,
     lowpass_filter,
@@ -149,7 +152,8 @@ class ChainStages:
     """Per-stage waveforms of one simulation pass, one period each: n_dac
     complex baseband samples for digital, dac and lpf, n_env complex envelope
     samples around the carrier for the rest; and the amplifier's period-mean
-    input and output powers into 1 ohm."""
+    input and output powers into 1 ohm. A batch's stages carry a leading
+    candidate axis."""
 
     digital: np.ndarray
     dac: np.ndarray
@@ -177,15 +181,25 @@ class SimulationOutcome:
     stages: ChainStages
 
 
-def _validated(tones: ToneSet, word: PhaseWord, system: SystemModel) -> None:
-    if tones.count != system.tone_count:
-        raise DomainError(f"expected {system.tone_count} tones, got {tones.count}")
+def _check_shapes(amplitudes, phases, levels, system: SystemModel) -> None:
+    # the candidates' shapes against the system; values are checked by the caller
+    tones, elements = system.tone_count, system.element_count
+    if amplitudes.shape[-1:] != (tones,) or phases.shape != amplitudes.shape:
+        raise DomainError(
+            f"expected {tones} tones, got amplitudes {amplitudes.shape} and phases {phases.shape}"
+        )
+    if levels.shape != (*amplitudes.shape[:-1], elements):
+        raise DomainError(f"expected {elements} phase levels a candidate, got {levels.shape}")
+
+
+def _candidate(tones: ToneSet, word: PhaseWord, system: SystemModel):
+    """One validated candidate's arrays, checked against the system."""
     if tones.tone_spacing != system.tone_spacing:
         raise DomainError("tone spacing does not match the system model")
-    if word.count != system.element_count:
-        raise DomainError(f"expected {system.element_count} phase levels, got {word.count}")
     if word.bits != system.chain.ps_bits:
         raise DomainError("phase word resolution does not match the chain config")
+    _check_shapes(tones.amplitudes, tones.phases, word.levels, system)
+    return tones.amplitudes, tones.phases, word.levels
 
 
 def _stage(name: str, fn, *args):
@@ -197,39 +211,82 @@ def _stage(name: str, fn, *args):
         raise NumericalError(f"{name} stage failed: {exc}") from exc
 
 
-# a floating-point overflow or invalid operation fails as the stage it happened in
+# A floating-point overflow or invalid operation fails as the stage it happened
+# in. The stages run on (..., K), (..., K) and (..., N) candidate arrays: one
+# candidate, or a batch with a leading axis. Every reduction is along the last
+# axis, row by row, so a candidate's result does not depend on its batch.
 @np.errstate(over="raise", invalid="raise")
-def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStages:
-    """Push one waveform through every transmitter stage to the receiver."""
-    _validated(tones, word, system)
+def _transmit(amplitudes, phases, levels, system: SystemModel) -> ChainStages:
     chain = system.chain
-    digital = _stage("synthesis", synthesize_multitone, tones, system.n_dac)
+    digital = _stage("synthesis", synthesize_multitone, amplitudes, phases, system.n_dac)
     dac = _stage("dac", quantize_dac, digital, chain.dac_bits, chain.dac_range)
     mixer = _stage("mixer", complex_envelope, dac, system.tone_count, system.n_env)
     hpa, p_in, p_out = _stage(
         "hpa", amplify_envelope, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
     )
-    received = _stage(
-        "channel", beamformed_received, hpa, word, chain.ps_insertion_loss, system.band_coefficients
-    )
+    angles, loss = _angles(levels, chain.ps_bits), chain.ps_insertion_loss
+    received = _stage("channel", beamformed_received, hpa, angles, loss, system.band_coefficients)
     return ChainStages(digital, dac, mixer, hpa, received, p_in, p_out, system.tone_count)
 
 
 @np.errstate(over="raise", invalid="raise")
-def evaluate_solution(tones: ToneSet, word: PhaseWord, system: SystemModel) -> SimulationOutcome:
-    """Full-chain harvest and power evaluation of one candidate."""
-    stages = run_chain(tones, word, system)
+def _harvest_and_power(
+    stages: ChainStages, amplitudes, system: SystemModel
+) -> tuple[HarvestResult, PowerBreakdown]:
     harvest = _stage("rectenna", harvest_from_signal, stages.received, system.rectenna)
     power = _stage(
         "power-model",
         total_power,
-        tones,
+        amplitudes,
         stages.hpa_input_power,
         stages.hpa_output_power,
         system.chain.dac_bits,
         system.chain.dac_sample_rate,
         system.power,
     )
-    if not (np.isfinite(harvest.p_out_dc) and np.isfinite(power.p_total)):
+    if not (np.isfinite(harvest.p_out_dc) & np.isfinite(power.p_total)).all():
         raise NumericalError("evaluation produced a non-finite result")
-    return SimulationOutcome(harvest, power, stages)
+    return harvest, power
+
+
+def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStages:
+    """Push one waveform through every transmitter stage to the receiver."""
+    return _transmit(*_candidate(tones, word, system), system)
+
+
+def evaluate_solution(tones: ToneSet, word: PhaseWord, system: SystemModel) -> SimulationOutcome:
+    """Full-chain harvest and power evaluation of one candidate, with its stage
+    waveforms: the single-candidate case of evaluate_batch, bit for bit."""
+    stages = run_chain(tones, word, system)
+    harvest, power = _harvest_and_power(stages, tones.amplitudes, system)
+    return SimulationOutcome(_floats(harvest), _floats(power), stages)
+
+
+def evaluate_batch(
+    amplitudes: np.ndarray, phases: np.ndarray, levels: np.ndarray, system: SystemModel
+) -> tuple[HarvestResult, PowerBreakdown]:
+    """Harvest and power of P candidates at once: amplitudes and phases (P, K),
+    integer phase levels (P, N). Each field of the results is a (P,) array,
+    and row p equals evaluate_solution on candidate p exactly.
+
+    The batch is checked once, here; a numerical failure of any row fails the
+    whole batch as its stage.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    levels = np.asarray(levels, dtype=int)
+    if amplitudes.ndim != 2:
+        raise DomainError(f"expected (P, K) amplitudes, got shape {amplitudes.shape}")
+    _check_shapes(amplitudes, phases, levels, system)
+    _check_tones(amplitudes, phases)
+    _check_levels(levels, system.chain.ps_bits)
+    stages = _transmit(amplitudes, phases, levels, system)
+    harvest, power = _harvest_and_power(stages, amplitudes, system)
+    # p_dac, p_mix and p_lo are the same for every candidate
+    return harvest, PowerBreakdown(*np.broadcast_arrays(*astuple(power)))
+
+
+def _floats(record):
+    """A one-candidate result record with every field a Python float."""
+    return type(record)(*map(float, vars(record).values()))
+

@@ -196,7 +196,7 @@ class PassbandOutcome:
 def passband_outcome(tones: ToneSet, word: PhaseWord, system: SystemModel) -> PassbandOutcome:
     """The chain on the real passband period at the system's sim_sample_rate."""
     chain = system.chain
-    digital = synthesize_multitone(tones, system.n_dac)
+    digital = synthesize_multitone(tones.amplitudes, tones.phases, system.n_dac)
     lpf = lowpass_filter(quantize_dac(digital, chain.dac_bits, chain.dac_range), system.tone_count)
     mixer = upconvert(lpf, system.tone_count, system.carrier_bin, system.n_sim)
     hpa = rapp_amplifier(mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness)

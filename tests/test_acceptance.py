@@ -209,8 +209,9 @@ def test_criterion_08_channel_values():
     assert_allclose(out_mixed, 3.0 * beam[0] + 0.25 * beam[1], atol=1e-10)
     # the library's fold on complex envelopes, with complex weights
     a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
-    beam = [beamformed_received(x, word, 1.5, coefficients) for x in (a, b)]
-    out_mixed = beamformed_received((3.0 - 1.0j) * a + 0.25j * b, word, 1.5, coefficients)
+    angles = word.angles()
+    beam = [beamformed_received(x, angles, 1.5, coefficients) for x in (a, b)]
+    out_mixed = beamformed_received((3.0 - 1.0j) * a + 0.25j * b, angles, 1.5, coefficients)
     assert_allclose(out_mixed, (3.0 - 1.0j) * beam[0] + 0.25j * beam[1], atol=1e-10)
     _report(8, "boresight gain 3.761e-3, profile peak 2(b+1), combiner linear to 1e-10")
 

@@ -303,7 +303,7 @@ class TestBeamformedReceived:
         # branches s e^{-j theta_i} y, each through its channel row on the band
         m = 2 * tones + 1 + int(rng.integers(0, 40))
         envelope = rng.normal(size=m) + 1j * rng.normal(size=m)
-        fold = beamformed_received(envelope, word, loss, coefficients)
+        fold = beamformed_received(envelope, word.angles(), loss, coefficients)
         bins = np.arange(-tones, tones + 1) % m
         branches = np.exp(-1j * word.angles())[:, None] * envelope / np.sqrt(loss * geom.count)
         parts = np.zeros((geom.count, m), dtype=complex)
@@ -329,8 +329,9 @@ class TestBeamformedReceived:
             reference.beamformed_received(sig, word, 1.0, band, coefficients)
         # an envelope period must hold all 2K + 1 band bins
         with pytest.raises(DomainError):
-            beamformed_received(np.ones(16, dtype=complex), word, 1.0, coefficients)
-        assert beamformed_received(np.ones(17, dtype=complex), word, 1.0, coefficients).size == 17
+            beamformed_received(np.ones(16, dtype=complex), word.angles(), 1.0, coefficients)
+        envelope = np.ones(17, dtype=complex)
+        assert beamformed_received(envelope, word.angles(), 1.0, coefficients).size == 17
 
     def test_inputs_checked(self):
         channel = build_channel_matrix(
@@ -351,13 +352,14 @@ class TestBeamformedReceived:
         baseband = np.zeros(self.N_SAMP, dtype=complex)
         with pytest.raises(DomainError):
             reference.beamformed_received(baseband, PhaseWord([0, 0], 2), 1.0, band, coefficients)
-        # the library's fold takes one complex envelope
+        # the library's fold takes complex envelopes, one beam per period
         envelope = np.ones(self.N_SAMP, dtype=complex)
+        angles = PhaseWord([0, 0], 2).angles()
         with pytest.raises(DomainError):
-            beamformed_received(envelope, PhaseWord([0, 0, 0], 2), 1.0, coefficients)
+            beamformed_received(envelope, PhaseWord([0, 0, 0], 2).angles(), 1.0, coefficients)
         with pytest.raises(DomainError):
-            beamformed_received(envelope, PhaseWord([0, 0], 2), 0.5, coefficients)
+            beamformed_received(envelope, angles, 0.5, coefficients)
         with pytest.raises(DomainError):
-            beamformed_received(stack(envelope, envelope), PhaseWord([0, 0], 2), 1.0, coefficients)
+            beamformed_received(stack(envelope, envelope), angles, 1.0, coefficients)
         with pytest.raises(DomainError):
-            beamformed_received(sig, PhaseWord([0, 0], 2), 1.0, coefficients)
+            beamformed_received(sig, angles, 1.0, coefficients)

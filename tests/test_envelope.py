@@ -11,7 +11,7 @@ from conftest import desk_setup
 from reference import passband_outcome
 from wptsim import PhaseWord, ToneSet, evaluate_solution, rapp_amplifier
 from wptsim.channel import beamformed_received
-from wptsim.cli import EXIT_OK, main
+from wptsim.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from wptsim.config import build_setup, load_config
 from wptsim.power_model import hpa_power
 from wptsim.rectenna import harvest_from_signal
@@ -46,14 +46,15 @@ def harvest_and_hpa(tones, word, system, samples, points, nodes):
     """p_out_dc and p_hpa of the envelope chain at M = samples, P = points and a
     table of `nodes` nodes."""
     chain, power = system.chain, system.power
-    dac = quantize_dac(
-        synthesize_multitone(tones, system.n_dac), chain.dac_bits, chain.dac_range
-    )
+    digital = synthesize_multitone(tones.amplitudes, tones.phases, system.n_dac)
+    dac = quantize_dac(digital, chain.dac_bits, chain.dac_range)
     mixer = complex_envelope(dac, system.tone_count, samples)
     hpa, p_in, p_out = amplify_envelope(
         mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness, points, nodes
     )
-    received = beamformed_received(hpa, word, chain.ps_insertion_loss, system.band_coefficients)
+    received = beamformed_received(
+        hpa, word.angles(), chain.ps_insertion_loss, system.band_coefficients
+    )
     return (
         harvest_from_signal(received, system.rectenna).p_out_dc,
         hpa_power(p_in, p_out, power.hpa_input_resistance, power.hpa_output_resistance),
@@ -196,3 +197,20 @@ def test_zero_and_deep_drive_simulate_exits_zero(tmp_path, capsys, text):
     assert main(["simulate", "--profile", "paper", "--config", str(path),
                  "--out", str(tmp_path / "report.yaml")]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    ("text", "code"),
+    [
+        # every amplitude far below the DAC's step: the swarm sends zero
+        # waveforms, which harvest nothing
+        ("swarm:\n  amplitude_max: 1.0e-300\n", EXIT_INFEASIBLE),
+        ("chain:\n  hpa_gain: 1.0e+12\nswarm:\n  amplitude_max: 900.0\n", EXIT_OK),
+    ],
+)
+def test_zero_and_deep_drive_optimize_without_numerical_failure(tmp_path, capsys, text, code):
+    path = tmp_path / "drive.yaml"
+    path.write_text(text + "  particles: 4\n  iterations: 2\n")
+    assert main(["optimize", "--profile", "desk", "--config", str(path),
+                 "--out", str(tmp_path / "report.yaml")]) == code
+    assert "numerical" not in capsys.readouterr().err

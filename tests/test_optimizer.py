@@ -1,5 +1,7 @@
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,11 +20,11 @@ from wptsim import (
     decode_particle,
     evaluate_candidate,
     evaluate_solution,
-    fitness,
     particle_bounds,
     pso_run,
 )
-from wptsim.optimizer import VELOCITY_CLAMP, OptimizationResult, _substream
+import wptsim.optimizer
+from wptsim.optimizer import GRID_CHUNK_SAMPLES, VELOCITY_CLAMP, OptimizationResult, _substream
 
 SPACING = 1.25e6
 
@@ -74,8 +76,8 @@ class TestFitness:
     def test_zero_amplitudes_blow_past_penalty(self):
         setup = desk_setup()
         z = np.zeros(41)
-        value = fitness(z, setup.system, setup.swarm)
-        assert value > setup.swarm.penalty
+        value = evaluate_candidate(*decode_particle(z, 8, SPACING, 3), setup.system, setup.swarm)
+        assert value.fitness > setup.swarm.penalty
 
     def test_infeasible_ranked_by_violation(self):
         # both harvest below the 20 uW target, but 0.3 V tones harvest more
@@ -105,7 +107,11 @@ class TestFitness:
     def test_repeat_evaluations_bit_identical(self):
         setup = desk_setup()
         z = np.concatenate([np.full(8, 0.7), np.linspace(0, 6, 8), np.linspace(0, 1, 25)])
-        values = {fitness(z, setup.system, setup.swarm) for _ in range(5)}
+        system, swarm = setup.system, setup.swarm
+        values = {
+            evaluate_candidate(*decode_particle(z, 8, SPACING, 3), system, swarm).fitness
+            for _ in range(5)
+        }
         assert len(values) == 1
 
 
@@ -305,6 +311,70 @@ class TestBruteForceGrid:
         setup = toy_setup()
         result = brute_force_grid(11, 8, setup.system, setup.swarm)
         assert result.feasible
+
+
+def _count_batches(monkeypatch) -> list:
+    """Record the size of each evaluate_batch call the optimizer makes, and
+    fail on any single-candidate evaluate_solution call."""
+    sizes = []
+    batch = wptsim.optimizer.evaluate_batch
+
+    def counting(amplitudes, *args):
+        sizes.append(len(amplitudes))
+        return batch(amplitudes, *args)
+
+    def serial(*args):
+        raise AssertionError("the optimizer evaluated one candidate at a time")
+
+    monkeypatch.setattr(wptsim.optimizer, "evaluate_batch", counting)
+    monkeypatch.setattr(wptsim.optimizer, "evaluate_solution", serial)
+    return sizes
+
+
+class TestBatchedSearch:
+    def test_pso_evaluates_each_swarm_as_one_batch(self, monkeypatch):
+        sizes = _count_batches(monkeypatch)
+        setup = toy_setup(particles=6, iterations=4, seed=2)
+        result = pso_run(setup.system, setup.swarm)
+        assert sizes == [6] * 5
+        assert result.evaluations == 30
+
+    def test_grid_evaluates_in_memory_bounded_chunks(self, monkeypatch):
+        sizes = _count_batches(monkeypatch)
+        setup = toy_setup()
+        result = brute_force_grid(11, 23, setup.system, setup.swarm)
+        chunk = GRID_CHUNK_SAMPLES // setup.system.n_env
+        assert result.evaluations == 1012
+        assert len(sizes) == math.ceil(1012 / chunk)
+        assert sum(sizes) == 1012 and max(sizes) == chunk
+
+    @pytest.mark.parametrize("required", [20e-6, 0.0])
+    def test_chunked_grid_matches_per_point_enumeration(self, required):
+        # 11 x 23 x 4 = 1012 points, not a multiple of the chunk; with no
+        # harvest required the zero-amplitude points, the first 92 in
+        # enumeration order, tie exactly for the least consumption, across a
+        # chunk boundary, and the first of them must win
+        setup = toy_setup()
+        system = setup.system
+        swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
+        chunk = GRID_CHUNK_SAMPLES // system.n_env
+        assert 1012 % chunk != 0
+        result = brute_force_grid(11, 23, system, swarm)
+        values, candidates = [], []
+        for amplitude in np.linspace(0.0, swarm.amplitude_max, 11):
+            for phase in np.linspace(0.0, 2 * np.pi, 23, endpoint=False):
+                for levels in itertools.product((0, 1), repeat=2):
+                    tones, word = ToneSet([amplitude], [phase], SPACING), PhaseWord(levels, 1)
+                    values.append(evaluate_candidate(tones, word, system, swarm).fitness)
+                    candidates.append((tones, word))
+        best = int(np.argmin(values))
+        tones, word = candidates[best]
+        assert result.best_fitness == values[best]
+        assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
+        assert np.array_equal(result.tones.phases, tones.phases)
+        assert np.array_equal(result.phase_word.levels, word.levels)
+        if required == 0.0:
+            assert best == 0 and values.count(values[0]) == 92 > chunk
 
 
 class TestSwarmConfig:

@@ -76,20 +76,20 @@ class TestHpaPower:
 
 class TestSignalPower:
     def test_zero(self):
-        assert signal_power(ToneSet([0.0, 0.0], [0.0, 0.0], SPACING)) == 0.0
+        assert signal_power(ToneSet([0.0, 0.0], [0.0, 0.0], SPACING).amplitudes) == 0.0
 
     def test_two_unit_tones(self):
-        assert signal_power(ToneSet([1.0, 1.0], [0.0, 0.0], SPACING)) == 1.0
+        assert signal_power(ToneSet([1.0, 1.0], [0.0, 0.0], SPACING).amplitudes) == 1.0
 
     def test_eight_tones_at_max(self):
         tones = ToneSet(np.full(8, 300.0), np.zeros(8), SPACING)
-        assert signal_power(tones) == 90000.0
+        assert signal_power(tones.amplitudes) == 90000.0
 
 
 class TestTotalPower:
     def test_zero_waveform_floor(self, power_params):
         tones = ToneSet(np.zeros(8), np.zeros(8), SPACING)
-        breakdown = total_power(tones, 0.0, 0.0, 3, 100e6, power_params)
+        breakdown = total_power(tones.amplitudes, 0.0, 0.0, 3, 100e6, power_params)
         assert_allclose(breakdown.p_total, 29.455e-3, rtol=1e-12)
         assert breakdown.p_hpa == 0.0
         assert breakdown.p_s == 0.0
@@ -99,7 +99,7 @@ class TestTotalPower:
         tones = ToneSet(rng.random(8), np.zeros(8), SPACING)
         x = rng.uniform(-1, 1, 80)
         y = rapp_amplifier(x, 10.0, 10.0, 4.0)
-        b = total_power(tones, np.mean(x**2), np.mean(y**2), 3, 100e6, power_params)
+        b = total_power(tones.amplitudes, np.mean(x**2), np.mean(y**2), 3, 100e6, power_params)
         assert b.p_total == b.p_dac + b.p_mix + b.p_lo + b.p_hpa + b.p_s
 
     def test_negative_hpa_flagged(self):

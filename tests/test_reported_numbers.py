@@ -33,7 +33,7 @@ SIMULATE_BLOCKS = {"desk": BLOCK, "paper": BLOCK}
 def test_default_waveform_keeps_off_the_dac_rounding_boundary(bits):
     setup = build_setup(load_config(profile="desk", overrides={"chain": {"dac_bits": bits}}))
     chain = setup.system.chain
-    digital = synthesize_multitone(setup.tones, setup.system.n_dac)
+    digital = synthesize_multitone(setup.tones.amplitudes, setup.tones.phases, setup.system.n_dac)
     step = 2.0 * chain.dac_range / 2**bits
     codes = np.abs(np.concatenate([digital.real, digital.imag])) / step
     unclipped = codes < 2 ** (bits - 1)

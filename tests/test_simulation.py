@@ -1,8 +1,13 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import desk_setup
+from conftest import desk_setup, toy_setup
 from reference import passband_outcome
 from wptsim import (
     ConfigurationError,
@@ -10,6 +15,7 @@ from wptsim import (
     NumericalError,
     PhaseWord,
     ToneSet,
+    evaluate_batch,
     evaluate_solution,
     harvest_from_signal,
     lowpass_filter,
@@ -53,14 +59,16 @@ class TestRunChain:
         # every level, so a wrong sign or scale of the beam gain shows
         word = PhaseWord(np.arange(system.element_count) % 2**chain.ps_bits, chain.ps_bits)
         stages = run_chain(tones, word, system)
-        digital = synthesize_multitone(tones, 80)
+        digital = synthesize_multitone(tones.amplitudes, tones.phases, 80)
         dac = quantize_dac(digital, chain.dac_bits, chain.dac_range)
         lpf = lowpass_filter(dac, 8)
         mixer = complex_envelope(dac, 8, 384)
         hpa, p_in, p_out = amplify_envelope(
             mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
         )
-        received = beamformed_received(hpa, word, chain.ps_insertion_loss, system.band_coefficients)
+        received = beamformed_received(
+            hpa, word.angles(), chain.ps_insertion_loss, system.band_coefficients
+        )
         assert np.array_equal(stages.digital, digital)
         assert np.array_equal(stages.dac, dac)
         assert np.array_equal(stages.lpf, lpf)
@@ -120,7 +128,7 @@ class TestEvaluateSolution:
         stages = run_chain(setup.tones, setup.phase_word, setup.system)
         harvest = harvest_from_signal(stages.received, setup.system.rectenna)
         power = total_power(
-            setup.tones,
+            setup.tones.amplitudes,
             np.mean(np.abs(stages.mixer) ** 2) / 2,
             stages.hpa_output_power,
             setup.system.chain.dac_bits,
@@ -187,6 +195,75 @@ class TestEvaluateSolution:
             outcome.power.p_total,
         ):
             assert np.isfinite(value)
+
+
+_SYSTEMS = {"desk": desk_setup().system, "toy": toy_setup().system}
+
+
+def _batch(system, count, rng):
+    """count candidates at per-row amplitude scales from 0 to 1000 V: row 0
+    all zero, the last row (when count > 1) at 1000 V, and every phase level
+    present."""
+    tones, elements, bits = system.tone_count, system.element_count, system.chain.ps_bits
+    scales = rng.choice([0.0, 1e-3, 1.0, 30.0, 300.0, 1000.0], count)
+    amplitudes = rng.uniform(0.0, 1.0, (count, tones)) * scales[:, None]
+    amplitudes[0] = 0.0
+    if count > 1:
+        amplitudes[-1] = 1000.0
+    phases = rng.uniform(0.0, 2.0 * np.pi, (count, tones))
+    levels = rng.permutation(np.arange(count * elements) % 2**bits).reshape(count, elements)
+    return amplitudes, phases, levels
+
+
+class TestEvaluateBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        profile=st.sampled_from(sorted(_SYSTEMS)),
+        count=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_single_evaluations(self, profile, count, seed):
+        system = _SYSTEMS[profile]
+        amplitudes, phases, levels = _batch(system, count, np.random.default_rng(seed))
+        harvest, power = evaluate_batch(amplitudes, phases, levels, system)
+        for p in range(count):
+            tones = ToneSet(amplitudes[p], phases[p], system.tone_spacing)
+            word = PhaseWord(levels[p], system.chain.ps_bits)
+            outcome = evaluate_solution(tones, word, system)
+            for batch, single in ((harvest, outcome.harvest), (power, outcome.power)):
+                for field in dataclasses.fields(single):
+                    values = getattr(batch, field.name)
+                    assert values.shape == (count,)
+                    assert np.array_equal(values[p], getattr(single, field.name)), field.name
+
+    def test_batch_checked_at_the_boundary(self):
+        system = _SYSTEMS["toy"]
+        amplitudes, phases, levels = _batch(system, 3, np.random.default_rng(1))
+        evaluate_batch(amplitudes, phases, levels, system)
+        bad = [
+            (amplitudes[0], phases[0], levels[0]),  # one candidate, not a batch
+            (amplitudes, phases[:2], levels),
+            (amplitudes, phases, levels[:, :1]),
+            (np.hstack([amplitudes, amplitudes]), np.hstack([phases, phases]), levels),
+            (-amplitudes - 1.0, phases, levels),
+            (amplitudes, phases + 2.0 * np.pi, levels),
+            (amplitudes, phases, levels + 2),
+        ]
+        for case in bad:
+            with pytest.raises(DomainError):
+                evaluate_batch(*case, system)
+
+    def test_overflow_in_any_row_fails_the_batch_as_its_stage(self):
+        # a zero row is fine at any gain; one driven row overflows the drive.
+        # The overflow must raise in its stage, not pass as a numpy warning
+        # (which this suite's warning filter would turn into an error there)
+        system = desk_setup(chain={"hpa_gain": 1e308, "hpa_saturation": 1e-3}).system
+        amplitudes, phases, levels = _batch(system, 2, np.random.default_rng(2))
+        evaluate_batch(amplitudes[:1], phases[:1], levels[:1], system)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match="hpa stage failed: overflow"):
+                evaluate_batch(amplitudes, phases, levels, system)
 
 
 class TestSystemModelValidation:
