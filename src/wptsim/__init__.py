@@ -1,11 +1,12 @@
-"""wptsim: simulator and optimizer for an analog multi-antenna RF power transmitter."""
+"""wptsim: simulator and optimizer for an analog multi-antenna RF power transmitter.
 
-from .channel import (
-    ReceiverPosition,
-    build_channel_matrix,
-    element_positions,
-    radiation_profile,
-)
+The package exports the model: its parameter records, the system and the
+free variables, the evaluations and the searches. The stage kernels stay in
+their modules (signal_chain, channel, rectenna, power_model); they take
+inputs that these names have already checked.
+"""
+
+from .channel import ReceiverPosition, element_positions
 from .config import build_setup, load_config
 from .errors import ConfigurationError, DomainError, NumericalError
 from .optimizer import (
@@ -16,31 +17,9 @@ from .optimizer import (
     particle_bounds,
     pso_run,
 )
-from .power_model import (
-    PowerBreakdown,
-    PowerParams,
-    dac_power,
-    hpa_power,
-    signal_power,
-    total_power,
-)
-from .rectenna import (
-    RectennaParams,
-    dc_output_voltage,
-    harvest_from_signal,
-    harvested_power,
-    lambert_w0_log,
-    rhs_log_mean,
-    solve_rectifier_equation,
-)
-from .signal_chain import (
-    PhaseWord,
-    ToneSet,
-    lowpass_filter,
-    quantize_dac,
-    rapp_amplifier,
-    synthesize_multitone,
-)
+from .power_model import PowerBreakdown, PowerParams
+from .rectenna import RectennaParams
+from .signal_chain import PhaseWord, ToneSet
 from .simulation import SystemModel, evaluate_batch, evaluate_solution, run_chain
 
 __version__ = "0.1.0"
@@ -58,30 +37,14 @@ __all__ = [
     "SystemModel",
     "ToneSet",
     "brute_force_grid",
-    "build_channel_matrix",
     "build_setup",
-    "dac_power",
-    "dc_output_voltage",
     "decode_particle",
     "element_positions",
     "evaluate_batch",
     "evaluate_candidate",
     "evaluate_solution",
-    "harvest_from_signal",
-    "harvested_power",
-    "hpa_power",
-    "lambert_w0_log",
     "load_config",
-    "lowpass_filter",
     "particle_bounds",
     "pso_run",
-    "quantize_dac",
-    "radiation_profile",
-    "rapp_amplifier",
-    "rhs_log_mean",
     "run_chain",
-    "signal_power",
-    "solve_rectifier_equation",
-    "synthesize_multitone",
-    "total_power",
 ]

@@ -70,17 +70,16 @@ def element_positions(rows: int, cols: int, carrier: float) -> ArrayGeometry:
     return ArrayGeometry(rows, cols, carrier, positions)
 
 
-def radiation_profile(theta, exponent: float):
-    """Element gain 2(b+1) cos^b(theta) in the forward half-space, else 0.
+def radiation_profile(theta, exponent: float) -> np.ndarray:
+    """Element gain 2(b+1) cos^b(theta) in the forward half-space, else 0,
+    elementwise over an array of angles.
 
     The boundary theta = pi/2 belongs to the zero region for every exponent.
     """
-    theta_arr = np.asarray(theta, dtype=float)
-    gain = np.zeros_like(theta_arr)
-    ahead = (theta_arr >= 0.0) & (theta_arr < np.pi / 2.0)
-    gain[ahead] = 2.0 * (exponent + 1.0) * np.cos(theta_arr[ahead]) ** exponent
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(gain)
+    theta = np.asarray(theta, dtype=float)
+    gain = np.zeros_like(theta)
+    ahead = (theta >= 0.0) & (theta < np.pi / 2.0)
+    gain[ahead] = 2.0 * (exponent + 1.0) * np.cos(theta[ahead]) ** exponent
     return gain
 
 
@@ -102,10 +101,9 @@ class ChannelMatrix:
         return self.distances.size
 
     def coefficients_at(self, frequencies) -> np.ndarray:
-        """Per-element channel coefficients, shape (N, len(frequencies))."""
+        """Per-element channel coefficients at positive frequencies, shape
+        (N, len(frequencies))."""
         freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-        if np.any(freqs <= 0):
-            raise DomainError("channel frequencies must be positive")
         wavelengths = speed_of_light / freqs
         profile = np.sqrt(radiation_profile(self.elevations, self.boresight_exponent))
         amplitude = np.outer(profile / (4.0 * np.pi * self.distances), wavelengths)
@@ -158,24 +156,10 @@ def beamformed_received(
     envelope on the amplified envelope's samples, and no branch is formed.
     Each beam's gain is its own vector-matrix product, as for a single
     period; one (P, N) @ (N, 2K+1) product would round a row differently
-    with the batch size.
+    with the batch size. The period must hold every band bin, n > 2K.
     """
-    if not np.iscomplexobj(envelope) or envelope.ndim < 1:
-        raise DomainError("the phase shifters act on complex envelopes")
-    if envelope.shape[:-1] != angles.shape[:-1]:
-        raise DomainError(
-            f"{envelope.shape[:-1]} envelope periods but {angles.shape[:-1]} beams"
-        )
-    if insertion_loss < 1:
-        raise DomainError("insertion loss is a linear power ratio >= 1")
-    elements = band_coefficients.shape[0]
-    if angles.shape[-1] != elements:
-        raise DomainError(f"expected {elements} phase levels, got {angles.shape[-1]}")
-    n = envelope.shape[-1]
-    tone_count = band_coefficients.shape[1] // 2
-    if n <= 2 * tone_count:
-        raise DomainError("the envelope period must hold every band bin")
-    bins = band_bins(tone_count, n)
+    elements, width = band_coefficients.shape
+    bins = band_bins(width // 2, envelope.shape[-1])
     scale = 1.0 / np.sqrt(insertion_loss * elements)
     weights = scale * np.exp(-1j * angles)
     gain = (weights[..., None, :] @ band_coefficients)[..., 0, :]

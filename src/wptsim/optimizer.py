@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require_finite
 from .power_model import PowerBreakdown, dac_power
 from .signal_chain import PhaseWord, ToneSet
 from .simulation import SystemModel, evaluate_batch, evaluate_solution
@@ -41,6 +41,7 @@ class SwarmConfig:
     penalty: float = 1e6  # watts, must exceed any attainable consumption
 
     def __post_init__(self):
+        require_finite(self, ConfigurationError)
         if self.particles < 2:
             raise ConfigurationError("swarm needs at least 2 particles")
         if self.iterations < 0:

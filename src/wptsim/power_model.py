@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 
 @dataclass(frozen=True)
@@ -21,6 +21,7 @@ class PowerParams:
     hpa_output_resistance: float  # ohm
 
     def __post_init__(self):
+        require_finite(self, DomainError)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise DomainError(f"{f.name} must be positive")
@@ -50,8 +51,6 @@ class PowerBreakdown:
 
 def dac_power(bits: int, sample_rate: float, params: PowerParams) -> float:
     """Static-current plus switching power of the binary-weighted DAC."""
-    if bits < 1:
-        raise DomainError("dac resolution must be at least 1 bit")
     static = params.supply_voltage * params.unit_current * (2**bits - 1)
     switching = params.parasitic_capacitance * sample_rate * params.supply_voltage**2 * bits
     return 0.5 * params.correction_factor * (static + switching)
@@ -65,8 +64,6 @@ def hpa_power(input_power, output_power, input_resistance: float, output_resista
     a drain-efficiency model; it can come out negative for deeply saturated
     drives with equal port resistances.
     """
-    if input_resistance <= 0 or output_resistance <= 0:
-        raise DomainError("port resistances must be positive")
     return output_power / output_resistance - input_power / input_resistance
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import i0e, wrightomega
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, require_finite
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class RectennaParams:
     ideality: float
 
     def __post_init__(self):
+        require_finite(self, DomainError)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise DomainError(f"{f.name} must be positive")
@@ -64,8 +65,6 @@ def lambert_w0_log(log_x):
     w + ln w = log_x, which stays finite for log_x far beyond the point where
     exp(log_x) itself would overflow.
     """
-    if not np.isfinite(log_x).all():
-        raise DomainError("log-form argument must be finite")
     return wrightomega(log_x)
 
 
@@ -90,9 +89,8 @@ def dc_output_voltage(rhs_log, params: RectennaParams):
     """DC load voltage from the closed-form rectifier balance, elementwise.
 
     The Lambert W argument c * e^c * e^rhs_log is handed over in log form
-    (c + ln c + rhs_log), so the result is finite for any drive level; that
-    argument is finite exactly when rhs_log is, and lambert_w0_log rejects
-    it otherwise.
+    (c + ln c + rhs_log), so the result is finite for any finite drive
+    level.
     """
     c = params.load_constant
     w = lambert_w0_log(c + np.log(c) + rhs_log)
@@ -104,8 +102,6 @@ def dc_output_voltage(rhs_log, params: RectennaParams):
 
 def harvested_power(v_out, load_resistance: float):
     """DC power delivered to the load."""
-    if load_resistance <= 0:
-        raise DomainError("load resistance must be positive")
     return v_out * v_out / load_resistance
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require_finite
 
 # Largest DAC or phase-shifter resolution: the 53-bit significand of a double.
 # Up to it 2^bits - 1 is exact in float64, where the DAC step 2A/2^bits and
@@ -62,16 +62,22 @@ def _as_multiple(rate: float, step: float, name: str) -> int:
 
 
 def _check_tones(amplitudes: np.ndarray, phases: np.ndarray) -> None:
-    if (amplitudes < 0).any():
-        raise DomainError("tone amplitudes must be nonnegative")
-    if ((phases < 0) | (phases >= 2 * np.pi)).any():
+    # each test holds for the valid values, so NaN (false in every comparison) fails it
+    if not (np.isfinite(amplitudes) & (amplitudes >= 0)).all():
+        raise DomainError("tone amplitudes must be finite and nonnegative")
+    if not ((phases >= 0) & (phases < 2 * np.pi)).all():
         raise DomainError("tone phases must lie in [0, 2*pi)")
 
 
-def _check_levels(levels: np.ndarray, bits: int) -> None:
+def _as_levels(levels, bits: int) -> np.ndarray:
+    """The phase levels as an int array. Each must be a whole number in
+    [0, 2^bits - 1]; integral floats are accepted, fractions refused rather
+    than truncated."""
+    levels = np.asarray(levels)
     top = 2**bits - 1
-    if ((levels < 0) | (levels > top)).any():
-        raise DomainError(f"phase levels must lie in [0, {top}]")
+    if not ((levels >= 0) & (levels <= top) & (np.floor(levels) == levels)).all():
+        raise DomainError(f"phase levels must be whole numbers in [0, {top}]")
+    return levels.astype(int)
 
 
 def _angles(levels: np.ndarray, bits: int) -> np.ndarray:
@@ -125,6 +131,7 @@ class ChainConfig:
     sim_sample_rate: float  # Hz, rate of the passband reference in the tests
 
     def __post_init__(self):
+        require_finite(self, ConfigurationError)
         if not 1 <= self.dac_bits <= MAX_BITS:
             raise ConfigurationError(f"dac_bits must lie in [1, {MAX_BITS}]")
         if self.dac_range <= 0:
@@ -151,13 +158,12 @@ class PhaseWord:
     bits: int
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=int)
-        object.__setattr__(self, "levels", levels)
+        levels = np.asarray(self.levels)
         if self.bits < 1:
             raise DomainError("phase shifter resolution must be at least 1 bit")
         if levels.ndim != 1 or levels.size == 0:
             raise DomainError("phase word must be a nonempty 1-D vector")
-        _check_levels(levels, self.bits)
+        object.__setattr__(self, "levels", _as_levels(levels, self.bits))
 
     @property
     def count(self) -> int:
@@ -191,36 +197,26 @@ def _round_half_away(values: np.ndarray) -> np.ndarray:
 
 
 def quantize_dac(samples: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
-    """Saturating uniform quantizer with step 2A/2^bits.
+    """Saturating uniform quantizer with step 2A/2^bits, on complex samples.
 
-    In-phase and quadrature components are quantized independently; inputs
-    beyond [-A, A] clip to the rails, so any drive level is well defined and
-    overdrive shows up as distortion rather than an error.
+    In-phase and quadrature components are quantized independently, in one
+    pass over the (re, im) pairs; inputs beyond [-A, A] clip to the rails, so
+    any drive level is well defined and overdrive shows up as distortion
+    rather than an error.
     """
-    if bits < 1:
-        raise DomainError("quantizer resolution must be at least 1 bit")
-    if full_scale <= 0:
-        raise DomainError("quantizer full scale must be positive")
     step = 2.0 * full_scale / 2.0**bits
-
-    def quantize(component):
-        clamped = np.clip(component, -full_scale, full_scale)
-        return _round_half_away(clamped / step) * step
-
-    if np.iscomplexobj(samples):
-        # both components in one pass, over the (re, im) pairs of the samples
-        pairs = np.ascontiguousarray(samples, dtype=complex).view(float)
-        return quantize(pairs).view(complex)
-    return quantize(samples)
+    pairs = np.ascontiguousarray(samples, dtype=complex).view(float)
+    clamped = np.clip(pairs, -full_scale, full_scale)
+    return (_round_half_away(clamped / step) * step).view(complex)
 
 
 def lowpass_filter(samples: np.ndarray, tone_count: int) -> np.ndarray:
-    """Ideal brick-wall low-pass: keep the DFT bins at offsets -K..K (mod n), the
-    band the envelope is built from, and zero the rest (none when n <= 2K + 1)."""
+    """Ideal brick-wall low-pass of complex periods along the last axis: keep the
+    DFT bins at offsets -K..K (mod n), the band the envelope is built from, and
+    zero the rest (none when n <= 2K + 1)."""
     spectrum = np.fft.fft(samples)
-    spectrum[tone_count + 1 : samples.size - tone_count] = 0.0
-    out = np.fft.ifft(spectrum)
-    return out if np.iscomplexobj(samples) else out.real
+    spectrum[..., tone_count + 1 : samples.shape[-1] - tone_count] = 0.0
+    return np.fft.ifft(spectrum)
 
 
 @functools.lru_cache(maxsize=16)
@@ -270,34 +266,12 @@ def _rapp_compression(drive: np.ndarray, smoothness: float) -> np.ndarray:
     return out
 
 
-def rapp_amplifier(
-    x: np.ndarray, gain: float, saturation: float, smoothness: float
-) -> np.ndarray:
-    """Smooth saturating memoryless amplifier.
-
-    y = G x (1 + (G|x|/A_s)^(2 beta))^(-1/(2 beta)); above the knee the
-    compression factor is evaluated in reciprocal form so the power term never
-    overflows, and |y| stays strictly below the saturation voltage.
-    """
-    if np.iscomplexobj(x):
-        raise DomainError("the amplifier acts on a real signal")
-    if smoothness < 1:
-        raise DomainError("smoothness must be >= 1")
-    if gain <= 0 or saturation <= 0:
-        raise DomainError("gain and saturation must be positive")
-    out = gain * x * _rapp_compression(gain * np.abs(x) / saturation, smoothness)
-    # the true output is strictly below saturation but deep drives round up to
-    # it in double precision; cap one ulp under the rail
-    limit = np.nextafter(saturation, 0.0)
-    np.clip(out, -limit, limit, out=out)
-    return out
-
-
 def first_zone(
     amplitude: np.ndarray, gain: float, saturation: float, smoothness: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """c1(A)/A and h(A) of the Rapp amplifier at envelope magnitudes A >= 0, by
-    the P-point rule (P = points); _zone_table sizes P to each drive.
+    the P-point rule (P = points, a positive multiple of 4); _zone_table sizes
+    P to each drive.
 
     Both come from one (A, P/4) grid of compression factors, since
     f(x) = G x c(G x / A_s): c1(A)/A = 2 G mean(c cos^2) and
@@ -307,8 +281,6 @@ def first_zone(
     mean square. The ratio c1(A)/A needs no division: at A = 0 it is the
     small-signal gain G.
     """
-    if points < 4 or points % 4:
-        raise DomainError("the zone rule needs a positive multiple of 4 points")
     # nodes cos(2 pi t / P), t = 0..P/4 - 1, weighted 4/P (half that at t = 0)
     # to fold the P-point mean over the cycle onto them: f is odd, and the
     # node at pi/2 has cos = 0 and adds nothing
@@ -353,7 +325,8 @@ def _zone_table(
     Both depend on the drive alone, and the scaling keeps them smooth, finite
     and away from zero on the whole range: they run from 1 and 1/2 at D = 0
     to 4/pi and 1 as D grows without bound. Built once per smoothness, at
-    the first evaluation that needs it.
+    the first evaluation that needs it; amplify_envelope reads the node count
+    from the table's shape.
     """
     x = np.linspace(0.0, 1.0, nodes)
     drive = x[:-1] / (1.0 - x[:-1])
@@ -379,12 +352,7 @@ def _zone_table(
 
 
 def amplify_envelope(
-    envelope: np.ndarray,
-    gain: float,
-    saturation: float,
-    smoothness: float,
-    points: int = ZONE_POINTS,
-    nodes: int = ZONE_TABLE_NODES,
+    envelope: np.ndarray, gain: float, saturation: float, smoothness: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The amplifier on the mixer's complex envelope, along the last axis.
 
@@ -394,17 +362,14 @@ def amplify_envelope(
     table at each sample's drive. The means are one dot product per period
     (`vecdot`), so a period's powers do not depend on the rest of a batch.
     """
-    if smoothness < 1:
-        raise DomainError("smoothness must be >= 1")
-    if gain <= 0 or saturation <= 0:
-        raise DomainError("gain and saturation must be positive")
-    table = _zone_table(float(smoothness), points, nodes)
+    table = _zone_table(float(smoothness))
+    intervals = table.shape[-1]
     amplitude = np.abs(envelope)
     drive = gain * amplitude / saturation
     inverse = 1.0 / (1.0 + drive)
     x = drive * inverse
-    position = x * (nodes - 1)
-    interval = np.minimum(position.astype(np.intp), nodes - 2)
+    position = x * intervals
+    interval = np.minimum(position.astype(np.intp), intervals - 1)
     t = position - interval
     # the two scaled functions by Horner's rule in t, in place
     piece = np.take(table, interval, axis=2)  # (4, 2, ..., n)

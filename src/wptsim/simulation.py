@@ -22,8 +22,8 @@ from .signal_chain import (
     ToneSet,
     ENVELOPE_SAMPLES_PER_TONE,
     _angles,
+    _as_levels,
     _as_multiple,
-    _check_levels,
     _check_tones,
     amplify_envelope,
     complex_envelope,
@@ -115,6 +115,13 @@ class SystemModel:
             raise ConfigurationError("carrier must exceed the baseband bandwidth")
         if self.geometry.carrier <= bw:
             raise ConfigurationError(f"channel.rf_carrier must exceed the baseband bandwidth {bw}")
+        # the element gain 2(b + 1) cos^b is a normalized pattern for finite b > -1;
+        # below it the gain is negative and the channel's square root NaN
+        if not -1.0 < self.boresight_exponent < np.inf:
+            raise ConfigurationError(
+                f"channel.boresight_exponent {self.boresight_exponent} must be finite"
+                " and exceed -1"
+            )
         entries = self.element_count * (2 * tones + 1)
         if entries > MAX_CHANNEL_ENTRIES:
             raise ConfigurationError(
@@ -203,10 +210,9 @@ def _candidate(tones: ToneSet, word: PhaseWord, system: SystemModel):
 
 
 def _stage(name: str, fn, *args):
+    # the stages take validated inputs only, so whatever they raise is numerical
     try:
         return fn(*args)
-    except (DomainError, ConfigurationError):
-        raise
     except Exception as exc:  # noqa: BLE001 - tag unexpected numerical failures
         raise NumericalError(f"{name} stage failed: {exc}") from exc
 
@@ -274,12 +280,12 @@ def evaluate_batch(
     """
     amplitudes = np.asarray(amplitudes, dtype=float)
     phases = np.asarray(phases, dtype=float)
-    levels = np.asarray(levels, dtype=int)
+    levels = np.asarray(levels)
     if amplitudes.ndim != 2:
         raise DomainError(f"expected (P, K) amplitudes, got shape {amplitudes.shape}")
     _check_shapes(amplitudes, phases, levels, system)
     _check_tones(amplitudes, phases)
-    _check_levels(levels, system.chain.ps_bits)
+    levels = _as_levels(levels, system.chain.ps_bits)
     stages = _transmit(amplitudes, phases, levels, system)
     harvest, power = _harvest_and_power(stages, amplitudes, system)
     # p_dac, p_mix and p_lo are the same for every candidate

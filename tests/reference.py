@@ -7,7 +7,8 @@ chain.sim_sample_rate with the carrier at carrier bin m, where the amplifier's
 harmonics are present and alias back into the band by an amount that shrinks
 as the rate grows.
 
-- upconvert mixes the filtered baseband onto the carrier;
+- upconvert mixes the filtered baseband onto the carrier, and rapp_amplifier
+  amplifies the real passband samples;
 - beamformed_received runs the phase shifters and the channel as one per-bin
   beam gain on the passband period, and apply_phase_shifters and
   received_signal form and sum the N element branches explicitly;
@@ -19,9 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wptsim import DomainError, PhaseWord, ToneSet, lambert_w0_log, rapp_amplifier
-from wptsim.rectenna import RectennaParams, dc_output_voltage
-from wptsim.signal_chain import lowpass_filter, quantize_dac, synthesize_multitone
+from wptsim import DomainError, PhaseWord, ToneSet
+from wptsim.rectenna import RectennaParams, dc_output_voltage, lambert_w0_log
+from wptsim.signal_chain import (
+    _rapp_compression,
+    lowpass_filter,
+    quantize_dac,
+    synthesize_multitone,
+)
 from wptsim.simulation import SystemModel
 
 
@@ -60,6 +66,29 @@ def upconvert(
     spectrum = np.zeros(n_sim // 2 + 1, dtype=complex)
     spectrum[carrier_bin + offsets] = bins
     return np.fft.irfft(spectrum, n=n_sim)
+
+
+def rapp_amplifier(
+    x: np.ndarray, gain: float, saturation: float, smoothness: float
+) -> np.ndarray:
+    """Smooth saturating memoryless amplifier on real passband samples.
+
+    y = G x (1 + (G|x|/A_s)^(2 beta))^(-1/(2 beta)); above the knee the
+    compression factor is evaluated in reciprocal form so the power term never
+    overflows, and |y| stays strictly below the saturation voltage.
+    """
+    if np.iscomplexobj(x):
+        raise DomainError("the amplifier acts on a real signal")
+    if smoothness < 1:
+        raise DomainError("smoothness must be >= 1")
+    if gain <= 0 or saturation <= 0:
+        raise DomainError("gain and saturation must be positive")
+    out = gain * x * _rapp_compression(gain * np.abs(x) / saturation, smoothness)
+    # the true output is strictly below saturation but deep drives round up to
+    # it in double precision; cap one ulp under the rail
+    limit = np.nextafter(saturation, 0.0)
+    np.clip(out, -limit, limit, out=out)
+    return out
 
 
 def beamformed_received(

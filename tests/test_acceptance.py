@@ -13,30 +13,34 @@ from numpy.testing import assert_allclose
 
 from conftest import desk_setup, toy_setup
 import reference
-from reference import lambert_w0, received_signal
+from reference import lambert_w0, rapp_amplifier, received_signal
 from wptsim import (
     PhaseWord,
     RectennaParams,
     ReceiverPosition,
     ToneSet,
     brute_force_grid,
-    build_channel_matrix,
-    dac_power,
-    dc_output_voltage,
     element_positions,
     evaluate_candidate,
     evaluate_solution,
-    lambert_w0_log,
     particle_bounds,
     pso_run,
-    quantize_dac,
-    radiation_profile,
-    rapp_amplifier,
-    rhs_log_mean,
     run_chain,
+)
+from wptsim.channel import (
+    beamformed_received,
+    build_channel_matrix,
+    radiation_profile,
+    receive_band,
+)
+from wptsim.power_model import dac_power
+from wptsim.rectenna import (
+    dc_output_voltage,
+    lambert_w0_log,
+    rhs_log_mean,
     solve_rectifier_equation,
 )
-from wptsim.channel import beamformed_received, receive_band
+from wptsim.signal_chain import quantize_dac
 
 SPACING = 1.25e6
 

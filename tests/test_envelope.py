@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup
-from reference import passband_outcome
-from wptsim import PhaseWord, ToneSet, evaluate_solution, rapp_amplifier
+from reference import passband_outcome, rapp_amplifier
+from wptsim import PhaseWord, ToneSet, evaluate_solution
 from wptsim.channel import beamformed_received
 from wptsim.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from wptsim.config import build_setup, load_config
 from wptsim.power_model import hpa_power
 from wptsim.rectenna import harvest_from_signal
+import wptsim.signal_chain
 from wptsim.signal_chain import (
     ZONE_POINTS,
     ZONE_TABLE_NODES,
+    _zone_table,
     amplify_envelope,
     complex_envelope,
     first_zone,
@@ -44,14 +46,17 @@ def candidates(rng, system, bounds, per_bound=6):
 
 def harvest_and_hpa(tones, word, system, samples, points, nodes):
     """p_out_dc and p_hpa of the envelope chain at M = samples, P = points and a
-    table of `nodes` nodes."""
+    table of `nodes` nodes: the amplifier reads the table _zone_table builds."""
     chain, power = system.chain, system.power
     digital = synthesize_multitone(tones.amplitudes, tones.phases, system.n_dac)
     dac = quantize_dac(digital, chain.dac_bits, chain.dac_range)
     mixer = complex_envelope(dac, system.tone_count, samples)
-    hpa, p_in, p_out = amplify_envelope(
-        mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness, points, nodes
-    )
+    table = _zone_table(float(chain.hpa_smoothness), points, nodes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wptsim.signal_chain, "_zone_table", lambda smoothness: table)
+        hpa, p_in, p_out = amplify_envelope(
+            mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
+        )
     received = beamformed_received(
         hpa, word.angles(), chain.ps_insertion_loss, system.band_coefficients
     )
@@ -86,6 +91,8 @@ def test_doubling_the_envelope_the_zone_rule_or_the_table_moves_nothing(tone_cou
     samples = system.n_env
     pairs = [(setup.tones, setup.phase_word)]
     pairs += candidates(np.random.default_rng(tone_count), system, (3.0, 30.0, 300.0, 1000.0))
+    finer_table = (samples, ZONE_POINTS, 2 * ZONE_TABLE_NODES - 1)
+    table_moved = False
     for tones, word in pairs:
         base = harvest_and_hpa(tones, word, system, samples, ZONE_POINTS, ZONE_TABLE_NODES)
         # the helper is the chain
@@ -94,10 +101,13 @@ def test_doubling_the_envelope_the_zone_rule_or_the_table_moves_nothing(tone_cou
         for doubled in (
             (2 * samples, ZONE_POINTS, ZONE_TABLE_NODES),
             (samples, 2 * ZONE_POINTS, ZONE_TABLE_NODES),
-            (samples, ZONE_POINTS, 2 * ZONE_TABLE_NODES - 1),
+            finer_table,
         ):
             moved = harvest_and_hpa(tones, word, system, *doubled)
             assert_allclose(moved, base, rtol=1e-9, atol=0)
+            table_moved |= doubled == finer_table and moved != base
+    # the amplifier did read the finer table
+    assert table_moved
 
 
 @settings(max_examples=60, deadline=None)

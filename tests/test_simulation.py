@@ -17,17 +17,20 @@ from wptsim import (
     ToneSet,
     evaluate_batch,
     evaluate_solution,
-    harvest_from_signal,
-    lowpass_filter,
-    quantize_dac,
     run_chain,
-    synthesize_multitone,
-    total_power,
 )
 import wptsim.signal_chain
 import wptsim.simulation
 from wptsim.channel import ChannelMatrix, beamformed_received
-from wptsim.signal_chain import amplify_envelope, complex_envelope
+from wptsim.power_model import total_power
+from wptsim.rectenna import harvest_from_signal
+from wptsim.signal_chain import (
+    amplify_envelope,
+    complex_envelope,
+    lowpass_filter,
+    quantize_dac,
+    synthesize_multitone,
+)
 
 SPACING = 1.25e6
 
@@ -299,6 +302,18 @@ class TestSystemModelValidation:
         with pytest.raises(ConfigurationError):
             desk_setup(receiver={"position": [0.0, 0.0, 0.0]})
 
+    def test_boresight_exponent_must_give_a_normalized_pattern(self):
+        # at b <= -1 the gain 2(b + 1) cos^b is not positive: the channel came
+        # out NaN and the evaluation failed as a numerical error
+        for value in (-1.0, -3.0):
+            with pytest.raises(ConfigurationError, match="boresight_exponent"):
+                desk_setup(channel={"boresight_exponent": value})
+        system = desk_setup().system
+        for value in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="boresight_exponent"):
+                dataclasses.replace(system, boresight_exponent=value)
+        desk_setup(channel={"boresight_exponent": -0.5})
+
     def test_paper_profile_agrees_with_desk_scale(self):
         # the desk profile snaps the simulated carrier down; the envelope chain
         # reads neither carrier nor rate, so harvest and amplifier power are
@@ -321,3 +336,127 @@ class TestSystemModelValidation:
         # channel magnitudes match the faithful 5.18 GHz path loss
         tones = setup.system.channel.coefficients_at(5.18e9 + np.arange(8) * SPACING)
         assert_allclose(np.abs(tones).max(), 3.761e-3, rtol=2e-3)
+
+
+_DESK = desk_setup()
+
+
+def _replace(record, **fields):
+    return lambda: dataclasses.replace(record, **fields)
+
+
+def _evaluate_batch(amplitudes, phases, levels):
+    return lambda: evaluate_batch(amplitudes, phases, levels, _DESK.system)
+
+
+_K, _N = _DESK.system.tone_count, _DESK.system.element_count
+_CHAIN, _POWER, _RECTENNA = _DESK.system.chain, _DESK.system.power, _DESK.system.rectenna
+
+# Every argument check the stage kernels made on each evaluation, as the row
+# "<kernel>.<what it checked>", with a bad value and the boundary constructor
+# or call that rejects it before any stage runs. Two kernel checks have no
+# row because no input reaches them: the envelope the phase shifters take is
+# always complex, and SystemModel's n_env = 48 max(K, 4) always exceeds 2K + 1;
+# first_zone's rule sizes come from _zone_table, 80 * 2^k.
+BOUNDARY = {
+    "quantize_dac.bits": (_replace(_CHAIN, dac_bits=0), ConfigurationError),
+    "dac_power.bits": (_replace(_CHAIN, dac_bits=0), ConfigurationError),
+    "quantize_dac.full_scale": (_replace(_CHAIN, dac_range=0.0), ConfigurationError),
+    "amplify_envelope.smoothness": (_replace(_CHAIN, hpa_smoothness=0.5), ConfigurationError),
+    "amplify_envelope.gain": (_replace(_CHAIN, hpa_gain=0.0), ConfigurationError),
+    "amplify_envelope.saturation": (_replace(_CHAIN, hpa_saturation=-1.0), ConfigurationError),
+    "beamformed_received.insertion_loss": (
+        _replace(_CHAIN, ps_insertion_loss=0.5), ConfigurationError
+    ),
+    "beamformed_received.elements": (
+        lambda: evaluate_solution(_DESK.tones, PhaseWord([0] * (_N + 1), 3), _DESK.system),
+        DomainError,
+    ),
+    "beamformed_received.elements_of_a_batch": (
+        _evaluate_batch(np.ones((2, _K)), np.zeros((2, _K)), np.zeros((2, _N + 1), int)),
+        DomainError,
+    ),
+    "beamformed_received.beams_per_period": (
+        _evaluate_batch(np.ones((2, _K)), np.zeros((2, _K)), np.zeros((1, _N), int)),
+        DomainError,
+    ),
+    "beamformed_received.ndim": (
+        _evaluate_batch(np.ones(_K), np.zeros(_K), np.zeros(_N, int)), DomainError
+    ),
+    "hpa_power.input_resistance": (_replace(_POWER, hpa_input_resistance=0.0), DomainError),
+    "hpa_power.output_resistance": (_replace(_POWER, hpa_output_resistance=-1.0), DomainError),
+    "harvested_power.load_resistance": (_replace(_RECTENNA, load_resistance=0.0), DomainError),
+    # lambert_w0_log's argument is finite when the tones and the rectenna are
+    "lambert_w0_log.finite_tones": (
+        lambda: ToneSet([np.inf] * _K, [0.0] * _K, SPACING), DomainError
+    ),
+    "lambert_w0_log.finite_rectenna": (
+        _replace(_RECTENNA, thermal_voltage=np.nan), DomainError
+    ),
+    # the band's lowest frequency is rf_carrier - K tone spacings
+    "coefficients_at.positive_frequencies": (
+        lambda: desk_setup(channel={"rf_carrier": 5e6}), ConfigurationError
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BOUNDARY))
+def test_the_boundary_rejects_what_the_stage_kernels_trust(check):
+    build, error = BOUNDARY[check]
+    with pytest.raises(error):
+        build()
+
+
+def _float_fields(record):
+    fields = dataclasses.fields(record)
+    return [f.name for f in fields if isinstance(getattr(record, f.name), float)]
+
+
+_RECORDS = {
+    "ChainConfig": (_CHAIN, ConfigurationError),
+    "PowerParams": (_POWER, DomainError),
+    "RectennaParams": (_RECTENNA, DomainError),
+    "SwarmConfig": (_DESK.swarm, ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "name, field", [(name, f) for name, (r, _) in _RECORDS.items() for f in _float_fields(r)]
+)
+def test_records_refuse_non_finite_fields(name, field, value):
+    # every comparison with NaN is false, so a range check alone lets it through
+    record, error = _RECORDS[name]
+    with pytest.raises(error, match=field):
+        dataclasses.replace(record, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "amplitude, phase", [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (1.0, np.nan)]
+)
+def test_non_finite_tones_rejected_at_both_entry_points(amplitude, phase):
+    system = _SYSTEMS["toy"]
+    with pytest.raises(DomainError):
+        ToneSet([1.0, amplitude], [0.0, phase], SPACING)
+    amplitudes, phases, levels = _batch(system, 3, np.random.default_rng(3))
+    amplitudes[1, 0], phases[1, 0] = amplitude, phase
+    with pytest.raises(DomainError):
+        evaluate_batch(amplitudes, phases, levels, system)
+
+
+def test_fractional_phase_levels_rejected_and_integral_floats_accepted():
+    bits = 3
+    for levels in ([1.9] * 25, [0.5, 1.0], [np.nan], [np.inf]):
+        with pytest.raises(DomainError):
+            PhaseWord(levels, bits)
+    word = PhaseWord([2.0, 7.0], bits)
+    assert word.levels.dtype == int and word.levels.tolist() == [2, 7]
+    # every level at 2.7 of 0..7 used to evaluate as level 2
+    system = _SYSTEMS["desk"]
+    amplitudes, phases, levels = _batch(system, 3, np.random.default_rng(4))
+    with pytest.raises(DomainError):
+        evaluate_batch(amplitudes, phases, np.full(levels.shape, 2.7), system)
+    whole, floats = (
+        evaluate_batch(amplitudes, phases, values, system) for values in (levels, levels * 1.0)
+    )
+    assert np.array_equal(whole[0].p_out_dc, floats[0].p_out_dc)
