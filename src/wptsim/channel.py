@@ -87,8 +87,9 @@ def radiation_profile(theta, exponent: float) -> np.ndarray:
 class ChannelMatrix:
     """Complex element-to-receiver gains, evaluable at any RF frequency.
 
-    Gains are computed on demand per frequency bin so that intermodulation
-    products created by the amplifier see the channel at their own wavelength.
+    Each frequency sees the channel at its own wavelength. SystemModel takes
+    it once, at the 2K + 1 band bins the receiver keeps (H_band, receive_band),
+    and no evaluation reads the matrix again.
     """
 
     distances: np.ndarray  # (N,) meters
@@ -142,27 +143,33 @@ def receive_band(
 
 
 def beamformed_received(
-    envelope: np.ndarray, angles: np.ndarray, insertion_loss: float, band_coefficients: np.ndarray
+    emission: np.ndarray,
+    angles: np.ndarray,
+    insertion_loss: float,
+    band_coefficients: np.ndarray,
+    n: int,
 ) -> np.ndarray:
-    """The amplified envelope through the phase shifters and the channel, in one pass.
+    """The received envelope period, n samples, of an emission under a beam:
+    the phase shifters and the channel in one pass.
 
-    envelope is (..., n) and angles, the shifters' rotations theta in
-    radians, (..., N) with the same leading axes: one beam per period.
-    The model is linear after the amplifier, and the receiver keeps only the
-    band offsets k = -K..K. There, branch i holds s e^{-j theta_i} X[k], with
-    X the DFT of the envelope period and s = (insertion_loss N)^-1/2, so the
-    received envelope's bins are X[k] times the per-bin beam gain
-    g = s e^{-j theta}^T H_band; one inverse DFT of them gives the received
-    envelope on the amplified envelope's samples, and no branch is formed.
-    Each beam's gain is its own vector-matrix product, as for a single
-    period; one (P, N) @ (N, 2K+1) product would round a row differently
-    with the batch size. The period must hold every band bin, n > 2K.
+    emission is X, the band bins k = -K..K of the amplified envelope's
+    n-point DFT, (..., 2K+1), and angles, the shifters' rotations theta in
+    radians, (..., N): one beam per row, the leading axes broadcast against
+    the emission's. The model is linear after the amplifier, and the
+    receiver keeps only the band. There, branch i holds s e^{-j theta_i} X[k],
+    s = (insertion_loss N)^-1/2, so the received envelope's bins are X[k]
+    times the per-bin beam gain g = s e^{-j theta}^T H_band; one inverse DFT
+    of them gives the received envelope on the amplified envelope's samples,
+    and no branch is formed. Each beam's gain is its own vector-matrix
+    product, formed once however many emissions share it; one
+    (P, N) @ (N, 2K+1) product would round a row differently with the batch
+    size. The period must hold every band bin, n > 2K.
     """
     elements, width = band_coefficients.shape
-    bins = band_bins(width // 2, envelope.shape[-1])
     scale = 1.0 / np.sqrt(insertion_loss * elements)
     weights = scale * np.exp(-1j * angles)
     gain = (weights[..., None, :] @ band_coefficients)[..., 0, :]
-    spectrum = np.zeros(envelope.shape, dtype=complex)
-    spectrum[..., bins] = np.fft.fft(envelope)[..., bins] * gain
+    received = emission * gain
+    spectrum = np.zeros((*received.shape[:-1], n), dtype=complex)
+    spectrum[..., band_bins(width // 2, n)] = received
     return np.fft.ifft(spectrum)

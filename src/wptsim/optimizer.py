@@ -13,16 +13,24 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, require_finite
 from .power_model import PowerBreakdown, dac_power
 from .signal_chain import PhaseWord, ToneSet
-from .simulation import SystemModel, evaluate_batch, evaluate_solution
+from .simulation import (
+    SystemModel,
+    _harvest_and_power,
+    _receive,
+    _transmit,
+    evaluate_batch,
+    evaluate_solution,
+)
 
 # fraction of each dimension's range; unclamped velocities pin particles on bounds
 VELOCITY_CLAMP = 0.2
 
 GRID_BUDGET = 10_000_000
-# Most envelope samples (candidates x n_env) in one batch of the grid, so its
-# memory does not grow with the grid: the amplifier's table gather holds 8
-# doubles a sample, 1 MiB a chunk. (A swarm is one batch per iteration; the
-# desk swarm, 30 x 384 samples, is smaller than one chunk.)
+# Most received envelope samples (tone points x words x n_env) in one chunk of
+# the grid, so its memory does not grow with the grid: the rectenna holds a
+# few arrays of them, and the amplifier's table gather, 8 doubles a sample of
+# the chunk's fewer transmitted periods, 1 MiB at most. (A swarm is one batch
+# per iteration; the desk swarm, 30 x 384 samples, is smaller than one chunk.)
 GRID_CHUNK_SAMPLES = 2**14
 
 
@@ -146,14 +154,18 @@ def evaluate_candidate(
     return CandidateEval(float(value), outcome.harvest.p_out_dc, outcome.power, bool(feasible))
 
 
-def _evaluate_rows(amplitudes, phases, levels, system: SystemModel, swarm: SwarmConfig):
-    """Fitness of each row of a batch, and a function building row p's CandidateEval."""
-    harvest, power = evaluate_batch(amplitudes, phases, levels, system)
-    values, feasible = _penalised(harvest.p_out_dc, power.p_total, swarm)
+def _ranked(p_out_dc, power: PowerBreakdown, swarm: SwarmConfig):
+    """Fitness of each candidate, flat in the C order of p_out_dc's shape, and a
+    function building flat candidate p's CandidateEval; the fields of power
+    broadcast against p_out_dc."""
+    shape = np.shape(p_out_dc)
+    p_out_dc = np.ravel(p_out_dc)
+    power = PowerBreakdown(*(np.broadcast_to(v, shape).ravel() for v in vars(power).values()))
+    values, feasible = _penalised(p_out_dc, power.p_total, swarm)
 
     def record(p: int) -> CandidateEval:
         row = PowerBreakdown(*(float(v[p]) for v in vars(power).values()))
-        return CandidateEval(float(values[p]), float(harvest.p_out_dc[p]), row, bool(feasible[p]))
+        return CandidateEval(float(values[p]), float(p_out_dc[p]), row, bool(feasible[p]))
 
     return values, record
 
@@ -204,7 +216,8 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
         amplitudes, phases, levels = _decode_swarm(
             positions, system.tone_count, system.chain.ps_bits
         )
-        return _evaluate_rows(amplitudes, phases, levels, system, swarm)
+        harvest, power = evaluate_batch(amplitudes, phases, levels, system)
+        return _ranked(harvest.p_out_dc, power, swarm)
 
     draws = np.array([_substream(swarm.seed, 0, i).random(n_var) for i in particles])
     positions = lower + draws * span
@@ -282,25 +295,42 @@ def brute_force_grid(
     amplitude_axis = np.linspace(0.0, swarm.amplitude_max, amplitude_points)
     phase_axis = np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False)
     # flat index i enumerates the grid as nested loops, the first amplitude
-    # outermost and the last phase level innermost
+    # outermost and the last phase level innermost: tone point i // words,
+    # word i % words. Each tone point is transmitted once, and its emission
+    # received under every word.
     radices = (amplitude_points,) * tone_count + (phase_points,) * tone_count
-    radices += (2**bits,) * element_count
-    chunk = max(1, GRID_CHUNK_SAMPLES // system.n_env)
+    words = 2 ** (bits * element_count)
+    tone_points = total // words
+    # a chunk receives tone points x words x n_env samples; when one tone
+    # point's words exceed the bound, the chunk is one tone point and its
+    # words are split, so the chunks run in enumeration order. A chunk forms
+    # its words' beam gains once for all its tone points; a table of all
+    # 2^(BN) words' gains would grow with the grid.
+    m = system.n_env
+    word_chunk = min(words, max(1, GRID_CHUNK_SAMPLES // m))
+    tone_chunk = max(1, GRID_CHUNK_SAMPLES // (words * m))
 
     best_fitness, best = np.inf, None
-    for start in range(0, total, chunk):
-        indices = np.arange(start, min(start + chunk, total))
-        digits = np.stack(np.unravel_index(indices, radices), axis=1)
+    for start in range(0, tone_points, tone_chunk):
+        points = np.arange(start, min(start + tone_chunk, tone_points))
+        digits = np.stack(np.unravel_index(points, radices), axis=1)
         amplitudes = amplitude_axis[digits[:, :tone_count]]
-        phases = phase_axis[digits[:, tone_count : 2 * tone_count]]
-        levels = digits[:, 2 * tone_count :]
-        values, record = _evaluate_rows(amplitudes, phases, levels, system, swarm)
-        # ties keep the first point in enumeration order: argmin within a
-        # chunk, a strict improvement across chunks
-        row = int(np.argmin(values))
-        if values[row] < best_fitness:
-            best_fitness = values[row]
-            best = record(row), amplitudes[row], phases[row], levels[row]
+        phases = phase_axis[digits[:, tone_count:]]
+        emission, (*_, p_in, p_out) = _transmit(amplitudes, phases, system)
+        amplitude_rows, p_in, p_out = amplitudes[:, None], p_in[:, None], p_out[:, None]
+        for first in range(0, words, word_chunk):
+            indices = np.arange(first, min(first + word_chunk, words))
+            levels = np.stack(np.unravel_index(indices, (2**bits,) * element_count), axis=1)
+            received = _receive(emission[:, None], levels, system)
+            harvest, power = _harvest_and_power(received, amplitude_rows, p_in, p_out, system)
+            values, record = _ranked(harvest.p_out_dc, power, swarm)
+            # ties keep the first point in enumeration order: argmin within a
+            # chunk, a strict improvement across chunks
+            flat = int(np.argmin(values))
+            if values[flat] < best_fitness:
+                best_fitness = values[flat]
+                point, word = divmod(flat, len(levels))
+                best = record(flat), amplitudes[point], phases[point], levels[word]
     best_eval, amplitudes, phases, levels = best
     return OptimizationResult(
         tones=ToneSet(amplitudes, phases, system.tone_spacing),

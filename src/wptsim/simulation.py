@@ -1,6 +1,6 @@
 """End-to-end system model: transmit chain, propagation, harvest, and power."""
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .signal_chain import (
     _as_multiple,
     _check_tones,
     amplify_envelope,
+    band_bins,
     complex_envelope,
     lowpass_filter,
     quantize_dac,
@@ -129,11 +130,22 @@ class SystemModel:
                 f" x {self.geometry.cols} put {entries:.3g} entries in the channel H_band;"
                 f" at most {MAX_CHANNEL_ENTRIES} are modelled"
             )
-        try:
-            matrix = build_channel_matrix(self.geometry, self.receiver, self.boresight_exponent)
-        except DomainError as exc:
-            raise ConfigurationError(f"receiver.position: {exc}") from exc
-        band, coefficients = receive_band(matrix, m, tones, self.tone_spacing)
+        # a receiver far enough away (or an RF carrier small enough) overflows
+        # the distances, phases or wavelengths: refused here, by its keys,
+        # rather than met as a NaN harvest in every evaluation
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                matrix = build_channel_matrix(
+                    self.geometry, self.receiver, self.boresight_exponent
+                )
+            except DomainError as exc:
+                raise ConfigurationError(f"receiver.position: {exc}") from exc
+            band, coefficients = receive_band(matrix, m, tones, self.tone_spacing)
+        if not (np.isfinite(matrix.distances).all() and np.isfinite(coefficients).all()):
+            raise ConfigurationError(
+                f"receiver.position {self.receiver.as_array().tolist()} and channel.rf_carrier"
+                f" {self.geometry.carrier} put the channel H_band out of floating-point range"
+            )
         for name, value in (
             ("channel", matrix),
             ("n_dac", n_dac),
@@ -217,12 +229,20 @@ def _stage(name: str, fn, *args):
         raise NumericalError(f"{name} stage failed: {exc}") from exc
 
 
-# A floating-point overflow or invalid operation fails as the stage it happened
-# in. The stages run on (..., K), (..., K) and (..., N) candidate arrays: one
-# candidate, or a batch with a leading axis. Every reduction is along the last
-# axis, row by row, so a candidate's result does not depend on its batch.
+# An evaluation is a transmit and a receive. The model is linear after the
+# amplifier and the receiver keeps only the band, so the transmit's emission,
+# the 2K + 1 band bins of the amplified envelope, is all of the period that a
+# beam acts on: one transmit serves every phase word. The kernels run on
+# candidate arrays with any leading axes, one candidate or a batch, and every
+# reduction is along the last axis, row by row, so a candidate's result does
+# not depend on its batch. A floating-point overflow or invalid operation
+# fails as the stage it happened in.
 @np.errstate(over="raise", invalid="raise")
-def _transmit(amplitudes, phases, levels, system: SystemModel) -> ChainStages:
+def _transmit(amplitudes, phases, system: SystemModel):
+    """synth -> DAC -> envelope -> HPA on (..., K) tones. Returns the emission
+    X = fft(hpa)[..., band], (..., 2K+1), and the stages it came from: the
+    digital, dac, mixer and hpa periods and the amplifier's period-mean input
+    and output powers."""
     chain = system.chain
     digital = _stage("synthesis", synthesize_multitone, amplitudes, phases, system.n_dac)
     dac = _stage("dac", quantize_dac, digital, chain.dac_bits, chain.dac_range)
@@ -230,22 +250,40 @@ def _transmit(amplitudes, phases, levels, system: SystemModel) -> ChainStages:
     hpa, p_in, p_out = _stage(
         "hpa", amplify_envelope, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
     )
-    angles, loss = _angles(levels, chain.ps_bits), chain.ps_insertion_loss
-    received = _stage("channel", beamformed_received, hpa, angles, loss, system.band_coefficients)
-    return ChainStages(digital, dac, mixer, hpa, received, p_in, p_out, system.tone_count)
+    emission = np.fft.fft(hpa)[..., band_bins(system.tone_count, system.n_env)]
+    return emission, (digital, dac, mixer, hpa, p_in, p_out)
+
+
+@np.errstate(over="raise", invalid="raise")
+def _receive(emission, levels, system: SystemModel) -> np.ndarray:
+    """The received envelope periods, (..., M), of emissions (..., 2K+1)
+    under the beams of phase levels (..., N), broadcast against each other."""
+    chain = system.chain
+    return _stage(
+        "channel",
+        beamformed_received,
+        emission,
+        _angles(levels, chain.ps_bits),
+        chain.ps_insertion_loss,
+        system.band_coefficients,
+        system.n_env,
+    )
 
 
 @np.errstate(over="raise", invalid="raise")
 def _harvest_and_power(
-    stages: ChainStages, amplitudes, system: SystemModel
+    received, amplitudes, p_in, p_out, system: SystemModel
 ) -> tuple[HarvestResult, PowerBreakdown]:
-    harvest = _stage("rectenna", harvest_from_signal, stages.received, system.rectenna)
+    """The harvest of received periods (..., M), and the consumption of the
+    tones (..., K) and amplifier powers (...) of their transmits; the two
+    results' shapes broadcast against each other."""
+    harvest = _stage("rectenna", harvest_from_signal, received, system.rectenna)
     power = _stage(
         "power-model",
         total_power,
         amplitudes,
-        stages.hpa_input_power,
-        stages.hpa_output_power,
+        p_in,
+        p_out,
         system.chain.dac_bits,
         system.chain.dac_sample_rate,
         system.power,
@@ -257,14 +295,23 @@ def _harvest_and_power(
 
 def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStages:
     """Push one waveform through every transmitter stage to the receiver."""
-    return _transmit(*_candidate(tones, word, system), system)
+    amplitudes, phases, levels = _candidate(tones, word, system)
+    emission, (digital, dac, mixer, hpa, p_in, p_out) = _transmit(amplitudes, phases, system)
+    received = _receive(emission, levels, system)
+    return ChainStages(digital, dac, mixer, hpa, received, p_in, p_out, system.tone_count)
 
 
 def evaluate_solution(tones: ToneSet, word: PhaseWord, system: SystemModel) -> SimulationOutcome:
     """Full-chain harvest and power evaluation of one candidate, with its stage
     waveforms: the single-candidate case of evaluate_batch, bit for bit."""
     stages = run_chain(tones, word, system)
-    harvest, power = _harvest_and_power(stages, tones.amplitudes, system)
+    harvest, power = _harvest_and_power(
+        stages.received,
+        tones.amplitudes,
+        stages.hpa_input_power,
+        stages.hpa_output_power,
+        system,
+    )
     return SimulationOutcome(_floats(harvest), _floats(power), stages)
 
 
@@ -286,10 +333,11 @@ def evaluate_batch(
     _check_shapes(amplitudes, phases, levels, system)
     _check_tones(amplitudes, phases)
     levels = _as_levels(levels, system.chain.ps_bits)
-    stages = _transmit(amplitudes, phases, levels, system)
-    harvest, power = _harvest_and_power(stages, amplitudes, system)
+    emission, (*_, p_in, p_out) = _transmit(amplitudes, phases, system)
+    received = _receive(emission, levels, system)
+    harvest, power = _harvest_and_power(received, amplitudes, p_in, p_out, system)
     # p_dac, p_mix and p_lo are the same for every candidate
-    return harvest, PowerBreakdown(*np.broadcast_arrays(*astuple(power)))
+    return harvest, PowerBreakdown(*np.broadcast_arrays(*vars(power).values()))
 
 
 def _floats(record):

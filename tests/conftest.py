@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from wptsim import PowerParams, RectennaParams
+from wptsim.channel import beamformed_received
 from wptsim.config import build_setup, load_config
+from wptsim.signal_chain import band_bins
 
 
 @pytest.fixture
@@ -28,6 +30,14 @@ def power_params():
         hpa_input_resistance=1.0,
         hpa_output_resistance=1.0,
     )
+
+
+def received_envelope(envelope, angles, insertion_loss, band_coefficients):
+    """An amplified envelope period (..., n) received under one beam per period:
+    its band bins, the transmit's emission, through the beam's gains."""
+    n = envelope.shape[-1]
+    emission = np.fft.fft(envelope)[..., band_bins(band_coefficients.shape[1] // 2, n)]
+    return beamformed_received(emission, angles, insertion_loss, band_coefficients, n)
 
 
 def desk_setup(**overrides):

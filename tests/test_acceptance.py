@@ -11,7 +11,7 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from conftest import desk_setup, toy_setup
+from conftest import desk_setup, received_envelope, toy_setup
 import reference
 from reference import lambert_w0, rapp_amplifier, received_signal
 from wptsim import (
@@ -28,7 +28,6 @@ from wptsim import (
     run_chain,
 )
 from wptsim.channel import (
-    beamformed_received,
     build_channel_matrix,
     radiation_profile,
     receive_band,
@@ -214,8 +213,8 @@ def test_criterion_08_channel_values():
     # the library's fold on complex envelopes, with complex weights
     a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
     angles = word.angles()
-    beam = [beamformed_received(x, angles, 1.5, coefficients) for x in (a, b)]
-    out_mixed = beamformed_received((3.0 - 1.0j) * a + 0.25j * b, angles, 1.5, coefficients)
+    beam = [received_envelope(x, angles, 1.5, coefficients) for x in (a, b)]
+    out_mixed = received_envelope((3.0 - 1.0j) * a + 0.25j * b, angles, 1.5, coefficients)
     assert_allclose(out_mixed, (3.0 - 1.0j) * beam[0] + 0.25j * beam[1], atol=1e-10)
     _report(8, "boresight gain 3.761e-3, profile peak 2(b+1), combiner linear to 1e-10")
 

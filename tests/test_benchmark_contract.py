@@ -6,15 +6,33 @@ builds random candidates, and parses the simulate report. A change that
 breaks any of these fails here instead of in a benchmark run.
 """
 
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
-from wptsim import build_setup, cli, evaluate_solution, load_config
+import wptsim.simulation
+from wptsim import build_setup, cli, evaluate_batch, evaluate_solution, load_config
 from wptsim.rectenna import solve_rectifier_equation
 from wptsim.signal_chain import PhaseWord, ToneSet
 
 STAGES = ["dac", "digital", "hpa", "lpf", "mixer", "received"]
+
+# The names the harness's traced mode wraps in wptsim.simulation that an
+# evaluation still calls. It times each by replacing the module global, so a
+# refactor that renamed one, or called it other than through that global,
+# would blank its per-layer metric without failing a run.
+TRACED = [
+    "synthesize_multitone",
+    "quantize_dac",
+    "harvest_from_signal",
+    "total_power",
+    "run_chain",
+    "evaluate_solution",
+]
 
 
 @pytest.mark.parametrize("profile", ["desk", "paper"])
@@ -57,3 +75,34 @@ def test_simulate_report_holds_the_six_stages(tmp_path):
     setup = build_setup(load_config(str(config), "paper"))
     expected = evaluate_solution(setup.tones, setup.phase_word, setup.system).harvest.p_out_dc
     assert f"{report['harvest']['p_out_dc']:.9g}" == f"{expected:.9g}"
+
+
+def _traced_simulation_names() -> set:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {name for module, name, *_ in tracing.SPAN_TARGETS if module == "wptsim.simulation"}
+
+
+def test_traced_names_are_called_through_the_simulation_module(monkeypatch):
+    assert set(TRACED) <= _traced_simulation_names()
+    calls = Counter()
+    for name in TRACED:
+        original = getattr(wptsim.simulation, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(wptsim.simulation, name, counting)
+    setup = build_setup(load_config(profile="desk"))
+    system = setup.system
+    wptsim.simulation.evaluate_solution(setup.tones, setup.phase_word, system)
+    assert calls == Counter(TRACED)
+    # a batch runs the same stage kernels, once for all its rows
+    calls.clear()
+    amplitudes = np.stack([setup.tones.amplitudes] * 3)
+    phases = np.stack([setup.tones.phases] * 3)
+    evaluate_batch(amplitudes, phases, np.stack([setup.phase_word.levels] * 3), system)
+    assert calls == Counter(TRACED[:4])

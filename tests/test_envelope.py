@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import desk_setup
+from conftest import desk_setup, received_envelope
 from reference import passband_outcome, rapp_amplifier
 from wptsim import PhaseWord, ToneSet, evaluate_solution
-from wptsim.channel import beamformed_received
 from wptsim.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from wptsim.config import build_setup, load_config
 from wptsim.power_model import hpa_power
@@ -57,7 +56,7 @@ def harvest_and_hpa(tones, word, system, samples, points, nodes):
         hpa, p_in, p_out = amplify_envelope(
             mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
         )
-    received = beamformed_received(
+    received = received_envelope(
         hpa, word.angles(), chain.ps_insertion_loss, system.band_coefficients
     )
     return (

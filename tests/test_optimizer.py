@@ -18,6 +18,7 @@ from wptsim import (
     ToneSet,
     brute_force_grid,
     decode_particle,
+    evaluate_batch,
     evaluate_candidate,
     evaluate_solution,
     particle_bounds,
@@ -340,13 +341,44 @@ class TestBatchedSearch:
         assert result.evaluations == 30
 
     def test_grid_evaluates_in_memory_bounded_chunks(self, monkeypatch):
-        sizes = _count_batches(monkeypatch)
+        # the grid transmits each tone point once and receives its emission
+        # under every word, at the two kernels and not through evaluate_batch;
+        # no chunk receives more than GRID_CHUNK_SAMPLES envelope samples
+        _count_batches(monkeypatch)
+        transmitted, received = [], []
+        transmit, receive = wptsim.optimizer._transmit, wptsim.optimizer._receive
+
+        def counting_transmit(amplitudes, *args):
+            transmitted.append(len(amplitudes))
+            return transmit(amplitudes, *args)
+
+        def counting_receive(*args):
+            periods = receive(*args)
+            received.append(periods.shape)
+            return periods
+
+        monkeypatch.setattr(wptsim.optimizer, "_transmit", counting_transmit)
+        monkeypatch.setattr(wptsim.optimizer, "_receive", counting_receive)
         setup = toy_setup()
         result = brute_force_grid(11, 23, setup.system, setup.swarm)
-        chunk = GRID_CHUNK_SAMPLES // setup.system.n_env
         assert result.evaluations == 1012
-        assert len(sizes) == math.ceil(1012 / chunk)
-        assert sum(sizes) == 1012 and max(sizes) == chunk
+        assert sum(transmitted) == 253
+        assert sum(math.prod(shape[:-1]) for shape in received) == 1012
+        assert max(math.prod(shape) for shape in received) <= GRID_CHUNK_SAMPLES
+        # 21 tone points of 4 words x 192 samples fill a chunk
+        points = GRID_CHUNK_SAMPLES // (4 * setup.system.n_env)
+        assert points == 21 and max(transmitted) == points
+        assert len(received) == len(transmitted) == math.ceil(253 / points)
+
+        # 128 words x 192 samples exceed a chunk: one tone point a chunk, its
+        # words split in two, and still one transmit per tone point
+        transmitted.clear(), received.clear()
+        system = _seven_element_setup().system
+        assert 128 * system.n_env > GRID_CHUNK_SAMPLES
+        brute_force_grid(3, 2, system, setup.swarm)
+        assert transmitted == [1] * 6
+        words = GRID_CHUNK_SAMPLES // system.n_env
+        assert received == [(1, words, system.n_env), (1, 128 - words, system.n_env)] * 6
 
     @pytest.mark.parametrize("required", [20e-6, 0.0])
     def test_chunked_grid_matches_per_point_enumeration(self, required):
@@ -375,6 +407,115 @@ class TestBatchedSearch:
         assert np.array_equal(result.phase_word.levels, word.levels)
         if required == 0.0:
             assert best == 0 and values.count(values[0]) == 92 > chunk
+
+
+    @pytest.mark.parametrize("required", [20e-6, 0.0])
+    def test_word_split_grid_matches_per_point_enumeration(self, required):
+        # 3 x 2 tone points x 128 words, each tone point's words split across
+        # two chunks; with no harvest required every word of a tone point ties,
+        # the zero-amplitude points first, across the split and across tone
+        # points, and the first of them must win
+        setup = _seven_element_setup()
+        system = setup.system
+        swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
+        assert GRID_CHUNK_SAMPLES // system.n_env < 128
+        result = brute_force_grid(3, 2, system, swarm)
+        values, candidates = [], []
+        for amplitude in np.linspace(0.0, swarm.amplitude_max, 3):
+            for phase in np.linspace(0.0, 2 * np.pi, 2, endpoint=False):
+                for levels in itertools.product((0, 1), repeat=7):
+                    tones, word = ToneSet([amplitude], [phase], SPACING), PhaseWord(levels, 1)
+                    values.append(evaluate_candidate(tones, word, system, swarm).fitness)
+                    candidates.append((tones, word))
+        best = int(np.argmin(values))
+        tones, word = candidates[best]
+        assert result.best_fitness == values[best]
+        assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
+        assert np.array_equal(result.tones.phases, tones.phases)
+        assert np.array_equal(result.phase_word.levels, word.levels)
+        if required == 0.0:
+            assert best == 0 and values.count(values[0]) == 256
+
+
+def _seven_element_setup():
+    """K = 1 tone, N = 7 elements of 1 bit: 128 words, more than a grid chunk holds."""
+    return desk_setup(
+        waveform={"tone_count": 1},
+        array={"rows": 1, "cols": 7},
+        chain={"ps_bits": 1, "dac_bits": 8},
+    )
+
+
+_GRID_SYSTEMS = {
+    "toy": toy_setup().system,
+    "K2-N3-B2": desk_setup(
+        waveform={"tone_count": 2}, array={"rows": 1, "cols": 3}, chain={"ps_bits": 2}
+    ).system,
+    "K1-N7-B1": _seven_element_setup().system,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_GRID_SYSTEMS)),
+    amplitude_points=st.integers(1, 6),
+    phase_points=st.integers(1, 6),
+    amplitude_max=st.sampled_from([1.0, 30.0, 300.0]),
+)
+def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplitude_max):
+    # the grid transmits a chunk of tone points once and receives it under
+    # every word; each (tone point, word) must equal evaluate_batch on that
+    # row to the bit
+    system = _GRID_SYSTEMS[name]
+    tone_count, bits = system.tone_count, system.chain.ps_bits
+    if tone_count == 2:
+        amplitude_points, phase_points = min(amplitude_points, 2), min(phase_points, 2)
+    swarm = SwarmConfig(amplitude_max=amplitude_max)
+    chunks = []
+    transmit, harvest = wptsim.optimizer._transmit, wptsim.optimizer._harvest_and_power
+
+    def spy_transmit(amplitudes, phases, system):
+        chunks.append({"amplitudes": amplitudes, "phases": phases, "results": []})
+        return transmit(amplitudes, phases, system)
+
+    def spy_harvest(*args):
+        chunks[-1]["results"].append(harvest(*args))
+        return chunks[-1]["results"][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wptsim.optimizer, "_transmit", spy_transmit)
+        patch.setattr(wptsim.optimizer, "_harvest_and_power", spy_harvest)
+        brute_force_grid(amplitude_points, phase_points, system, swarm)
+
+    words = 2 ** (bits * system.element_count)
+    levels = np.stack(np.unravel_index(np.arange(words), (2**bits,) * system.element_count), -1)
+    points = sum(len(chunk["amplitudes"]) for chunk in chunks)
+    assert points == (amplitude_points * phase_points) ** tone_count
+    for chunk in chunks:
+        amplitudes, phases, results = chunk["amplitudes"], chunk["phases"], chunk["results"]
+        rows = len(amplitudes)
+        batch_harvest, batch_power = evaluate_batch(
+            np.repeat(amplitudes, words, axis=0),
+            np.repeat(phases, words, axis=0),
+            np.tile(levels, (rows, 1)),
+            system,
+        )
+        # each word block's harvest is (rows, block); its p_total (rows, 1)
+        grid = {
+            "p_out_dc": np.concatenate([h.p_out_dc for h, _ in results], axis=1),
+            "rhs_log": np.concatenate([h.rhs_log for h, _ in results], axis=1),
+            "p_total": np.concatenate(
+                [np.broadcast_to(p.p_total, h.p_out_dc.shape) for h, p in results], axis=1
+            ),
+        }
+        batch = {
+            "p_out_dc": batch_harvest.p_out_dc,
+            "rhs_log": batch_harvest.rhs_log,
+            "p_total": batch_power.p_total,
+        }
+        for field, values in grid.items():
+            assert values.shape == (rows, words)
+            assert np.array_equal(values, batch[field].reshape(rows, words)), field
 
 
 class TestSwarmConfig:

@@ -26,6 +26,7 @@ from wptsim.power_model import total_power
 from wptsim.rectenna import harvest_from_signal
 from wptsim.signal_chain import (
     amplify_envelope,
+    band_bins,
     complex_envelope,
     lowpass_filter,
     quantize_dac,
@@ -70,7 +71,11 @@ class TestRunChain:
             mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
         )
         received = beamformed_received(
-            hpa, word.angles(), chain.ps_insertion_loss, system.band_coefficients
+            np.fft.fft(hpa)[band_bins(8, 384)],
+            word.angles(),
+            chain.ps_insertion_loss,
+            system.band_coefficients,
+            384,
         )
         assert np.array_equal(stages.digital, digital)
         assert np.array_equal(stages.dac, dac)
