@@ -200,9 +200,11 @@ def cmd_sweep(setup) -> tuple[dict, int]:
             "error": "",
         }
         try:
+            # the derived seed first, so a swept swarm.seed overrides it
+            config_set(point_cfg, "swarm.seed", point_seed)
             for path, value in zip(paths, combo):
                 config_set(point_cfg, path, value)
-            config_set(point_cfg, "swarm.seed", point_seed)
+            row["seed"] = point_cfg["swarm"]["seed"]
             point_setup = build_setup(point_cfg)
             result = pso_run(point_setup.system, point_setup.swarm)
             row["p_total"] = result.power.p_total

@@ -204,11 +204,6 @@ def _leaf_spec(path: str, label: str) -> tuple:
     return _TABLE[parts[0]][parts[1]]
 
 
-def config_get(cfg: dict, path: str):
-    section, key = path.split(".", 1)
-    return cfg[section][key]
-
-
 def config_set(cfg: dict, path: str, value) -> None:
     spec = _leaf_spec(path, "path")
     section, key = path.split(".", 1)

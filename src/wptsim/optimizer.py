@@ -191,26 +191,22 @@ def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
         )
 
 
-def _substream(seed: int, iteration: int, particle: int) -> np.random.Generator:
-    # independent per-(iteration, particle) streams keep parallel schedules
-    # and reruns bit-identical
-    return np.random.default_rng(np.random.SeedSequence((seed, iteration, particle)))
-
-
 def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> OptimizationResult:
     """Global-best PSO over [amplitudes, phases, relaxed phase words].
 
-    Velocities start at zero, draws come from per-(iteration, particle)
-    substreams, positions clamp to the bounds with the clamped velocity
-    component zeroed, and ties keep the incumbent best. The global-best trace
-    (initial swarm plus one entry per iteration) is non-increasing.
+    Velocities start at zero, and every draw comes from one generator seeded
+    by swarm.seed: the initial swarm, then each iteration's (P, 2, 2K + N)
+    cognitive and social factors. Positions clamp to the bounds with the
+    clamped velocity component zeroed, and ties keep the incumbent best. The
+    global-best trace (initial swarm plus one entry per iteration) is
+    non-increasing.
     """
     _check_penalty(system, swarm)
     lower, upper = particle_bounds(system.tone_count, system.element_count, swarm.amplitude_max)
     n_var = lower.size
     span = upper - lower
     v_max = VELOCITY_CLAMP * span
-    particles = range(swarm.particles)
+    rng = np.random.default_rng(swarm.seed)
 
     def evaluate(positions):
         amplitudes, phases, levels = _decode_swarm(
@@ -219,8 +215,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
         harvest, power = evaluate_batch(amplitudes, phases, levels, system)
         return _ranked(harvest.p_out_dc, power, swarm)
 
-    draws = np.array([_substream(swarm.seed, 0, i).random(n_var) for i in particles])
-    positions = lower + draws * span
+    positions = lower + rng.random((swarm.particles, n_var)) * span
     velocities = np.zeros_like(positions)
     best_fitness, record = evaluate(positions)
     best_positions = positions.copy()
@@ -230,10 +225,8 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     trace = [g_eval.fitness]
 
     for iteration in range(1, swarm.iterations + 1):
-        # per particle, rows r_cog and r_soc: the same draws as two random(n_var) calls
-        draws = np.array(
-            [_substream(swarm.seed, iteration, i).random((2, n_var)) for i in particles]
-        )
+        # per particle, rows r_cog and r_soc
+        draws = rng.random((swarm.particles, 2, n_var))
         velocities = (
             swarm.inertia * velocities
             + swarm.cognitive * draws[:, 0] * (best_positions - positions)

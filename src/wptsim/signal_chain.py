@@ -109,11 +109,6 @@ class ToneSet:
     def count(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def bandwidth(self) -> float:
-        """Occupied baseband bandwidth, count * tone_spacing."""
-        return self.count * self.tone_spacing
-
 
 @dataclass(frozen=True)
 class ChainConfig:

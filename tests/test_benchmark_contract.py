@@ -2,10 +2,12 @@
 
 The harness builds both profiles, reads chain.sim_sample_rate for its
 computed sizes, checks every evaluation against the root-solver oracle,
-builds random candidates, and parses the simulate report. A change that
+builds random candidates, times pso_run's iterations through its callback
+and checks the run's record, and parses the simulate report. A change that
 breaks any of these fails here instead of in a benchmark run.
 """
 
+import dataclasses
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -15,7 +17,15 @@ import pytest
 import yaml
 
 import wptsim.simulation
-from wptsim import build_setup, cli, evaluate_batch, evaluate_solution, load_config
+from wptsim import (
+    build_setup,
+    cli,
+    evaluate_batch,
+    evaluate_candidate,
+    evaluate_solution,
+    load_config,
+    pso_run,
+)
 from wptsim.rectenna import solve_rectifier_equation
 from wptsim.signal_chain import PhaseWord, ToneSet
 
@@ -57,6 +67,28 @@ def test_candidates_and_the_root_solver_oracle():
     harvest = evaluate_solution(tones, word, system).harvest
     oracle = solve_rectifier_equation(harvest.rhs_log, system.rectenna)
     assert abs(harvest.v_out_dc - oracle) <= 1e-9
+
+
+def test_pso_run_record_holds_what_desk_optimize_checks():
+    # the op times one iteration between consecutive callbacks and fails
+    # unless the callback's best values are the trace after the initial swarm
+    # and a rerun at the same seed repeats the trace
+    setup = build_setup(load_config(profile="desk"))
+    swarm = dataclasses.replace(setup.swarm, iterations=4, seed=1_100_000)
+    runs = []
+    for _ in range(2):
+        seen = []
+        result = pso_run(setup.system, swarm, callback=lambda i, _, best: seen.append((i, best)))
+        trace = result.fitness_trace
+        assert [i for i, _ in seen] == list(range(1, swarm.iterations + 1))
+        assert [best for _, best in seen] == trace[1:].tolist()
+        assert trace.size == swarm.iterations + 1 and np.all(np.diff(trace) <= 0)
+        assert trace[-1] == result.best_fitness
+        assert result.evaluations == swarm.particles * (swarm.iterations + 1)
+        again = evaluate_candidate(result.tones, result.phase_word, setup.system, swarm)
+        assert again.fitness == result.best_fitness
+        runs.append(trace)
+    assert np.array_equal(*runs)
 
 
 def test_simulate_report_holds_the_six_stages(tmp_path):

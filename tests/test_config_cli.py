@@ -29,7 +29,6 @@ from wptsim.cli import (
 from wptsim.config import (
     _TABLE,
     build_setup,
-    config_get,
     config_set,
     dump_config,
     load_config,
@@ -90,10 +89,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(profile="desk", overrides={"sweep": [{"path": "chain.dac_bits", "values": []}]})
 
-    def test_config_get_set(self):
+    def test_config_set(self):
         cfg = load_config(profile="desk")
         config_set(cfg, "chain.dac_bits", 5)
-        assert config_get(cfg, "chain.dac_bits") == 5
+        assert cfg["chain"]["dac_bits"] == 5
         with pytest.raises(ConfigurationError):
             config_set(cfg, "chain.nope", 5)
 
@@ -101,7 +100,7 @@ class TestConfig:
         cfg = load_config(profile="desk")
         big = 16913293725829135181  # not representable as a double
         config_set(cfg, "swarm.seed", big)
-        assert config_get(cfg, "swarm.seed") == big
+        assert cfg["swarm"]["seed"] == big
 
     def test_physical_invariants_checked_at_build(self):
         for chain in (
@@ -341,6 +340,30 @@ class TestSweepCommand:
         combos = [(row["chain.dac_bits"], row["array.rows"]) for row in report["rows"]]
         assert combos == [(2, 1), (2, 5), (3, 1), (3, 5)]
         assert all(row["error"] == "" for row in report["rows"])
+
+    def test_swept_seed_is_the_seed_used(self, tmp_path):
+        # a sweep of swarm.seed runs each point at the swept seed, as
+        # optimize --seed would, and records that seed in the row
+        config = tmp_path / "toy.yaml"
+        config.write_text(yaml.safe_dump({
+            "waveform": {"tone_count": 1},
+            "array": {"rows": 1, "cols": 2},
+            "chain": {"ps_bits": 1, "dac_bits": 8},
+            "swarm": {"particles": 6, "iterations": 5},
+            "sweep": [{"path": "swarm.seed", "values": [5, 5, 6]}],
+        }))
+        out = tmp_path / "sweep.yaml"
+        argv = ["--config", str(config), "--format", "structured", "--out", str(out)]
+        assert main(["sweep", *argv]) == EXIT_OK
+        rows = yaml.safe_load(out.read_text())["rows"]
+        assert [row["seed"] for row in rows] == [row["swarm.seed"] for row in rows] == [5, 5, 6]
+        assert main(["optimize", "--seed", "5", *argv]) == EXIT_OK
+        optimized = yaml.safe_load(out.read_text())
+        assert optimized["seed"] == 5
+        for row in rows[:2]:
+            assert row["best_fitness"] == optimized["best_fitness"]
+            assert row["p_total"] == optimized["power"]["p_total"]
+        assert rows[2]["best_fitness"] != rows[0]["best_fitness"]
 
     def test_point_seeds_are_stable(self):
         assert derive_point_seed(1, 0) == derive_point_seed(1, 0)

@@ -25,7 +25,7 @@ from wptsim import (
     pso_run,
 )
 import wptsim.optimizer
-from wptsim.optimizer import GRID_CHUNK_SAMPLES, VELOCITY_CLAMP, OptimizationResult, _substream
+from wptsim.optimizer import GRID_CHUNK_SAMPLES, VELOCITY_CLAMP, OptimizationResult
 
 SPACING = 1.25e6
 
@@ -171,6 +171,9 @@ def serial_pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Op
     n_var = lower.size
     span = upper - lower
     v_max = VELOCITY_CLAMP * span
+    # one generator, drawn particle by particle: the initial position, then
+    # each iteration's r_cog and r_soc
+    rng = np.random.default_rng(swarm.seed)
 
     def evaluate(position):
         tones, word = decode_particle(
@@ -180,7 +183,7 @@ def serial_pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Op
 
     positions = np.empty((swarm.particles, n_var))
     for i in range(swarm.particles):
-        positions[i] = lower + _substream(swarm.seed, 0, i).random(n_var) * span
+        positions[i] = lower + rng.random(n_var) * span
     velocities = np.zeros_like(positions)
 
     evals = [evaluate(positions[i]) for i in range(swarm.particles)]
@@ -194,7 +197,6 @@ def serial_pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Op
 
     for iteration in range(1, swarm.iterations + 1):
         for i in range(swarm.particles):
-            rng = _substream(swarm.seed, iteration, i)
             r_cog = rng.random(n_var)
             r_soc = rng.random(n_var)
             velocity = (
@@ -340,6 +342,20 @@ class TestBatchedSearch:
         assert sizes == [6] * 5
         assert result.evaluations == 30
 
+    @pytest.mark.parametrize("particles, iterations", [(2, 0), (6, 4), (20, 12)])
+    def test_pso_makes_one_generator_per_run(self, monkeypatch, particles, iterations):
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting(*args):
+            calls.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        setup = toy_setup(particles=particles, iterations=iterations, seed=4)
+        pso_run(setup.system, setup.swarm)
+        assert calls == [(4,)]
+
     def test_grid_evaluates_in_memory_bounded_chunks(self, monkeypatch):
         # the grid transmits each tone point once and receives its emission
         # under every word, at the two kernels and not through evaluate_batch;
@@ -389,7 +405,9 @@ class TestBatchedSearch:
         setup = toy_setup()
         system = setup.system
         swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
-        chunk = GRID_CHUNK_SAMPLES // system.n_env
+        # the grid's chunk: whole tone points of 4 words each, 21 x 4 = 84 candidates
+        words = 4
+        chunk = (GRID_CHUNK_SAMPLES // (words * system.n_env)) * words
         assert 1012 % chunk != 0
         result = brute_force_grid(11, 23, system, swarm)
         values, candidates = [], []

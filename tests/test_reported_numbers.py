@@ -59,8 +59,8 @@ def test_desk_optimize_seed_seven():
         "last_trace": np.asarray(report["fitness_trace"])[-1],
     }
     assert emit_structured(pinned) == (
-        "best_fitness: 1.74666109\n"
-        "p_out_dc: 2.11350187e-05\n"
+        "best_fitness: 2.32292118\n"
+        "p_out_dc: 2.03667747e-05\n"
         "evaluations: 6030\n"
-        "last_trace: 1.74666109"
+        "last_trace: 2.32292118"
     )

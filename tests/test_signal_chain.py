@@ -60,10 +60,6 @@ class TestToneSet:
         with pytest.raises(DomainError):
             ToneSet([1.0], [0.0], 0.0)
 
-    def test_bandwidth(self):
-        tones = ToneSet([1.0, 1.0], [0.0, 0.0], SPACING)
-        assert tones.bandwidth == 2 * SPACING
-
 
 class TestSynthesize:
     def test_single_dc_tone_is_constant(self):
@@ -225,7 +221,7 @@ class TestLowpass:
         dac = quantize_dac(sig, 2, 1.0)
         spectrum_dac = np.fft.fft(dac)
         freqs = np.fft.fftfreq(80, d=1.0 / 100e6)
-        outside = np.abs(freqs) > tones.bandwidth
+        outside = np.abs(freqs) > tones.count * SPACING
         assert np.any(np.abs(spectrum_dac[outside]) > 1e-6)  # DAC spills out of band
         out = lowpass_filter(dac, 8)
         spectrum = np.fft.fft(out)
@@ -271,7 +267,7 @@ class TestUpconvert:
     def test_parseval_half_power(self, rng):
         tones = ToneSet(rng.random(8), rng.random(8) * 6.2, SPACING)
         base = synthesize_multitone(tones.amplitudes, tones.phases, 80)
-        n_sim = round(default_sim_rate(64 * SPACING, tones.bandwidth, SPACING) / SPACING)
+        n_sim = round(default_sim_rate(64 * SPACING, tones.count * SPACING, SPACING) / SPACING)
         out = upconvert(base, 8, 64, n_sim)
         base_power = np.mean(np.abs(base) ** 2)
         pass_power = np.mean(out**2)
