@@ -78,10 +78,13 @@ def rhs_log_mean(envelope: np.ndarray, params: RectennaParams):
     out, so hot diode drives stay finite.
     """
     scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
-    exponents = scale * np.abs(envelope)
+    # in place, so two sample-shaped arrays are live at a time
+    exponents = np.abs(envelope)
+    exponents *= scale
     shift = exponents.max(axis=-1)
-    terms = np.exp(exponents - shift[..., None])
-    terms *= i0e(exponents)
+    terms = exponents - shift[..., None]
+    np.exp(terms, out=terms)
+    terms *= i0e(exponents, out=exponents)
     return shift + np.log(terms.sum(axis=-1) / terms.shape[-1])
 
 

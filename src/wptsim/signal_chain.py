@@ -39,7 +39,8 @@ MAX_BITS = 53
 # chain reads c1 and h from a cubic table of ZONE_TABLE_NODES nodes over the
 # whole drive range. Doubling any of the three moves p_out_dc and p_hpa by
 # less than 1e-9 relative at K = 1 and 8 with tone amplitudes up to 1000 V
-# (tests/test_envelope.py).
+# (tests/test_envelope.py). The rectenna's log-mean of I0 reads the received
+# envelope on the same M samples, so M bounds its error too.
 ENVELOPE_SAMPLES_PER_TONE = 48
 ZONE_POINTS = 80
 ZONE_TABLE_NODES = 8193
@@ -235,7 +236,7 @@ def complex_envelope(baseband: np.ndarray, tone_count: int, samples: int) -> np.
     bin stands for both k = +-K and is split in half between them.
     """
     n_dac = baseband.shape[-1]
-    bins = np.fft.fft(baseband)[..., band_bins(tone_count, n_dac)] / n_dac
+    bins = np.fft.fft(baseband).take(band_bins(tone_count, n_dac), axis=-1) / n_dac
     if n_dac == 2 * tone_count:
         bins[..., [0, -1]] *= 0.5
     spectrum = np.zeros((*baseband.shape[:-1], samples), dtype=complex)
@@ -320,8 +321,9 @@ def _zone_table(
     Both depend on the drive alone, and the scaling keeps them smooth, finite
     and away from zero on the whole range: they run from 1 and 1/2 at D = 0
     to 4/pi and 1 as D grows without bound. Built once per smoothness, at
-    the first evaluation that needs it; amplify_envelope reads the node count
-    from the table's shape.
+    the first evaluation that needs it. amplify_envelope reads the interval
+    count from the table's shape and gathers one coefficient row table[k, f]
+    (64 KiB at the default node count) at a time.
     """
     x = np.linspace(0.0, 1.0, nodes)
     drive = x[:-1] / (1.0 - x[:-1])
@@ -341,9 +343,56 @@ def _zone_table(
         start = stop
     scaled_ratio = np.append(ratio * (1.0 + drive), 4.0 / np.pi)
     scaled_power = np.concatenate([[0.5], power[1:] / x[1:-1] ** 2, [1.0]])
-    # (power of t, function, interval): a gather along the last axis leaves
-    # each coefficient row contiguous over the samples
+    # (power of t, function, interval): each coefficient row table[k, f] is
+    # contiguous, so gathering it at the samples' intervals reads one block
     return np.stack([_cubic_pieces(scaled_ratio), _cubic_pieces(scaled_power)], axis=1)
+
+
+def _horner(
+    rows: np.ndarray, interval: np.ndarray, t: np.ndarray, out: np.ndarray, term: np.ndarray
+) -> np.ndarray:
+    """The cubic with coefficient rows rows[0..3] (power of t) of the zone
+    table, at each sample's interval and t, summed into out by Horner's rule.
+    Each row is gathered into term on its own: interval lies in
+    [0, intervals - 1], so mode "clip" gathers what "raise" would, without
+    the buffered copy "raise" makes of an `out`."""
+    rows[3].take(interval, out=out, mode="clip")
+    for row in rows[2::-1]:
+        out *= t
+        out += row.take(interval, out=term, mode="clip")
+    return out
+
+
+def _zone_gains(envelope: np.ndarray, gain: float, saturation: float, smoothness: float):
+    """c1(|a|)/|a| at each sample of the envelope, read from the zone table,
+    and the period-mean input and output powers; see amplify_envelope.
+
+    The sample-shaped steps run in place, each rounding as its out-of-place
+    form would, and all the scratch is freed on return.
+    """
+    table = _zone_table(float(smoothness))
+    intervals = table.shape[-1]
+    n = envelope.shape[-1]
+    amplitude = np.abs(envelope)
+    p_in = 0.5 * np.vecdot(amplitude, amplitude) / n
+    drive = amplitude  # the amplitude is not read again: drive, then x, overwrite it
+    drive *= gain
+    drive /= saturation
+    inverse = drive + 1.0
+    np.divide(1.0, inverse, out=inverse)
+    x = np.multiply(drive, inverse, out=drive)
+    position = x * intervals
+    interval = position.astype(np.intp)
+    np.minimum(interval, intervals - 1, out=interval)
+    t = np.subtract(position, interval, out=position)
+    term = np.empty_like(t)
+    ratio = _horner(table[:, 0], interval, t, np.empty_like(t), term)
+    ratio *= gain  # (G c1) / (1 + D), rounded as gain * c1 * inverse
+    ratio *= inverse
+    # h(A) = (A_s x)^2 times the second function, summed into the spent inverse
+    scaled_power = _horner(table[:, 1], interval, t, inverse, term)
+    x *= x
+    return ratio, p_in, saturation**2 * np.vecdot(scaled_power, x) / n
 
 
 def amplify_envelope(
@@ -354,31 +403,14 @@ def amplify_envelope(
     Returns the output envelope c1(|a|) a/|a| at the carrier and the
     period-mean input and output powers (into 1 ohm), mean |a|^2 / 2 and
     mean h(|a|), one per period. c1 and h are read from the first zone's
-    table at each sample's drive. The means are one dot product per period
-    (`vecdot`), so a period's powers do not depend on the rest of a batch.
+    table at each sample's drive: each function's cubic in t is summed by
+    Horner's rule with one coefficient row of the table gathered at a time
+    into one sample-shaped buffer, so a batch never holds the whole
+    (4, 2, ...) gather, and the output is formed once that scratch is freed.
+    The means are one dot product per period (`vecdot`), so a period's
+    powers do not depend on the rest of a batch.
     """
-    table = _zone_table(float(smoothness))
-    intervals = table.shape[-1]
-    amplitude = np.abs(envelope)
-    drive = gain * amplitude / saturation
-    inverse = 1.0 / (1.0 + drive)
-    x = drive * inverse
-    position = x * intervals
-    interval = np.minimum(position.astype(np.intp), intervals - 1)
-    t = position - interval
-    # the two scaled functions by Horner's rule in t, in place
-    piece = np.take(table, interval, axis=2)  # (4, 2, ..., n)
-    scaled = piece[3] * t
-    scaled += piece[2]
-    scaled *= t
-    scaled += piece[1]
-    scaled *= t
-    scaled += piece[0]
-    ratio = gain * scaled[0] * inverse
-    x *= x  # h(A) = (A_s x)^2 times the second function
-    n = envelope.shape[-1]
-    p_out = saturation**2 * np.vecdot(scaled[1], x) / n
-    p_in = 0.5 * np.vecdot(amplitude, amplitude) / n
+    ratio, p_in, p_out = _zone_gains(envelope, gain, saturation, smoothness)
     return ratio * envelope, p_in, p_out
 
 

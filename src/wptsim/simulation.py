@@ -250,7 +250,7 @@ def _transmit(amplitudes, phases, system: SystemModel):
     hpa, p_in, p_out = _stage(
         "hpa", amplify_envelope, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
     )
-    emission = np.fft.fft(hpa)[..., band_bins(system.tone_count, system.n_env)]
+    emission = np.fft.fft(hpa).take(band_bins(system.tone_count, system.n_env), axis=-1)
     return emission, (digital, dac, mixer, hpa, p_in, p_out)
 
 

@@ -13,6 +13,8 @@ as the rate grows.
   beam gain on the passband period, and apply_phase_shifters and
   received_signal form and sum the N element branches explicitly;
 - rhs_log_mean and hpa_power take their period means over passband samples;
+- gathered_amplify_envelope reads the envelope amplifier's zone table by
+  one gather of every coefficient, where the library gathers row by row;
 - passband_outcome runs the whole chain this way.
 """
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import wptsim.signal_chain
 from wptsim import DomainError, PhaseWord, ToneSet
 from wptsim.rectenna import RectennaParams, dc_output_voltage, lambert_w0_log
 from wptsim.signal_chain import (
@@ -89,6 +92,41 @@ def rapp_amplifier(
     limit = np.nextafter(saturation, 0.0)
     np.clip(out, -limit, limit, out=out)
     return out
+
+
+def gathered_amplify_envelope(
+    envelope: np.ndarray, gain: float, saturation: float, smoothness: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """amplify_envelope with the zone table read by one gather of all its
+    pieces, (4, 2, ..., n), and Horner's rule on both functions at once.
+
+    The library reads the table one coefficient row at a time instead, in
+    the same order of floating-point operations, and must equal this bit for
+    bit. The table is looked up through wptsim.signal_chain, as the library
+    does, so a patched _zone_table reaches both.
+    """
+    table = wptsim.signal_chain._zone_table(float(smoothness))
+    intervals = table.shape[-1]
+    amplitude = np.abs(envelope)
+    drive = gain * amplitude / saturation
+    inverse = 1.0 / (1.0 + drive)
+    x = drive * inverse
+    position = x * intervals
+    interval = np.minimum(position.astype(np.intp), intervals - 1)
+    t = position - interval
+    piece = np.take(table, interval, axis=2)
+    scaled = piece[3] * t
+    scaled += piece[2]
+    scaled *= t
+    scaled += piece[1]
+    scaled *= t
+    scaled += piece[0]
+    ratio = gain * scaled[0] * inverse
+    x *= x
+    n = envelope.shape[-1]
+    p_out = saturation**2 * np.vecdot(scaled[1], x) / n
+    p_in = 0.5 * np.vecdot(amplitude, amplitude) / n
+    return ratio * envelope, p_in, p_out
 
 
 def beamformed_received(

@@ -44,6 +44,10 @@ TRACED = [
     "evaluate_solution",
 ]
 
+# The stage kernels the harness is to time next, also replaced as module
+# globals of wptsim.simulation. A batch runs each once for all its rows.
+KERNELS = ["complex_envelope", "amplify_envelope", "beamformed_received"]
+
 
 @pytest.mark.parametrize("profile", ["desk", "paper"])
 def test_profiles_build_with_a_positive_simulation_rate(profile):
@@ -117,10 +121,11 @@ def _traced_simulation_names() -> set:
     return {name for module, name, *_ in tracing.SPAN_TARGETS if module == "wptsim.simulation"}
 
 
-def test_traced_names_are_called_through_the_simulation_module(monkeypatch):
-    assert set(TRACED) <= _traced_simulation_names()
+def _count_calls(monkeypatch, names) -> Counter:
+    """Replace each named global of wptsim.simulation by a wrapper that
+    counts its calls in the returned Counter."""
     calls = Counter()
-    for name in TRACED:
+    for name in names:
         original = getattr(wptsim.simulation, name)
 
         def counting(*args, _original=original, _name=name):
@@ -128,6 +133,12 @@ def test_traced_names_are_called_through_the_simulation_module(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(wptsim.simulation, name, counting)
+    return calls
+
+
+def test_traced_names_are_called_through_the_simulation_module(monkeypatch):
+    assert set(TRACED) <= _traced_simulation_names()
+    calls = _count_calls(monkeypatch, TRACED)
     setup = build_setup(load_config(profile="desk"))
     system = setup.system
     wptsim.simulation.evaluate_solution(setup.tones, setup.phase_word, system)
@@ -138,3 +149,16 @@ def test_traced_names_are_called_through_the_simulation_module(monkeypatch):
     phases = np.stack([setup.tones.phases] * 3)
     evaluate_batch(amplitudes, phases, np.stack([setup.phase_word.levels] * 3), system)
     assert calls == Counter(TRACED[:4])
+
+
+def test_kernels_run_once_per_batch_through_the_simulation_module(monkeypatch):
+    calls = _count_calls(monkeypatch, KERNELS)
+    setup = build_setup(load_config(profile="desk"))
+    rows = 3
+    evaluate_batch(
+        np.stack([setup.tones.amplitudes] * rows),
+        np.stack([setup.tones.phases] * rows),
+        np.stack([setup.phase_word.levels] * rows),
+        setup.system,
+    )
+    assert calls == Counter(KERNELS)

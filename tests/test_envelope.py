@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup, received_envelope
-from reference import passband_outcome, rapp_amplifier
+from reference import gathered_amplify_envelope, passband_outcome, rapp_amplifier
 from wptsim import PhaseWord, ToneSet, evaluate_solution
 from wptsim.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from wptsim.config import build_setup, load_config
@@ -166,6 +167,30 @@ def test_table_reads_the_zone_rule(smoothness):
     assert_allclose(output, ratio * envelope, rtol=1e-9, atol=0)
     assert_allclose(p_out, np.mean(power), rtol=1e-9)
     assert_allclose(p_in, np.mean(amplitude**2) / 2, rtol=1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), smoothness=st.sampled_from([1.0, 2.5, 4.0]))
+def test_row_by_row_table_read_equals_the_whole_gather(data, smoothness):
+    # one period, a batch of periods and a batch of batches, at drives 0-300,
+    # with at least one sample in the table's last interval: drive >= 8192
+    # puts x*intervals at or past intervals - 1, and near 2^53 and beyond x
+    # rounds to 1, where the interval index is clamped
+    leading = data.draw(st.sampled_from([(), (3,), (2, 3)]))
+    shape = (*leading, data.draw(st.integers(1, 48)))
+    drive = data.draw(arrays(float, shape, elements=st.floats(0.0, 300.0)))
+    deep = data.draw(st.integers(0, drive.size - 1))
+    drive.flat[deep] = data.draw(st.floats(8192.0, 1e20))
+    phase = data.draw(arrays(float, shape, elements=st.floats(0.0, 2.0 * np.pi)))
+    envelope = drive * (SATURATION / GAIN) * np.exp(1j * phase)
+    intervals = _zone_table(smoothness).shape[-1]
+    x = drive.flat[deep] / (1.0 + drive.flat[deep])
+    assert int(x * intervals) >= intervals - 1
+    expected = gathered_amplify_envelope(envelope, GAIN, SATURATION, smoothness)
+    actual = amplify_envelope(envelope, GAIN, SATURATION, smoothness)
+    for name, got, want in zip(("output", "p_in", "p_out"), actual, expected):
+        assert np.shape(got) == np.shape(want) == (shape if name == "output" else leading)
+        assert np.array_equal(got, want), name
 
 
 def test_zero_and_deep_drive_evaluate():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -272,6 +273,29 @@ class TestEvaluateBatch:
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(NumericalError, match="hpa stage failed: overflow"):
                 evaluate_batch(amplitudes, phases, levels, system)
+
+
+def test_a_desk_batch_peaks_below_sixteen_sample_arrays():
+    # traced memory of one evaluate_batch at P = 30, counted in float (P, M)
+    # arrays (1 474 560 bytes on desk). The amplifier reads its zone table
+    # one coefficient row at a time; a gather of the whole (4, 2, P, M) table
+    # at once would cross the bound. A count of allocations, not a timing.
+    system = _SYSTEMS["desk"]
+    particles = 30
+    batch = _batch(system, particles, np.random.default_rng(30))
+    evaluate_batch(*batch, system)  # the zone table is built at the first evaluation
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        evaluate_batch(*batch, system)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 16 * particles * system.n_env * np.dtype(float).itemsize
 
 
 class TestSystemModelValidation:
