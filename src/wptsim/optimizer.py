@@ -27,10 +27,11 @@ VELOCITY_CLAMP = 0.2
 
 GRID_BUDGET = 10_000_000
 # Most received envelope samples (tone points x words x n_env) in one chunk of
-# the grid, so its memory does not grow with the grid: the rectenna holds a
-# few arrays of them, and the amplifier's table gather, 8 doubles a sample of
-# the chunk's fewer transmitted periods, 1 MiB at most. (A swarm is one batch
-# per iteration; the desk swarm, 30 x 384 samples, is smaller than one chunk.)
+# the grid, so its memory does not grow with the grid: the rectenna's table
+# read holds seven float arrays of them besides the complex received periods,
+# 9 doubles a sample, 1.2 MB at most; the amplifier's runs on the chunk's
+# fewer transmitted periods. (A swarm is one batch per iteration; the desk
+# swarm, 30 x 384 samples, is smaller than one chunk.)
 GRID_CHUNK_SAMPLES = 2**14
 
 
@@ -160,11 +161,14 @@ def _ranked(p_out_dc, power: PowerBreakdown, swarm: SwarmConfig):
     broadcast against p_out_dc."""
     shape = np.shape(p_out_dc)
     p_out_dc = np.ravel(p_out_dc)
-    power = PowerBreakdown(*(np.broadcast_to(v, shape).ravel() for v in vars(power).values()))
-    values, feasible = _penalised(p_out_dc, power.p_total, swarm)
+    values, feasible = _penalised(p_out_dc, np.broadcast_to(power.p_total, shape).ravel(), swarm)
 
     def record(p: int) -> CandidateEval:
-        row = PowerBreakdown(*(float(v[p]) for v in vars(power).values()))
+        # only the recorded candidate's fields are broadcast and read
+        index = np.unravel_index(p, shape)
+        row = PowerBreakdown(
+            *(float(np.broadcast_to(v, shape)[index]) for v in vars(power).values())
+        )
         return CandidateEval(float(values[p]), float(p_out_dc[p]), row, bool(feasible[p]))
 
     return values, record

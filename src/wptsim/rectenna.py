@@ -9,8 +9,12 @@ thousands) never overflow. No Taylor truncation is applied anywhere.
 The diode sees the received passband signal Re{b(t) e^{j w_c t}}. Over one
 carrier cycle the mean of exp(c r) is I0(c|b|), so the period mean of the
 diode exponential is the mean of I0(c|b(t)|) over the received envelope b.
+I0 is read from a cubic table of i0e(z) sqrt(1 + z) over u = z/(1 + z) in
+[0, 1], built with the amplifier's zone-table machinery at the first
+evaluation; scipy's i0e is called only at the table's nodes.
 """
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -18,6 +22,7 @@ import numpy as np
 from scipy.special import i0e, wrightomega
 
 from .errors import DomainError, NumericalError, require_finite
+from .signal_chain import ZONE_TABLE_NODES, _cubic_pieces, _read_table
 
 
 @dataclass(frozen=True)
@@ -68,23 +73,44 @@ def lambert_w0_log(log_x):
     return wrightomega(log_x)
 
 
+@functools.lru_cache(maxsize=1)
+def _i0e_table() -> np.ndarray:
+    """Cubic pieces (4, 1, ZONE_TABLE_NODES - 1) of T = i0e(z) sqrt(1 + z)
+    over u = z / (1 + z) in [0, 1] (read-only: the array is shared).
+
+    The scaling keeps T smooth and bounded on the whole range: it runs from
+    1 at z = 0 to 1/sqrt(2 pi) as z grows without bound. The table reads
+    i0e within 1e-12 relative of scipy's for z up to 1e15
+    (tests/test_envelope.py).
+    """
+    u = np.linspace(0.0, 1.0, ZONE_TABLE_NODES)
+    z = u[:-1] / (1.0 - u[:-1])
+    scaled = np.append(i0e(z) * np.sqrt(1.0 + z), 1.0 / math.sqrt(2.0 * math.pi))
+    table = _cubic_pieces(scaled)[:, None]
+    table.flags.writeable = False
+    return table
+
+
 def rhs_log_mean(envelope: np.ndarray, params: RectennaParams):
     """Log of the one-period mean of I0(c |b(t)|), c = sqrt(R_s) / (eta V_0),
     one per period along the last axis of the received envelope b.
 
     That is the period mean of the diode exponential exp(c r(t)) for the
-    passband signal r with complex envelope b. It is evaluated as
-    log I0(z) = z + log i0e(z) with each period's largest exponent shifted
-    out, so hot diode drives stay finite.
+    passband signal r with complex envelope b. With each period's largest
+    exponent shifted out, so hot diode drives stay finite, every sample adds
+    I0(z) e^-shift = e^(z - shift) T(u) / sqrt(1 + z), T = i0e(z) sqrt(1 + z)
+    read from its table at u = z / (1 + z).
     """
     scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
-    # in place, so two sample-shaped arrays are live at a time
     exponents = np.abs(envelope)
     exponents *= scale
     shift = exponents.max(axis=-1)
     terms = exponents - shift[..., None]
     np.exp(terms, out=terms)
-    terms *= i0e(exponents, out=exponents)
+    # the table read overwrites the exponents with u; its scratch is freed on return
+    inverse, _, (scaled,) = _read_table(_i0e_table(), exponents)
+    terms *= scaled
+    terms *= np.sqrt(inverse, out=inverse)
     return shift + np.log(terms.sum(axis=-1) / terms.shape[-1])
 
 

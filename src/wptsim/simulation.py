@@ -333,7 +333,8 @@ def evaluate_batch(
     _check_shapes(amplitudes, phases, levels, system)
     _check_tones(amplitudes, phases)
     levels = _as_levels(levels, system.chain.ps_bits)
-    emission, (*_, p_in, p_out) = _transmit(amplitudes, phases, system)
+    emission, (*stages, p_in, p_out) = _transmit(amplitudes, phases, system)
+    del stages  # the stage periods are not read again: free them before the receive
     received = _receive(emission, levels, system)
     harvest, power = _harvest_and_power(received, amplitudes, p_in, p_out, system)
     # p_dac, p_mix and p_lo are the same for every candidate

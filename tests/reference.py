@@ -15,12 +15,16 @@ as the rate grows.
 - rhs_log_mean and hpa_power take their period means over passband samples;
 - gathered_amplify_envelope reads the envelope amplifier's zone table by
   one gather of every coefficient, where the library gathers row by row;
+- i0e_rhs_log_mean takes the rectenna's log-mean of I0 over the received
+  envelope with scipy's i0e at every sample, where the library reads i0e
+  from a cubic table;
 - passband_outcome runs the whole chain this way.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0e
 
 import wptsim.signal_chain
 from wptsim import DomainError, PhaseWord, ToneSet
@@ -127,6 +131,21 @@ def gathered_amplify_envelope(
     p_out = saturation**2 * np.vecdot(scaled[1], x) / n
     p_in = 0.5 * np.vecdot(amplitude, amplitude) / n
     return ratio * envelope, p_in, p_out
+
+
+def i0e_rhs_log_mean(envelope: np.ndarray, params: RectennaParams):
+    """The library's rhs_log_mean with I0 from scipy's i0e at every sample:
+    log of the period mean of I0(c |b(t)|), c = sqrt(R_s) / (eta V_0), one
+    per period along the last axis, evaluated as log I0(z) = z + log i0e(z)
+    with each period's largest exponent shifted out."""
+    scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
+    exponents = np.abs(envelope)
+    exponents *= scale
+    shift = exponents.max(axis=-1)
+    terms = exponents - shift[..., None]
+    np.exp(terms, out=terms)
+    terms *= i0e(exponents, out=exponents)
+    return shift + np.log(terms.sum(axis=-1) / terms.shape[-1])
 
 
 def beamformed_received(

@@ -1,5 +1,5 @@
-"""The envelope chain: the amplifier's first zone, its error budget, and the
-passband reference it replaces."""
+"""The envelope chain: the amplifier's first zone, the rectenna's I0 table,
+their error budget, and the passband reference they replace."""
 
 import numpy as np
 import pytest
@@ -7,18 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.special import i0e
 
-from conftest import desk_setup, received_envelope
-from reference import gathered_amplify_envelope, passband_outcome, rapp_amplifier
-from wptsim import PhaseWord, ToneSet, evaluate_solution
+from conftest import desk_setup, received_envelope, toy_setup
+from reference import (
+    gathered_amplify_envelope,
+    i0e_rhs_log_mean,
+    passband_outcome,
+    rapp_amplifier,
+)
+from wptsim import PhaseWord, RectennaParams, ToneSet, evaluate_batch, evaluate_solution
 from wptsim.cli import EXIT_INFEASIBLE, EXIT_OK, main
 from wptsim.config import build_setup, load_config
+from wptsim.optimizer import brute_force_grid
 from wptsim.power_model import hpa_power
-from wptsim.rectenna import harvest_from_signal
+import wptsim.rectenna
+from wptsim.rectenna import (
+    _i0e_table,
+    dc_output_voltage,
+    harvest_from_signal,
+    harvested_power,
+    rhs_log_mean,
+)
 import wptsim.signal_chain
 from wptsim.signal_chain import (
     ZONE_POINTS,
     ZONE_TABLE_NODES,
+    _read_table,
     _zone_table,
     amplify_envelope,
     complex_envelope,
@@ -191,6 +206,85 @@ def test_row_by_row_table_read_equals_the_whole_gather(data, smoothness):
     for name, got, want in zip(("output", "p_in", "p_out"), actual, expected):
         assert np.shape(got) == np.shape(want) == (shape if name == "output" else leading)
         assert np.array_equal(got, want), name
+
+
+RECTENNA = RectennaParams(50.0, 1600.0, 5e-6, 25.86e-3, 1.05)
+EXPONENT_SCALE = np.sqrt(50.0) / (1.05 * 25.86e-3)  # c = sqrt(R_s) / (eta V_0)
+
+
+def tabulated_i0e(z):
+    """i0e at exponents z >= 0 as the rectenna reads it: T(u) / sqrt(1 + z)."""
+    inverse, _, (scaled,) = _read_table(_i0e_table(), np.array(z, dtype=float))
+    return scaled * np.sqrt(inverse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=arrays(float, st.integers(1, 64), elements=st.floats(0.0, 1e15)))
+def test_tabulated_i0e_is_within_1e_12_of_scipy(z):
+    # every interval, the last one included; z >= 2^53 rounds u = z/(1 + z)
+    # to 1, where the interval index is clamped to intervals - 1
+    z = np.concatenate([z, np.logspace(-12, 15, 541), [0.0, 8191.0, 2.0**53, 1e17, 1e300]])
+    assert_allclose(tabulated_i0e(z), i0e(z), rtol=1e-12, atol=0.0)
+    assert tabulated_i0e(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_table_read_rhs_log_matches_the_scipy_form(data):
+    # one period, a batch of periods and a batch of batches, at peak
+    # exponents z = c|b| from 0 to 1e4, one of which may sit in the table's
+    # last interval (z >= 8191, u * intervals >= intervals - 1)
+    leading = data.draw(st.sampled_from([(), (3,), (2, 3)]))
+    shape = (*leading, data.draw(st.integers(1, 48)))
+    peak = data.draw(st.floats(0.0, 1e4))
+    z = peak * data.draw(arrays(float, shape, elements=st.floats(0.0, 1.0)))
+    if data.draw(st.booleans()):
+        z.flat[data.draw(st.integers(0, z.size - 1))] = data.draw(st.floats(8191.0, 1e4))
+    phase = data.draw(arrays(float, shape, elements=st.floats(0.0, 2.0 * np.pi)))
+    envelope = z / EXPONENT_SCALE * np.exp(1j * phase)
+    expected = i0e_rhs_log_mean(envelope, RECTENNA)
+    actual = rhs_log_mean(envelope, RECTENNA)
+    assert np.shape(actual) == np.shape(expected) == leading
+    # 1e-12, plus one rounding of rhs_log: above 4096 a double's spacing
+    # exceeds 1e-12, and both forms add the same shift to their log-means
+    assert (np.abs(actual - expected) <= 1e-12 + np.spacing(np.abs(expected))).all()
+    # p_out_dc is about rhs_log^2 at small drives, so an absolute error of
+    # I0 near 1, in either form, is a growing relative error there; from
+    # rhs_log = 1 (peak z about 2.4) on it stays within 1e-12 relative
+    harvest = harvest_from_signal(envelope, RECTENNA)
+    reference = harvested_power(dc_output_voltage(expected, RECTENNA), RECTENNA.load_resistance)
+    driven = expected >= 1.0
+    assert_allclose(harvest.p_out_dc[driven], reference[driven], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("leading", [(), (3,), (2, 3)])
+def test_an_all_zero_period_harvests_exactly_zero(leading):
+    envelope = np.zeros((*leading, 48), dtype=complex)
+    assert (rhs_log_mean(envelope, RECTENNA) == 0.0).all()
+    assert (harvest_from_signal(envelope, RECTENNA).p_out_dc == 0.0).all()
+
+
+def test_a_batch_and_a_grid_call_i0e_on_no_received_sample(monkeypatch):
+    # scipy's i0e is called only to build the rectenna's table, at the first
+    # evaluation; after that a desk batch and a toy grid read I0 from it
+    desk, toy = desk_setup().system, toy_setup()
+    rng = np.random.default_rng(17)
+    batch = (
+        rng.uniform(0.0, 300.0, (30, desk.tone_count)),
+        rng.uniform(0.0, 2.0 * np.pi, (30, desk.tone_count)),
+        rng.integers(0, 2**desk.chain.ps_bits, (30, desk.element_count)),
+    )
+    evaluate_batch(*batch, desk)
+    elements = []
+
+    def counted(z, *args, **kwargs):
+        elements.append(np.size(z))
+        return i0e(z, *args, **kwargs)
+
+    monkeypatch.setattr(wptsim.rectenna, "i0e", counted)
+    evaluate_batch(*batch, desk)
+    brute_force_grid(21, 16, toy.system, toy.swarm)
+    assert elements == []
 
 
 def test_zero_and_deep_drive_evaluate():

@@ -275,6 +275,25 @@ class TestEvaluateBatch:
                 evaluate_batch(amplitudes, phases, levels, system)
 
 
+@pytest.mark.parametrize(
+    ("sample", "message"),
+    [
+        (np.nan, "invalid value encountered in cast"),
+        (np.inf, "invalid value encountered in subtract"),
+        (1e300, "overflow encountered in multiply"),
+    ],
+)
+def test_a_non_finite_or_huge_received_sample_fails_as_the_rectenna(sample, message):
+    # the rectenna reads I0 from a table by a clipped gather; a sample it
+    # cannot place must fail before the gather, never read a clipped entry
+    system = _SYSTEMS["desk"]
+    received = np.full((2, system.n_env), 0.1 + 0.0j)
+    received[1, 7] = sample
+    amplitudes = np.zeros((2, system.tone_count))
+    with pytest.raises(NumericalError, match=f"rectenna stage failed: {message}"):
+        wptsim.simulation._harvest_and_power(received, amplitudes, 0.0, 0.0, system)
+
+
 def test_a_desk_batch_peaks_below_sixteen_sample_arrays():
     # traced memory of one evaluate_batch at P = 30, counted in float (P, M)
     # arrays (1 474 560 bytes on desk). The amplifier reads its zone table
