@@ -125,21 +125,15 @@ def build_channel_matrix(
     return ChannelMatrix(distances, elevations, boresight_exponent, geometry.carrier)
 
 
-def receive_band(
-    channel: ChannelMatrix, carrier_bin: int, tone_count: int, tone_spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The passband bins the receiver keeps, and the channel at them.
+def receive_band(channel: ChannelMatrix, tone_count: int, tone_spacing: float) -> np.ndarray:
+    """The channel at the band the receiver keeps, H_band, (N, 2K+1).
 
-    The band is the 2K+1 bins m + k, k = -K..K, around carrier bin m. Bin
-    m + k sits k tone spacings off the carrier, so its channel is taken at
-    channel.carrier + k * tone_spacing (offsets are mapped onto the channel's
-    own carrier when the simulation carrier is scaled down). Returns the bins
-    and the (N, 2K+1) coefficients.
+    The band is the offsets k = -K..K around the carrier. Offset k sits k
+    tone spacings off the RF carrier, so its channel is taken at
+    channel.carrier + k * tone_spacing.
     """
     offsets = np.arange(-tone_count, tone_count + 1)
-    return carrier_bin + offsets, channel.coefficients_at(
-        channel.carrier + offsets * tone_spacing
-    )
+    return channel.coefficients_at(channel.carrier + offsets * tone_spacing)
 
 
 def beamformed_received(

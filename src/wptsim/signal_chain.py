@@ -265,19 +265,19 @@ def _rapp_compression(drive: np.ndarray, smoothness: float) -> np.ndarray:
 
 
 def first_zone(
-    amplitude: np.ndarray, gain: float, saturation: float, smoothness: float, points: int
+    drive: np.ndarray, smoothness: float, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """c1(A)/A and h(A) of the Rapp amplifier at envelope magnitudes A >= 0, by
-    the P-point rule (P = points, a positive multiple of 4); _zone_table sizes
-    P to each drive.
+    """c1(A)/(G A) and h(A)/A_s^2 of the Rapp amplifier at drives D = G A / A_s
+    >= 0, by the P-point rule (P = points, a positive multiple of 4);
+    _zone_table sizes P to each drive.
 
-    Both come from one (A, P/4) grid of compression factors, since
-    f(x) = G x c(G x / A_s): c1(A)/A = 2 G mean(c cos^2) and
-    h(A) = A_s^2 mean((d c)^2) over the cycle, d the grid's drives. The
-    P-point mean is the P-point DFT of the amplifier output over one carrier
-    cycle folded onto a quarter cycle, so c1 is its first harmonic and h its
-    mean square. The ratio c1(A)/A needs no division: at A = 0 it is the
-    small-signal gain G.
+    Both depend on the drive alone and come from one (D, P/4) grid of
+    compression factors c, since f(x) = G x c(G x / A_s):
+    c1(A)/(G A) = 2 mean(c cos^2) and h(A)/A_s^2 = mean((d c)^2) over the
+    cycle, d the grid's drives. The P-point mean is the P-point DFT of the
+    amplifier output over one carrier cycle folded onto a quarter cycle, so
+    c1 is its first harmonic and h its mean square. The ratio needs no
+    division: at D = 0 it is 1, the small-signal gain over G.
     """
     # nodes cos(2 pi t / P), t = 0..P/4 - 1, weighted 4/P (half that at t = 0)
     # to fold the P-point mean over the cycle onto them: f is odd, and the
@@ -285,12 +285,12 @@ def first_zone(
     cosines = np.cos(2.0 * np.pi * np.arange(points // 4) / points)
     weights = np.full(points // 4, 4.0 / points)
     weights[0] *= 0.5
-    drive = np.multiply.outer(gain * amplitude / saturation, cosines)
+    drive = np.multiply.outer(drive, cosines)
     compression = _rapp_compression(drive, smoothness)
-    ratio = gain * (compression @ (2.0 * weights * cosines**2))
+    ratio = compression @ (2.0 * weights * cosines**2)
     compression *= drive
     compression *= compression
-    return ratio, saturation**2 * (compression @ weights)
+    return ratio, compression @ weights
 
 
 # Power coefficients in t of the cubic through f_{i-1}, f_i, f_{i+1}, f_{i+2}
@@ -339,9 +339,7 @@ def _zone_table(
             int(np.searchsorted(rule, size, side="right")),
             start + max(1, _TABLE_CHUNK // size),
         )
-        ratio[start:stop], power[start:stop] = first_zone(
-            drive[start:stop], 1.0, 1.0, smoothness, size
-        )
+        ratio[start:stop], power[start:stop] = first_zone(drive[start:stop], smoothness, size)
         start = stop
     scaled_ratio = np.append(ratio * (1.0 + drive), 4.0 / np.pi)
     scaled_power = np.concatenate([[0.5], power[1:] / x[1:-1] ** 2, [1.0]])

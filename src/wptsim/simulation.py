@@ -7,7 +7,6 @@ import numpy as np
 from .channel import (
     MAX_CHANNEL_ENTRIES,
     ArrayGeometry,
-    ChannelMatrix,
     ReceiverPosition,
     beamformed_received,
     build_channel_matrix,
@@ -33,10 +32,10 @@ from .signal_chain import (
     synthesize_multitone,
 )
 
-# Most samples in one period of the envelope, or at the DAC or the passband
-# reference's rate (n_dac <= n_sim). A run holds a few dozen period-long
-# arrays, so 2^20 keeps it to a few hundred MiB, 100x the paper profile's
-# 10380 passband samples; a 1 mHz tone spacing puts 2e11 in a desk period.
+# Most samples in one period at the DAC (n_dac) or of the envelope (n_env). A
+# run holds a few dozen period-long arrays, so 2^20 keeps it to a few hundred
+# MiB; either profile holds 80 and 384. A 1 mHz tone spacing puts 1e11 DAC
+# samples in a period at the default 100 MHz rate.
 MAX_PERIOD_SAMPLES = 2**20
 
 
@@ -45,19 +44,15 @@ class SystemModel:
     """Everything fixed about the transmitter, channel, and receiver.
 
     The waveform (ToneSet) and beam (PhaseWord) are the free variables. The
-    sampling plan is checked and fixed here, once: every rate is a multiple
+    sampling plan is checked and fixed here, once: the DAC rate is a multiple
     of the tone spacing, so each stage holds exactly one fundamental period,
     n_dac baseband samples and then n_env = M complex envelope samples. Tone
     k is baseband DFT bin k; the band is the offsets k = -K..K: the low-pass
     filter keeps baseband bins k, the mixer's envelope holds them at bins
     k mod M, and the receiver keeps those bins with the channel at them
-    (H_band, N x 2K+1, taken at the RF carrier plus k tone spacings). Every
-    rule on the plan is checked in bins, and the stages never see a rate.
-
-    n_sim, carrier_bin and band place the band on a real passband period at
-    chain.sim_sample_rate with the carrier at chain.carrier. The chain does
-    not read them; they describe the passband reference the tests hold the
-    envelope chain to.
+    (band_coefficients, H_band, N x 2K+1, taken at the RF carrier plus k tone
+    spacings). Every rule on the plan is checked in bins, and the stages
+    never see a rate.
     """
 
     tone_count: int
@@ -68,12 +63,8 @@ class SystemModel:
     rectenna: RectennaParams
     power: PowerParams
     boresight_exponent: float = 2.0
-    channel: ChannelMatrix = field(init=False, repr=False)
     n_dac: int = field(init=False)
     n_env: int = field(init=False)
-    n_sim: int = field(init=False)
-    carrier_bin: int = field(init=False)
-    band: np.ndarray = field(init=False, repr=False)
     band_coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -83,28 +74,14 @@ class SystemModel:
             raise ConfigurationError("tone_spacing must be positive")
         chain, tones, bw = self.chain, self.tone_count, self.bandwidth
         n_dac = _as_multiple(chain.dac_sample_rate, self.tone_spacing, "dac_sample_rate")
-        m = _as_multiple(chain.carrier, self.tone_spacing, "carrier")
-        n_sim = _as_multiple(chain.sim_sample_rate, self.tone_spacing, "sim_sample_rate")
         if n_dac < 2 * tones:
             raise ConfigurationError(
                 f"dac_sample_rate {chain.dac_sample_rate} below twice the bandwidth {bw}"
             )
-        if n_sim < n_dac:
+        if n_dac > MAX_PERIOD_SAMPLES:
             raise ConfigurationError(
-                f"dac_sample_rate {chain.dac_sample_rate} must not exceed"
-                f" sim_sample_rate {chain.sim_sample_rate}"
-            )
-        if n_sim > MAX_PERIOD_SAMPLES:
-            raise ConfigurationError(
-                f"waveform.tone_spacing {self.tone_spacing} puts {n_sim:.3g} samples in one"
-                f" period at sim_sample_rate; at most {MAX_PERIOD_SAMPLES} are simulated"
-            )
-        # strict: at equality the top receive bin is the Nyquist bin, which
-        # holds no quadrature for the phase shifters to rotate
-        if n_sim <= 2 * (m + tones):
-            raise ConfigurationError(
-                f"sim_sample_rate {chain.sim_sample_rate} must exceed the Nyquist rate"
-                f" 2 x (carrier {chain.carrier} + bandwidth {bw})"
+                f"waveform.tone_spacing {self.tone_spacing} puts {n_dac:.3g} samples in one"
+                f" period at dac_sample_rate; at most {MAX_PERIOD_SAMPLES} are simulated"
             )
         n_env = ENVELOPE_SAMPLES_PER_TONE * max(tones, 4)
         if n_env > MAX_PERIOD_SAMPLES:
@@ -112,8 +89,6 @@ class SystemModel:
                 f"waveform.tone_count {tones} puts {n_env:.3g} envelope samples in one"
                 f" period; at most {MAX_PERIOD_SAMPLES} are simulated"
             )
-        if m <= tones:
-            raise ConfigurationError("carrier must exceed the baseband bandwidth")
         if self.geometry.carrier <= bw:
             raise ConfigurationError(f"channel.rf_carrier must exceed the baseband bandwidth {bw}")
         # the element gain 2(b + 1) cos^b is a normalized pattern for finite b > -1;
@@ -140,19 +115,15 @@ class SystemModel:
                 )
             except DomainError as exc:
                 raise ConfigurationError(f"receiver.position: {exc}") from exc
-            band, coefficients = receive_band(matrix, m, tones, self.tone_spacing)
+            coefficients = receive_band(matrix, tones, self.tone_spacing)
         if not (np.isfinite(matrix.distances).all() and np.isfinite(coefficients).all()):
             raise ConfigurationError(
                 f"receiver.position {self.receiver.as_array().tolist()} and channel.rf_carrier"
                 f" {self.geometry.carrier} put the channel H_band out of floating-point range"
             )
         for name, value in (
-            ("channel", matrix),
             ("n_dac", n_dac),
             ("n_env", n_env),
-            ("n_sim", n_sim),
-            ("carrier_bin", m),
-            ("band", band),
             ("band_coefficients", coefficients),
         ):
             object.__setattr__(self, name, value)

@@ -3,10 +3,14 @@
 The library runs the chain on the complex envelope: the amplifier's first
 zone, one per-bin beam gain and a log-mean of I0 at the rectenna. The tests
 check it against the real passband period here, sampled at
-chain.sim_sample_rate with the carrier at carrier bin m, where the amplifier's
+chain.sim_sample_rate with the carrier at chain.carrier, where the amplifier's
 harmonics are present and alias back into the band by an amount that shrinks
-as the rate grows.
+as the rate grows. The library reads neither key; this module alone derives
+and checks the passband plan:
 
+- passband_plan places one period at n_sim samples, the carrier at bin m and
+  the band at bins m - K..m + K, and refuses a plan it cannot sample;
+  passband_receive_band gives those bins with the channel at them;
 - upconvert mixes the filtered baseband onto the carrier, and rapp_amplifier
   amplifies the real passband samples;
 - beamformed_received runs the phase shifters and the channel as one per-bin
@@ -27,15 +31,68 @@ import numpy as np
 from scipy.special import i0e
 
 import wptsim.signal_chain
-from wptsim import DomainError, PhaseWord, ToneSet
+from wptsim import ConfigurationError, DomainError, PhaseWord, ToneSet
+from wptsim.channel import receive_band
 from wptsim.rectenna import RectennaParams, dc_output_voltage, lambert_w0_log
 from wptsim.signal_chain import (
+    _as_multiple,
     _rapp_compression,
     lowpass_filter,
     quantize_dac,
     synthesize_multitone,
 )
-from wptsim.simulation import SystemModel
+from wptsim.simulation import MAX_PERIOD_SAMPLES, SystemModel
+
+
+@dataclass(frozen=True)
+class PassbandPlan:
+    """One real passband period of n_sim samples, the carrier at bin m, and
+    the band, the bins m + k of the offsets k = -K..K."""
+
+    n_sim: int
+    carrier_bin: int
+    band: np.ndarray
+
+
+def passband_plan(system: SystemModel) -> PassbandPlan:
+    """The passband period of chain.sim_sample_rate with the carrier at
+    chain.carrier, both in tone spacings.
+
+    Refuses, as a ConfigurationError, a rate or a carrier off the tone grid,
+    a period shorter than the DAC's or longer than MAX_PERIOD_SAMPLES, a
+    carrier within the bandwidth, whose band would reach below DC, and a
+    rate at or below 2 (carrier + bandwidth): at equality the top band bin
+    is the Nyquist bin, which holds no quadrature for the phase shifters to
+    rotate.
+    """
+    chain, tones, spacing = system.chain, system.tone_count, system.tone_spacing
+    m = _as_multiple(chain.carrier, spacing, "carrier")
+    n_sim = _as_multiple(chain.sim_sample_rate, spacing, "sim_sample_rate")
+    if n_sim < system.n_dac:
+        raise ConfigurationError(
+            f"dac_sample_rate {chain.dac_sample_rate} must not exceed"
+            f" sim_sample_rate {chain.sim_sample_rate}"
+        )
+    if n_sim > MAX_PERIOD_SAMPLES:
+        raise ConfigurationError(
+            f"sim_sample_rate {chain.sim_sample_rate} puts {n_sim:.3g} samples in one period;"
+            f" at most {MAX_PERIOD_SAMPLES} are simulated"
+        )
+    if m <= tones:
+        raise ConfigurationError("carrier must exceed the baseband bandwidth")
+    if n_sim <= 2 * (m + tones):
+        raise ConfigurationError(
+            f"sim_sample_rate {chain.sim_sample_rate} must exceed the Nyquist rate"
+            f" 2 x (carrier {chain.carrier} + bandwidth {system.bandwidth})"
+        )
+    return PassbandPlan(n_sim, m, m + np.arange(-tones, tones + 1))
+
+
+def passband_receive_band(channel, carrier_bin: int, tone_count: int, tone_spacing: float):
+    """The band's passband bins m + k, k = -K..K, around carrier bin m, and
+    the channel at them, H_band (N, 2K+1), as the library takes it."""
+    offsets = np.arange(-tone_count, tone_count + 1)
+    return carrier_bin + offsets, receive_band(channel, tone_count, tone_spacing)
 
 
 def lambert_w0(x: float) -> float:
@@ -62,7 +119,7 @@ def upconvert(
     written at rfft bin m + k, scaled by n_sim / (2 n_dac); one irfft gives
     Re{z(t) e^{j 2 pi m t / n_sim}} with z the band-limited baseband period
     at n_sim samples. When n_dac = 2K the Nyquist bin stands for both k = +-K
-    and is split in half between them. SystemModel keeps the band strictly
+    and is split in half between them. passband_plan keeps the band strictly
     inside (0, n_sim / 2).
     """
     n_dac = baseband.size
@@ -215,9 +272,9 @@ def received_signal(
     """Propagate every element branch to the receiver and sum.
 
     `elements` is the real (N, n) stack of branches, one row per channel
-    entry. Each bin of the receive band (`band` and `band_coefficients`, from
-    receive_band) is scaled by the channel at that bin's RF frequency; content
-    outside the band is rejected.
+    entry. Each bin of the receive band (`band` and `band_coefficients`,
+    from passband_receive_band) is scaled by the channel at that bin's RF
+    frequency; content outside the band is rejected.
     """
     if np.iscomplexobj(elements):
         raise DomainError("received_signal combines real passband branches")
@@ -280,14 +337,14 @@ class PassbandOutcome:
 
 
 def passband_outcome(tones: ToneSet, word: PhaseWord, system: SystemModel) -> PassbandOutcome:
-    """The chain on the real passband period at the system's sim_sample_rate."""
-    chain = system.chain
+    """The chain on the real passband period of the system's passband_plan."""
+    chain, plan = system.chain, passband_plan(system)
     digital = synthesize_multitone(tones.amplitudes, tones.phases, system.n_dac)
     lpf = lowpass_filter(quantize_dac(digital, chain.dac_bits, chain.dac_range), system.tone_count)
-    mixer = upconvert(lpf, system.tone_count, system.carrier_bin, system.n_sim)
+    mixer = upconvert(lpf, system.tone_count, plan.carrier_bin, plan.n_sim)
     hpa = rapp_amplifier(mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness)
     received = beamformed_received(
-        hpa, word, chain.ps_insertion_loss, system.band, system.band_coefficients
+        hpa, word, chain.ps_insertion_loss, plan.band, system.band_coefficients
     )
     v_out = dc_output_voltage(rhs_log_mean(received, system.rectenna), system.rectenna)
     power = system.power

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from conftest import desk_setup, received_envelope, toy_setup
 import reference
-from reference import lambert_w0, rapp_amplifier, received_signal
+from reference import lambert_w0, passband_receive_band, rapp_amplifier, received_signal
 from wptsim import (
     PhaseWord,
     RectennaParams,
@@ -27,11 +27,7 @@ from wptsim import (
     pso_run,
     run_chain,
 )
-from wptsim.channel import (
-    build_channel_matrix,
-    radiation_profile,
-    receive_band,
-)
+from wptsim.channel import build_channel_matrix, radiation_profile
 from wptsim.power_model import dac_power
 from wptsim.rectenna import (
     dc_output_voltage,
@@ -198,7 +194,7 @@ def test_criterion_08_channel_values():
     n = 180
     geom2 = element_positions(1, 2, 5.18e9)
     channel = build_channel_matrix(geom2, receiver)
-    band, coefficients = receive_band(channel, 64, 8, SPACING)
+    band, coefficients = passband_receive_band(channel, 64, 8, SPACING)
     a = rng.normal(size=(2, n))
     b = rng.normal(size=(2, n))
     out_mixed = received_signal(3.0 * a + 0.25 * b, band, coefficients)

@@ -1,10 +1,11 @@
 """What the benchmark harness under perfbench/ reads from wptsim.
 
-The harness builds both profiles, reads chain.sim_sample_rate for its
-computed sizes, checks every evaluation against the root-solver oracle,
-builds random candidates, times pso_run's iterations through its callback
-and checks the run's record, and parses the simulate report. A change that
-breaks any of these fails here instead of in a benchmark run.
+The harness builds each workload's config (perfbench/setup_probe.CONFIGS),
+reads chain.sim_sample_rate for its computed sizes, checks every evaluation
+against the root-solver oracle, builds random candidates, times pso_run's
+iterations through its callback and checks the run's record, and parses the
+simulate report. A change that breaks any of these fails here instead of in
+a benchmark run.
 """
 
 import dataclasses
@@ -49,12 +50,26 @@ TRACED = [
 KERNELS = ["complex_envelope", "amplify_envelope", "beamformed_received"]
 
 
+def _perfbench_module(name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("profile", ["desk", "paper"])
 def test_profiles_build_with_a_positive_simulation_rate(profile):
-    setup = build_setup(load_config(profile=profile))
-    rate = setup.system.chain.sim_sample_rate
-    assert isinstance(rate, float) and rate > 0
-    assert round(rate / setup.system.tone_spacing) > 0
+    # every workload's set-up, toy-grid's overrides included, grouped by profile
+    configs = _perfbench_module("setup_probe").CONFIGS
+    assert {name for name, _ in configs.values()} == {"desk", "paper"}
+    for name, overrides in configs.values():
+        if name != profile:
+            continue
+        setup = build_setup(load_config(profile=name, overrides=overrides))
+        rate = setup.system.chain.sim_sample_rate
+        assert isinstance(rate, float) and rate > 0
+        assert round(rate / setup.system.tone_spacing) > 0
 
 
 def test_candidates_and_the_root_solver_oracle():
@@ -114,10 +129,7 @@ def test_simulate_report_holds_the_six_stages(tmp_path):
 
 
 def _traced_simulation_names() -> set:
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     return {name for module, name, *_ in tracing.SPAN_TARGETS if module == "wptsim.simulation"}
 
 

@@ -8,12 +8,8 @@ from scipy.constants import speed_of_light
 from wptsim import DomainError, PhaseWord, ReceiverPosition, element_positions
 from conftest import received_envelope
 import reference
-from reference import apply_phase_shifters, received_signal
-from wptsim.channel import (
-    build_channel_matrix,
-    radiation_profile,
-    receive_band,
-)
+from reference import apply_phase_shifters, passband_receive_band, received_signal
+from wptsim.channel import build_channel_matrix, radiation_profile
 
 SPACING = 1.25e6
 CARRIER_RF = 5.18e9
@@ -165,7 +161,7 @@ class TestReceivedSignal:
 
     def received(self, elements, channel):
         """received_signal over the receive band of `channel` on the 180-sample period."""
-        band, coefficients = receive_band(channel, self.CARRIER_BIN, 8, SPACING)
+        band, coefficients = passband_receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         return received_signal(elements, band, coefficients)
 
     def test_identity_channel_passthrough(self):
@@ -252,11 +248,11 @@ class TestReceivedSignal:
     def test_band_outside_the_period_rejected(self):
         # a 4-bin carrier puts the band's first bins below DC, where numpy
         # indexing would wrap to the top of the spectrum
-        band, coefficients = receive_band(_ConstantChannel(1), 4, 8, SPACING)
+        band, coefficients = passband_receive_band(_ConstantChannel(1), 4, 8, SPACING)
         sig = stack(passband_tone(4, self.N_SAMP))
         with pytest.raises(DomainError):
             received_signal(sig, band, coefficients)
-        band, coefficients = receive_band(_ConstantChannel(1), 64, 8, SPACING)
+        band, coefficients = passband_receive_band(_ConstantChannel(1), 64, 8, SPACING)
         with pytest.raises(DomainError):
             received_signal(sig[:, :142], band, coefficients)
 
@@ -287,7 +283,7 @@ class TestBeamformedReceived:
         period = rng.normal(size=n)
         word = PhaseWord(rng.integers(0, 2**bits, geom.count), bits)
         loss = float(rng.uniform(1.0, 4.0))
-        band, coefficients = receive_band(channel, carrier_bins, tones, SPACING)
+        band, coefficients = passband_receive_band(channel, carrier_bins, tones, SPACING)
         fold = reference.beamformed_received(period, word, loss, band, coefficients)
         branches = apply_phase_shifters(period, word, loss)
         explicit = received_signal(branches, band, coefficients)
@@ -317,12 +313,12 @@ class TestBeamformedReceived:
         word = PhaseWord([0, 1], 1)
         # 144 samples: the top band bin, 72, is the Nyquist bin
         sig = passband_tone(64, 144)
-        band, coefficients = receive_band(channel, self.CARRIER_BIN, 8, SPACING)
+        band, coefficients = passband_receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         with pytest.raises(DomainError):
             reference.beamformed_received(sig, word, 1.0, band, coefficients)
         sig = passband_tone(4, self.N_SAMP)
         # a 4-bin carrier: the band reaches below DC
-        band, coefficients = receive_band(channel, 4, 8, SPACING)
+        band, coefficients = passband_receive_band(channel, 4, 8, SPACING)
         with pytest.raises(DomainError):
             reference.beamformed_received(sig, word, 1.0, band, coefficients)
         # the library's fold takes any envelope period that holds all 2K + 1
@@ -334,7 +330,7 @@ class TestBeamformedReceived:
         channel = build_channel_matrix(
             element_positions(1, 2, CARRIER_RF), ReceiverPosition(0.0, 3.0, 0.0)
         )
-        band, coefficients = receive_band(channel, self.CARRIER_BIN, 8, SPACING)
+        band, coefficients = passband_receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         sig = passband_tone(64, self.N_SAMP)
         with pytest.raises(DomainError):
             reference.beamformed_received(

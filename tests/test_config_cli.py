@@ -415,7 +415,7 @@ class TestMainEntryPoint:
             (
                 "waveform:\n  tone_spacing: 1.0e-300\nchain:\n  sim_sample_rate: 225.0e6\n",
                 [],
-                "sim_sample_rate",
+                "waveform.tone_spacing",
             ),
             ("swarm:\n  seed: -1\n", [], "seed"),
             ("", ["--seed", "-1"], "seed"),
@@ -432,10 +432,7 @@ class TestMainEntryPoint:
             ("chain:\n  dac_bits: 4000\n", [], "dac_bits"),
             ("chain:\n  ps_bits: 70\n", [], "ps_bits"),
             ("chain:\n  dac_bits: 40\n", [], "swarm.penalty"),
-            ("chain:\n  sim_sample_rate: 180.0e6\n", [], "sim_sample_rate"),
-            ("chain:\n  dac_sample_rate: 1.0e+9\n", [], "must not exceed sim_sample_rate"),
             ("chain:\n  dac_sample_rate: 100.3e6\n", [], "dac_sample_rate"),
-            ("chain:\n  sim_sample_rate: 180000000.625\n", [], "sim_sample_rate"),
             ("waveform:\n  tone_spacing: 1.0e-200\n", [], "waveform.tone_spacing"),
             ("waveform:\n  tone_spacing: 1.0e-3\n", [], "waveform.tone_spacing"),
             (
@@ -465,8 +462,7 @@ class TestMainEntryPoint:
             "hpa-gain-inf", "dac-range-nan", "load-resistance-nan", "mixer-power-inf",
             "position-nan", "amplitude-inf", "amplitude-max-inf", "dac-bits-inf",
             "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
-            "penalty-below-dac-power", "nyquist-boundary", "dac-rate-above-sim-rate",
-            "dac-rate-not-multiple", "nyquist-off-multiple", "spacing-1e-200-samples-bound",
+            "penalty-below-dac-power", "dac-rate-not-multiple", "spacing-1e-200-samples-bound",
             "spacing-1e-3-samples-bound", "tone-count-synthesis-bound",
             "tone-count-envelope-bound", "tone-count-zero",
             "rf-carrier-below-bandwidth", "receiver-on-element", "receiver-distance-overflow",
@@ -482,6 +478,30 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "chain:\n  sim_sample_rate: 180.0e6\n",
+            "chain:\n  dac_sample_rate: 1.0e+9\n",
+            "chain:\n  sim_sample_rate: 180000000.625\n",
+            "chain:\n  carrier: 80.3e6\n",
+            "chain:\n  carrier: 10.0e6\n",
+        ],
+        ids=[
+            "nyquist-boundary", "dac-rate-above-sim-rate", "nyquist-off-multiple",
+            "carrier-off-the-grid", "carrier-at-the-bandwidth",
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_reference_only_keys_run(self, tmp_path, capsys, text):
+        # chain.sim_sample_rate and chain.carrier only place the tests'
+        # passband reference, which checks its own plan; the chain reads neither
+        path = tmp_path / "reference-only.yaml"
+        path.write_text(text)
+        argv = ["simulate", "--profile", "desk", "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "r.yaml")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_synthesis_grid_within_the_budget_runs(self, tmp_path, capsys):
         # 1024 tones at 2048 DAC samples a period; H_band is 25 x 2049

@@ -14,6 +14,7 @@ from reference import (
     gathered_amplify_envelope,
     i0e_rhs_log_mean,
     passband_outcome,
+    passband_plan,
     rapp_amplifier,
 )
 from wptsim import PhaseWord, RectennaParams, ToneSet, evaluate_batch, evaluate_solution
@@ -89,7 +90,8 @@ def test_matches_the_passband_reference_at_sixteen_times_the_paper_rate():
     fine = build_setup(load_config(profile="paper", overrides={
         "chain": {"sim_sample_rate": 16 * default.system.chain.sim_sample_rate}
     }))
-    assert fine.system.n_sim == 16 * default.system.n_sim == 16 * 10380
+    plans = passband_plan(fine.system), passband_plan(default.system)
+    assert plans[0].n_sim == 16 * plans[1].n_sim == 16 * 10380
     pairs = [(default.tones, default.phase_word)]
     pairs += candidates(np.random.default_rng(16), default.system, (3.0, 30.0, 300.0))
     for tones, word in pairs:
@@ -134,9 +136,11 @@ def test_zone_is_the_first_harmonic_and_the_mean_square(drive, smoothness):
     output = rapp_amplifier(
         amplitude * np.cos(2.0 * np.pi * np.arange(n) / n), GAIN, SATURATION, smoothness
     )
-    ratio, power = first_zone(np.array([amplitude]), GAIN, SATURATION, smoothness, points=n)
-    assert_allclose(ratio[0] * amplitude, 2.0 * np.fft.rfft(output)[1].real / n, rtol=1e-9)
-    assert_allclose(power[0], np.mean(output**2), rtol=1e-9)
+    ratio, power = first_zone(np.array([GAIN * amplitude / SATURATION]), smoothness, points=n)
+    assert_allclose(
+        GAIN * ratio[0] * amplitude, 2.0 * np.fft.rfft(output)[1].real / n, rtol=1e-9
+    )
+    assert_allclose(SATURATION**2 * power[0], np.mean(output**2), rtol=1e-9)
 
 
 def zone_reference(amplitude, smoothness):
@@ -144,17 +148,18 @@ def zone_reference(amplitude, smoothness):
     cycle and octave of drive, one amplitude at a time."""
     ratio, power = np.empty_like(amplitude), np.empty_like(amplitude)
     for i, value in enumerate(amplitude):
-        octaves = max(0, int(np.ceil(np.log2(max(GAIN * value / SATURATION, 1.0)))))
+        drive = GAIN * value / SATURATION
+        octaves = max(0, int(np.ceil(np.log2(max(drive, 1.0)))))
         points = 4 * ZONE_POINTS * 2**octaves
-        pair = first_zone(np.array([value]), GAIN, SATURATION, smoothness, points)
-        ratio[i], power[i] = pair[0][0], pair[1][0]
+        pair = first_zone(np.array([drive]), smoothness, points)
+        ratio[i], power[i] = GAIN * pair[0][0], SATURATION**2 * pair[1][0]
     return ratio, power
 
 
 def test_zone_small_signal_limit_and_deep_saturation():
-    ratio, power = first_zone(
-        np.array([0.0, 1e-300, 1e-8]), GAIN, SATURATION, SMOOTHNESS, ZONE_POINTS
-    )
+    amplitude = np.array([0.0, 1e-300, 1e-8])
+    ratio, power = first_zone(GAIN * amplitude / SATURATION, SMOOTHNESS, ZONE_POINTS)
+    ratio, power = GAIN * ratio, SATURATION**2 * power
     # no 0/0 at a zero sample: the small-signal gain G, and no output power
     assert_allclose(ratio, GAIN, rtol=1e-15)
     assert power[0] == 0.0

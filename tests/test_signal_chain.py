@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 import wptsim
 from conftest import desk_setup
 from wptsim import DomainError, PhaseWord, ToneSet, run_chain
-from reference import apply_phase_shifters, rapp_amplifier, upconvert
+from reference import apply_phase_shifters, passband_plan, rapp_amplifier, upconvert
 from wptsim.signal_chain import (
     default_sim_rate,
     lowpass_filter,
@@ -111,8 +111,8 @@ class TestSynthesize:
 )
 def test_chain_matches_direct_sums_on_every_grid(tones, dac_extra, carrier_extra, sim_extra, seed):
     # n_dac >= 2K, odd and even (at 2K the LPF keeps the Nyquist bin and the
-    # resampler splits it), carrier bin m > K, n_sim > 2 (m + K) and
-    # n_sim >= n_dac, odd and even
+    # resampler splits it), and every passband plan the reference samples:
+    # carrier bin m > K, n_sim > 2 (m + K) and n_sim >= n_dac, odd and even
     n_dac, m = 2 * tones + dac_extra, tones + carrier_extra
     n_sim = max(2 * (m + tones) + sim_extra, n_dac)
     setup = desk_setup(
@@ -149,7 +149,9 @@ def test_chain_matches_direct_sums_on_every_grid(tones, dac_extra, carrier_extra
     envelope /= n_dac
     passband = passband.real / n_dac
     assert_allclose(stages.mixer, envelope, rtol=0, atol=1e-12 * np.max(np.abs(envelope)))
-    mixer = upconvert(stages.lpf, tones, m, n_sim)
+    plan = passband_plan(setup.system)
+    assert (plan.n_sim, plan.carrier_bin) == (n_sim, m)
+    mixer = upconvert(stages.lpf, tones, plan.carrier_bin, plan.n_sim)
     assert_allclose(mixer, passband, rtol=0, atol=1e-12 * np.max(np.abs(passband)))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup, toy_setup
-from reference import passband_outcome
+from reference import passband_outcome, passband_plan
 from wptsim import (
     ConfigurationError,
     DomainError,
@@ -18,11 +18,12 @@ from wptsim import (
     ToneSet,
     evaluate_batch,
     evaluate_solution,
+    pso_run,
     run_chain,
 )
 import wptsim.signal_chain
 import wptsim.simulation
-from wptsim.channel import ChannelMatrix, beamformed_received
+from wptsim.channel import ChannelMatrix, beamformed_received, build_channel_matrix
 from wptsim.power_model import total_power
 from wptsim.rectenna import harvest_from_signal
 from wptsim.signal_chain import (
@@ -44,7 +45,8 @@ class TestRunChain:
         setup = desk_setup()
         system = setup.system
         stages = run_chain(setup.tones, setup.phase_word, system)
-        assert (system.n_dac, system.n_env, system.n_sim, system.carrier_bin) == (80, 384, 180, 64)
+        plan = passband_plan(system)
+        assert (system.n_dac, system.n_env, plan.n_sim, plan.carrier_bin) == (80, 384, 180, 64)
         for stage in (stages.digital, stages.dac, stages.lpf):
             assert stage.dtype == complex
             assert stage.shape == (80,)
@@ -102,14 +104,29 @@ class TestRunChain:
         )
 
     def test_stages_consistent_across_simulation_rates(self):
-        # the chain reads no passband rate: doubling it changes no stage
+        # the chain reads neither the passband rate nor the chain carrier:
+        # twice the default rate, and a rate below the reference's Nyquist
+        # rate or a carrier off the tone grid, which the reference refuses,
+        # change no stage, no result and no swarm trace
         setup = desk_setup()
-        fine = desk_setup(chain={"sim_sample_rate": 360 * SPACING})
-        assert fine.system.n_sim == 2 * setup.system.n_sim
-        coarse_stages = run_chain(setup.tones, setup.phase_word, setup.system)
-        fine_stages = run_chain(fine.tones, fine.phase_word, fine.system)
-        for name in ("digital", "dac", "mixer", "hpa", "received"):
-            assert np.array_equal(getattr(fine_stages, name), getattr(coarse_stages, name))
+        expected = evaluate_solution(setup.tones, setup.phase_word, setup.system)
+        swarm = dataclasses.replace(setup.swarm, particles=6, iterations=3)
+        trace = pso_run(setup.system, swarm).fitness_trace
+        for chain in (
+            {"sim_sample_rate": 360 * SPACING},
+            {"sim_sample_rate": 100e6},
+            {"carrier": 80.3e6},
+        ):
+            other = desk_setup(chain=chain)
+            outcome = evaluate_solution(other.tones, other.phase_word, other.system)
+            for name in ("digital", "dac", "mixer", "hpa", "received"):
+                assert np.array_equal(
+                    getattr(outcome.stages, name), getattr(expected.stages, name)
+                )
+            for record in ("harvest", "power"):
+                got, want = vars(getattr(outcome, record)), vars(getattr(expected, record))
+                assert np.array_equal(list(got.values()), list(want.values()))
+            assert np.array_equal(pso_run(other.system, swarm).fitness_trace, trace)
 
     def test_received_power_below_radiated_power(self):
         setup = desk_setup()
@@ -318,17 +335,44 @@ def test_a_desk_batch_peaks_below_sixteen_sample_arrays():
 
 
 class TestSystemModelValidation:
+    # The passband reference's plan rules: the library builds each of these
+    # systems, and tests/reference.py refuses to sample them. Six rules, one
+    # test each: the carrier's multiple, the strict Nyquist rule, and the
+    # four rows of test_the_reference_refuses_the_passband_plan.
     def test_non_commensurate_carrier_rejected(self):
-        with pytest.raises(ConfigurationError):
-            desk_setup(chain={"carrier": 80.3e6})
+        system = desk_setup(chain={"carrier": 80.3e6}).system
+        with pytest.raises(ConfigurationError, match="carrier"):
+            passband_plan(system)
 
     def test_nyquist_violation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            desk_setup(chain={"sim_sample_rate": 100e6})
+        with pytest.raises(ConfigurationError, match="Nyquist"):
+            passband_plan(desk_setup(chain={"sim_sample_rate": 100e6}).system)
         # strict: at 2 (carrier + BW) the top receive bin is the Nyquist bin
-        with pytest.raises(ConfigurationError, match="sim_sample_rate"):
-            desk_setup(chain={"sim_sample_rate": 180e6})
-        assert desk_setup(chain={"sim_sample_rate": 181.25e6}).system.band.size == 17
+        with pytest.raises(ConfigurationError, match="Nyquist"):
+            passband_plan(desk_setup(chain={"sim_sample_rate": 180e6}).system)
+        above = desk_setup(chain={"sim_sample_rate": 181.25e6}).system
+        assert passband_plan(above).band.size == 17
+
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            ({"sim_sample_rate": 225.3e6}, "sim_sample_rate = 225300000.0 is not"),
+            ({"dac_sample_rate": 1.0e9}, "must not exceed sim_sample_rate"),
+            ({"sim_sample_rate": (2**20 + 1) * SPACING}, "at most 1048576 are simulated"),
+            ({"carrier": 10e6, "sim_sample_rate": 225e6}, "carrier must exceed"),
+        ],
+        ids=["rate-off-the-grid", "dac-rate-above-sim-rate", "period-bound", "carrier-in-band"],
+    )
+    def test_the_reference_refuses_the_passband_plan(self, chain, message):
+        system = desk_setup(chain=chain).system
+        with pytest.raises(ConfigurationError, match=message):
+            passband_plan(system)
+
+    def test_dac_period_bound(self):
+        # the DAC period has its own bound, named by the tone spacing that sets it
+        assert desk_setup(chain={"dac_sample_rate": 2**20 * SPACING}).system.n_dac == 2**20
+        with pytest.raises(ConfigurationError, match="waveform.tone_spacing"):
+            desk_setup(chain={"dac_sample_rate": (2**20 + 1) * SPACING})
 
     @pytest.mark.parametrize(
         "chain", [{"sim_sample_rate": 225000000.625}, {"carrier": 79999999.375}]
@@ -337,8 +381,8 @@ class TestSystemModelValidation:
         # 180 + 5e-7 and 64 - 5e-7 tone spacings: the same plan as the exact
         # multiples, so the same 17 bins and the same harvest
         exact, off = desk_setup(), desk_setup(chain=chain)
-        assert np.array_equal(off.system.band, exact.system.band)
-        assert off.system.band.size == 17
+        assert np.array_equal(passband_plan(off.system).band, passband_plan(exact.system).band)
+        assert passband_plan(off.system).band.size == 17
         outcomes = [evaluate_solution(s.tones, s.phase_word, s.system) for s in (exact, off)]
         assert outcomes[1].harvest.p_out_dc == outcomes[0].harvest.p_out_dc
 
@@ -380,9 +424,10 @@ class TestSystemModelValidation:
         setup = desk_setup()
         assert setup.system.chain.carrier == 80e6
         assert setup.system.geometry.carrier == 5.18e9
-        assert setup.system.channel.carrier == 5.18e9
+        channel = build_channel_matrix(setup.system.geometry, setup.system.receiver)
+        assert channel.carrier == 5.18e9
         # channel magnitudes match the faithful 5.18 GHz path loss
-        tones = setup.system.channel.coefficients_at(5.18e9 + np.arange(8) * SPACING)
+        tones = channel.coefficients_at(5.18e9 + np.arange(8) * SPACING)
         assert_allclose(np.abs(tones).max(), 3.761e-3, rtol=2e-3)
 
 
