@@ -14,11 +14,10 @@ from .errors import ConfigurationError, DomainError, require_finite
 from .power_model import PowerBreakdown, dac_power
 from .signal_chain import PhaseWord, ToneSet
 from .simulation import (
+    MAX_PERIOD_SAMPLES,
     SystemModel,
-    _harvest_and_power,
-    _receive,
-    _transmit,
-    evaluate_batch,
+    _harvested,
+    _transmitted,
     evaluate_solution,
 )
 
@@ -33,6 +32,13 @@ GRID_BUDGET = 10_000_000
 # fewer transmitted periods. (A swarm is one batch per iteration; the desk
 # swarm, 30 x 384 samples, is smaller than one chunk.)
 GRID_CHUNK_SAMPLES = 2**14
+
+# Most samples (particles x the longer of n_dac and n_env) in one swarm batch.
+# One batch of 30 particles peaks near 75 bytes an envelope sample at 64 to
+# 1024 tones, and 114 a DAC sample where n_dac is the longer (tracemalloc), so
+# this is 2.5 to 4 GB. No period exceeds MAX_PERIOD_SAMPLES, so every system
+# admits 32 particles, the default 30 too.
+_SWARM_BATCH_SAMPLES = 32 * MAX_PERIOD_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -155,25 +161,6 @@ def evaluate_candidate(
     return CandidateEval(float(value), outcome.harvest.p_out_dc, outcome.power, bool(feasible))
 
 
-def _ranked(p_out_dc, power: PowerBreakdown, swarm: SwarmConfig):
-    """Fitness of each candidate, flat in the C order of p_out_dc's shape, and a
-    function building flat candidate p's CandidateEval; the fields of power
-    broadcast against p_out_dc."""
-    shape = np.shape(p_out_dc)
-    p_out_dc = np.ravel(p_out_dc)
-    values, feasible = _penalised(p_out_dc, np.broadcast_to(power.p_total, shape).ravel(), swarm)
-
-    def record(p: int) -> CandidateEval:
-        # only the recorded candidate's fields are broadcast and read
-        index = np.unravel_index(p, shape)
-        row = PowerBreakdown(
-            *(float(np.broadcast_to(v, shape)[index]) for v in vars(power).values())
-        )
-        return CandidateEval(float(values[p]), float(p_out_dc[p]), row, bool(feasible[p]))
-
-    return values, record
-
-
 def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
     """Refuse a penalty that some feasible candidate's consumption could reach.
 
@@ -195,6 +182,43 @@ def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
         )
 
 
+class _Objective:
+    """The penalised fitness every search ranks by, counting what it ranks. Decoded
+    and grid candidates are valid by construction, so they are not checked again."""
+
+    def __init__(self, system: SystemModel, swarm: SwarmConfig):
+        _check_penalty(system, swarm)
+        self.system, self.swarm, self.evaluations = system, swarm, 0
+
+    def transmit(self, amplitudes, phases):
+        return _transmitted(amplitudes, phases, self.system)
+
+    def rank(self, sent, levels):
+        """Fitness of emissions under phase levels (..., N), leading axes broadcast,
+        flat in C order, and a function building flat candidate p's CandidateEval."""
+        harvest, power = _harvested(sent, levels, self.system)
+        shape, p_out_dc = harvest.p_out_dc.shape, harvest.p_out_dc.ravel()
+        p_total = np.broadcast_to(power.p_total, shape).ravel()
+        values, feasible = _penalised(p_out_dc, p_total, self.swarm)
+        self.evaluations += values.size
+
+        def record(p: int) -> CandidateEval:
+            # only the recorded candidate's fields are broadcast and read
+            index = np.unravel_index(p, shape)
+            row = PowerBreakdown(
+                *(float(np.broadcast_to(v, shape)[index]) for v in vars(power).values())
+            )
+            return CandidateEval(float(values[p]), float(p_out_dc[p]), row, bool(feasible[p]))
+
+        return values, record
+
+    def result(self, tones: ToneSet, word: PhaseWord, best: CandidateEval, trace):
+        return OptimizationResult(
+            tones, word, best.power, best.p_out_dc, best.feasible, best.fitness,
+            np.asarray(trace), self.evaluations,
+        )
+
+
 def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> OptimizationResult:
     """Global-best PSO over [amplitudes, phases, relaxed phase words].
 
@@ -205,7 +229,13 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     global-best trace (initial swarm plus one entry per iteration) is
     non-increasing.
     """
-    _check_penalty(system, swarm)
+    objective = _Objective(system, swarm)
+    batch = swarm.particles * max(system.n_dac, system.n_env)
+    if batch > _SWARM_BATCH_SAMPLES:
+        raise ConfigurationError(
+            f"swarm.particles {swarm.particles} puts {batch:.3g} samples in one batch;"
+            f" at most {_SWARM_BATCH_SAMPLES} are simulated"
+        )
     lower, upper = particle_bounds(system.tone_count, system.element_count, swarm.amplitude_max)
     n_var = lower.size
     span = upper - lower
@@ -216,8 +246,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
         amplitudes, phases, levels = _decode_swarm(
             positions, system.tone_count, system.chain.ps_bits
         )
-        harvest, power = evaluate_batch(amplitudes, phases, levels, system)
-        return _ranked(harvest.p_out_dc, power, swarm)
+        return objective.rank(objective.transmit(amplitudes, phases), levels)
 
     positions = lower + rng.random((swarm.particles, n_var)) * span
     velocities = np.zeros_like(positions)
@@ -258,16 +287,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     tones, word = decode_particle(
         g_position, system.tone_count, system.tone_spacing, system.chain.ps_bits
     )
-    return OptimizationResult(
-        tones=tones,
-        phase_word=word,
-        power=g_eval.power,
-        p_out_dc=g_eval.p_out_dc,
-        feasible=g_eval.feasible,
-        best_fitness=g_eval.fitness,
-        fitness_trace=np.asarray(trace),
-        evaluations=swarm.particles * (swarm.iterations + 1),
-    )
+    return objective.result(tones, word, g_eval, trace)
 
 
 def brute_force_grid(
@@ -279,7 +299,7 @@ def brute_force_grid(
     """
     if amplitude_points < 1 or phase_points < 1:
         raise DomainError("grid needs at least one point per dimension")
-    _check_penalty(system, swarm)
+    objective = _Objective(system, swarm)
     tone_count = system.tone_count
     element_count = system.element_count
     bits = system.chain.ps_bits
@@ -313,14 +333,11 @@ def brute_force_grid(
         digits = np.stack(np.unravel_index(points, radices), axis=1)
         amplitudes = amplitude_axis[digits[:, :tone_count]]
         phases = phase_axis[digits[:, tone_count:]]
-        emission, (*_, p_in, p_out) = _transmit(amplitudes, phases, system)
-        amplitude_rows, p_in, p_out = amplitudes[:, None], p_in[:, None], p_out[:, None]
+        sent = objective.transmit(amplitudes[:, None], phases[:, None])
         for first in range(0, words, word_chunk):
             indices = np.arange(first, min(first + word_chunk, words))
             levels = np.stack(np.unravel_index(indices, (2**bits,) * element_count), axis=1)
-            received = _receive(emission[:, None], levels, system)
-            harvest, power = _harvest_and_power(received, amplitude_rows, p_in, p_out, system)
-            values, record = _ranked(harvest.p_out_dc, power, swarm)
+            values, record = objective.rank(sent, levels)
             # ties keep the first point in enumeration order: argmin within a
             # chunk, a strict improvement across chunks
             flat = int(np.argmin(values))
@@ -329,13 +346,5 @@ def brute_force_grid(
                 point, word = divmod(flat, len(levels))
                 best = record(flat), amplitudes[point], phases[point], levels[word]
     best_eval, amplitudes, phases, levels = best
-    return OptimizationResult(
-        tones=ToneSet(amplitudes, phases, system.tone_spacing),
-        phase_word=PhaseWord(levels, bits),
-        power=best_eval.power,
-        p_out_dc=best_eval.p_out_dc,
-        feasible=best_eval.feasible,
-        best_fitness=best_eval.fitness,
-        fitness_trace=np.asarray([best_eval.fitness]),
-        evaluations=total,
-    )
+    tones, word = ToneSet(amplitudes, phases, system.tone_spacing), PhaseWord(levels, bits)
+    return objective.result(tones, word, best_eval, [best_eval.fitness])

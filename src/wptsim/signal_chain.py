@@ -156,6 +156,7 @@ class PhaseWord:
     bits: int
 
     def __post_init__(self):
+        require_finite(self, DomainError)
         levels = np.asarray(self.levels)
         if self.bits < 1:
             raise DomainError("phase shifter resolution must be at least 1 bit")

@@ -264,6 +264,20 @@ def _harvest_and_power(
     return harvest, power
 
 
+def _transmitted(amplitudes, phases, system: SystemModel):
+    """The emission of tones (..., K), the tones and the amplifier's p_in and p_out;
+    the stage periods are not read again, so they are freed before the receive."""
+    emission, (*_, p_in, p_out) = _transmit(amplitudes, phases, system)
+    return emission, amplitudes, p_in, p_out
+
+
+def _harvested(sent, levels, system: SystemModel) -> tuple[HarvestResult, PowerBreakdown]:
+    """Harvest and power of _transmitted emissions under levels (..., N), broadcast."""
+    emission, amplitudes, p_in, p_out = sent
+    received = _receive(emission, levels, system)
+    return _harvest_and_power(received, amplitudes, p_in, p_out, system)
+
+
 def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStages:
     """Push one waveform through every transmitter stage to the receiver."""
     amplitudes, phases, levels = _candidate(tones, word, system)
@@ -304,10 +318,7 @@ def evaluate_batch(
     _check_shapes(amplitudes, phases, levels, system)
     _check_tones(amplitudes, phases)
     levels = _as_levels(levels, system.chain.ps_bits)
-    emission, (*stages, p_in, p_out) = _transmit(amplitudes, phases, system)
-    del stages  # the stage periods are not read again: free them before the receive
-    received = _receive(emission, levels, system)
-    harvest, power = _harvest_and_power(received, amplitudes, p_in, p_out, system)
+    harvest, power = _harvested(_transmitted(amplitudes, phases, system), levels, system)
     # p_dac, p_mix and p_lo are the same for every candidate
     return harvest, PowerBreakdown(*np.broadcast_arrays(*vars(power).values()))
 

@@ -3,9 +3,9 @@
 The harness builds each workload's config (perfbench/setup_probe.CONFIGS),
 reads chain.sim_sample_rate for its computed sizes, checks every evaluation
 against the root-solver oracle, builds random candidates, times pso_run's
-iterations through its callback and checks the run's record, and parses the
-simulate report. A change that breaks any of these fails here instead of in
-a benchmark run.
+iterations through its callback and checks the run's record, checks
+brute_force_grid's count and best, and parses the simulate report. A change
+that breaks any of these fails here instead of in a benchmark run.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ import yaml
 
 import wptsim.simulation
 from wptsim import (
+    brute_force_grid,
     build_setup,
     cli,
     evaluate_batch,
@@ -108,6 +109,22 @@ def test_pso_run_record_holds_what_desk_optimize_checks():
         assert again.fitness == result.best_fitness
         runs.append(trace)
     assert np.array_equal(*runs)
+
+
+def test_brute_force_grid_holds_what_toy_grid_checks(monkeypatch):
+    # the op fails unless the grid counts the workload's evaluations and its
+    # best re-simulates to best_fitness through the workload's own check
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = _perfbench_module("workloads")
+    profile, overrides = _perfbench_module("setup_probe").CONFIGS["toy-grid"]
+    setup = build_setup(load_config(profile=profile, overrides=overrides))
+    result = brute_force_grid(
+        workloads.GRID_AMPLITUDES, workloads.GRID_PHASES, setup.system, setup.swarm
+    )
+    assert result.evaluations == workloads.GRID_EVALUATIONS == 1344
+    assert workloads.check_best(result, setup.system, setup.swarm) == []
+    again = evaluate_candidate(result.tones, result.phase_word, setup.system, setup.swarm)
+    assert again.fitness == result.best_fitness
 
 
 def test_simulate_report_holds_the_six_stages(tmp_path):

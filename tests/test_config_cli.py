@@ -305,6 +305,18 @@ class TestSweepCommand:
         assert bad["error"] != ""
         assert bad["p_total"] is None
 
+    def test_oversized_swarm_recorded_in_row(self):
+        # 10^9 particles would allocate hundreds of GiB at the first draw
+        overrides = {
+            "swarm": {"seed": 3, "iterations": 3},
+            "sweep": [{"path": "swarm.particles", "values": [4, 1_000_000_000]}],
+        }
+        report, code = cmd_sweep(build_setup(load_config(profile="desk", overrides=overrides)))
+        assert code == EXIT_OK
+        good, bad = report["rows"]
+        assert good["error"] == "" and good["p_total"] is not None
+        assert "swarm.particles" in bad["error"] and bad["p_total"] is None
+
     def test_csv_rendering(self):
         report, _ = cmd_sweep(self._sweep_setup([2, 3]))
         lines = render_report(report, "table").splitlines()
@@ -428,6 +440,7 @@ class TestMainEntryPoint:
             ("swarm:\n  amplitude_max: .inf\n", [], "swarm.amplitude_max"),
             ("chain:\n  dac_bits: .inf\n", [], "chain.dac_bits"),
             ("swarm:\n  particles: .inf\n", [], "swarm.particles"),
+            ("swarm:\n  particles: 1000000000\n", [], "swarm.particles"),
             ("chain:\n  ps_insertion_loss_db: 4000\n", [], "ps_insertion_loss_db"),
             ("chain:\n  dac_bits: 4000\n", [], "dac_bits"),
             ("chain:\n  ps_bits: 70\n", [], "ps_bits"),
@@ -461,7 +474,8 @@ class TestMainEntryPoint:
             "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
             "hpa-gain-inf", "dac-range-nan", "load-resistance-nan", "mixer-power-inf",
             "position-nan", "amplitude-inf", "amplitude-max-inf", "dac-bits-inf",
-            "particles-inf", "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
+            "particles-inf", "particles-batch-bound",
+            "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
             "penalty-below-dac-power", "dac-rate-not-multiple", "spacing-1e-200-samples-bound",
             "spacing-1e-3-samples-bound", "tone-count-synthesis-bound",
             "tone-count-envelope-bound", "tone-count-zero",
@@ -515,6 +529,21 @@ class TestMainEntryPoint:
         assert system.band_coefficients.shape == (25, 2049)
         assert main(["simulate", "--config", str(path)]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    def test_1024_tones_optimize_with_default_particles(self, tmp_path, capsys):
+        # 30 particles x 49152 envelope samples is one batch of about 110 MB
+        path = tmp_path / "wide.yaml"
+        path.write_text(
+            "waveform:\n  tone_count: 1024\n"
+            "chain:\n  dac_sample_rate: 2.56e+9\n  carrier: 2.56e+9\n"
+            "swarm:\n  iterations: 1\n"
+        )
+        assert build_setup(load_config(path)).swarm.particles == 30
+        out = tmp_path / "r.yaml"
+        code = main(["optimize", "--config", str(path), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        assert "error" not in capsys.readouterr().err
+        assert yaml.safe_load(out.read_text())["command"] == "optimize"
 
     def test_2048_tones_run(self, tmp_path, capsys):
         # 2048 tones at 4096 DAC samples a period; H_band is 25 x 4097

@@ -317,19 +317,20 @@ class TestBruteForceGrid:
 
 
 def _count_batches(monkeypatch) -> list:
-    """Record the size of each evaluate_batch call the optimizer makes, and
-    fail on any single-candidate evaluate_solution call."""
+    """Record how many candidates each call of the optimizer's objective ranks,
+    and fail on any single-candidate evaluate_solution call."""
     sizes = []
-    batch = wptsim.optimizer.evaluate_batch
+    rank = wptsim.optimizer._Objective.rank
 
-    def counting(amplitudes, *args):
-        sizes.append(len(amplitudes))
-        return batch(amplitudes, *args)
+    def counting(self, sent, levels):
+        values, record = rank(self, sent, levels)
+        sizes.append(values.size)
+        return values, record
 
     def serial(*args):
         raise AssertionError("the optimizer evaluated one candidate at a time")
 
-    monkeypatch.setattr(wptsim.optimizer, "evaluate_batch", counting)
+    monkeypatch.setattr(wptsim.optimizer._Objective, "rank", counting)
     monkeypatch.setattr(wptsim.optimizer, "evaluate_solution", serial)
     return sizes
 
@@ -358,11 +359,11 @@ class TestBatchedSearch:
 
     def test_grid_evaluates_in_memory_bounded_chunks(self, monkeypatch):
         # the grid transmits each tone point once and receives its emission
-        # under every word, at the two kernels and not through evaluate_batch;
-        # no chunk receives more than GRID_CHUNK_SAMPLES envelope samples
-        _count_batches(monkeypatch)
+        # under every word, at the two kernels through the objective; no chunk
+        # receives more than GRID_CHUNK_SAMPLES envelope samples
+        ranked = _count_batches(monkeypatch)
         transmitted, received = [], []
-        transmit, receive = wptsim.optimizer._transmit, wptsim.optimizer._receive
+        transmit, receive = wptsim.simulation._transmit, wptsim.simulation._receive
 
         def counting_transmit(amplitudes, *args):
             transmitted.append(len(amplitudes))
@@ -373,11 +374,11 @@ class TestBatchedSearch:
             received.append(periods.shape)
             return periods
 
-        monkeypatch.setattr(wptsim.optimizer, "_transmit", counting_transmit)
-        monkeypatch.setattr(wptsim.optimizer, "_receive", counting_receive)
+        monkeypatch.setattr(wptsim.simulation, "_transmit", counting_transmit)
+        monkeypatch.setattr(wptsim.simulation, "_receive", counting_receive)
         setup = toy_setup()
         result = brute_force_grid(11, 23, setup.system, setup.swarm)
-        assert result.evaluations == 1012
+        assert result.evaluations == sum(ranked) == 1012
         assert sum(transmitted) == 253
         assert sum(math.prod(shape[:-1]) for shape in received) == 1012
         assert max(math.prod(shape) for shape in received) <= GRID_CHUNK_SAMPLES
@@ -481,19 +482,20 @@ _GRID_SYSTEMS = {
     amplitude_max=st.sampled_from([1.0, 30.0, 300.0]),
 )
 def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplitude_max):
-    # the grid transmits a chunk of tone points once and receives it under
-    # every word; each (tone point, word) must equal evaluate_batch on that
-    # row to the bit
+    # the grid transmits a chunk of tone points once, as (rows, 1, K) tones,
+    # and receives it under every word; each (tone point, word) must equal
+    # evaluate_batch on that row to the bit
     system = _GRID_SYSTEMS[name]
     tone_count, bits = system.tone_count, system.chain.ps_bits
     if tone_count == 2:
         amplitude_points, phase_points = min(amplitude_points, 2), min(phase_points, 2)
     swarm = SwarmConfig(amplitude_max=amplitude_max)
     chunks = []
-    transmit, harvest = wptsim.optimizer._transmit, wptsim.optimizer._harvest_and_power
+    transmit, harvest = wptsim.simulation._transmit, wptsim.simulation._harvest_and_power
 
     def spy_transmit(amplitudes, phases, system):
-        chunks.append({"amplitudes": amplitudes, "phases": phases, "results": []})
+        assert amplitudes.shape[1:] == phases.shape[1:] == (1, tone_count)
+        chunks.append({"amplitudes": amplitudes[:, 0], "phases": phases[:, 0], "results": []})
         return transmit(amplitudes, phases, system)
 
     def spy_harvest(*args):
@@ -501,8 +503,8 @@ def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplit
         return chunks[-1]["results"][-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wptsim.optimizer, "_transmit", spy_transmit)
-        patch.setattr(wptsim.optimizer, "_harvest_and_power", spy_harvest)
+        patch.setattr(wptsim.simulation, "_transmit", spy_transmit)
+        patch.setattr(wptsim.simulation, "_harvest_and_power", spy_harvest)
         brute_force_grid(amplitude_points, phase_points, system, swarm)
 
     words = 2 ** (bits * system.element_count)
@@ -536,6 +538,54 @@ def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplit
             assert np.array_equal(values, batch[field].reshape(rows, words)), field
 
 
+_RANK_SYSTEMS = {"desk": desk_setup().system, "toy": _TOY.system}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_RANK_SYSTEMS)),
+    particles=st.integers(1, 6),
+    words=st.integers(1, 4),
+    required=st.sampled_from([0.0, 20e-6, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, seed):
+    # the objective ranks decoded candidates in the swarm's (P, .) shape and
+    # in the grid's, (rows, 1, K) tones against (W, N) words; every flat row
+    # must equal evaluate_candidate on its candidate, record included, and be
+    # counted. Building each row's ToneSet and PhaseWord checks that the
+    # decode made it valid. Amplitudes span four decades, so some rows are
+    # feasible and some not.
+    system = _RANK_SYSTEMS[name]
+    tone_count, bits = system.tone_count, system.chain.ps_bits
+    swarm = SwarmConfig(required_dc_power=required)
+    lower, upper = particle_bounds(tone_count, system.element_count, swarm.amplitude_max)
+    rng = np.random.default_rng(seed)
+    positions = lower + rng.random((particles, lower.size)) * (upper - lower)
+    positions[:, :tone_count] *= 10.0 ** -rng.uniform(0.0, 4.0, (particles, 1))
+    amplitudes, phases, levels = wptsim.optimizer._decode_swarm(positions, tone_count, bits)
+
+    def serial(point, word):
+        tones = ToneSet(amplitudes[point], phases[point], system.tone_spacing)
+        return evaluate_candidate(tones, PhaseWord(levels[word], bits), system, swarm)
+
+    objective = wptsim.optimizer._Objective(system, swarm)
+    values, record = objective.rank(objective.transmit(amplitudes, phases), levels)
+    assert values.shape == (particles,) and objective.evaluations == particles
+    for p in range(particles):
+        expected = serial(p, p)
+        assert values[p] == expected.fitness and record(p) == expected
+
+    words = min(words, particles)
+    sent = objective.transmit(amplitudes[:, None], phases[:, None])
+    values, record = objective.rank(sent, levels[:words])
+    assert values.shape == (particles * words,)
+    assert objective.evaluations == particles + particles * words
+    for p in range(particles * words):
+        expected = serial(*divmod(p, words))
+        assert values[p] == expected.fitness and record(p) == expected
+
+
 class TestSwarmConfig:
     def test_penalty_must_exceed_consumption_bound(self):
         # a 36-bit DAC alone draws 1.03e6 W, above the default 1e6 W penalty
@@ -548,6 +598,19 @@ class TestSwarmConfig:
             pso_run(setup.system, setup.swarm)
         with pytest.raises(ConfigurationError, match="swarm.penalty"):
             brute_force_grid(2, 2, setup.system, setup.swarm)
+
+    def test_batch_bound_names_particles(self, monkeypatch):
+        # a batch may hold 32 of the longest periods; 10^9 particles used to
+        # die allocating 305 GiB at the first draw. Nothing is drawn here.
+        def no_draw(*args):
+            raise AssertionError("pso_run drew before checking its batch")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        system = desk_setup().system
+        assert system.n_env > system.n_dac
+        particles = wptsim.optimizer._SWARM_BATCH_SAMPLES // system.n_env + 1
+        with pytest.raises(ConfigurationError, match="swarm.particles"):
+            pso_run(system, SwarmConfig(particles=particles))
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError):

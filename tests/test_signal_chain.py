@@ -342,6 +342,9 @@ class TestPhaseShifters:
     def test_out_of_range_level_rejected(self):
         with pytest.raises(DomainError):
             PhaseWord([8], 3)
+        for bits in (1.5, np.float64(3.0)):
+            with pytest.raises(DomainError, match="bits"):
+                PhaseWord([0], bits)
 
     def test_rotation_matches_envelope_math(self):
         n, cycles = 160, 40

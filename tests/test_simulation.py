@@ -524,6 +524,25 @@ def test_records_refuse_non_finite_fields(name, field, value):
         dataclasses.replace(record, **{field: value})
 
 
+_INT_FIELDS = [
+    (name, f.name) for name, (r, _) in _RECORDS.items() for f in dataclasses.fields(r)
+    if f.type is int
+]
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, np.float64(3.0), True])
+@pytest.mark.parametrize("name, field", _INT_FIELDS)
+def test_records_refuse_non_integral_int_fields(name, field, value):
+    # ChainConfig(ps_bits=1.5) used to build and run a 1.5-bit phase word, and
+    # SwarmConfig(particles=4.5) to fail inside numpy with a TypeError
+    assert sorted(f for _, f in _INT_FIELDS) == [
+        "dac_bits", "iterations", "particles", "ps_bits", "seed"
+    ]
+    record, error = _RECORDS[name]
+    with pytest.raises(error, match=field):
+        dataclasses.replace(record, **{field: value})
+
+
 @pytest.mark.parametrize(
     "amplitude, phase", [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (1.0, np.nan)]
 )
