@@ -18,6 +18,7 @@ from .simulation import (
     SystemModel,
     _harvested,
     _transmitted,
+    _under_every_word,
     evaluate_solution,
 )
 
@@ -25,11 +26,13 @@ from .simulation import (
 VELOCITY_CLAMP = 0.2
 
 GRID_BUDGET = 10_000_000
-# Most received envelope samples (tone points x words x n_env) in one chunk of
-# the grid, so its memory does not grow with the grid: the rectenna's table
-# read holds seven float arrays of them besides the complex received periods,
-# 9 doubles a sample, 1.2 MB at most; the amplifier's runs on the chunk's
-# fewer transmitted periods. (A swarm is one batch per iteration; the desk
+# Most DAC samples (tone points x n_dac), ranked values (tone points x words)
+# and envelope samples in one receive (distinct emissions x words x n_env) in
+# a chunk of the grid, so its memory does not grow with the grid. The
+# rectenna's table read holds seven float arrays of the received samples
+# besides the complex periods, 9 doubles a sample, 1.2 MB at most; the
+# envelope and the amplifier run on the chunk's distinct DAC outputs, at most
+# tone points x n_env samples. (A swarm is one batch per iteration; the desk
 # swarm, 30 x 384 samples, is smaller than one chunk.)
 GRID_CHUNK_SAMPLES = 2**14
 
@@ -184,23 +187,31 @@ def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
 
 class _Objective:
     """The penalised fitness every search ranks by, counting what it ranks. Decoded
-    and grid candidates are valid by construction, so they are not checked again."""
+    and grid candidates are valid by construction, so they are not checked again.
+    Besides the ranked candidates it counts the tone rows whose envelope and
+    amplifier ran, one per distinct DAC output, and the received periods."""
 
     def __init__(self, system: SystemModel, swarm: SwarmConfig):
         _check_penalty(system, swarm)
-        self.system, self.swarm, self.evaluations = system, swarm, 0
+        self.system, self.swarm = system, swarm
+        self.evaluations = self.transmitted_rows = self.received_rows = 0
 
     def transmit(self, amplitudes, phases):
-        return _transmitted(amplitudes, phases, self.system)
+        sent = _transmitted(amplitudes, phases, self.system)
+        self.transmitted_rows += len(sent.emission)
+        return sent
 
     def rank(self, sent, levels):
         """Fitness of emissions under phase levels (..., N), leading axes broadcast,
         flat in C order, and a function building flat candidate p's CandidateEval."""
-        harvest, power = _harvested(sent, levels, self.system)
+        harvest, power = _harvested(sent, levels, self.system, GRID_CHUNK_SAMPLES)
         shape, p_out_dc = harvest.p_out_dc.shape, harvest.p_out_dc.ravel()
         p_total = np.broadcast_to(power.p_total, shape).ravel()
         values, feasible = _penalised(p_out_dc, p_total, self.swarm)
         self.evaluations += values.size
+        self.received_rows += (
+            len(sent.emission) * len(levels) if _under_every_word(sent, levels) else values.size
+        )
 
         def record(p: int) -> CandidateEval:
             # only the recorded candidate's fields are broadcast and read
@@ -313,19 +324,21 @@ def brute_force_grid(
     phase_axis = np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False)
     # flat index i enumerates the grid as nested loops, the first amplitude
     # outermost and the last phase level innermost: tone point i // words,
-    # word i % words. Each tone point is transmitted once, and its emission
-    # received under every word.
+    # word i % words. A chunk of tone points is synthesized and quantized at
+    # once, each of its distinct DAC outputs transmitted once, and each
+    # distinct emission received under every word.
     radices = (amplitude_points,) * tone_count + (phase_points,) * tone_count
     words = 2 ** (bits * element_count)
     tone_points = total // words
-    # a chunk receives tone points x words x n_env samples; when one tone
-    # point's words exceed the bound, the chunk is one tone point and its
-    # words are split, so the chunks run in enumeration order. A chunk forms
-    # its words' beam gains once for all its tone points; a table of all
+    # a chunk holds tone points x n_dac DAC samples and ranks tone points x
+    # words values, each at most GRID_CHUNK_SAMPLES; a tone point of more words
+    # than that is a chunk of its own, ranked a part of its words at a time,
+    # so the chunks run in enumeration order. The objective receives a chunk's
+    # distinct emissions in blocks of at most GRID_CHUNK_SAMPLES samples, each
+    # forming its words' beam gains once for all its emissions; a table of all
     # 2^(BN) words' gains would grow with the grid.
-    m = system.n_env
-    word_chunk = min(words, max(1, GRID_CHUNK_SAMPLES // m))
-    tone_chunk = max(1, GRID_CHUNK_SAMPLES // (words * m))
+    word_chunk = min(words, GRID_CHUNK_SAMPLES)
+    tone_chunk = max(1, GRID_CHUNK_SAMPLES // max(system.n_dac, words))
 
     best_fitness, best = np.inf, None
     for start in range(0, tone_points, tone_chunk):

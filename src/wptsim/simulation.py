@@ -1,6 +1,7 @@
 """End-to-end system model: transmit chain, propagation, harvest, and power."""
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,29 +204,67 @@ def _stage(name: str, fn, *args):
 # An evaluation is a transmit and a receive. The model is linear after the
 # amplifier and the receiver keeps only the band, so the transmit's emission,
 # the 2K + 1 band bins of the amplified envelope, is all of the period that a
-# beam acts on: one transmit serves every phase word. The kernels run on
-# candidate arrays with any leading axes, one candidate or a batch, and every
-# reduction is along the last axis, row by row, so a candidate's result does
-# not depend on its batch. A floating-point overflow or invalid operation
-# fails as the stage it happened in.
-@np.errstate(over="raise", invalid="raise")
-def _transmit(amplitudes, phases, system: SystemModel):
-    """synth -> DAC -> envelope -> HPA on (..., K) tones. Returns the emission
-    X = fft(hpa)[..., band], (..., 2K+1), and the stages it came from: the
-    digital, dac, mixer and hpa periods and the amplifier's period-mean input
-    and output powers."""
+# beam acts on: one transmit serves every phase word. Everything after the DAC
+# depends only on its output, and a B-bit DAC that saturates maps many tone
+# sets to one output, so a batch's transmit runs the envelope and the amplifier
+# once per distinct DAC output. The kernels run on candidate arrays with any
+# leading axes, one candidate or a batch, and every reduction is along the last
+# axis, row by row, so a candidate's result does not depend on its batch. The
+# entry points (run_chain, evaluate_solution and the objective's two steps,
+# _transmitted and _harvested, which evaluate_batch runs too) make a
+# floating-point overflow or invalid operation raise, so that it fails as the
+# stage it happened in.
+_RAISE = {"over": "raise", "invalid": "raise"}
+
+
+def _sampled(amplitudes, phases, system: SystemModel):
+    """synth -> DAC on (..., K) tones: the digital and dac periods, (..., n_dac)."""
     chain = system.chain
     digital = _stage("synthesis", synthesize_multitone, amplitudes, phases, system.n_dac)
-    dac = _stage("dac", quantize_dac, digital, chain.dac_bits, chain.dac_range)
+    return digital, _stage("dac", quantize_dac, digital, chain.dac_bits, chain.dac_range)
+
+
+def _emitted(dac, system: SystemModel):
+    """envelope -> HPA on DAC periods (..., n_dac). Returns the emission
+    X = fft(hpa)[..., band], (..., 2K+1), and the mixer and hpa periods and
+    the amplifier's period-mean input and output powers it came from."""
+    chain = system.chain
     mixer = _stage("mixer", complex_envelope, dac, system.tone_count, system.n_env)
     hpa, p_in, p_out = _stage(
         "hpa", amplify_envelope, mixer, chain.hpa_gain, chain.hpa_saturation, chain.hpa_smoothness
     )
     emission = np.fft.fft(hpa).take(band_bins(system.tone_count, system.n_env), axis=-1)
-    return emission, (digital, dac, mixer, hpa, p_in, p_out)
+    return emission, (mixer, hpa, p_in, p_out)
 
 
-@np.errstate(over="raise", invalid="raise")
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of (R, w) 64-bit words, wrapping. Each word
+    is folded onto its low half and scaled by an odd multiplier of its own,
+    both bijections, so rows that differ in one word only always differ."""
+    folded = words >> np.uint64(32)
+    folded ^= words
+    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64)
+    return np.dot(folded, odd * np.uint64(0x9E3779B97F4A7C15))
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of one row of each distinct byte pattern of (R, n) rows, and
+    each row's index among those, so rows[first][inverse] equals rows byte for
+    byte: +0.0 and -0.0 are told apart, and no tolerance is used. Equal rows
+    hash alike, so rows of R distinct hashes are all distinct. Otherwise rows
+    are grouped by hash and each is compared with its group's first; should a
+    hash collision group two different rows, every row counts as distinct."""
+    words = rows.view(np.uint64)
+    keys = _row_hash(words)
+    every = np.arange(len(rows))
+    if len(set(keys.tolist())) == len(rows):
+        return every, every
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if not np.array_equal(words[first[inverse]], words):
+        return every, every
+    return first, inverse
+
+
 def _receive(emission, levels, system: SystemModel) -> np.ndarray:
     """The received envelope periods, (..., M), of emissions (..., 2K+1)
     under the beams of phase levels (..., N), broadcast against each other."""
@@ -241,14 +280,16 @@ def _receive(emission, levels, system: SystemModel) -> np.ndarray:
     )
 
 
-@np.errstate(over="raise", invalid="raise")
-def _harvest_and_power(
-    received, amplitudes, p_in, p_out, system: SystemModel
+def _harvest(received, system: SystemModel) -> HarvestResult:
+    return _stage("rectenna", harvest_from_signal, received, system.rectenna)
+
+
+def _with_power(
+    harvest: HarvestResult, amplitudes, p_in, p_out, system: SystemModel
 ) -> tuple[HarvestResult, PowerBreakdown]:
-    """The harvest of received periods (..., M), and the consumption of the
-    tones (..., K) and amplifier powers (...) of their transmits; the two
-    results' shapes broadcast against each other."""
-    harvest = _stage("rectenna", harvest_from_signal, received, system.rectenna)
+    """The harvest, and the consumption of the tones (..., K) and amplifier
+    powers (...) of its transmits; the two results' shapes broadcast against
+    each other."""
     power = _stage(
         "power-model",
         total_power,
@@ -264,28 +305,96 @@ def _harvest_and_power(
     return harvest, power
 
 
-def _transmitted(amplitudes, phases, system: SystemModel):
-    """The emission of tones (..., K), the tones and the amplifier's p_in and p_out;
-    the stage periods are not read again, so they are freed before the receive."""
-    emission, (*_, p_in, p_out) = _transmit(amplitudes, phases, system)
-    return emission, amplitudes, p_in, p_out
+def _harvest_and_power(
+    received, amplitudes, p_in, p_out, system: SystemModel
+) -> tuple[HarvestResult, PowerBreakdown]:
+    """The harvest of received periods (..., M), with the consumption of their transmits."""
+    return _with_power(_harvest(received, system), amplitudes, p_in, p_out, system)
 
 
-def _harvested(sent, levels, system: SystemModel) -> tuple[HarvestResult, PowerBreakdown]:
-    """Harvest and power of _transmitted emissions under levels (..., N), broadcast."""
-    emission, amplitudes, p_in, p_out = sent
-    received = _receive(emission, levels, system)
-    return _harvest_and_power(received, amplitudes, p_in, p_out, system)
+class _Sent(NamedTuple):
+    """A transmit of tone rows (..., K): the distinct emissions (u, 2K+1), the
+    index of each row's emission among them (...), and each row's amplitudes
+    (..., K) and amplifier powers p_in and p_out (...)."""
+
+    emission: np.ndarray
+    inverse: np.ndarray
+    amplitudes: np.ndarray
+    p_in: np.ndarray
+    p_out: np.ndarray
 
 
+@np.errstate(**_RAISE)
+def _transmitted(amplitudes, phases, system: SystemModel) -> _Sent:
+    """The transmit of tones (..., K), each distinct DAC output once, found by
+    exact byte equality; the stage periods are not read again, so they are
+    freed before the receive."""
+    _, dac = _sampled(amplitudes, phases, system)
+    rows = dac.reshape(-1, system.n_dac)
+    first, inverse = _distinct_rows(rows)
+    emission, (*_, p_in, p_out) = _emitted(rows[first], system)
+    inverse = inverse.reshape(dac.shape[:-1])
+    return _Sent(emission, inverse, amplitudes, p_in[inverse], p_out[inverse])
+
+
+def _under_every_word(sent: _Sent, levels) -> bool:
+    """Whether levels (W, N) are every tone row's words, the grid's shape of
+    tones (rows, 1, K), rather than one word a row (..., N)."""
+    return sent.amplitudes.ndim > levels.ndim
+
+
+@np.errstate(**_RAISE)
+def _harvested(
+    sent: _Sent, levels, system: SystemModel, block_samples: int | None = None
+) -> tuple[HarvestResult, PowerBreakdown]:
+    """Harvest and power of a _Sent's tone rows under phase levels.
+
+    One word a row, tones (..., K) against levels (..., N): each row's
+    emission is received under its word. Every row under every word, tones
+    (rows, 1, K) against levels (W, N): each distinct emission is received
+    under every word, at most block_samples received samples at a time, and
+    each row reads its emission's harvests, (rows, W). Consumption is each
+    row's own, from its amplitudes.
+    """
+    emission, inverse, amplitudes, p_in, p_out = sent
+    if not _under_every_word(sent, levels):
+        received = _receive(emission[inverse], levels, system)
+        return _harvest_and_power(received, amplitudes, p_in, p_out, system)
+    # a block is all the words for as many emissions as fit, or one emission
+    # and as many words as fit
+    emissions, words = len(emission), len(levels)
+    if block_samples is not None:
+        words = min(words, max(1, block_samples // system.n_env))
+        emissions = max(1, block_samples // (words * system.n_env))
+    harvests = [
+        [
+            _harvest(
+                _receive(emission[e : e + emissions, None], levels[w : w + words], system), system
+            )
+            for w in range(0, len(levels), words)
+        ]
+        for e in range(0, len(emission), emissions)
+    ]
+    # the distinct emissions' harvests, (u, W), and each row's of them
+    fields = {}
+    for name in vars(harvests[0][0]):
+        blocks = [np.concatenate([vars(h)[name] for h in row], axis=1) for row in harvests]
+        fields[name] = np.concatenate(blocks)[inverse[:, 0]]
+    harvest = HarvestResult(**fields)
+    return _with_power(harvest, amplitudes, p_in, p_out, system)
+
+
+@np.errstate(**_RAISE)
 def run_chain(tones: ToneSet, word: PhaseWord, system: SystemModel) -> ChainStages:
     """Push one waveform through every transmitter stage to the receiver."""
     amplitudes, phases, levels = _candidate(tones, word, system)
-    emission, (digital, dac, mixer, hpa, p_in, p_out) = _transmit(amplitudes, phases, system)
+    digital, dac = _sampled(amplitudes, phases, system)
+    emission, (mixer, hpa, p_in, p_out) = _emitted(dac, system)
     received = _receive(emission, levels, system)
     return ChainStages(digital, dac, mixer, hpa, received, p_in, p_out, system.tone_count)
 
 
+@np.errstate(**_RAISE)
 def evaluate_solution(tones: ToneSet, word: PhaseWord, system: SystemModel) -> SimulationOutcome:
     """Full-chain harvest and power evaluation of one candidate, with its stage
     waveforms: the single-candidate case of evaluate_batch, bit for bit."""

@@ -10,6 +10,7 @@ that breaks any of these fails here instead of in a benchmark run.
 
 import dataclasses
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from wptsim import (
     load_config,
     pso_run,
 )
+from wptsim.optimizer import GRID_CHUNK_SAMPLES
 from wptsim.rectenna import solve_rectifier_equation
 from wptsim.signal_chain import PhaseWord, ToneSet
 
@@ -191,3 +193,21 @@ def test_kernels_run_once_per_batch_through_the_simulation_module(monkeypatch):
         setup.system,
     )
     assert calls == Counter(KERNELS)
+
+
+def test_a_grid_and_a_swarm_run_the_transmit_once_per_chunk_or_batch(monkeypatch):
+    # the transmit finds the distinct DAC outputs between quantize_dac and the
+    # envelope, so every stage the harness times runs inside the calls it
+    # replaces: once per grid chunk (the toy's 336 tone points make two, each
+    # received in one block) and once per swarm batch
+    names = ["synthesize_multitone", "quantize_dac", *KERNELS]
+    calls = _count_calls(monkeypatch, names)
+    profile, overrides = _perfbench_module("setup_probe").CONFIGS["toy-grid"]
+    toy = build_setup(load_config(profile=profile, overrides=overrides))
+    brute_force_grid(21, 16, toy.system, toy.swarm)
+    chunks = math.ceil(21 * 16 / (GRID_CHUNK_SAMPLES // toy.system.n_dac))
+    assert chunks == 2 and calls == Counter(dict.fromkeys(names, chunks))
+    calls.clear()
+    desk = build_setup(load_config(profile="desk"))
+    pso_run(desk.system, dataclasses.replace(desk.swarm, iterations=3))
+    assert calls == Counter(dict.fromkeys(names, 4))

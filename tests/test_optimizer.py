@@ -26,6 +26,7 @@ from wptsim import (
 )
 import wptsim.optimizer
 from wptsim.optimizer import GRID_CHUNK_SAMPLES, VELOCITY_CLAMP, OptimizationResult
+from wptsim.signal_chain import quantize_dac, synthesize_multitone
 
 SPACING = 1.25e6
 
@@ -358,59 +359,75 @@ class TestBatchedSearch:
         assert calls == [(4,)]
 
     def test_grid_evaluates_in_memory_bounded_chunks(self, monkeypatch):
-        # the grid transmits each tone point once and receives its emission
-        # under every word, at the two kernels through the objective; no chunk
-        # receives more than GRID_CHUNK_SAMPLES envelope samples
+        # a chunk synthesizes and quantizes its tone points at once, transmits
+        # each distinct DAC output once and receives each distinct emission
+        # under every word; no chunk holds more than GRID_CHUNK_SAMPLES DAC
+        # samples, ranked values or received envelope samples in one array
         ranked = _count_batches(monkeypatch)
-        transmitted, received = [], []
-        transmit, receive = wptsim.simulation._transmit, wptsim.simulation._receive
+        objectives, quantized, received = [], [], []
+        objective_init = wptsim.optimizer._Objective.__init__
+        quantize, receive = wptsim.simulation.quantize_dac, wptsim.simulation._receive
 
-        def counting_transmit(amplitudes, *args):
-            transmitted.append(len(amplitudes))
-            return transmit(amplitudes, *args)
+        def keeping_init(self, *args):
+            objective_init(self, *args)
+            objectives.append(self)
+
+        def counting_quantize(*args):
+            samples = quantize(*args)
+            quantized.append(samples.shape)
+            return samples
 
         def counting_receive(*args):
             periods = receive(*args)
             received.append(periods.shape)
             return periods
 
-        monkeypatch.setattr(wptsim.simulation, "_transmit", counting_transmit)
+        monkeypatch.setattr(wptsim.optimizer._Objective, "__init__", keeping_init)
+        monkeypatch.setattr(wptsim.simulation, "quantize_dac", counting_quantize)
         monkeypatch.setattr(wptsim.simulation, "_receive", counting_receive)
         setup = toy_setup()
+        n_dac, m = setup.system.n_dac, setup.system.n_env
         result = brute_force_grid(11, 23, setup.system, setup.swarm)
-        assert result.evaluations == sum(ranked) == 1012
-        assert sum(transmitted) == 253
-        assert sum(math.prod(shape[:-1]) for shape in received) == 1012
+        (objective,) = objectives
+        assert result.evaluations == objective.evaluations == sum(ranked) == 1012
+        # 204 tone points of 80 DAC samples fill a chunk: 253 = 204 + 49 tone
+        # points, whose 300 V grid aliases to 6 and 5 distinct DAC outputs
+        points = GRID_CHUNK_SAMPLES // n_dac
+        assert points == 204
+        assert quantized == [(204, 1, n_dac), (49, 1, n_dac)]
+        assert ranked == [204 * 4, 49 * 4]
+        assert received == [(6, 4, m), (5, 4, m)]
+        assert objective.transmitted_rows == 11
+        assert objective.received_rows == sum(math.prod(shape[:-1]) for shape in received) == 44
+        assert max(math.prod(shape) for shape in quantized) <= GRID_CHUNK_SAMPLES
+        assert max(ranked) <= GRID_CHUNK_SAMPLES
         assert max(math.prod(shape) for shape in received) <= GRID_CHUNK_SAMPLES
-        # 21 tone points of 4 words x 192 samples fill a chunk
-        points = GRID_CHUNK_SAMPLES // (4 * setup.system.n_env)
-        assert points == 21 and max(transmitted) == points
-        assert len(received) == len(transmitted) == math.ceil(253 / points)
 
-        # 128 words x 192 samples exceed a chunk: one tone point a chunk, its
-        # words split in two, and still one transmit per tone point
-        transmitted.clear(), received.clear()
+        # 128 words x 192 samples exceed a receive: the 6 tone points are one
+        # chunk, ranked against all 128 words at once, and each of their 3
+        # distinct emissions is received under 85 and then 43 words
+        objectives.clear(), quantized.clear(), received.clear(), ranked.clear()
         system = _seven_element_setup().system
         assert 128 * system.n_env > GRID_CHUNK_SAMPLES
         brute_force_grid(3, 2, system, setup.swarm)
-        assert transmitted == [1] * 6
+        (objective,) = objectives
         words = GRID_CHUNK_SAMPLES // system.n_env
-        assert received == [(1, words, system.n_env), (1, 128 - words, system.n_env)] * 6
+        assert words == 85
+        assert quantized == [(6, 1, system.n_dac)] and ranked == [6 * 128]
+        assert received == [(1, words, system.n_env), (1, 128 - words, system.n_env)] * 3
+        assert (objective.transmitted_rows, objective.received_rows) == (3, 3 * 128)
 
     @pytest.mark.parametrize("required", [20e-6, 0.0])
-    def test_chunked_grid_matches_per_point_enumeration(self, required):
-        # 11 x 23 x 4 = 1012 points, not a multiple of the chunk; with no
-        # harvest required the zero-amplitude points, the first 92 in
-        # enumeration order, tie exactly for the least consumption, across a
-        # chunk boundary, and the first of them must win
+    def test_chunked_grid_matches_per_point_enumeration(self, monkeypatch, required):
+        # 11 x 23 x 4 = 1012 points, not a multiple of the chunk: 204 tone
+        # points of 80 DAC samples at the default bound, 21 at a bound of
+        # 21 x 80. With no harvest required the zero-amplitude points, the
+        # first 92 in enumeration order, tie exactly for the least
+        # consumption, inside the first chunk or across a chunk boundary, and
+        # the first of them must win
         setup = toy_setup()
         system = setup.system
         swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
-        # the grid's chunk: whole tone points of 4 words each, 21 x 4 = 84 candidates
-        words = 4
-        chunk = (GRID_CHUNK_SAMPLES // (words * system.n_env)) * words
-        assert 1012 % chunk != 0
-        result = brute_force_grid(11, 23, system, swarm)
         values, candidates = [], []
         for amplitude in np.linspace(0.0, swarm.amplitude_max, 11):
             for phase in np.linspace(0.0, 2 * np.pi, 23, endpoint=False):
@@ -420,25 +437,31 @@ class TestBatchedSearch:
                     candidates.append((tones, word))
         best = int(np.argmin(values))
         tones, word = candidates[best]
-        assert result.best_fitness == values[best]
-        assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
-        assert np.array_equal(result.tones.phases, tones.phases)
-        assert np.array_equal(result.phase_word.levels, word.levels)
         if required == 0.0:
-            assert best == 0 and values.count(values[0]) == 92 > chunk
+            assert best == 0 and values.count(values[0]) == 92
+        for bound, chunk in ((GRID_CHUNK_SAMPLES, 816), (21 * 80, 84)):
+            # the grid's chunk: whole tone points of 4 words each
+            assert (bound // system.n_dac) * 4 == chunk and 1012 % chunk != 0
+            assert (92 > chunk) == (bound < GRID_CHUNK_SAMPLES)
+            monkeypatch.setattr(wptsim.optimizer, "GRID_CHUNK_SAMPLES", bound)
+            result = brute_force_grid(11, 23, system, swarm)
+            assert result.best_fitness == values[best]
+            assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
+            assert np.array_equal(result.tones.phases, tones.phases)
+            assert np.array_equal(result.phase_word.levels, word.levels)
 
 
     @pytest.mark.parametrize("required", [20e-6, 0.0])
-    def test_word_split_grid_matches_per_point_enumeration(self, required):
-        # 3 x 2 tone points x 128 words, each tone point's words split across
-        # two chunks; with no harvest required every word of a tone point ties,
-        # the zero-amplitude points first, across the split and across tone
-        # points, and the first of them must win
+    def test_word_split_grid_matches_per_point_enumeration(self, monkeypatch, required):
+        # 3 x 2 tone points x 128 words. At the default bound they are one
+        # chunk, and each distinct emission is received under 85 and then 43
+        # words; at a bound of 100 each tone point is a chunk of its own,
+        # ranked under 100 and then 28 words. With no harvest required every
+        # word of a tone point ties, the zero-amplitude points first, across
+        # the split and across tone points, and the first of them must win
         setup = _seven_element_setup()
         system = setup.system
         swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
-        assert GRID_CHUNK_SAMPLES // system.n_env < 128
-        result = brute_force_grid(3, 2, system, swarm)
         values, candidates = [], []
         for amplitude in np.linspace(0.0, swarm.amplitude_max, 3):
             for phase in np.linspace(0.0, 2 * np.pi, 2, endpoint=False):
@@ -448,12 +471,16 @@ class TestBatchedSearch:
                     candidates.append((tones, word))
         best = int(np.argmin(values))
         tones, word = candidates[best]
-        assert result.best_fitness == values[best]
-        assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
-        assert np.array_equal(result.tones.phases, tones.phases)
-        assert np.array_equal(result.phase_word.levels, word.levels)
         if required == 0.0:
             assert best == 0 and values.count(values[0]) == 256
+        for bound in (GRID_CHUNK_SAMPLES, 100):
+            assert bound // system.n_env < 128
+            monkeypatch.setattr(wptsim.optimizer, "GRID_CHUNK_SAMPLES", bound)
+            result = brute_force_grid(3, 2, system, swarm)
+            assert result.best_fitness == values[best]
+            assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
+            assert np.array_equal(result.tones.phases, tones.phases)
+            assert np.array_equal(result.phase_word.levels, word.levels)
 
 
 def _seven_element_setup():
@@ -482,29 +509,30 @@ _GRID_SYSTEMS = {
     amplitude_max=st.sampled_from([1.0, 30.0, 300.0]),
 )
 def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplitude_max):
-    # the grid transmits a chunk of tone points once, as (rows, 1, K) tones,
-    # and receives it under every word; each (tone point, word) must equal
-    # evaluate_batch on that row to the bit
+    # the grid transmits a chunk of tone points at once, as (rows, 1, K)
+    # tones, and ranks them against every word; each (tone point, word) the
+    # objective harvests and prices must equal evaluate_batch on that row to
+    # the bit, whichever rows' DAC outputs were deduplicated
     system = _GRID_SYSTEMS[name]
     tone_count, bits = system.tone_count, system.chain.ps_bits
     if tone_count == 2:
         amplitude_points, phase_points = min(amplitude_points, 2), min(phase_points, 2)
     swarm = SwarmConfig(amplitude_max=amplitude_max)
     chunks = []
-    transmit, harvest = wptsim.simulation._transmit, wptsim.simulation._harvest_and_power
+    transmitted, harvested = wptsim.optimizer._transmitted, wptsim.optimizer._harvested
 
-    def spy_transmit(amplitudes, phases, system):
+    def spy_transmitted(amplitudes, phases, system):
         assert amplitudes.shape[1:] == phases.shape[1:] == (1, tone_count)
         chunks.append({"amplitudes": amplitudes[:, 0], "phases": phases[:, 0], "results": []})
-        return transmit(amplitudes, phases, system)
+        return transmitted(amplitudes, phases, system)
 
-    def spy_harvest(*args):
-        chunks[-1]["results"].append(harvest(*args))
+    def spy_harvested(*args):
+        chunks[-1]["results"].append(harvested(*args))
         return chunks[-1]["results"][-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wptsim.simulation, "_transmit", spy_transmit)
-        patch.setattr(wptsim.simulation, "_harvest_and_power", spy_harvest)
+        patch.setattr(wptsim.optimizer, "_transmitted", spy_transmitted)
+        patch.setattr(wptsim.optimizer, "_harvested", spy_harvested)
         brute_force_grid(amplitude_points, phase_points, system, swarm)
 
     words = 2 ** (bits * system.element_count)
@@ -520,10 +548,11 @@ def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplit
             np.tile(levels, (rows, 1)),
             system,
         )
-        # each word block's harvest is (rows, block); its p_total (rows, 1)
+        # each rank's harvest is (rows, words ranked); its p_total (rows, 1)
         grid = {
             "p_out_dc": np.concatenate([h.p_out_dc for h, _ in results], axis=1),
             "rhs_log": np.concatenate([h.rhs_log for h, _ in results], axis=1),
+            "v_out_dc": np.concatenate([h.v_out_dc for h, _ in results], axis=1),
             "p_total": np.concatenate(
                 [np.broadcast_to(p.p_total, h.p_out_dc.shape) for h, p in results], axis=1
             ),
@@ -531,6 +560,7 @@ def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplit
         batch = {
             "p_out_dc": batch_harvest.p_out_dc,
             "rhs_log": batch_harvest.rhs_log,
+            "v_out_dc": batch_harvest.v_out_dc,
             "p_total": batch_power.p_total,
         }
         for field, values in grid.items():
@@ -584,6 +614,71 @@ def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, 
     for p in range(particles * words):
         expected = serial(*divmod(p, words))
         assert values[p] == expected.fitness and record(p) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_RANK_SYSTEMS)),
+    tone_sets=st.integers(1, 4),
+    rows=st.integers(1, 12),
+    words=st.integers(1, 4),
+    required=st.sampled_from([0.0, 20e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
+    name, tone_sets, rows, words, required, seed
+):
+    # rows drawn with repeats, in any order, from tone sets and their DAC
+    # aliases: the same phases at twice the amplitudes, which the DAC maps to
+    # the same output below half a step (and mostly past its range) while
+    # their consumption differs. The transmit runs once per distinct DAC
+    # output, yet every row of evaluate_batch and of the objective's rank, in
+    # both shapes, must equal the serial evaluation of its own candidate
+    system = _RANK_SYSTEMS[name]
+    tone_count, elements, bits = system.tone_count, system.element_count, system.chain.ps_bits
+    swarm = SwarmConfig(required_dc_power=required)
+    rng = np.random.default_rng(seed)
+    scales = rng.choice([1e-4, 1.0, 150.0], (tone_sets, 1))
+    base = rng.uniform(0.5, 1.0, (tone_sets, tone_count)) * scales
+    pick = rng.integers(0, 2 * tone_sets, rows)
+    amplitudes = np.concatenate([base, 2.0 * base])[pick]
+    phases = np.tile(rng.uniform(0.0, 2.0 * np.pi, (tone_sets, tone_count)), (2, 1))[pick]
+    levels = rng.integers(0, 2**bits, (rows, elements))
+    dac = quantize_dac(
+        synthesize_multitone(amplitudes, phases, system.n_dac),
+        system.chain.dac_bits,
+        system.chain.dac_range,
+    )
+    distinct = len({row.tobytes() for row in dac})
+
+    def serial(row, word):
+        tones = ToneSet(amplitudes[row], phases[row], system.tone_spacing)
+        return evaluate_candidate(tones, PhaseWord(word, bits), system, swarm)
+
+    harvest, power = evaluate_batch(amplitudes, phases, levels, system)
+    for p in range(rows):
+        tones = ToneSet(amplitudes[p], phases[p], system.tone_spacing)
+        outcome = evaluate_solution(tones, PhaseWord(levels[p], bits), system)
+        for batch, single in ((harvest, outcome.harvest), (power, outcome.power)):
+            for field, value in vars(single).items():
+                assert np.array_equal(getattr(batch, field)[p], value), field
+
+    objective = wptsim.optimizer._Objective(system, swarm)
+    values, record = objective.rank(objective.transmit(amplitudes, phases), levels)
+    assert (objective.transmitted_rows, objective.received_rows) == (distinct, rows)
+    expected = [serial(p, levels[p]) for p in range(rows)]
+    assert np.array_equal(values, [e.fitness for e in expected])
+    assert [record(p) for p in range(rows)] == expected
+
+    words = min(words, rows)
+    sent = objective.transmit(amplitudes[:, None], phases[:, None])
+    values, record = objective.rank(sent, levels[:words])
+    assert objective.transmitted_rows == 2 * distinct
+    assert objective.received_rows == rows + distinct * words
+    # flat candidate p is row p // words under word p % words
+    expected = [serial(row, levels[word]) for row in range(rows) for word in range(words)]
+    assert np.array_equal(values, [e.fitness for e in expected])
+    assert [record(p) for p in range(rows * words)] == expected
 
 
 class TestSwarmConfig:
