@@ -9,6 +9,7 @@ digits. Exit codes: 0 success, 2 infeasible optimum, 3 configuration error,
 import argparse
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import itertools
@@ -37,8 +38,14 @@ def format_float(value: float) -> str:
     return f"{float(value):.9g}"
 
 
+def _format_floats(values: list, sep: str) -> str:
+    """Python floats as format_float writes each, joined by sep, in one % pass
+    (the same text for every double, nan, ±inf and -0.0 included)."""
+    return sep.join(["%.9g"] * len(values)) % tuple(values)
+
+
 def _scalar(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -64,11 +71,22 @@ def emit_structured(data: dict, indent: int = 0) -> str:
                 lines.append(f"{pad}  - {body[0].strip()}")
                 lines.extend(body[1:])
         elif isinstance(value, (list, tuple, np.ndarray)):
-            rendered = ", ".join(_scalar(v) for v in np.asarray(value).tolist())
+            array = np.asarray(value)
+            if array.dtype.kind == "f" and array.ndim == 1:
+                rendered = _format_floats(array.tolist(), ", ")
+            else:
+                rendered = ", ".join(_scalar(v) for v in array.tolist())
             lines.append(f"{pad}{key}: [{rendered}]")
         else:
             lines.append(f"{pad}{key}: {_scalar(value)}")
     return "\n".join(lines)
+
+
+def _table_cell(value) -> str:
+    text = _scalar(value)
+    if text.startswith('"') or "," not in text:
+        return text.strip()
+    return json.dumps(text)
 
 
 def emit_table(header: list[str], rows: list[list]) -> str:
@@ -76,14 +94,7 @@ def emit_table(header: list[str], rows: list[list]) -> str:
     buffer = io.StringIO()
     buffer.write(",".join(header) + "\n")
     for row in rows:
-        cells = []
-        for cell in row:
-            text = _scalar(cell)
-            if text.startswith('"') or "," not in text:
-                cells.append(text.strip())
-            else:
-                cells.append(json.dumps(text))
-        buffer.write(",".join(cells) + "\n")
+        buffer.write(",".join(_table_cell(cell) for cell in row) + "\n")
     return buffer.getvalue()
 
 
@@ -225,42 +236,56 @@ def cmd_sweep(setup) -> tuple[dict, int]:
 
 
 def _flatten_for_table(report: dict) -> tuple[list[str], list[list]]:
-    command = report["command"]
-    if command == "sweep":
+    """The rows of a sweep or optimize report."""
+    if report["command"] == "sweep":
         header = report["columns"]
         rows = [[row[col] for col in header] for row in report["rows"]]
         return header, rows
-    if command == "optimize":
-        header = ["seed", "feasible", "best_fitness", "p_total", "p_out_dc",
-                  "v_out_dc", "evaluations"]
-        row = [
-            report["seed"],
-            report["feasible"],
-            report["best_fitness"],
-            report["power"]["p_total"],
-            report["harvest"]["p_out_dc"],
-            report["harvest"]["v_out_dc"],
-            report["evaluations"],
-        ]
-        return header, [row]
-    header = ["stage", "series", "index", "coordinate", "value"]
-    rows = []
+    header = ["seed", "feasible", "best_fitness", "p_total", "p_out_dc",
+              "v_out_dc", "evaluations"]
+    row = [
+        report["seed"],
+        report["feasible"],
+        report["best_fitness"],
+        report["power"]["p_total"],
+        report["harvest"]["p_out_dc"],
+        report["harvest"]["v_out_dc"],
+        report["evaluations"],
+    ]
+    return header, [row]
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    return _format_floats(values.tolist(), "\n").split("\n") if values.size else []
+
+
+def _emit_stage_table(stages: dict) -> str:
+    """The simulate report's stage series as CSV, one row per sample and per
+    spectrum bin: the text emit_table gives those rows, built a column at a time."""
+    lines = ["stage,series,index,coordinate,value"]
     for stage in _STAGE_ORDER:
-        data = report["stages"][stage]
-        rate = data["sample_rate"]
-        for series in ("time_real", "time_imag"):
-            for i, value in enumerate(np.asarray(data[series])):
-                rows.append([stage, series, i, i / rate, value])
-        freqs = np.asarray(data["spectrum_frequency"])
-        mags = np.asarray(data["spectrum_magnitude"])
-        for i, (freq, mag) in enumerate(zip(freqs, mags)):
-            rows.append([stage, "spectrum", i, freq, mag])
-    return header, rows
+        data = stages[stage]
+        time = np.arange(data["time_real"].size) / data["sample_rate"]
+        for series, coordinates, values in (
+            ("time_real", time, data["time_real"]),
+            ("time_imag", time, data["time_imag"]),
+            ("spectrum", data["spectrum_frequency"], data["spectrum_magnitude"]),
+        ):
+            prefix = f"{_table_cell(stage)},{_table_cell(series)}"
+            lines.extend(
+                f"{prefix},{i},{coordinate},{value}"
+                for i, coordinate, value in zip(
+                    range(values.size), _float_cells(coordinates), _float_cells(values)
+                )
+            )
+    return "\n".join(lines) + "\n"
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "structured":
         return emit_structured(report) + "\n"
+    if report["command"] == "simulate":
+        return _emit_stage_table(report["stages"])
     header, rows = _flatten_for_table(report)
     return emit_table(header, rows)
 
@@ -268,7 +293,9 @@ def render_report(report: dict, fmt: str) -> str:
 _DEFAULT_FORMAT = {"simulate": "structured", "optimize": "structured", "sweep": "table"}
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="wptsim",
         description="Simulate and optimize a multi-tone wireless power transmitter.",

@@ -210,6 +210,11 @@ def config_set(cfg: dict, path: str, value) -> None:
     cfg[section][key] = _coerce_leaf(value, spec, path)
 
 
+# libyaml's parser when PyYAML was built with it: the same documents, about 8x
+# faster to parse than the pure-Python scanner
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path=None, profile: str = "desk", overrides: dict | None = None) -> dict:
     """Merge profile defaults, an optional YAML file, and direct overrides."""
     if profile not in PROFILES:
@@ -218,7 +223,7 @@ def load_config(path=None, profile: str = "desk", overrides: dict | None = None)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                user = yaml.safe_load(fh)
+                user = yaml.load(fh, Loader=_LOADER)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -189,10 +189,14 @@ def synthesize_multitone(amplitudes: np.ndarray, phases: np.ndarray, n: int) -> 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
     # symmetric about zero, unlike numpy's round-half-even; the fraction
     # |v| - floor(|v|) is exact, whereas floor(|v| + 0.5) rounds the largest
-    # double below 0.5 up because the sum rounds to 1.0
+    # double below 0.5 up because the sum rounds to 1.0. Two buffers, reused
+    # in place: the magnitude becomes the fraction and then the sign
     magnitude = np.abs(values)
     whole = np.floor(magnitude)
-    return np.sign(values) * (whole + (magnitude - whole >= 0.5))
+    magnitude -= whole
+    whole += magnitude >= 0.5
+    whole *= np.sign(values, out=magnitude)
+    return whole
 
 
 def quantize_dac(samples: np.ndarray, bits: int, full_scale: float) -> np.ndarray:
@@ -205,8 +209,11 @@ def quantize_dac(samples: np.ndarray, bits: int, full_scale: float) -> np.ndarra
     """
     step = 2.0 * full_scale / 2.0**bits
     pairs = np.ascontiguousarray(samples, dtype=complex).view(float)
-    clamped = np.clip(pairs, -full_scale, full_scale)
-    return (_round_half_away(clamped / step) * step).view(complex)
+    codes = np.clip(pairs, -full_scale, full_scale)
+    codes /= step
+    levels = _round_half_away(codes)
+    levels *= step
+    return levels.view(complex)
 
 
 def lowpass_filter(samples: np.ndarray, tone_count: int) -> np.ndarray:

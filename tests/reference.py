@@ -23,13 +23,25 @@ and checks the passband plan:
   envelope with scipy's i0e at every sample, where the library reads i0e
   from a cubic table;
 - passband_outcome runs the whole chain this way.
+
+It also keeps earlier, plainer forms of library code that the faster forms
+must match bit for bit:
+
+- round_half_away rounds DAC codes with fresh temporaries, where the library
+  reuses two buffers in place;
+- emit_structured, emit_table and render_report format the CLI's reports one
+  value at a time through scalar, where the library formats each float array
+  in one % pass and builds the simulate table a column at a time.
 """
 
+import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import i0e
 
+import wptsim.cli
 import wptsim.signal_chain
 from wptsim import ConfigurationError, DomainError, PhaseWord, ToneSet
 from wptsim.channel import receive_band
@@ -352,3 +364,83 @@ def passband_outcome(tones: ToneSet, word: PhaseWord, system: SystemModel) -> Pa
     return PassbandOutcome(
         mixer, hpa, received, v_out * v_out / system.rectenna.load_resistance, p_hpa
     )
+
+
+def round_half_away(values: np.ndarray) -> np.ndarray:
+    """Round half away from zero: the sign times the whole part, plus one
+    where the exact fraction |v| - floor(|v|) is at least 0.5."""
+    magnitude = np.abs(values)
+    whole = np.floor(magnitude)
+    return np.sign(values) * (whole + (magnitude - whole >= 0.5))
+
+
+def scalar(value) -> str:
+    """One report value's text, as the CLI printed it value by value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.9g}"
+    if value is None:
+        return "null"
+    return json.dumps(str(value))
+
+
+def emit_structured(data: dict, indent: int = 0) -> str:
+    """A nested report as YAML-compatible text, each array value through scalar."""
+    lines = []
+    pad = "  " * indent
+    for key, value in data.items():
+        if isinstance(value, dict):
+            lines.append(f"{pad}{key}:")
+            lines.append(emit_structured(value, indent + 1))
+        elif isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
+            lines.append(f"{pad}{key}:")
+            for item in value:
+                body = emit_structured(item, indent + 2).splitlines()
+                lines.append(f"{pad}  - {body[0].strip()}")
+                lines.extend(body[1:])
+        elif isinstance(value, (list, tuple, np.ndarray)):
+            rendered = ", ".join(scalar(v) for v in np.asarray(value).tolist())
+            lines.append(f"{pad}{key}: [{rendered}]")
+        else:
+            lines.append(f"{pad}{key}: {scalar(value)}")
+    return "\n".join(lines)
+
+
+def emit_table(header: list[str], rows: list[list]) -> str:
+    """Rows as CSV under a header, each cell through scalar."""
+    buffer = io.StringIO()
+    buffer.write(",".join(header) + "\n")
+    for row in rows:
+        cells = []
+        for cell in row:
+            text = scalar(cell)
+            if text.startswith('"') or "," not in text:
+                cells.append(text.strip())
+            else:
+                cells.append(json.dumps(text))
+        buffer.write(",".join(cells) + "\n")
+    return buffer.getvalue()
+
+
+def render_report(report: dict, fmt: str) -> str:
+    """A CLI report in either format; a simulate table holds one row per
+    stage sample and spectrum bin."""
+    if fmt == "structured":
+        return emit_structured(report) + "\n"
+    if report["command"] != "simulate":
+        return emit_table(*wptsim.cli._flatten_for_table(report))
+    rows = []
+    for stage in ("digital", "dac", "lpf", "mixer", "hpa", "received"):
+        data = report["stages"][stage]
+        rate = data["sample_rate"]
+        for series in ("time_real", "time_imag"):
+            for i, value in enumerate(np.asarray(data[series])):
+                rows.append([stage, series, i, i / rate, value])
+        freqs = np.asarray(data["spectrum_frequency"])
+        mags = np.asarray(data["spectrum_magnitude"])
+        for i, (freq, mag) in enumerate(zip(freqs, mags)):
+            rows.append([stage, "spectrum", i, freq, mag])
+    return emit_table(["stage", "series", "index", "coordinate", "value"], rows)

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -9,8 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference
 import wptsim.cli
+import wptsim.config
 import wptsim.simulation
 from wptsim import ConfigurationError
 from wptsim.cli import (
@@ -18,10 +24,13 @@ from wptsim.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _scalar,
+    build_parser,
     cmd_optimize,
     cmd_simulate,
     cmd_sweep,
     derive_point_seed,
+    emit_structured,
     format_float,
     main,
     render_report,
@@ -140,11 +149,153 @@ class TestConfig:
         assert np.all(setup.phase_word.levels == 0)
 
 
+def _source_env() -> dict:
+    """The environment that lets a child interpreter import this checkout's wptsim."""
+    src = str(Path(wptsim.cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+
+@pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+def yaml_loader(request, monkeypatch):
+    """Config files parsed by libyaml's loader, then by PyYAML's pure-Python one."""
+    loader = getattr(yaml, request.param, None)
+    if loader is None:
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(wptsim.config, "_LOADER", loader)
+    return loader
+
+
+@pytest.mark.usefixtures("yaml_loader")
+class TestConfigFileLoaders:
+    def test_round_trip_identity(self, tmp_path):
+        cfg = load_config(profile="paper")
+        path = tmp_path / "run.yaml"
+        path.write_text(dump_config(cfg))
+        assert load_config(path, profile="desk") == cfg
+
+    def test_exponent_only_literal_is_a_float(self, tmp_path):
+        # YAML 1.1 reads 5e-6 (no dot) as a string; coercion makes it the float
+        path = tmp_path / "run.yaml"
+        path.write_text("rectenna:\n  saturation_current: 5e-6\n")
+        assert load_config(path, profile="desk")["rectenna"]["saturation_current"] == 5e-6
+
+    def test_seed_past_int64_is_exact(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"swarm:\n  seed: {2**63 + 1}\n")
+        assert load_config(path, profile="desk")["swarm"]["seed"] == 2**63 + 1
+
+    def test_null_document_keeps_the_profile(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("null\n")
+        assert load_config(path, profile="paper") == load_config(profile="paper")
+
+    def test_infinite_leaf_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text("chain:\n  hpa_gain: .inf\n")
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: chain.hpa_gain: expected a finite number, got inf\n"
+        )
+
+    def test_malformed_file_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text("chain:\n  dac_bits: [3, 4\n")
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot parse config file {path}: ")
+
+
+def test_config_files_parse_with_libyaml_when_pyyaml_has_it(tmp_path, monkeypatch):
+    # the pure-Python scanner is about 8x slower on a candidate file, so a
+    # silent fallback to it is a failure, not only a slower benchmark
+    loaders = []
+    original = yaml.load
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return original(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    path = tmp_path / "run.yaml"
+    path.write_text("swarm:\n  seed: 5\n")
+    load_config(path, profile="desk")
+    assert loaders == [yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader]
+
+
 class TestFormatting:
     def test_nine_significant_digits(self):
         assert format_float(math.pi) == "3.14159265"
         assert format_float(1.23456789012e-7) == "1.23456789e-07"
         assert format_float(300.0) == "300"
+
+    def test_numpy_bools_render_as_booleans(self):
+        assert _scalar(np.bool_(True)) == "true"
+        assert _scalar(np.bool_(False)) == "false"
+        assert emit_structured({"feasible": np.bool_(True)}) == "feasible: true"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        array=st.one_of(
+            *(
+                hnp.arrays(
+                    dtype,
+                    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=12),
+                    elements=st.one_of(
+                        st.floats(width=width),
+                        st.sampled_from(edges),
+                    ),
+                )
+                for dtype, width, edges in (
+                    (np.float64, 64, [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                                      -2.2e-308, 1e308, -1e308, 1.7976931348623157e308]),
+                    (np.float32, 32, [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-45,
+                                      -1.1754942e-38, 3.4028235e38]),
+                )
+            ),
+            hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=1, min_side=0)),
+            hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=1, min_side=0)),
+            hnp.arrays(hnp.unicode_string_dtypes(), hnp.array_shapes(min_dims=1, max_dims=1)),
+            hnp.arrays(np.complex128, hnp.array_shapes(min_dims=1, max_dims=1)),
+            hnp.arrays(
+                object,
+                hnp.array_shapes(min_dims=1, max_dims=1),
+                elements=st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                                   st.text(max_size=4)),
+            ),
+        )
+    )
+    def test_array_text_matches_the_per_scalar_reference(self, array):
+        for value in (array, array.tolist()):
+            assert emit_structured({"x": value}) == reference.emit_structured({"x": value})
+
+    @pytest.mark.parametrize("fmt", ["structured", "table"])
+    @pytest.mark.parametrize(
+        "command", ["simulate-desk", "simulate-paper", "optimize", "sweep"]
+    )
+    def test_reports_match_the_per_scalar_reference(self, command, fmt):
+        report = _report(command)
+        text, expected = render_report(report, fmt), reference.render_report(report, fmt)
+        if text != expected:
+            # pytest's own diff of two 200 kB strings takes minutes
+            line = next(i for i, pair in enumerate(zip(text.splitlines(), expected.splitlines()))
+                        if pair[0] != pair[1])
+            pytest.fail(f"{len(text)} vs {len(expected)} bytes; line {line} differs:\n"
+                        f"{text.splitlines()[line]}\n{expected.splitlines()[line]}")
+
+
+@functools.cache
+def _report(command: str) -> dict:
+    if command.startswith("simulate-"):
+        profile = command.removeprefix("simulate-")
+        return cmd_simulate(build_setup(load_config(profile=profile)))[0]
+    swarm = {"seed": 3, "particles": 4, "iterations": 3}
+    if command == "optimize":
+        return cmd_optimize(build_setup(load_config(profile="desk", overrides={"swarm": swarm})))[0]
+    sweep = [{"path": "chain.dac_bits", "values": [2, 0]}]
+    overrides = {"swarm": swarm, "sweep": sweep}
+    return cmd_sweep(build_setup(load_config(profile="desk", overrides=overrides)))[0]
 
 
 class TestSimulateCommand:
@@ -567,15 +718,20 @@ class TestMainEntryPoint:
         parsed = yaml.safe_load(out.read_text())
         assert parsed["command"] == "simulate"
 
+    def test_parser_is_built_once_and_not_at_import(self):
+        assert build_parser() is build_parser()
+        probe = "import wptsim.cli as c; print(c.build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+            env=_source_env(),
+        )
+        assert proc.stdout == "0\n"
+
     def test_console_script_smoke(self, tmp_path):
         # a source checkout has no console script: run the module with its src on the path
         command, env = ["wptsim"], None
         if shutil.which("wptsim") is None:
-            command = [sys.executable, "-m", "wptsim.cli"]
-            src = str(Path(wptsim.cli.__file__).resolve().parents[1])
-            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])
-            )}
+            command, env = [sys.executable, "-m", "wptsim.cli"], _source_env()
         proc = subprocess.run(
             [*command, "simulate", "--profile", "desk", "--format", "structured"],
             capture_output=True, text=True, timeout=120, env=env,

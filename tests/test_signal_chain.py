@@ -16,8 +16,15 @@ from numpy.testing import assert_allclose
 import wptsim
 from conftest import desk_setup
 from wptsim import DomainError, PhaseWord, ToneSet, run_chain
-from reference import apply_phase_shifters, passband_plan, rapp_amplifier, upconvert
+from reference import (
+    apply_phase_shifters,
+    passband_plan,
+    rapp_amplifier,
+    round_half_away,
+    upconvert,
+)
 from wptsim.signal_chain import (
+    _round_half_away,
     default_sim_rate,
     lowpass_filter,
     quantize_dac,
@@ -194,6 +201,30 @@ class TestQuantizer:
                 values = np.array([np.nextafter(edge, 0.0), edge]) + 0j
                 out = quantize_dac(values, bits, full_scale).real
                 assert list(out / step) == [code, code + 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), bits=st.integers(1, 53), full_scale=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_in_place_rounding_is_bit_equal(self, data, bits, full_scale):
+        # clipped codes in [-2^(B-1), 2^(B-1)]: signed zeros, exact half
+        # steps and their neighbours, the rails and anything between
+        top = 2.0 ** (bits - 1)
+        half = st.integers(-int(top), int(top) - 1).map(lambda k: k + 0.5)
+        code = st.one_of(
+            st.sampled_from([0.0, -0.0, top, -top]),
+            half,
+            half.map(lambda h: np.nextafter(h, 0.0)),
+            half.map(lambda h: np.nextafter(h, np.copysign(np.inf, h))),
+            st.floats(-top, top),
+        )
+        codes = np.array(data.draw(st.lists(code, min_size=2, max_size=64)))
+        codes = codes[: codes.size // 2 * 2]
+        assert np.array_equal(
+            _round_half_away(codes).view(np.uint64), round_half_away(codes).view(np.uint64)
+        )
+        step = 2.0 * full_scale / 2.0**bits
+        expected = round_half_away(np.clip(codes * step, -full_scale, full_scale) / step) * step
+        out = quantize_dac((codes * step).view(complex), bits, full_scale)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
     def test_components_quantized_independently(self, rng):
         values = rng.uniform(-1.5, 1.5, 8) + 1j * rng.uniform(-1.5, 1.5, 8)
