@@ -1,5 +1,6 @@
 """Near-field propagation from the planar array to the energy receiver."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,7 +161,7 @@ def beamformed_received(
     size. The period must hold every band bin, n > 2K.
     """
     elements, width = band_coefficients.shape
-    scale = 1.0 / np.sqrt(insertion_loss * elements)
+    scale = 1.0 / math.sqrt(insertion_loss * elements)
     weights = scale * np.exp(-1j * angles)
     gain = (weights[..., None, :] @ band_coefficients)[..., 0, :]
     received = emission * gain

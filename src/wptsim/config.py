@@ -215,6 +215,16 @@ def config_set(cfg: dict, path: str, value) -> None:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """What failed to parse, on one line: the parser's problem and where it
+    found it, or the first line of its message when it marks none."""
+    problem = getattr(exc, "problem", None)
+    mark = getattr(exc, "problem_mark", None)
+    if problem is None or mark is None:
+        return (str(exc).splitlines() or [type(exc).__name__])[0]
+    return f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def load_config(path=None, profile: str = "desk", overrides: dict | None = None) -> dict:
     """Merge profile defaults, an optional YAML file, and direct overrides."""
     if profile not in PROFILES:
@@ -227,7 +237,9 @@ def load_config(path=None, profile: str = "desk", overrides: dict | None = None)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         except yaml.YAMLError as exc:
-            raise ConfigurationError(f"cannot parse config file {path}: {exc}") from exc
+            raise ConfigurationError(
+                f"cannot parse config file {path}: {_yaml_problem(exc)}"
+            ) from exc
         if user is not None:
             if not isinstance(user, dict):
                 raise ConfigurationError("config file must contain a mapping")

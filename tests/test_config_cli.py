@@ -157,6 +157,22 @@ def _source_env() -> dict:
     )}
 
 
+# runs wptsim.cli as __main__ in an interpreter where scipy cannot be imported
+_WITHOUT_SCIPY = """
+import runpy, sys
+from importlib.abc import MetaPathFinder
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"no module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+runpy.run_module("wptsim.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 @pytest.fixture(params=["CSafeLoader", "SafeLoader"])
 def yaml_loader(request, monkeypatch):
     """Config files parsed by libyaml's loader, then by PyYAML's pure-Python one."""
@@ -620,6 +636,7 @@ class TestMainEntryPoint:
             ("array:\n  rows: 1000\n  cols: 1000\n", [], "array.rows x array.cols"),
             ("array:\n  rows: 3000\n  cols: 3000\n", [], "array.rows x array.cols"),
             ("array:\n  rows: 100000\n  cols: 100000\n", [], "array.rows x array.cols"),
+            ("chain:\n  dac_bits: [3, 4", [], "cannot parse config file"),
         ],
         ids=[
             "spacing-default-rate", "spacing-explicit-rate", "config-seed", "flag-seed",
@@ -632,17 +649,22 @@ class TestMainEntryPoint:
             "tone-count-envelope-bound", "tone-count-zero",
             "rf-carrier-below-bandwidth", "receiver-on-element", "receiver-distance-overflow",
             "receiver-phase-overflow", "array-channel-bound",
-            "array-3000-squared", "array-100000-squared",
+            "array-3000-squared", "array-100000-squared", "unparsable-yaml",
         ],
     )
     @pytest.mark.filterwarnings("error")
-    def test_invalid_values_exit_three_with_one_line(self, tmp_path, capsys, text, flags, key):
+    def test_invalid_values_exit_three_with_one_line(
+        self, tmp_path, capsys, monkeypatch, text, flags, key
+    ):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
-        assert main(["optimize", "--config", str(path), *flags]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and err.count("\n") == 1
-        assert key in err
+        # libyaml's loader and the pure-Python one word their errors differently
+        for loader in {wptsim.config._LOADER, yaml.SafeLoader}:
+            monkeypatch.setattr(wptsim.config, "_LOADER", loader)
+            assert main(["optimize", "--config", str(path), *flags]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and err.count("\n") == 1
+            assert key in err
 
     @pytest.mark.parametrize(
         "text",
@@ -726,6 +748,33 @@ class TestMainEntryPoint:
             env=_source_env(),
         )
         assert proc.stdout == "0\n"
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("simulate", ""),
+            ("optimize", "swarm:\n  particles: 4\n  iterations: 2\n"),
+            ("sweep", "swarm:\n  particles: 4\n  iterations: 2\nsweep:\n"
+                      "  - path: chain.dac_bits\n    values: [2, 3]\n"),
+        ],
+    )
+    def test_commands_need_no_scipy(self, tmp_path, command, config):
+        # the run-time dependencies in pyproject.toml are numpy and PyYAML only
+        argv = [command, "--profile", "paper"]
+        if config:
+            path = tmp_path / "run.yaml"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        runs = [
+            subprocess.run(
+                [sys.executable, *launch, *argv], capture_output=True, timeout=300,
+                env=_source_env(),
+            )
+            for launch in (["-m", "wptsim.cli"], ["-c", _WITHOUT_SCIPY])
+        ]
+        for run in runs:
+            assert run.returncode == EXIT_OK, run.stderr.decode()
+        assert runs[0].stdout == runs[1].stdout
 
     def test_console_script_smoke(self, tmp_path):
         # a source checkout has no console script: run the module with its src on the path

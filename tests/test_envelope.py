@@ -24,6 +24,7 @@ from wptsim.optimizer import brute_force_grid
 from wptsim.power_model import hpa_power
 import wptsim.rectenna
 from wptsim.rectenna import (
+    _i0e,
     _i0e_table,
     dc_output_voltage,
     harvest_from_signal,
@@ -217,6 +218,22 @@ RECTENNA = RectennaParams(50.0, 1600.0, 5e-6, 25.86e-3, 1.05)
 EXPONENT_SCALE = np.sqrt(50.0) / (1.05 * 25.86e-3)  # c = sqrt(R_s) / (eta V_0)
 
 
+def test_i0e_port_equals_scipy_at_the_table_nodes():
+    u = np.linspace(0.0, 1.0, ZONE_TABLE_NODES)
+    z = u[:-1] / (1.0 - u[:-1])
+    assert np.array_equal(_i0e(z), i0e(z))
+
+
+@settings(max_examples=100, deadline=None)
+@given(z=arrays(float, st.integers(1, 64), elements=st.floats(0.0, 1e300)))
+def test_i0e_port_equals_scipy(z):
+    # both Chebyshev series, their switch at 8, subnormals and the top of the range
+    edges = [0.0, 5e-324, 1e-310, 2.0**-1022, 8.0, np.nextafter(8.0, 0.0),
+             np.nextafter(8.0, 9.0), 1e300, 1e308]
+    z = np.concatenate([z, edges])
+    assert np.array_equal(_i0e(z), i0e(z))
+
+
 def tabulated_i0e(z):
     """i0e at exponents z >= 0 as the rectenna reads it: T(u) / sqrt(1 + z)."""
     inverse, _, (scaled,) = _read_table(_i0e_table(), np.array(z, dtype=float))
@@ -270,8 +287,8 @@ def test_an_all_zero_period_harvests_exactly_zero(leading):
 
 
 def test_a_batch_and_a_grid_call_i0e_on_no_received_sample(monkeypatch):
-    # scipy's i0e is called only to build the rectenna's table, at the first
-    # evaluation; after that a desk batch and a toy grid read I0 from it
+    # the library's i0e is called only to build the rectenna's table, at the
+    # first evaluation; after that a desk batch and a toy grid read I0 from it
     desk, toy = desk_setup().system, toy_setup()
     rng = np.random.default_rng(17)
     batch = (
@@ -282,11 +299,11 @@ def test_a_batch_and_a_grid_call_i0e_on_no_received_sample(monkeypatch):
     evaluate_batch(*batch, desk)
     elements = []
 
-    def counted(z, *args, **kwargs):
+    def counted(z):
         elements.append(np.size(z))
-        return i0e(z, *args, **kwargs)
+        return _i0e(z)
 
-    monkeypatch.setattr(wptsim.rectenna, "i0e", counted)
+    monkeypatch.setattr(wptsim.rectenna, "_i0e", counted)
     evaluate_batch(*batch, desk)
     brute_force_grid(21, 16, toy.system, toy.swarm)
     assert elements == []

@@ -1,6 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wptsim import DomainError, RectennaParams
@@ -53,6 +56,77 @@ class TestLambertW:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             lambert_w0(-0.1)
+
+
+# Wright omega: the log-form Lambert W against scipy's wrightomega and mpmath.
+# The bound is relative, 4 eps max(1, -x): below 0 the step's residual
+# x - w - ln w cancels to about eps |x| of a small w. A subnormal omega, below
+# x = -708, keeps only an absolute step of 2^-1074.
+EPS = np.finfo(float).eps
+OMEGA_EDGES = [
+    edge for point in (-745.2, -50.0, -2.0, 1.0, 1e20)
+    for edge in (np.nextafter(point, -np.inf), point, np.nextafter(point, np.inf))
+]
+
+
+def assert_omega_close(actual, expected, x):
+    bound = 4.0 * EPS * np.maximum(1.0, -np.asarray(x)) * np.abs(expected)
+    assert (np.abs(actual - expected) <= np.maximum(bound, 2.0**-1074)).all()
+
+
+def mpmath_omega(x: float) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.lambertw(mpmath.exp(mpmath.mpf(x))).real)
+
+
+class TestWrightOmega:
+    @pytest.mark.parametrize(
+        "x",
+        [-745.2, -744.0, -700.0, -100.0, -50.0, -49.9, -20.0, -2.0, -1.9, -0.5, 0.0,
+         0.5, 1.0, 1.5, 10.0, 700.0, 1e4, 1e10, 1e20, 1e21, 1e300],
+    )
+    def test_against_40_digit_mpmath(self, x):
+        assert_omega_close(lambert_w0_log(x), mpmath_omega(x), x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.one_of(
+            st.floats(-1e3, 1e300),
+            st.floats(-60.0, 5.0),
+            st.sampled_from(OMEGA_EDGES),
+        )
+    )
+    def test_against_scipy(self, x):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            actual = lambert_w0_log(x)
+        assert_omega_close(actual, scipy.special.wrightomega(x), x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.floats(-1e308, -745.2))
+    def test_underflows_to_zero_without_a_warning(self, x):
+        with np.errstate(all="raise", under="ignore"):
+            assert lambert_w0_log(x) == 0.0
+            assert (lambert_w0_log(np.array([x, x])) == 0.0).all()
+
+    def test_non_finite(self):
+        x = np.array([np.inf, -np.inf, np.nan])
+        for actual in (lambert_w0_log(x), [lambert_w0_log(v) for v in x]):
+            assert np.array_equal(actual, [np.inf, 0.0, np.nan], equal_nan=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(
+            st.one_of(st.floats(allow_nan=True), st.floats(-60.0, 5.0), st.sampled_from(OMEGA_EDGES)),
+            min_size=1, max_size=8,
+        )
+    )
+    def test_one_value_equals_its_array_entry(self, x):
+        # a serial evaluation's harvest must equal its row of a batch, bit for bit
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            whole = lambert_w0_log(np.array(x))
+            one = [lambert_w0_log(v) for v in x]
+        assert np.array_equal(whole, one, equal_nan=True)
+        assert all(type(w) is np.float64 for w in one)
 
 
 def bessel_log_mean(amplitude):
