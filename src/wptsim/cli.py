@@ -308,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", help="YAML config merged over the profile defaults")
-        cmd.add_argument("--profile", choices=("paper", "desk"), default="desk")
+        cmd.add_argument(
+            "--profile", choices=("paper", "desk"), default="paper",
+            help="built-in defaults: the paper's system; desk is an alias of paper",
+        )
         cmd.add_argument("--seed", type=int, help="override swarm.seed")
         cmd.add_argument("--out", help="output file (default: stdout)")
         cmd.add_argument("--format", choices=("table", "structured"), default=None)

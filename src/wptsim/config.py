@@ -1,10 +1,10 @@
 """Run configuration: built-in profiles, YAML loading, validation, assembly.
 
-Two first-class profiles exist. "paper" places the passband reference at
-the true 5.18 GHz carrier; "desk" snaps it down to 64 tone spacings (80 MHz)
-while the channel keeps the faithful RF wavelengths. The chain runs on the
-complex envelope and reads neither carrier nor passband rate, so both
-profiles report the same numbers. A user config file deep-merges over the
+One profile, "paper", holds the paper's defaults; "desk" is an alias of it,
+kept for the scripts and benchmarks that name it. The one carrier is
+channel.rf_carrier: the array's spacing, the channel's tone frequencies and
+so the paper's frequency trend hang off it. The chain runs on the complex
+envelope and reads no carrier. A user config file deep-merges over the
 chosen profile.
 """
 
@@ -48,9 +48,6 @@ _TABLE = {
         "dac_bits": (int, 3),
         "dac_range": (float, 1.0),
         "dac_sample_rate": (float, 100e6),
-        "carrier": (float, PAPER_CARRIER),
-        # the passband reference's rate; default 2.5x (carrier + bandwidth), snapped
-        "sim_sample_rate": (float, None),
         "hpa_gain": (float, 10.0),
         "hpa_saturation": (float, 10.0),
         "hpa_smoothness": (float, 4.0),
@@ -61,7 +58,7 @@ _TABLE = {
     "receiver": {"position": ((list, float), [0.0, 3.0, 0.0])},
     "channel": {
         "boresight_exponent": (float, 2.0),
-        "rf_carrier": (float, None),  # default: the chain carrier
+        "rf_carrier": (float, PAPER_CARRIER),
     },
     "rectenna": {
         "source_resistance": (float, 50.0),
@@ -109,12 +106,8 @@ _PAPER = {
     for section, fields in _TABLE.items()
 } | {"sweep": []}
 
-PROFILES = {
-    "paper": _PAPER,
-    "desk": deep_merge(
-        _PAPER, {"chain": {"carrier": 64 * TONE_SPACING}, "channel": {"rf_carrier": PAPER_CARRIER}}
-    ),
-}
+# "desk" stays as an alias: the benchmark harness and existing scripts name it
+PROFILES = {"paper": _PAPER, "desk": _PAPER}
 
 
 def _coerce_leaf(value, spec, path):
@@ -173,7 +166,7 @@ def normalize_config(raw: dict) -> dict:
             raise ConfigurationError(f"{section}: expected a mapping")
         extra = set(given) - set(fields)
         if extra:
-            raise ConfigurationError(f"{section}: unknown keys {sorted(extra)}")
+            raise ConfigurationError(f"unknown keys {[f'{section}.{k}' for k in sorted(extra)]}")
         normalized = {}
         for key, spec in fields.items():
             if key not in given and spec[1] is not None:
@@ -225,7 +218,7 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
     return f"{problem} at line {mark.line + 1}, column {mark.column + 1}"
 
 
-def load_config(path=None, profile: str = "desk", overrides: dict | None = None) -> dict:
+def load_config(path=None, profile: str = "paper", overrides: dict | None = None) -> dict:
     """Merge profile defaults, an optional YAML file, and direct overrides."""
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown profile {profile!r}")
@@ -276,9 +269,14 @@ def build_setup(cfg: dict) -> RunSetup:
         raise ConfigurationError("waveform.tone_spacing must be positive")
     bandwidth = tone_count * tone_spacing
 
-    sim_rate = ch["sim_sample_rate"]
-    if sim_rate is None:
-        sim_rate = default_sim_rate(ch["carrier"], bandwidth, tone_spacing)
+    rf_carrier = cfg["channel"]["rf_carrier"]
+    # checked before the array's spacing, half a wavelength, can overflow
+    if not rf_carrier > max(bandwidth, 0.0):
+        raise ConfigurationError(
+            f"channel.rf_carrier must exceed the baseband bandwidth {bandwidth}"
+        )
+    # only perfbench/workloads.py's computed_sizes reads the chain's sim_sample_rate
+    sim_rate = default_sim_rate(rf_carrier, bandwidth, tone_spacing)
 
     try:
         ps_insertion_loss = 10.0 ** (ch["ps_insertion_loss_db"] / 10.0)
@@ -292,7 +290,6 @@ def build_setup(cfg: dict) -> RunSetup:
             dac_bits=ch["dac_bits"],
             dac_range=ch["dac_range"],
             dac_sample_rate=ch["dac_sample_rate"],
-            carrier=ch["carrier"],
             hpa_gain=ch["hpa_gain"],
             hpa_saturation=ch["hpa_saturation"],
             hpa_smoothness=ch["hpa_smoothness"],
@@ -303,9 +300,6 @@ def build_setup(cfg: dict) -> RunSetup:
     except (ConfigurationError, DomainError) as exc:
         raise ConfigurationError(f"chain: {exc}") from exc
 
-    rf_carrier = cfg["channel"]["rf_carrier"]
-    if rf_carrier is None:
-        rf_carrier = chain.carrier
     try:
         geometry = element_positions(cfg["array"]["rows"], cfg["array"]["cols"], rf_carrier)
     except DomainError as exc:

@@ -120,13 +120,14 @@ class ChainConfig:
     dac_bits: int
     dac_range: float  # volts; the converter clips to [-range, +range]
     dac_sample_rate: float  # Hz
-    carrier: float  # Hz, mixer local oscillator of the passband reference
     hpa_gain: float
     hpa_saturation: float  # volts
     hpa_smoothness: float
     ps_bits: int
     ps_insertion_loss: float  # linear power ratio, >= 1
-    sim_sample_rate: float  # Hz, rate of the passband reference in the tests
+    # Hz; the chain reads no passband rate. Kept only for perfbench's
+    # computed_sizes, and goes when the harness stops reading it
+    sim_sample_rate: float
 
     def __post_init__(self):
         require_finite(self, ConfigurationError)
@@ -136,8 +137,6 @@ class ChainConfig:
             raise ConfigurationError("dac_range must be positive")
         if self.dac_sample_rate <= 0 or self.sim_sample_rate <= 0:
             raise ConfigurationError("sample rates must be positive")
-        if self.carrier <= 0:
-            raise ConfigurationError("carrier frequency must be positive")
         if self.hpa_gain <= 0 or self.hpa_saturation <= 0:
             raise ConfigurationError("amplifier gain and saturation must be positive")
         if self.hpa_smoothness < 1:
@@ -441,13 +440,13 @@ def default_sim_rate(carrier: float, bandwidth: float, tone_spacing: float) -> f
     """Smallest multiple of the tone spacing at or above 2.5x (carrier + bandwidth).
 
     The chain runs on the complex envelope and reads no passband rate; this
-    one only sets the default sampling of the passband reference the tests
-    hold the envelope chain to.
+    one only fills ChainConfig.sim_sample_rate from channel.rf_carrier.
     """
     target = 2.5 * (carrier + bandwidth)
     ratio = target / tone_spacing
     if not math.isfinite(ratio):
         raise ConfigurationError(
-            f"one period at tone spacing {tone_spacing} holds no finite number of samples"
+            f"one period at waveform.tone_spacing {tone_spacing} and channel.rf_carrier"
+            f" {carrier} holds no finite number of samples"
         )
     return int(np.ceil(ratio - 1e-9)) * tone_spacing

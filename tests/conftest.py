@@ -41,7 +41,7 @@ def received_envelope(envelope, angles, insertion_loss, band_coefficients):
 
 
 def desk_setup(**overrides):
-    """Desk-profile run setup with nested-dict overrides."""
+    """The paper run setup, through its desk alias, with nested-dict overrides."""
     return build_setup(load_config(profile="desk", overrides=overrides))
 
 

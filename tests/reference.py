@@ -2,11 +2,11 @@
 
 The library runs the chain on the complex envelope: the amplifier's first
 zone, one per-bin beam gain and a log-mean of I0 at the rectenna. The tests
-check it against the real passband period here, sampled at
-chain.sim_sample_rate with the carrier at chain.carrier, where the amplifier's
-harmonics are present and alias back into the band by an amount that shrinks
-as the rate grows. The library reads neither key; this module alone derives
-and checks the passband plan:
+check it against the real passband period here, n_sim samples with the
+carrier at bin m, where the amplifier's harmonics are present and alias back
+into the band by an amount that shrinks as n_sim grows. The library has no
+passband plan; each test chooses its own, such as DESK_PLAN or PAPER_PLAN,
+and this module alone checks it:
 
 - passband_plan places one period at n_sim samples, the carrier at bin m and
   the band at bins m - K..m + K, and refuses a plan it cannot sample;
@@ -47,13 +47,18 @@ from wptsim import ConfigurationError, DomainError, PhaseWord, ToneSet
 from wptsim.channel import receive_band
 from wptsim.rectenna import RectennaParams, dc_output_voltage, lambert_w0_log
 from wptsim.signal_chain import (
-    _as_multiple,
     _rapp_compression,
     lowpass_filter,
     quantize_dac,
     synthesize_multitone,
 )
 from wptsim.simulation import MAX_PERIOD_SAMPLES, SystemModel
+
+
+# (carrier bin, n_sim) in tone spacings: the plans of the two former
+# profiles, 80 MHz in a 225 MHz period and 5.18 GHz in a 12.975 GHz one
+DESK_PLAN = (64, 180)
+PAPER_PLAN = (4144, 10380)
 
 
 @dataclass(frozen=True)
@@ -66,36 +71,41 @@ class PassbandPlan:
     band: np.ndarray
 
 
-def passband_plan(system: SystemModel) -> PassbandPlan:
-    """The passband period of chain.sim_sample_rate with the carrier at
-    chain.carrier, both in tone spacings.
-
-    Refuses, as a ConfigurationError, a rate or a carrier off the tone grid,
-    a period shorter than the DAC's or longer than MAX_PERIOD_SAMPLES, a
-    carrier within the bandwidth, whose band would reach below DC, and a
-    rate at or below 2 (carrier + bandwidth): at equality the top band bin
-    is the Nyquist bin, which holds no quadrature for the phase shifters to
-    rotate.
-    """
-    chain, tones, spacing = system.chain, system.tone_count, system.tone_spacing
-    m = _as_multiple(chain.carrier, spacing, "carrier")
-    n_sim = _as_multiple(chain.sim_sample_rate, spacing, "sim_sample_rate")
-    if n_sim < system.n_dac:
+def _whole(value, name: str) -> int:
+    """value as a positive whole number, within the 1e-6 slack the library
+    allows a rate's multiple of the tone spacing, or a ConfigurationError."""
+    whole = round(value) if np.isfinite(value) else 0
+    if whole <= 0 or abs(value - whole) > 1e-6:
         raise ConfigurationError(
-            f"dac_sample_rate {chain.dac_sample_rate} must not exceed"
-            f" sim_sample_rate {chain.sim_sample_rate}"
+            f"{name} = {value} is not a positive whole number of tone spacings"
         )
+    return whole
+
+
+def passband_plan(system: SystemModel, carrier_bin: float, n_sim: float) -> PassbandPlan:
+    """The passband period of n_sim samples with the carrier at carrier_bin,
+    both in tone spacings, for the system's DAC period and tones.
+
+    Refuses, as a ConfigurationError, a bin or a size that is not whole, a
+    period shorter than the DAC's or longer than MAX_PERIOD_SAMPLES, a
+    carrier within the bandwidth, whose band would reach below DC, and a
+    period of at most 2 (m + K) samples: at equality the top band bin is the
+    Nyquist bin, which holds no quadrature for the phase shifters to rotate.
+    """
+    tones = system.tone_count
+    m = _whole(carrier_bin, "carrier_bin")
+    n_sim = _whole(n_sim, "n_sim")
+    if n_sim < system.n_dac:
+        raise ConfigurationError(f"n_sim {n_sim} must not be below the DAC period {system.n_dac}")
     if n_sim > MAX_PERIOD_SAMPLES:
         raise ConfigurationError(
-            f"sim_sample_rate {chain.sim_sample_rate} puts {n_sim:.3g} samples in one period;"
-            f" at most {MAX_PERIOD_SAMPLES} are simulated"
+            f"n_sim {n_sim:.3g} samples in one period; at most {MAX_PERIOD_SAMPLES} are simulated"
         )
     if m <= tones:
-        raise ConfigurationError("carrier must exceed the baseband bandwidth")
+        raise ConfigurationError(f"carrier_bin {m} must exceed the tone count {tones}")
     if n_sim <= 2 * (m + tones):
         raise ConfigurationError(
-            f"sim_sample_rate {chain.sim_sample_rate} must exceed the Nyquist rate"
-            f" 2 x (carrier {chain.carrier} + bandwidth {system.bandwidth})"
+            f"n_sim {n_sim} must exceed the Nyquist size 2 x (carrier_bin {m} + tones {tones})"
         )
     return PassbandPlan(n_sim, m, m + np.arange(-tones, tones + 1))
 
@@ -348,9 +358,11 @@ class PassbandOutcome:
     p_hpa: float
 
 
-def passband_outcome(tones: ToneSet, word: PhaseWord, system: SystemModel) -> PassbandOutcome:
-    """The chain on the real passband period of the system's passband_plan."""
-    chain, plan = system.chain, passband_plan(system)
+def passband_outcome(
+    tones: ToneSet, word: PhaseWord, system: SystemModel, plan: PassbandPlan
+) -> PassbandOutcome:
+    """The chain on the real passband period of a passband_plan."""
+    chain = system.chain
     digital = synthesize_multitone(tones.amplitudes, tones.phases, system.n_dac)
     lpf = lowpass_filter(quantize_dac(digital, chain.dac_bits, chain.dac_range), system.tone_count)
     mixer = upconvert(lpf, system.tone_count, plan.carrier_bin, plan.n_sim)

@@ -166,11 +166,13 @@ def test_criterion_07_chain_spectra():
     assert outside_energy < 1e-20 * total
 
     # and so does the passband reference's received period, around the carrier
-    received = reference.passband_outcome(setup.tones, setup.phase_word, setup.system).received
+    plan = reference.passband_plan(setup.system, *reference.DESK_PLAN)
+    received = reference.passband_outcome(
+        setup.tones, setup.phase_word, setup.system, plan
+    ).received
     spectrum = np.fft.rfft(received)
-    freqs = np.fft.rfftfreq(received.size, d=1.0 / chain.sim_sample_rate)
-    carrier = chain.carrier
-    outside = np.abs(freqs - carrier) > bw * (1.0 + 1e-12)
+    freqs = np.fft.rfftfreq(received.size, d=1.0 / (plan.n_sim * SPACING))
+    outside = np.abs(freqs - plan.carrier_bin * SPACING) > bw * (1.0 + 1e-12)
     total = np.sum(np.abs(spectrum) ** 2)
     outside_energy = np.sum(np.abs(spectrum[outside]) ** 2)
     assert total > 0

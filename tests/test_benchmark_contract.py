@@ -75,6 +75,21 @@ def test_profiles_build_with_a_positive_simulation_rate(profile):
         assert round(rate / setup.system.tone_spacing) > 0
 
 
+def test_computed_sizes_build_for_every_workload(monkeypatch):
+    # the worker calls computed_sizes at the end of every run, traced or not;
+    # it imports its sibling modules from perfbench/ as top-level names
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = _perfbench_module("workloads")
+    names = sorted(workloads.WORKLOADS)
+    assert names == ["desk-optimize", "paper-evaluate", "paper-simulate", "toy-grid"]
+    for name in names:
+        sizes = workloads.computed_sizes(name)
+        samples = sizes["passband_samples"]
+        assert isinstance(samples, int) and samples > 0
+        elements = workloads.make_setup(name).system.element_count
+        assert sizes["phase_shifters_bytes"] == elements * samples * 8
+
+
 def test_candidates_and_the_root_solver_oracle():
     setup = build_setup(load_config(profile="paper"))
     system = setup.system

@@ -62,8 +62,10 @@ class TestConfig:
             setup = build_setup(load_config(profile=profile))
             assert setup.system.tone_count == 8
             assert setup.system.element_count == 25
-        assert build_setup(load_config(profile="paper")).system.chain.carrier == 5.18e9
-        assert build_setup(load_config(profile="desk")).system.chain.carrier == 80e6
+        # desk is an alias of paper, and channel.rf_carrier the one carrier
+        assert load_config(profile="desk") == load_config(profile="paper")
+        assert load_config()["channel"]["rf_carrier"] == 5.18e9
+        assert build_setup(load_config(profile="desk")).system.geometry.carrier == 5.18e9
 
     def test_round_trip_identity(self, tmp_path):
         cfg = load_config(profile="desk")
@@ -590,9 +592,11 @@ class TestMainEntryPoint:
     @pytest.mark.parametrize(
         "text, flags, key",
         [
-            ("waveform:\n  tone_spacing: 1.0e-300\n", [], "tone spacing"),
+            ("waveform:\n  tone_spacing: 1.0e-300\n", [], "waveform.tone_spacing"),
+            # a carrier low enough that the rate it implies is finite reaches
+            # the DAC period's bound instead
             (
-                "waveform:\n  tone_spacing: 1.0e-300\nchain:\n  sim_sample_rate: 225.0e6\n",
+                "waveform:\n  tone_spacing: 1.0e-300\nchannel:\n  rf_carrier: 2.0e+7\n",
                 [],
                 "waveform.tone_spacing",
             ),
@@ -617,19 +621,21 @@ class TestMainEntryPoint:
             ("waveform:\n  tone_spacing: 1.0e-3\n", [], "waveform.tone_spacing"),
             (
                 "waveform:\n  tone_count: 200000\nchain:\n  dac_sample_rate: 5.0e+11\n"
-                "  sim_sample_rate: 1.25e+12\n  carrier: 3.125e+11\n"
                 "channel:\n  rf_carrier: 1.0e+12\n",
                 [],
                 "waveform.tone_count",
             ),
             (
                 "waveform:\n  tone_count: 30000\nchain:\n  dac_sample_rate: 7.5e+10\n"
-                "  carrier: 1.0e+11\nchannel:\n  rf_carrier: 1.0e+12\n",
+                "channel:\n  rf_carrier: 1.0e+12\n",
                 [],
                 "waveform.tone_count",
             ),
             ("waveform:\n  tone_count: 0\n", [], "waveform.tone_count"),
             ("channel:\n  rf_carrier: 5.0e+6\n", [], "channel.rf_carrier"),
+            ("channel:\n  rf_carrier: -5.0\n", [], "channel.rf_carrier"),
+            ("channel:\n  rf_carrier: 1.0e-300\n", [], "channel.rf_carrier"),
+            ("channel:\n  rf_carrier: null\n", [], "channel.rf_carrier"),
             ("receiver:\n  position: [0.0, 0.0, 0.0]\n", [], "receiver.position"),
             ("receiver:\n  position: [0.0, 1.0e+300, 0.0]\n", [], "receiver.position"),
             ("receiver:\n  position: [0.0, 1.0e+305, 0.0]\n", [], "receiver.position"),
@@ -647,7 +653,8 @@ class TestMainEntryPoint:
             "penalty-below-dac-power", "dac-rate-not-multiple", "spacing-1e-200-samples-bound",
             "spacing-1e-3-samples-bound", "tone-count-synthesis-bound",
             "tone-count-envelope-bound", "tone-count-zero",
-            "rf-carrier-below-bandwidth", "receiver-on-element", "receiver-distance-overflow",
+            "rf-carrier-below-bandwidth", "rf-carrier-negative", "rf-carrier-1e-300",
+            "rf-carrier-null", "receiver-on-element", "receiver-distance-overflow",
             "receiver-phase-overflow", "array-channel-bound",
             "array-3000-squared", "array-100000-squared", "unparsable-yaml",
         ],
@@ -667,13 +674,13 @@ class TestMainEntryPoint:
             assert key in err
 
     @pytest.mark.parametrize(
-        "text",
+        "text, key",
         [
-            "chain:\n  sim_sample_rate: 180.0e6\n",
-            "chain:\n  dac_sample_rate: 1.0e+9\n",
-            "chain:\n  sim_sample_rate: 180000000.625\n",
-            "chain:\n  carrier: 80.3e6\n",
-            "chain:\n  carrier: 10.0e6\n",
+            ("chain:\n  sim_sample_rate: 180.0e6\n", "chain.sim_sample_rate"),
+            ("chain:\n  dac_sample_rate: 1.0e+9\n", None),
+            ("chain:\n  sim_sample_rate: 180000000.625\n", "chain.sim_sample_rate"),
+            ("chain:\n  carrier: 80.3e6\n", "chain.carrier"),
+            ("chain:\n  carrier: 10.0e6\n", "chain.carrier"),
         ],
         ids=[
             "nyquist-boundary", "dac-rate-above-sim-rate", "nyquist-off-multiple",
@@ -681,20 +688,63 @@ class TestMainEntryPoint:
         ],
     )
     @pytest.mark.filterwarnings("error")
-    def test_reference_only_keys_run(self, tmp_path, capsys, text):
-        # chain.sim_sample_rate and chain.carrier only place the tests'
-        # passband reference, which checks its own plan; the chain reads neither
+    def test_reference_only_keys_run(self, tmp_path, capsys, text, key):
+        # chain.sim_sample_rate and chain.carrier only placed the tests'
+        # passband reference, which now takes its plan from each test: the
+        # keys are gone and exit 3 by name, while a DAC rate above the
+        # reference's old rate still runs
         path = tmp_path / "reference-only.yaml"
         path.write_text(text)
         argv = ["simulate", "--profile", "desk", "--config", str(path)]
-        assert main([*argv, "--out", str(tmp_path / "r.yaml")]) == EXIT_OK
-        assert capsys.readouterr().err == ""
+        code = main([*argv, "--out", str(tmp_path / "r.yaml")])
+        err = capsys.readouterr().err
+        if key is None:
+            assert code == EXIT_OK and err == ""
+        else:
+            assert code == EXIT_CONFIG and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("key", ["chain.carrier", "chain.sim_sample_rate"])
+    def test_removed_carrier_keys_exit_three_by_name(self, tmp_path, capsys, key):
+        section, name = key.split(".")
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            load_config(overrides={section: {name: 80e6}})
+        for text in (
+            f"{section}:\n  {name}: 80.0e+6\n",
+            f"sweep:\n  - path: {key}\n    values: [80.0e+6]\n",
+        ):
+            path = tmp_path / "removed.yaml"
+            path.write_text(text)
+            assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and err.count("\n") == 1
+            assert key in err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("simulate", ""),
+            ("optimize", "swarm:\n  particles: 4\n  iterations: 3\n"),
+            ("sweep", "swarm:\n  particles: 4\n  iterations: 3\nsweep:\n"
+                      "  - path: chain.dac_bits\n    values: [2, 3]\n"),
+        ],
+    )
+    def test_desk_is_an_alias_of_paper(self, tmp_path, capsys, command, config):
+        argv = [command]
+        if config:
+            path = tmp_path / "run.yaml"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        outputs = []
+        for profile in ("desk", "paper"):
+            assert main([*argv, "--profile", profile]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
 
     def test_synthesis_grid_within_the_budget_runs(self, tmp_path, capsys):
         # 1024 tones at 2048 DAC samples a period; H_band is 25 x 2049
         text = (
             "waveform:\n  tone_count: 1024\n"
-            "chain:\n  dac_sample_rate: 2.56e+9\n  carrier: 2.56e+9\n"
+            "chain:\n  dac_sample_rate: 2.56e+9\n"
         )
         path = tmp_path / "wide.yaml"
         path.write_text(text)
@@ -708,7 +758,7 @@ class TestMainEntryPoint:
         path = tmp_path / "wide.yaml"
         path.write_text(
             "waveform:\n  tone_count: 1024\n"
-            "chain:\n  dac_sample_rate: 2.56e+9\n  carrier: 2.56e+9\n"
+            "chain:\n  dac_sample_rate: 2.56e+9\n"
             "swarm:\n  iterations: 1\n"
         )
         assert build_setup(load_config(path)).swarm.particles == 30
@@ -723,7 +773,7 @@ class TestMainEntryPoint:
         path = tmp_path / "wider.yaml"
         path.write_text(
             "waveform:\n  tone_count: 2048\n"
-            "chain:\n  dac_sample_rate: 5.12e+9\n  carrier: 5.12e+9\n"
+            "chain:\n  dac_sample_rate: 5.12e+9\n"
         )
         out = tmp_path / "r.yaml"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK

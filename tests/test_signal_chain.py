@@ -125,11 +125,7 @@ def test_chain_matches_direct_sums_on_every_grid(tones, dac_extra, carrier_extra
     setup = desk_setup(
         waveform={"tone_count": tones},
         array={"rows": 1, "cols": 1},
-        chain={
-            "dac_sample_rate": n_dac * SPACING,
-            "carrier": m * SPACING,
-            "sim_sample_rate": n_sim * SPACING,
-        },
+        chain={"dac_sample_rate": n_dac * SPACING},
     )
     rng = np.random.default_rng(seed)
     amplitudes = rng.uniform(0.0, 2.0, tones)
@@ -156,7 +152,7 @@ def test_chain_matches_direct_sums_on_every_grid(tones, dac_extra, carrier_extra
     envelope /= n_dac
     passband = passband.real / n_dac
     assert_allclose(stages.mixer, envelope, rtol=0, atol=1e-12 * np.max(np.abs(envelope)))
-    plan = passband_plan(setup.system)
+    plan = passband_plan(setup.system, m, n_sim)
     assert (plan.n_sim, plan.carrier_bin) == (n_sim, m)
     mixer = upconvert(stages.lpf, tones, plan.carrier_bin, plan.n_sim)
     assert_allclose(mixer, passband, rtol=0, atol=1e-12 * np.max(np.abs(passband)))

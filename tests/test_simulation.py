@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup, toy_setup
-from reference import passband_outcome, passband_plan
+from reference import DESK_PLAN, passband_outcome, passband_plan
 from wptsim import (
     ConfigurationError,
     DomainError,
@@ -45,7 +45,7 @@ class TestRunChain:
         setup = desk_setup()
         system = setup.system
         stages = run_chain(setup.tones, setup.phase_word, system)
-        plan = passband_plan(system)
+        plan = passband_plan(system, *DESK_PLAN)
         assert (system.n_dac, system.n_env, plan.n_sim, plan.carrier_bin) == (80, 384, 180, 64)
         for stage in (stages.digital, stages.dac, stages.lpf):
             assert stage.dtype == complex
@@ -53,7 +53,7 @@ class TestRunChain:
         for stage in (stages.mixer, stages.hpa, stages.received):
             assert stage.dtype == complex
             assert stage.shape == (384,)
-        reference = passband_outcome(setup.tones, setup.phase_word, system)
+        reference = passband_outcome(setup.tones, setup.phase_word, system, plan)
         for stage in (reference.mixer, reference.hpa, reference.received):
             assert stage.dtype == float
             assert stage.shape == (180,)
@@ -104,21 +104,17 @@ class TestRunChain:
         )
 
     def test_stages_consistent_across_simulation_rates(self):
-        # the chain reads neither the passband rate nor the chain carrier:
-        # twice the default rate, and a rate below the reference's Nyquist
-        # rate or a carrier off the tone grid, which the reference refuses,
-        # change no stage, no result and no swarm trace
+        # the chain reads no passband rate: the chain's sim_sample_rate, which
+        # only the benchmark harness reads, at twice the desk reference's rate
+        # and below its Nyquist rate changes no stage, no result and no trace
         setup = desk_setup()
         expected = evaluate_solution(setup.tones, setup.phase_word, setup.system)
         swarm = dataclasses.replace(setup.swarm, particles=6, iterations=3)
         trace = pso_run(setup.system, swarm).fitness_trace
-        for chain in (
-            {"sim_sample_rate": 360 * SPACING},
-            {"sim_sample_rate": 100e6},
-            {"carrier": 80.3e6},
-        ):
-            other = desk_setup(chain=chain)
-            outcome = evaluate_solution(other.tones, other.phase_word, other.system)
+        for rate in (360 * SPACING, 100e6):
+            chain = dataclasses.replace(setup.system.chain, sim_sample_rate=rate)
+            other = dataclasses.replace(setup.system, chain=chain)
+            outcome = evaluate_solution(setup.tones, setup.phase_word, other)
             for name in ("digital", "dac", "mixer", "hpa", "received"):
                 assert np.array_equal(
                     getattr(outcome.stages, name), getattr(expected.stages, name)
@@ -126,7 +122,7 @@ class TestRunChain:
             for record in ("harvest", "power"):
                 got, want = vars(getattr(outcome, record)), vars(getattr(expected, record))
                 assert np.array_equal(list(got.values()), list(want.values()))
-            assert np.array_equal(pso_run(other.system, swarm).fitness_trace, trace)
+            assert np.array_equal(pso_run(other, swarm).fitness_trace, trace)
 
     def test_received_power_below_radiated_power(self):
         setup = desk_setup()
@@ -367,38 +363,37 @@ def test_a_desk_batch_peaks_below_sixteen_sample_arrays():
 
 
 class TestSystemModelValidation:
-    # The passband reference's plan rules: the library builds each of these
-    # systems, and tests/reference.py refuses to sample them. Six rules, one
-    # test each: the carrier's multiple, the strict Nyquist rule, and the
-    # four rows of test_the_reference_refuses_the_passband_plan.
+    # The passband reference's plan rules: the library has no plan, and
+    # tests/reference.py refuses to sample these. Six rules, one test each:
+    # the carrier bin's whole number, the strict Nyquist rule, and the four
+    # rows of test_the_reference_refuses_the_passband_plan.
     def test_non_commensurate_carrier_rejected(self):
-        system = desk_setup(chain={"carrier": 80.3e6}).system
-        with pytest.raises(ConfigurationError, match="carrier"):
-            passband_plan(system)
+        with pytest.raises(ConfigurationError, match="carrier_bin"):
+            passband_plan(desk_setup().system, 80.3e6 / SPACING, 180)
 
     def test_nyquist_violation_rejected(self):
+        system = desk_setup().system
         with pytest.raises(ConfigurationError, match="Nyquist"):
-            passband_plan(desk_setup(chain={"sim_sample_rate": 100e6}).system)
+            passband_plan(system, 64, 80)
         # strict: at 2 (carrier + BW) the top receive bin is the Nyquist bin
         with pytest.raises(ConfigurationError, match="Nyquist"):
-            passband_plan(desk_setup(chain={"sim_sample_rate": 180e6}).system)
-        above = desk_setup(chain={"sim_sample_rate": 181.25e6}).system
-        assert passband_plan(above).band.size == 17
+            passband_plan(system, 64, 144)
+        assert passband_plan(system, 64, 145).band.size == 17
 
     @pytest.mark.parametrize(
-        "chain, message",
+        "chain, plan, message",
         [
-            ({"sim_sample_rate": 225.3e6}, "sim_sample_rate = 225300000.0 is not"),
-            ({"dac_sample_rate": 1.0e9}, "must not exceed sim_sample_rate"),
-            ({"sim_sample_rate": (2**20 + 1) * SPACING}, "at most 1048576 are simulated"),
-            ({"carrier": 10e6, "sim_sample_rate": 225e6}, "carrier must exceed"),
+            ({}, (64, 225.3e6 / SPACING), "n_sim = 180.24"),
+            ({"dac_sample_rate": 1.0e9}, DESK_PLAN, "must not be below the DAC period 800"),
+            ({}, (64, 2**20 + 1), "at most 1048576 are simulated"),
+            ({}, (8, 180), "carrier_bin 8 must exceed the tone count 8"),
         ],
         ids=["rate-off-the-grid", "dac-rate-above-sim-rate", "period-bound", "carrier-in-band"],
     )
-    def test_the_reference_refuses_the_passband_plan(self, chain, message):
+    def test_the_reference_refuses_the_passband_plan(self, chain, plan, message):
         system = desk_setup(chain=chain).system
         with pytest.raises(ConfigurationError, match=message):
-            passband_plan(system)
+            passband_plan(system, *plan)
 
     def test_dac_period_bound(self):
         # the DAC period has its own bound, named by the tone spacing that sets it
@@ -406,17 +401,19 @@ class TestSystemModelValidation:
         with pytest.raises(ConfigurationError, match="waveform.tone_spacing"):
             desk_setup(chain={"dac_sample_rate": (2**20 + 1) * SPACING})
 
-    @pytest.mark.parametrize(
-        "chain", [{"sim_sample_rate": 225000000.625}, {"carrier": 79999999.375}]
-    )
-    def test_rate_within_the_multiple_slack_keeps_the_whole_band(self, chain):
+    @pytest.mark.parametrize("plan", [(64, 180 + 5e-7), (64 - 5e-7, 180)])
+    def test_rate_within_the_multiple_slack_keeps_the_whole_band(self, plan):
         # 180 + 5e-7 and 64 - 5e-7 tone spacings: the same plan as the exact
-        # multiples, so the same 17 bins and the same harvest
-        exact, off = desk_setup(), desk_setup(chain=chain)
-        assert np.array_equal(passband_plan(off.system).band, passband_plan(exact.system).band)
-        assert passband_plan(off.system).band.size == 17
-        outcomes = [evaluate_solution(s.tones, s.phase_word, s.system) for s in (exact, off)]
-        assert outcomes[1].harvest.p_out_dc == outcomes[0].harvest.p_out_dc
+        # multiples, so the same 17 bins and the same reference harvest
+        setup = desk_setup()
+        exact, off = passband_plan(setup.system, *DESK_PLAN), passband_plan(setup.system, *plan)
+        assert (off.carrier_bin, off.n_sim) == DESK_PLAN
+        assert np.array_equal(off.band, exact.band)
+        assert off.band.size == 17
+        outcomes = [
+            passband_outcome(setup.tones, setup.phase_word, setup.system, p) for p in (exact, off)
+        ]
+        assert outcomes[1].p_out_dc == outcomes[0].p_out_dc
 
     def test_dac_rate_below_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -439,9 +436,8 @@ class TestSystemModelValidation:
         desk_setup(channel={"boresight_exponent": -0.5})
 
     def test_paper_profile_agrees_with_desk_scale(self):
-        # the desk profile snaps the simulated carrier down; the envelope chain
-        # reads neither carrier nor rate, so harvest and amplifier power are
-        # those of the faithful 5.18 GHz configuration, to the last bit
+        # desk is an alias of paper, so harvest and amplifier power are those
+        # of the faithful 5.18 GHz configuration, to the last bit
         from wptsim.config import build_setup, load_config
 
         paper = build_setup(load_config(profile="paper"))
@@ -453,9 +449,11 @@ class TestSystemModelValidation:
         assert fast.power.p_hpa == full.power.p_hpa
 
     def test_desk_profile_keeps_rf_wavelengths(self):
+        # the one carrier, channel.rf_carrier, is the paper's 5.18 GHz on the alias
         setup = desk_setup()
-        assert setup.system.chain.carrier == 80e6
+        assert not hasattr(setup.system.chain, "carrier")
         assert setup.system.geometry.carrier == 5.18e9
+        assert setup.raw["channel"]["rf_carrier"] == 5.18e9
         channel = build_channel_matrix(setup.system.geometry, setup.system.receiver)
         assert channel.carrier == 5.18e9
         # channel magnitudes match the faithful 5.18 GHz path loss
