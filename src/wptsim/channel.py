@@ -55,11 +55,10 @@ class ArrayGeometry:
 def element_positions(rows: int, cols: int, carrier: float) -> ArrayGeometry:
     """Lay out the rows x cols element grid for the given RF carrier."""
     if rows < 1 or cols < 1:
-        raise DomainError("array must have at least one row and one column")
+        raise DomainError(f"{'rows' if rows < 1 else 'cols'} must be at least 1")
     if rows * cols > MAX_CHANNEL_ENTRIES:
         raise DomainError(
-            f"array.rows x array.cols = {rows} x {cols} elements; at most"
-            f" {MAX_CHANNEL_ENTRIES} are modelled"
+            f"rows x cols = {rows} x {cols} elements; at most {MAX_CHANNEL_ENTRIES} are modelled"
         )
     if carrier <= 0:
         raise DomainError("carrier frequency must be positive")
@@ -114,7 +113,7 @@ class ChannelMatrix:
 
 
 def build_channel_matrix(
-    geometry: ArrayGeometry, receiver: ReceiverPosition, boresight_exponent: float = 2.0
+    geometry: ArrayGeometry, receiver: ReceiverPosition, boresight_exponent: float
 ) -> ChannelMatrix:
     """Assemble the per-element channel for the given receiver location."""
     delta = receiver.as_array()[None, :] - geometry.positions

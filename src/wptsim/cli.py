@@ -98,23 +98,16 @@ def emit_table(header: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
-def _harvest_report(harvest) -> dict:
+def _solution_report(tones, word, outcome) -> dict:
+    """A candidate's tones, phase word, harvest and consumption, each record
+    reported field by field in dicts of its own, so editing a report leaves the
+    records alone."""
+    power = outcome.power
     return {
-        "v_out_dc": harvest.v_out_dc,
-        "p_out_dc": harvest.p_out_dc,
-        "rhs_log": harvest.rhs_log,
-    }
-
-
-def _power_report(power) -> dict:
-    return {
-        "p_dac": power.p_dac,
-        "p_mix": power.p_mix,
-        "p_lo": power.p_lo,
-        "p_hpa": power.p_hpa,
-        "p_s": power.p_s,
-        "p_total": power.p_total,
-        "hpa_negative": power.hpa_negative,
+        "tones": dict(vars(tones)),
+        "phase_word": word.levels,
+        "harvest": dict(vars(outcome.harvest)),
+        "power": vars(power) | {"p_total": power.p_total, "hpa_negative": power.hpa_negative},
     }
 
 
@@ -147,14 +140,7 @@ def cmd_simulate(setup) -> tuple[dict, int]:
         stages[name] = _stage_report(getattr(outcome.stages, name), rate, domain)
     report = {
         "command": "simulate",
-        "tones": {
-            "amplitudes": setup.tones.amplitudes,
-            "phases": setup.tones.phases,
-            "tone_spacing": setup.tones.tone_spacing,
-        },
-        "phase_word": setup.phase_word.levels,
-        "harvest": _harvest_report(outcome.harvest),
-        "power": _power_report(outcome.power),
+        **_solution_report(setup.tones, setup.phase_word, outcome),
         "stages": stages,
     }
     return report, EXIT_OK
@@ -170,14 +156,7 @@ def cmd_optimize(setup) -> tuple[dict, int]:
         "feasible": result.feasible,
         "best_fitness": result.best_fitness,
         "evaluations": result.evaluations,
-        "tones": {
-            "amplitudes": result.tones.amplitudes,
-            "phases": result.tones.phases,
-            "tone_spacing": result.tones.tone_spacing,
-        },
-        "phase_word": result.phase_word.levels,
-        "harvest": _harvest_report(resim.harvest),
-        "power": _power_report(resim.power),
+        **_solution_report(result.tones, result.phase_word, resim),
         "fitness_trace": result.fitness_trace,
     }
     return report, EXIT_OK if result.feasible else EXIT_INFEASIBLE

@@ -10,7 +10,7 @@ chosen profile.
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -33,6 +33,9 @@ PAPER_CARRIER = 5.18e9
 # which way they quantized; at 0.95 every DAC input sample of the default
 # waveform lies at least 1.6e-3 steps from a half step at 1 to 8 bits.
 DEFAULT_AMPLITUDE_SHARE = 0.95
+
+# the sections that are exactly a record's fields, with its types and defaults
+_RECORDS = {"rectenna": RectennaParams, "power": PowerParams, "swarm": SwarmConfig}
 
 # every leaf: type and paper default; a None default marks an optional leaf,
 # and a (list, type) pair a list of that element type
@@ -60,34 +63,9 @@ _TABLE = {
         "boresight_exponent": (float, 2.0),
         "rf_carrier": (float, PAPER_CARRIER),
     },
-    "rectenna": {
-        "source_resistance": (float, 50.0),
-        "load_resistance": (float, 1600.0),
-        "saturation_current": (float, 5e-6),
-        "thermal_voltage": (float, 25.86e-3),
-        "ideality": (float, 1.05),
-    },
-    "power": {
-        "supply_voltage": (float, 3.0),
-        "unit_current": (float, 10e-6),
-        "parasitic_capacitance": (float, 1e-12),
-        "correction_factor": (float, 1.0),
-        "mixer_power": (float, 23e-3),
-        "oscillator_power": (float, 5e-3),
-        "hpa_input_resistance": (float, 1.0),
-        "hpa_output_resistance": (float, 1.0),
-    },
-    "swarm": {
-        "particles": (int, 30),
-        "iterations": (int, 200),
-        "inertia": (float, 0.729),
-        "cognitive": (float, 1.49445),
-        "social": (float, 1.49445),
-        "seed": (int, 1),
-        "amplitude_max": (float, 300.0),
-        "required_dc_power": (float, 20e-6),
-        "penalty": (float, 1e6),
-    },
+} | {
+    section: {f.name: (f.type, f.default) for f in fields(record)}
+    for section, record in _RECORDS.items()
 }
 
 
@@ -259,12 +237,23 @@ class RunSetup:
     raw: dict
 
 
+def _built(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), built from the config section (or key) `where`.
+    A record's refusal starts with the name of the field it refuses, so the
+    ConfigurationError it is re-raised as names where.field."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigurationError, DomainError) as exc:
+        raise ConfigurationError(f"{where}.{exc}") from exc
+
+
 def build_setup(cfg: dict) -> RunSetup:
     """Assemble the system model and default waveform from a normalized config."""
     wf = cfg["waveform"]
     ch = cfg["chain"]
     tone_count = wf["tone_count"]
     tone_spacing = wf["tone_spacing"]
+    # SystemModel checks it too, but default_sim_rate divides by it first
     if tone_spacing <= 0:
         raise ConfigurationError("waveform.tone_spacing must be positive")
     bandwidth = tone_count * tone_spacing
@@ -281,47 +270,28 @@ def build_setup(cfg: dict) -> RunSetup:
     try:
         ps_insertion_loss = 10.0 ** (ch["ps_insertion_loss_db"] / 10.0)
     except OverflowError:
-        # the linear ratio is a finite double only up to about 3082 dB
+        ps_insertion_loss = math.inf
+    # ChainConfig refuses the linear ratio by its own name, not by this key's
+    if not 1.0 <= ps_insertion_loss < math.inf:
         raise ConfigurationError(
-            "chain: ps_insertion_loss_db is too large for a linear power ratio"
-        ) from None
-    try:
-        chain = ChainConfig(
-            dac_bits=ch["dac_bits"],
-            dac_range=ch["dac_range"],
-            dac_sample_rate=ch["dac_sample_rate"],
-            hpa_gain=ch["hpa_gain"],
-            hpa_saturation=ch["hpa_saturation"],
-            hpa_smoothness=ch["hpa_smoothness"],
-            ps_bits=ch["ps_bits"],
-            ps_insertion_loss=ps_insertion_loss,
-            sim_sample_rate=sim_rate,
+            "chain.ps_insertion_loss_db must be nonnegative and below about 3082 dB,"
+            " where its linear power ratio overflows"
         )
-    except (ConfigurationError, DomainError) as exc:
-        raise ConfigurationError(f"chain: {exc}") from exc
-
-    try:
-        geometry = element_positions(cfg["array"]["rows"], cfg["array"]["cols"], rf_carrier)
-    except DomainError as exc:
-        raise ConfigurationError(f"array: {exc}") from exc
+    chain_keys = {key: value for key, value in ch.items() if key != "ps_insertion_loss_db"}
+    chain = _built(
+        "chain", ChainConfig, **chain_keys,
+        ps_insertion_loss=ps_insertion_loss, sim_sample_rate=sim_rate,
+    )
+    geometry = _built("array", element_positions, **cfg["array"], carrier=rf_carrier)
 
     position = cfg["receiver"]["position"]
     if len(position) != 3:
         raise ConfigurationError("receiver.position must have three coordinates")
     receiver = ReceiverPosition(*position)
 
-    try:
-        rectenna = RectennaParams(**cfg["rectenna"])
-    except DomainError as exc:
-        raise ConfigurationError(f"rectenna: {exc}") from exc
-    try:
-        power = PowerParams(**cfg["power"])
-    except DomainError as exc:
-        raise ConfigurationError(f"power: {exc}") from exc
-    try:
-        swarm = SwarmConfig(**cfg["swarm"])
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"swarm: {exc}") from exc
+    rectenna, power, swarm = (
+        _built(section, record, **cfg[section]) for section, record in _RECORDS.items()
+    )
 
     system = SystemModel(
         tone_count=tone_count,
@@ -343,16 +313,13 @@ def build_setup(cfg: dict) -> RunSetup:
     word_levels = wf["phase_word"]
     if word_levels is None:
         word_levels = [0] * system.element_count
-    try:
-        tones = ToneSet(np.asarray(amplitudes), np.asarray(phases), tone_spacing)
-    except DomainError as exc:
-        raise ConfigurationError(f"waveform: {exc}") from exc
+    tones = _built("waveform", ToneSet, np.asarray(amplitudes), np.asarray(phases), tone_spacing)
     if tones.count != tone_count:
-        raise ConfigurationError("waveform: amplitude/phase lists must match tone_count")
-    try:
-        word = PhaseWord(np.asarray(word_levels), chain.ps_bits)
-    except DomainError as exc:
-        raise ConfigurationError(f"waveform.phase_word: {exc}") from exc
+        raise ConfigurationError(
+            "waveform.amplitudes and waveform.phases must hold waveform.tone_count"
+            f" = {tone_count} values"
+        )
+    word = _built("waveform.phase_word", PhaseWord, np.asarray(word_levels), chain.ps_bits)
     if word.count != system.element_count:
         raise ConfigurationError("waveform.phase_word must have one level per element")
 

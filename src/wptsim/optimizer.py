@@ -14,6 +14,7 @@ from .errors import ConfigurationError, DomainError, require_finite
 from .power_model import PowerBreakdown, dac_power
 from .signal_chain import PhaseWord, ToneSet
 from .simulation import (
+    GRID_CHUNK_SAMPLES,
     MAX_PERIOD_SAMPLES,
     SystemModel,
     _harvested,
@@ -26,15 +27,6 @@ from .simulation import (
 VELOCITY_CLAMP = 0.2
 
 GRID_BUDGET = 10_000_000
-# Most DAC samples (tone points x n_dac), ranked values (tone points x words)
-# and envelope samples in one receive (distinct emissions x words x n_env) in
-# a chunk of the grid, so its memory does not grow with the grid. The
-# rectenna's table read holds seven float arrays of the received samples
-# besides the complex periods, 9 doubles a sample, 1.2 MB at most; the
-# envelope and the amplifier run on the chunk's distinct DAC outputs, at most
-# tone points x n_env samples. (A swarm is one batch per iteration; the desk
-# swarm, 30 x 384 samples, is smaller than one chunk.)
-GRID_CHUNK_SAMPLES = 2**14
 
 # Most samples (particles x the longer of n_dac and n_env) in one swarm batch.
 # One batch of 30 particles peaks near 75 bytes an envelope sample at 64 to
@@ -61,15 +53,14 @@ class SwarmConfig:
     def __post_init__(self):
         require_finite(self, ConfigurationError)
         if self.particles < 2:
-            raise ConfigurationError("swarm needs at least 2 particles")
+            raise ConfigurationError("particles must be at least 2")
         if self.iterations < 0:
             raise ConfigurationError("iterations must be nonnegative")
         if not 0.0 <= self.inertia <= 1.0:
             raise ConfigurationError("inertia must lie in [0, 1]")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise ConfigurationError("cognitive and social weights must be positive")
-        if self.amplitude_max <= 0:
-            raise ConfigurationError("amplitude_max must be positive")
+        for name in ("cognitive", "social", "amplitude_max"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
         if self.required_dc_power < 0:
             raise ConfigurationError("required_dc_power must be nonnegative")
         if self.penalty <= 0:

@@ -9,16 +9,16 @@ from .errors import DomainError, require_finite
 
 @dataclass(frozen=True)
 class PowerParams:
-    """Component constants of the consumption model."""
+    """Component constants of the consumption model; the defaults are the paper's."""
 
-    supply_voltage: float  # V
-    unit_current: float  # A, least-significant-bit current source
-    parasitic_capacitance: float  # F, DAC switch parasitics
-    correction_factor: float  # second-order correction
-    mixer_power: float  # W
-    oscillator_power: float  # W
-    hpa_input_resistance: float  # ohm
-    hpa_output_resistance: float  # ohm
+    supply_voltage: float = 3.0  # V
+    unit_current: float = 10e-6  # A, least-significant-bit current source
+    parasitic_capacitance: float = 1e-12  # F, DAC switch parasitics
+    correction_factor: float = 1.0  # second-order correction
+    mixer_power: float = 23e-3  # W
+    oscillator_power: float = 5e-3  # W
+    hpa_input_resistance: float = 1.0  # ohm
+    hpa_output_resistance: float = 1.0  # ohm
 
     def __post_init__(self):
         require_finite(self, DomainError)

@@ -28,13 +28,13 @@ from .signal_chain import ZONE_TABLE_NODES, _cubic_pieces, _read_table
 
 @dataclass(frozen=True)
 class RectennaParams:
-    """Diode and load constants of the harvester."""
+    """Diode and load constants of the harvester; the defaults are the paper's."""
 
-    source_resistance: float  # ohm, antenna source (matched rectifier input)
-    load_resistance: float  # ohm
-    saturation_current: float  # A, diode reverse-bias saturation current
-    thermal_voltage: float  # V
-    ideality: float
+    source_resistance: float = 50.0  # ohm, antenna source (matched rectifier input)
+    load_resistance: float = 1600.0  # ohm
+    saturation_current: float = 5e-6  # A, diode reverse-bias saturation current
+    thermal_voltage: float = 25.86e-3  # V
+    ideality: float = 1.05
 
     def __post_init__(self):
         require_finite(self, DomainError)
@@ -42,7 +42,7 @@ class RectennaParams:
             if getattr(self, f.name) <= 0:
                 raise DomainError(f"{f.name} must be positive")
         if self.ideality < 1:
-            raise DomainError("ideality factor must be >= 1")
+            raise DomainError("ideality must be >= 1")
 
     @property
     def load_constant(self) -> float:

@@ -67,9 +67,9 @@ def _as_multiple(rate: float, step: float, name: str) -> int:
 def _check_tones(amplitudes: np.ndarray, phases: np.ndarray) -> None:
     # each test holds for the valid values, so NaN (false in every comparison) fails it
     if not (np.isfinite(amplitudes) & (amplitudes >= 0)).all():
-        raise DomainError("tone amplitudes must be finite and nonnegative")
+        raise DomainError("amplitudes must be finite and nonnegative")
     if not ((phases >= 0) & (phases < 2 * np.pi)).all():
-        raise DomainError("tone phases must lie in [0, 2*pi)")
+        raise DomainError("phases must lie in [0, 2*pi)")
 
 
 def _as_levels(levels, bits: int) -> np.ndarray:
@@ -79,7 +79,7 @@ def _as_levels(levels, bits: int) -> np.ndarray:
     levels = np.asarray(levels)
     top = 2**bits - 1
     if not ((levels >= 0) & (levels <= top) & (np.floor(levels) == levels)).all():
-        raise DomainError(f"phase levels must be whole numbers in [0, {top}]")
+        raise DomainError(f"levels must be whole numbers in [0, {top}]")
     return levels.astype(int)
 
 
@@ -103,10 +103,10 @@ class ToneSet:
         if amplitudes.ndim != 1 or amplitudes.shape != phases.shape:
             raise DomainError("amplitudes and phases must be 1-D vectors of equal length")
         if amplitudes.size == 0:
-            raise DomainError("at least one tone is required")
+            raise DomainError("amplitudes must hold at least one tone")
         _check_tones(amplitudes, phases)
         if not self.tone_spacing > 0:
-            raise DomainError("tone spacing must be positive")
+            raise DomainError("tone_spacing must be positive")
 
     @property
     def count(self) -> int:
@@ -133,18 +133,16 @@ class ChainConfig:
         require_finite(self, ConfigurationError)
         if not 1 <= self.dac_bits <= MAX_BITS:
             raise ConfigurationError(f"dac_bits must lie in [1, {MAX_BITS}]")
-        if self.dac_range <= 0:
-            raise ConfigurationError("dac_range must be positive")
-        if self.dac_sample_rate <= 0 or self.sim_sample_rate <= 0:
-            raise ConfigurationError("sample rates must be positive")
-        if self.hpa_gain <= 0 or self.hpa_saturation <= 0:
-            raise ConfigurationError("amplifier gain and saturation must be positive")
+        positive = ("dac_range", "dac_sample_rate", "sim_sample_rate", "hpa_gain", "hpa_saturation")
+        for name in positive:
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
         if self.hpa_smoothness < 1:
-            raise ConfigurationError("amplifier smoothness must be >= 1")
+            raise ConfigurationError("hpa_smoothness must be >= 1")
         if not 1 <= self.ps_bits <= MAX_BITS:
             raise ConfigurationError(f"ps_bits must lie in [1, {MAX_BITS}]")
         if self.ps_insertion_loss < 1:
-            raise ConfigurationError("insertion loss is a linear power ratio >= 1")
+            raise ConfigurationError("ps_insertion_loss must be a linear power ratio >= 1")
 
 
 @dataclass(frozen=True)
@@ -158,9 +156,9 @@ class PhaseWord:
         require_finite(self, DomainError)
         levels = np.asarray(self.levels)
         if self.bits < 1:
-            raise DomainError("phase shifter resolution must be at least 1 bit")
+            raise DomainError("bits must be at least 1")
         if levels.ndim != 1 or levels.size == 0:
-            raise DomainError("phase word must be a nonempty 1-D vector")
+            raise DomainError("levels must be a nonempty 1-D vector")
         object.__setattr__(self, "levels", _as_levels(levels, self.bits))
 
     @property

@@ -63,7 +63,7 @@ class SystemModel:
     receiver: ReceiverPosition
     rectenna: RectennaParams
     power: PowerParams
-    boresight_exponent: float = 2.0
+    boresight_exponent: float
     n_dac: int = field(init=False)
     n_env: int = field(init=False)
     band_coefficients: np.ndarray = field(init=False, repr=False)
@@ -72,17 +72,17 @@ class SystemModel:
         if self.tone_count < 1:
             raise ConfigurationError("waveform.tone_count must be at least 1")
         if self.tone_spacing <= 0:
-            raise ConfigurationError("tone_spacing must be positive")
+            raise ConfigurationError("waveform.tone_spacing must be positive")
         chain, tones, bw = self.chain, self.tone_count, self.bandwidth
-        n_dac = _as_multiple(chain.dac_sample_rate, self.tone_spacing, "dac_sample_rate")
+        n_dac = _as_multiple(chain.dac_sample_rate, self.tone_spacing, "chain.dac_sample_rate")
         if n_dac < 2 * tones:
             raise ConfigurationError(
-                f"dac_sample_rate {chain.dac_sample_rate} below twice the bandwidth {bw}"
+                f"chain.dac_sample_rate {chain.dac_sample_rate} below twice the bandwidth {bw}"
             )
         if n_dac > MAX_PERIOD_SAMPLES:
             raise ConfigurationError(
                 f"waveform.tone_spacing {self.tone_spacing} puts {n_dac:.3g} samples in one"
-                f" period at dac_sample_rate; at most {MAX_PERIOD_SAMPLES} are simulated"
+                f" period at chain.dac_sample_rate; at most {MAX_PERIOD_SAMPLES} are simulated"
             )
         n_env = ENVELOPE_SAMPLES_PER_TONE * max(tones, 4)
         if n_env > MAX_PERIOD_SAMPLES:
@@ -343,9 +343,20 @@ def _under_every_word(sent: _Sent, levels) -> bool:
     return sent.amplitudes.ndim > levels.ndim
 
 
+# Most DAC samples (tone points x n_dac), ranked values (tone points x words)
+# and envelope samples in one receive (distinct emissions x words x n_env) in
+# a chunk of the grid, so its memory does not grow with the grid. The
+# rectenna's table read holds seven float arrays of the received samples
+# besides the complex periods, 9 doubles a sample, 1.2 MB at most; the
+# envelope and the amplifier run on the chunk's distinct DAC outputs, at most
+# tone points x n_env samples. (A swarm is one batch per iteration; the desk
+# swarm, 30 x 384 samples, is smaller than one chunk.)
+GRID_CHUNK_SAMPLES = 2**14
+
+
 @np.errstate(**_RAISE)
 def _harvested(
-    sent: _Sent, levels, system: SystemModel, block_samples: int | None = None
+    sent: _Sent, levels, system: SystemModel, block_samples: int
 ) -> tuple[HarvestResult, PowerBreakdown]:
     """Harvest and power of a _Sent's tone rows under phase levels.
 
@@ -362,10 +373,8 @@ def _harvested(
         return _harvest_and_power(received, amplitudes, p_in, p_out, system)
     # a block is all the words for as many emissions as fit, or one emission
     # and as many words as fit
-    emissions, words = len(emission), len(levels)
-    if block_samples is not None:
-        words = min(words, max(1, block_samples // system.n_env))
-        emissions = max(1, block_samples // (words * system.n_env))
+    words = min(len(levels), max(1, block_samples // system.n_env))
+    emissions = max(1, block_samples // (words * system.n_env))
     harvests = [
         [
             _harvest(
@@ -427,7 +436,8 @@ def evaluate_batch(
     _check_shapes(amplitudes, phases, levels, system)
     _check_tones(amplitudes, phases)
     levels = _as_levels(levels, system.chain.ps_bits)
-    harvest, power = _harvested(_transmitted(amplitudes, phases, system), levels, system)
+    sent = _transmitted(amplitudes, phases, system)
+    harvest, power = _harvested(sent, levels, system, GRID_CHUNK_SAMPLES)
     # p_dac, p_mix and p_lo are the same for every candidate
     return harvest, PowerBreakdown(*np.broadcast_arrays(*vars(power).values()))
 

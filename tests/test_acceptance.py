@@ -195,7 +195,7 @@ def test_criterion_08_channel_values():
     rng = np.random.default_rng(8)
     n = 180
     geom2 = element_positions(1, 2, 5.18e9)
-    channel = build_channel_matrix(geom2, receiver)
+    channel = build_channel_matrix(geom2, receiver, 2.0)
     band, coefficients = passband_receive_band(channel, 64, 8, SPACING)
     a = rng.normal(size=(2, n))
     b = rng.normal(size=(2, n))

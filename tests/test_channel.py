@@ -39,9 +39,9 @@ class _OneElement:
         return self.parent.coefficients_at(freqs)[self.index : self.index + 1]
 
 
-def tone_gain(geometry, receiver, tone_index, **kwargs):
+def tone_gain(geometry, receiver, tone_index, boresight_exponent=2.0):
     """Per-element channel at tone k, carrier + k tone spacings."""
-    channel = build_channel_matrix(geometry, receiver, **kwargs)
+    channel = build_channel_matrix(geometry, receiver, boresight_exponent)
     return channel.coefficients_at(geometry.carrier + tone_index * SPACING)[:, 0]
 
 
@@ -145,11 +145,11 @@ class TestChannelCoefficient:
     def test_receiver_on_element_rejected(self):
         geom = element_positions(1, 1, CARRIER_RF)
         with pytest.raises(DomainError):
-            build_channel_matrix(geom, ReceiverPosition(0.0, 0.0, 0.0))
+            build_channel_matrix(geom, ReceiverPosition(0.0, 0.0, 0.0), 2.0)
 
     def test_table_geometry_gains_are_small(self):
         geom = element_positions(5, 5, CARRIER_RF)
-        matrix = build_channel_matrix(geom, ReceiverPosition(0.0, 3.0, 0.0))
+        matrix = build_channel_matrix(geom, ReceiverPosition(0.0, 3.0, 0.0), 2.0)
         gains = matrix.coefficients_at(CARRIER_RF + np.arange(8) * SPACING)
         assert np.all(np.abs(gains) < 1e-2)
         assert np.all(np.abs(gains) > 0.0)
@@ -184,7 +184,7 @@ class TestReceivedSignal:
         # propagate each element separately and sum; must match the joint call
         geom = element_positions(1, 2, CARRIER_RF)
         er = ReceiverPosition(0.2, 2.5, -0.1)
-        channel = build_channel_matrix(geom, er)
+        channel = build_channel_matrix(geom, er, 2.0)
         sig_a = passband_tone(64, self.N_SAMP)
         sig_b = rng.normal(size=self.N_SAMP)
         joint = self.received(stack(sig_a, sig_b), channel)
@@ -207,7 +207,7 @@ class TestReceivedSignal:
     def test_stack_equals_sum_of_rows(self, rows, cols, position, seed):
         # generalises the superposition oracle to random stacks and receivers
         geom = element_positions(rows, cols, CARRIER_RF)
-        channel = build_channel_matrix(geom, ReceiverPosition(*position))
+        channel = build_channel_matrix(geom, ReceiverPosition(*position), 2.0)
         samples = np.random.default_rng(seed).normal(size=(geom.count, self.N_SAMP))
         joint = self.received(samples, channel)
         parts = sum(
@@ -218,7 +218,7 @@ class TestReceivedSignal:
 
     def test_linearity_in_signals(self, rng):
         geom = element_positions(1, 1, CARRIER_RF)
-        channel = build_channel_matrix(geom, ReceiverPosition(0.0, 3.0, 0.0))
+        channel = build_channel_matrix(geom, ReceiverPosition(0.0, 3.0, 0.0), 2.0)
         a = rng.normal(size=self.N_SAMP)
         b = rng.normal(size=self.N_SAMP)
         out_mix = self.received(stack(2.0 * a + 0.5 * b), channel)
@@ -279,7 +279,7 @@ class TestBeamformedReceived:
         carrier_bins = int(rng.integers(tones + 1, 65))
         n = 2 * (carrier_bins + tones) + int(rng.integers(1, 41))
         geom = element_positions(rows, cols, CARRIER_RF)
-        channel = build_channel_matrix(geom, ReceiverPosition(*position))
+        channel = build_channel_matrix(geom, ReceiverPosition(*position), 2.0)
         period = rng.normal(size=n)
         word = PhaseWord(rng.integers(0, 2**bits, geom.count), bits)
         loss = float(rng.uniform(1.0, 4.0))
@@ -308,7 +308,7 @@ class TestBeamformedReceived:
 
     def test_band_at_nyquist_or_dc_rejected(self):
         channel = build_channel_matrix(
-            element_positions(1, 2, CARRIER_RF), ReceiverPosition(0.0, 3.0, 0.0)
+            element_positions(1, 2, CARRIER_RF), ReceiverPosition(0.0, 3.0, 0.0), 2.0
         )
         word = PhaseWord([0, 1], 1)
         # 144 samples: the top band bin, 72, is the Nyquist bin
@@ -328,7 +328,7 @@ class TestBeamformedReceived:
 
     def test_inputs_checked(self):
         channel = build_channel_matrix(
-            element_positions(1, 2, CARRIER_RF), ReceiverPosition(0.0, 3.0, 0.0)
+            element_positions(1, 2, CARRIER_RF), ReceiverPosition(0.0, 3.0, 0.0), 2.0
         )
         band, coefficients = passband_receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         sig = passband_tone(64, self.N_SAMP)

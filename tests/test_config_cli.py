@@ -600,8 +600,8 @@ class TestMainEntryPoint:
                 [],
                 "waveform.tone_spacing",
             ),
-            ("swarm:\n  seed: -1\n", [], "seed"),
-            ("", ["--seed", "-1"], "seed"),
+            ("swarm:\n  seed: -1\n", [], "swarm.seed"),
+            ("", ["--seed", "-1"], "swarm.seed"),
             ("chain:\n  hpa_gain: .inf\n", [], "chain.hpa_gain"),
             ("chain:\n  dac_range: .nan\n", [], "chain.dac_range"),
             ("rectenna:\n  load_resistance: .nan\n", [], "rectenna.load_resistance"),
@@ -612,11 +612,33 @@ class TestMainEntryPoint:
             ("chain:\n  dac_bits: .inf\n", [], "chain.dac_bits"),
             ("swarm:\n  particles: .inf\n", [], "swarm.particles"),
             ("swarm:\n  particles: 1000000000\n", [], "swarm.particles"),
-            ("chain:\n  ps_insertion_loss_db: 4000\n", [], "ps_insertion_loss_db"),
-            ("chain:\n  dac_bits: 4000\n", [], "dac_bits"),
-            ("chain:\n  ps_bits: 70\n", [], "ps_bits"),
+            ("chain:\n  ps_insertion_loss_db: 4000\n", [], "chain.ps_insertion_loss_db"),
+            ("chain:\n  ps_insertion_loss_db: -0.5\n", [], "chain.ps_insertion_loss_db"),
+            ("chain:\n  dac_bits: 4000\n", [], "chain.dac_bits"),
+            ("chain:\n  ps_bits: 70\n", [], "chain.ps_bits"),
             ("chain:\n  dac_bits: 40\n", [], "swarm.penalty"),
-            ("chain:\n  dac_sample_rate: 100.3e6\n", [], "dac_sample_rate"),
+            ("chain:\n  dac_sample_rate: 100.3e6\n", [], "chain.dac_sample_rate"),
+            (
+                "waveform:\n  tone_spacing: 1.0e-301\nchannel:\n  rf_carrier: 1.0e-299\n",
+                [],
+                "chain.dac_sample_rate",
+            ),
+            ("chain:\n  dac_sample_rate: 0.0\n", [], "chain.dac_sample_rate"),
+            ("chain:\n  hpa_gain: 0.0\n", [], "chain.hpa_gain"),
+            ("chain:\n  hpa_saturation: -1.0\n", [], "chain.hpa_saturation"),
+            ("chain:\n  hpa_smoothness: 0.5\n", [], "chain.hpa_smoothness"),
+            ("swarm:\n  particles: 1\n", [], "swarm.particles"),
+            ("swarm:\n  cognitive: 0.0\n", [], "swarm.cognitive"),
+            ("swarm:\n  social: -1.0\n", [], "swarm.social"),
+            ("rectenna:\n  ideality: 0.5\n", [], "rectenna.ideality"),
+            ("array:\n  rows: 0\n", [], "array.rows"),
+            ("array:\n  cols: 0\n", [], "array.cols"),
+            ("waveform:\n  tone_spacing: 0.0\n", [], "waveform.tone_spacing"),
+            ("waveform:\n  tone_spacing: -1.0\n", [], "waveform.tone_spacing"),
+            ("waveform:\n  amplitudes: [1, 1, 1, -1, 1, 1, 1, 1]\n", [], "waveform.amplitudes"),
+            ("waveform:\n  amplitudes: [1, 1]\n", [], "waveform.amplitudes"),
+            ("waveform:\n  phases: [0, 0, 0, 7, 0, 0, 0, 0]\n", [], "waveform.phases"),
+            ("waveform:\n  phase_word: [8]\n", [], "waveform.phase_word"),
             ("waveform:\n  tone_spacing: 1.0e-200\n", [], "waveform.tone_spacing"),
             ("waveform:\n  tone_spacing: 1.0e-3\n", [], "waveform.tone_spacing"),
             (
@@ -640,8 +662,8 @@ class TestMainEntryPoint:
             ("receiver:\n  position: [0.0, 1.0e+300, 0.0]\n", [], "receiver.position"),
             ("receiver:\n  position: [0.0, 1.0e+305, 0.0]\n", [], "receiver.position"),
             ("array:\n  rows: 1000\n  cols: 1000\n", [], "array.rows x array.cols"),
-            ("array:\n  rows: 3000\n  cols: 3000\n", [], "array.rows x array.cols"),
-            ("array:\n  rows: 100000\n  cols: 100000\n", [], "array.rows x array.cols"),
+            ("array:\n  rows: 3000\n  cols: 3000\n", [], "array.rows x cols = 3000 x 3000"),
+            ("array:\n  rows: 100000\n  cols: 100000\n", [], "array.rows x cols = 100000 x"),
             ("chain:\n  dac_bits: [3, 4", [], "cannot parse config file"),
         ],
         ids=[
@@ -649,8 +671,14 @@ class TestMainEntryPoint:
             "hpa-gain-inf", "dac-range-nan", "load-resistance-nan", "mixer-power-inf",
             "position-nan", "amplitude-inf", "amplitude-max-inf", "dac-bits-inf",
             "particles-inf", "particles-batch-bound",
-            "insertion-loss-overflow", "dac-bits-overflow", "ps-bits-overflow",
-            "penalty-below-dac-power", "dac-rate-not-multiple", "spacing-1e-200-samples-bound",
+            "insertion-loss-overflow", "insertion-loss-negative", "dac-bits-overflow",
+            "ps-bits-overflow", "penalty-below-dac-power", "dac-rate-not-multiple",
+            "dac-rate-ratio-overflow", "dac-rate-zero", "hpa-gain-zero",
+            "hpa-saturation-negative", "hpa-smoothness-below-one", "particles-one",
+            "cognitive-zero", "social-negative", "ideality-below-one", "array-rows-zero",
+            "array-cols-zero", "spacing-zero", "spacing-negative", "amplitude-negative",
+            "amplitudes-short", "phase-above-turn", "phase-level-above-top",
+            "spacing-1e-200-samples-bound",
             "spacing-1e-3-samples-bound", "tone-count-synthesis-bound",
             "tone-count-envelope-bound", "tone-count-zero",
             "rf-carrier-below-bandwidth", "rf-carrier-negative", "rf-carrier-1e-300",

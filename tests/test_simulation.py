@@ -454,7 +454,8 @@ class TestSystemModelValidation:
         assert not hasattr(setup.system.chain, "carrier")
         assert setup.system.geometry.carrier == 5.18e9
         assert setup.raw["channel"]["rf_carrier"] == 5.18e9
-        channel = build_channel_matrix(setup.system.geometry, setup.system.receiver)
+        system = setup.system
+        channel = build_channel_matrix(system.geometry, system.receiver, system.boresight_exponent)
         assert channel.carrier == 5.18e9
         # channel magnitudes match the faithful 5.18 GHz path loss
         tones = channel.coefficients_at(5.18e9 + np.arange(8) * SPACING)
