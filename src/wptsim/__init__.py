@@ -8,7 +8,7 @@ inputs that these names have already checked.
 
 from .channel import ReceiverPosition, element_positions
 from .config import build_setup, load_config
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .optimizer import (
     SwarmConfig,
     brute_force_grid,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "DomainError",
     "NumericalError",
     "PhaseWord",
     "PowerBreakdown",

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .errors import DomainError
+from .errors import ConfigurationError
 from .signal_chain import band_bins
 
 # m/s, exact by the SI definition of the metre (scipy.constants.speed_of_light;
@@ -55,13 +55,13 @@ class ArrayGeometry:
 def element_positions(rows: int, cols: int, carrier: float) -> ArrayGeometry:
     """Lay out the rows x cols element grid for the given RF carrier."""
     if rows < 1 or cols < 1:
-        raise DomainError(f"{'rows' if rows < 1 else 'cols'} must be at least 1")
+        raise ConfigurationError(f"{'rows' if rows < 1 else 'cols'} must be at least 1")
     if rows * cols > MAX_CHANNEL_ENTRIES:
-        raise DomainError(
+        raise ConfigurationError(
             f"rows x cols = {rows} x {cols} elements; at most {MAX_CHANNEL_ENTRIES} are modelled"
         )
     if carrier <= 0:
-        raise DomainError("carrier frequency must be positive")
+        raise ConfigurationError("carrier frequency must be positive")
     spacing = 0.5 * speed_of_light / carrier
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing
@@ -97,10 +97,6 @@ class ChannelMatrix:
     boresight_exponent: float
     carrier: float  # RF carrier the tone grid hangs off
 
-    @property
-    def count(self) -> int:
-        return self.distances.size
-
     def coefficients_at(self, frequencies) -> np.ndarray:
         """Per-element channel coefficients at positive frequencies, shape
         (N, len(frequencies))."""
@@ -119,7 +115,7 @@ def build_channel_matrix(
     delta = receiver.as_array()[None, :] - geometry.positions
     distances = np.linalg.norm(delta, axis=1)
     if np.any(distances <= 0):
-        raise DomainError("receiver coincides with an array element")
+        raise ConfigurationError("receiver coincides with an array element")
     cos_elev = np.clip(delta[:, 1] / distances, -1.0, 1.0)
     elevations = np.arccos(cos_elev)
     return ChannelMatrix(distances, elevations, boresight_exponent, geometry.carrier)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .config import build_setup, config_set, dump_config, load_config
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .optimizer import pso_run
 from .simulation import evaluate_solution
 
@@ -201,7 +201,7 @@ def cmd_sweep(setup) -> tuple[dict, int]:
             row["p_out_dc"] = result.p_out_dc
             row["feasible"] = result.feasible
             row["best_fitness"] = result.best_fitness
-        except (ConfigurationError, DomainError, NumericalError) as exc:
+        except (ConfigurationError, NumericalError) as exc:
             row["error"] = str(exc)
         rows.append(row)
     report = {
@@ -325,9 +325,6 @@ def main(argv=None) -> int:
         return code
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DomainError as exc:
-        print(f"invalid value: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

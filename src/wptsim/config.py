@@ -10,13 +10,13 @@ chosen profile.
 
 import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 import yaml
 
 from .channel import ReceiverPosition, element_positions
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .optimizer import SwarmConfig
 from .power_model import PowerParams
 from .rectenna import RectennaParams
@@ -34,8 +34,16 @@ PAPER_CARRIER = 5.18e9
 # waveform lies at least 1.6e-3 steps from a half step at 1 to 8 bits.
 DEFAULT_AMPLITUDE_SHARE = 0.95
 
-# the sections that are exactly a record's fields, with its types and defaults
+# the sections that are exactly a record's fields, with its types and defaults;
+# chain is one too, but built apart, with the sim_sample_rate it computes
 _RECORDS = {"rectenna": RectennaParams, "power": PowerParams, "swarm": SwarmConfig}
+
+
+def _leaves(record) -> dict:
+    """A record's fields that have defaults, as config leaves; a field without
+    one (the chain's sim_sample_rate) is computed, not configured."""
+    return {f.name: (f.type, f.default) for f in fields(record) if f.default is not MISSING}
+
 
 # every leaf: type and paper default; a None default marks an optional leaf,
 # and a (list, type) pair a list of that element type
@@ -47,26 +55,14 @@ _TABLE = {
         "phases": ((list, float), None),  # default: all zero
         "phase_word": ((list, int), None),  # default: all zero
     },
-    "chain": {
-        "dac_bits": (int, 3),
-        "dac_range": (float, 1.0),
-        "dac_sample_rate": (float, 100e6),
-        "hpa_gain": (float, 10.0),
-        "hpa_saturation": (float, 10.0),
-        "hpa_smoothness": (float, 4.0),
-        "ps_bits": (int, 3),
-        "ps_insertion_loss_db": (float, 0.5),
-    },
+    "chain": _leaves(ChainConfig),
     "array": {"rows": (int, 5), "cols": (int, 5)},
     "receiver": {"position": ((list, float), [0.0, 3.0, 0.0])},
     "channel": {
         "boresight_exponent": (float, 2.0),
         "rf_carrier": (float, PAPER_CARRIER),
     },
-} | {
-    section: {f.name: (f.type, f.default) for f in fields(record)}
-    for section, record in _RECORDS.items()
-}
+} | {section: _leaves(record) for section, record in _RECORDS.items()}
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -243,14 +239,13 @@ def _built(where: str, build, *args, **kwargs):
     ConfigurationError it is re-raised as names where.field."""
     try:
         return build(*args, **kwargs)
-    except (ConfigurationError, DomainError) as exc:
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{where}.{exc}") from exc
 
 
 def build_setup(cfg: dict) -> RunSetup:
     """Assemble the system model and default waveform from a normalized config."""
     wf = cfg["waveform"]
-    ch = cfg["chain"]
     tone_count = wf["tone_count"]
     tone_spacing = wf["tone_spacing"]
     # SystemModel checks it too, but default_sim_rate divides by it first
@@ -267,21 +262,7 @@ def build_setup(cfg: dict) -> RunSetup:
     # only perfbench/workloads.py's computed_sizes reads the chain's sim_sample_rate
     sim_rate = default_sim_rate(rf_carrier, bandwidth, tone_spacing)
 
-    try:
-        ps_insertion_loss = 10.0 ** (ch["ps_insertion_loss_db"] / 10.0)
-    except OverflowError:
-        ps_insertion_loss = math.inf
-    # ChainConfig refuses the linear ratio by its own name, not by this key's
-    if not 1.0 <= ps_insertion_loss < math.inf:
-        raise ConfigurationError(
-            "chain.ps_insertion_loss_db must be nonnegative and below about 3082 dB,"
-            " where its linear power ratio overflows"
-        )
-    chain_keys = {key: value for key, value in ch.items() if key != "ps_insertion_loss_db"}
-    chain = _built(
-        "chain", ChainConfig, **chain_keys,
-        ps_insertion_loss=ps_insertion_loss, sim_sample_rate=sim_rate,
-    )
+    chain = _built("chain", ChainConfig, **cfg["chain"], sim_sample_rate=sim_rate)
     geometry = _built("array", element_positions, **cfg["array"], carrier=rf_carrier)
 
     position = cfg["receiver"]["position"]

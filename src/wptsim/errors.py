@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the finiteness and
-integrality check of the parameter records."""
+"""Exception types shared across the package, one per failing exit code of the
+CLI, and the finiteness and integrality check of the parameter records:
+ConfigurationError (exit 3) refuses an input, be it a config key, a record's
+field, a candidate or its shape; NumericalError (exit 4) is a computation that
+failed on accepted inputs."""
 
 import math
 import numbers
@@ -7,19 +10,16 @@ from dataclasses import fields
 
 
 class ConfigurationError(ValueError):
-    """Invalid or inconsistent configuration (rates, ranges, parameter paths)."""
-
-
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of an operation."""
+    """An input refused at the boundary: a value outside its range or domain,
+    or inconsistent with the rest of the configuration."""
 
 
 class NumericalError(ArithmeticError):
     """A numerical routine failed to produce a finite, converged result."""
 
 
-def require_finite(record, error: type[ValueError]) -> None:
-    """Raise `error` naming the first float field of a dataclass record that is
+def require_finite(record) -> None:
+    """Refuse, naming it, the first float field of a dataclass record that is
     NaN or infinite, so the record's range checks compare finite numbers (every
     comparison with NaN is False, so `x <= 0` alone lets NaN through), or the
     first int field that is not a Python or numpy integer (a 1.5-bit word or
@@ -28,6 +28,6 @@ def require_finite(record, error: type[ValueError]) -> None:
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type is float and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value}")
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise error(f"{f.name} must be an integer, got {value!r}")
+            raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")

@@ -6,11 +6,12 @@ plus the normalized violation so infeasible particles are still ranked and
 pulled toward feasibility. A brute-force grid provides toy-scale ground truth.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, require_finite
+from .errors import ConfigurationError, require_finite
 from .power_model import PowerBreakdown, dac_power
 from .signal_chain import PhaseWord, ToneSet
 from .simulation import (
@@ -51,7 +52,7 @@ class SwarmConfig:
     penalty: float = 1e6  # watts, must exceed any attainable consumption
 
     def __post_init__(self):
-        require_finite(self, ConfigurationError)
+        require_finite(self)
         if self.particles < 2:
             raise ConfigurationError("particles must be at least 2")
         if self.iterations < 0:
@@ -119,7 +120,7 @@ def decode_particle(
     """
     position = np.asarray(position, dtype=float)
     if position.size <= 2 * tone_count:
-        raise DomainError("particle must carry 2K tone entries plus N beam entries")
+        raise ConfigurationError("particle must carry 2K tone entries plus N beam entries")
     amplitudes, phases, levels = _decode_swarm(position[None], tone_count, ps_bits)
     return ToneSet(amplitudes[0], phases[0], tone_spacing), PhaseWord(levels[0], ps_bits)
 
@@ -159,16 +160,20 @@ def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
     """Refuse a penalty that some feasible candidate's consumption could reach.
 
     The HPA output stays below saturation and every tone amplitude below
-    amplitude_max, so the sum below bounds p_total from above.
+    amplitude_max, so the sum below bounds p_total from above. A square that
+    overflows makes the bound inf, which no penalty exceeds.
     """
     chain, power = system.chain, system.power
-    bound = (
-        dac_power(chain.dac_bits, chain.dac_sample_rate, power)
-        + power.mixer_power
-        + power.oscillator_power
-        + chain.hpa_saturation**2 / power.hpa_output_resistance
-        + swarm.amplitude_max**2
-    )
+    try:
+        bound = (
+            dac_power(chain.dac_bits, chain.dac_sample_rate, power)
+            + power.mixer_power
+            + power.oscillator_power
+            + chain.hpa_saturation**2 / power.hpa_output_resistance
+            + swarm.amplitude_max**2
+        )
+    except OverflowError:
+        bound = math.inf
     if not swarm.penalty > bound:
         raise ConfigurationError(
             f"swarm.penalty {swarm.penalty:g} W does not exceed the {bound:g} W bound"
@@ -241,6 +246,16 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     lower, upper = particle_bounds(system.tone_count, system.element_count, swarm.amplitude_max)
     n_var = lower.size
     span = upper - lower
+    # no velocity component exceeds (inertia clamp + cognitive + social) times
+    # the widest range; doubled against rounding, that bound must be a double
+    widest = float(span.max())
+    if not math.isfinite(
+        2.0 * (swarm.inertia * VELOCITY_CLAMP + swarm.cognitive + swarm.social) * widest
+    ):
+        raise ConfigurationError(
+            f"swarm.cognitive {swarm.cognitive:g} and swarm.social {swarm.social:g} overflow"
+            f" the velocity update over a search range of {widest:g}"
+        )
     v_max = VELOCITY_CLAMP * span
     rng = np.random.default_rng(swarm.seed)
 
@@ -300,7 +315,7 @@ def brute_force_grid(
     Ground truth for toy instances; refuses grids beyond the 1e7-point budget.
     """
     if amplitude_points < 1 or phase_points < 1:
-        raise DomainError("grid needs at least one point per dimension")
+        raise ConfigurationError("grid needs at least one point per dimension")
     objective = _Objective(system, swarm)
     tone_count = system.tone_count
     element_count = system.element_count

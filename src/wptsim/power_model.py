@@ -4,7 +4,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import ConfigurationError, require_finite
 
 
 @dataclass(frozen=True)
@@ -21,10 +21,10 @@ class PowerParams:
     hpa_output_resistance: float = 1.0  # ohm
 
     def __post_init__(self):
-        require_finite(self, DomainError)
+        require_finite(self)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
-                raise DomainError(f"{f.name} must be positive")
+                raise ConfigurationError(f"{f.name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, require_finite
+from .errors import ConfigurationError, NumericalError, require_finite
 from .signal_chain import ZONE_TABLE_NODES, _cubic_pieces, _read_table
 
 
@@ -37,12 +37,12 @@ class RectennaParams:
     ideality: float = 1.05
 
     def __post_init__(self):
-        require_finite(self, DomainError)
+        require_finite(self)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
-                raise DomainError(f"{f.name} must be positive")
+                raise ConfigurationError(f"{f.name} must be positive")
         if self.ideality < 1:
-            raise DomainError("ideality must be >= 1")
+            raise ConfigurationError("ideality must be >= 1")
 
     @property
     def load_constant(self) -> float:
@@ -257,7 +257,7 @@ def solve_rectifier_equation(rhs_log: float, params: RectennaParams) -> float:
     oracle, like the model, imports no scipy.
     """
     if not np.isfinite(rhs_log):
-        raise DomainError("rhs_log must be finite")
+        raise ConfigurationError("rhs_log must be finite")
     floor_v = params.load_resistance * params.saturation_current
     diode_v = params.ideality * params.thermal_voltage
 

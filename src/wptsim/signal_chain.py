@@ -19,11 +19,11 @@ sample rate.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, require_finite
+from .errors import ConfigurationError, require_finite
 
 # Largest DAC or phase-shifter resolution: the 53-bit significand of a double.
 # Up to it 2^bits - 1 is exact in float64, where the DAC step 2A/2^bits and
@@ -67,9 +67,9 @@ def _as_multiple(rate: float, step: float, name: str) -> int:
 def _check_tones(amplitudes: np.ndarray, phases: np.ndarray) -> None:
     # each test holds for the valid values, so NaN (false in every comparison) fails it
     if not (np.isfinite(amplitudes) & (amplitudes >= 0)).all():
-        raise DomainError("amplitudes must be finite and nonnegative")
+        raise ConfigurationError("amplitudes must be finite and nonnegative")
     if not ((phases >= 0) & (phases < 2 * np.pi)).all():
-        raise DomainError("phases must lie in [0, 2*pi)")
+        raise ConfigurationError("phases must lie in [0, 2*pi)")
 
 
 def _as_levels(levels, bits: int) -> np.ndarray:
@@ -79,7 +79,7 @@ def _as_levels(levels, bits: int) -> np.ndarray:
     levels = np.asarray(levels)
     top = 2**bits - 1
     if not ((levels >= 0) & (levels <= top) & (np.floor(levels) == levels)).all():
-        raise DomainError(f"levels must be whole numbers in [0, {top}]")
+        raise ConfigurationError(f"levels must be whole numbers in [0, {top}]")
     return levels.astype(int)
 
 
@@ -101,12 +101,12 @@ class ToneSet:
         object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "phases", phases)
         if amplitudes.ndim != 1 or amplitudes.shape != phases.shape:
-            raise DomainError("amplitudes and phases must be 1-D vectors of equal length")
+            raise ConfigurationError("amplitudes and phases must be 1-D vectors of equal length")
         if amplitudes.size == 0:
-            raise DomainError("amplitudes must hold at least one tone")
+            raise ConfigurationError("amplitudes must hold at least one tone")
         _check_tones(amplitudes, phases)
         if not self.tone_spacing > 0:
-            raise DomainError("tone_spacing must be positive")
+            raise ConfigurationError("tone_spacing must be positive")
 
     @property
     def count(self) -> int:
@@ -115,22 +115,32 @@ class ToneSet:
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Hardware parameters of the transmit chain."""
+    """Hardware parameters of the transmit chain; the defaults are the paper's."""
 
-    dac_bits: int
-    dac_range: float  # volts; the converter clips to [-range, +range]
-    dac_sample_rate: float  # Hz
-    hpa_gain: float
-    hpa_saturation: float  # volts
-    hpa_smoothness: float
-    ps_bits: int
-    ps_insertion_loss: float  # linear power ratio, >= 1
-    # Hz; the chain reads no passband rate. Kept only for perfbench's
-    # computed_sizes, and goes when the harness stops reading it
-    sim_sample_rate: float
+    dac_bits: int = 3
+    dac_range: float = 1.0  # volts; the converter clips to [-range, +range]
+    dac_sample_rate: float = 100e6  # Hz
+    hpa_gain: float = 10.0
+    hpa_saturation: float = 10.0  # volts
+    hpa_smoothness: float = 4.0
+    ps_bits: int = 3
+    ps_insertion_loss_db: float = 0.5
+    # Hz, with no default, so no config key: the chain reads no passband rate.
+    # Kept only for perfbench's computed_sizes, and goes when the harness
+    # stops reading it
+    sim_sample_rate: float = field(kw_only=True)
 
     def __post_init__(self):
-        require_finite(self, ConfigurationError)
+        require_finite(self)
+        try:
+            loss = self.ps_insertion_loss
+        except OverflowError:
+            loss = math.inf
+        if not 1.0 <= loss < math.inf:
+            raise ConfigurationError(
+                "ps_insertion_loss_db must be nonnegative and below about 3082 dB,"
+                " where its linear power ratio overflows"
+            )
         if not 1 <= self.dac_bits <= MAX_BITS:
             raise ConfigurationError(f"dac_bits must lie in [1, {MAX_BITS}]")
         positive = ("dac_range", "dac_sample_rate", "sim_sample_rate", "hpa_gain", "hpa_saturation")
@@ -141,8 +151,11 @@ class ChainConfig:
             raise ConfigurationError("hpa_smoothness must be >= 1")
         if not 1 <= self.ps_bits <= MAX_BITS:
             raise ConfigurationError(f"ps_bits must lie in [1, {MAX_BITS}]")
-        if self.ps_insertion_loss < 1:
-            raise ConfigurationError("ps_insertion_loss must be a linear power ratio >= 1")
+
+    @property
+    def ps_insertion_loss(self) -> float:
+        """The phase shifters' insertion loss as a linear power ratio, >= 1."""
+        return 10.0 ** (self.ps_insertion_loss_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -153,12 +166,12 @@ class PhaseWord:
     bits: int
 
     def __post_init__(self):
-        require_finite(self, DomainError)
+        require_finite(self)
         levels = np.asarray(self.levels)
         if self.bits < 1:
-            raise DomainError("bits must be at least 1")
+            raise ConfigurationError("bits must be at least 1")
         if levels.ndim != 1 or levels.size == 0:
-            raise DomainError("levels must be a nonempty 1-D vector")
+            raise ConfigurationError("levels must be a nonempty 1-D vector")
         object.__setattr__(self, "levels", _as_levels(levels, self.bits))
 
     @property
@@ -394,27 +407,6 @@ def _read_table(table: np.ndarray, drive: np.ndarray):
     return inverse, x, values
 
 
-def _zone_gains(envelope: np.ndarray, gain: float, saturation: float, smoothness: float):
-    """c1(|a|)/|a| at each sample of the envelope, read from the zone table,
-    and the period-mean input and output powers; see amplify_envelope.
-
-    The sample-shaped steps run in place, each rounding as its out-of-place
-    form would, and all the scratch is freed on return.
-    """
-    n = envelope.shape[-1]
-    amplitude = np.abs(envelope)
-    p_in = 0.5 * np.vecdot(amplitude, amplitude) / n
-    drive = amplitude  # the amplitude is not read again: drive, then x, overwrite it
-    drive *= gain
-    drive /= saturation
-    inverse, x, (ratio, scaled_power) = _read_table(_zone_table(float(smoothness)), drive)
-    ratio *= gain  # (G c1) / (1 + D), rounded as gain * c1 * inverse
-    ratio *= inverse
-    # h(A) = (A_s x)^2 times the second function
-    x *= x
-    return ratio, p_in, saturation**2 * np.vecdot(scaled_power, x) / n
-
-
 def amplify_envelope(
     envelope: np.ndarray, gain: float, saturation: float, smoothness: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -428,9 +420,22 @@ def amplify_envelope(
     into one sample-shaped buffer, so a batch never holds the whole
     (4, 2, ...) gather, and the output is formed once that scratch is freed.
     The means are one dot product per period (`vecdot`), so a period's
-    powers do not depend on the rest of a batch.
+    powers do not depend on the rest of a batch. The sample-shaped steps run
+    in place, each rounding as its out-of-place form would.
     """
-    ratio, p_in, p_out = _zone_gains(envelope, gain, saturation, smoothness)
+    n = envelope.shape[-1]
+    # one buffer holds the amplitude |a|, then the drive, then x
+    drive = np.abs(envelope)
+    p_in = 0.5 * np.vecdot(drive, drive) / n
+    drive *= gain
+    drive /= saturation
+    inverse, x, (ratio, scaled_power) = _read_table(_zone_table(float(smoothness)), drive)
+    ratio *= gain  # (G c1) / (1 + D), rounded as gain * c1 * inverse
+    ratio *= inverse
+    # h(A) = (A_s x)^2 times the second function
+    x *= x
+    p_out = saturation**2 * np.vecdot(scaled_power, x) / n
+    del drive, inverse, x, scaled_power
     return ratio * envelope, p_in, p_out
 
 

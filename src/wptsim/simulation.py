@@ -13,7 +13,7 @@ from .channel import (
     build_channel_matrix,
     receive_band,
 )
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, NumericalError
 from .power_model import PowerBreakdown, PowerParams, total_power
 from .rectenna import HarvestResult, RectennaParams, harvest_from_signal
 from .signal_chain import (
@@ -114,7 +114,7 @@ class SystemModel:
                 matrix = build_channel_matrix(
                     self.geometry, self.receiver, self.boresight_exponent
                 )
-            except DomainError as exc:
+            except ConfigurationError as exc:
                 raise ConfigurationError(f"receiver.position: {exc}") from exc
             coefficients = receive_band(matrix, tones, self.tone_spacing)
         if not (np.isfinite(matrix.distances).all() and np.isfinite(coefficients).all()):
@@ -176,19 +176,21 @@ def _check_shapes(amplitudes, phases, levels, system: SystemModel) -> None:
     # the candidates' shapes against the system; values are checked by the caller
     tones, elements = system.tone_count, system.element_count
     if amplitudes.shape[-1:] != (tones,) or phases.shape != amplitudes.shape:
-        raise DomainError(
+        raise ConfigurationError(
             f"expected {tones} tones, got amplitudes {amplitudes.shape} and phases {phases.shape}"
         )
     if levels.shape != (*amplitudes.shape[:-1], elements):
-        raise DomainError(f"expected {elements} phase levels a candidate, got {levels.shape}")
+        raise ConfigurationError(
+            f"expected {elements} phase levels a candidate, got {levels.shape}"
+        )
 
 
 def _candidate(tones: ToneSet, word: PhaseWord, system: SystemModel):
     """One validated candidate's arrays, checked against the system."""
     if tones.tone_spacing != system.tone_spacing:
-        raise DomainError("tone spacing does not match the system model")
+        raise ConfigurationError("tone spacing does not match the system model")
     if word.bits != system.chain.ps_bits:
-        raise DomainError("phase word resolution does not match the chain config")
+        raise ConfigurationError("phase word resolution does not match the chain config")
     _check_shapes(tones.amplitudes, tones.phases, word.levels, system)
     return tones.amplitudes, tones.phases, word.levels
 
@@ -432,7 +434,7 @@ def evaluate_batch(
     phases = np.asarray(phases, dtype=float)
     levels = np.asarray(levels)
     if amplitudes.ndim != 2:
-        raise DomainError(f"expected (P, K) amplitudes, got shape {amplitudes.shape}")
+        raise ConfigurationError(f"expected (P, K) amplitudes, got shape {amplitudes.shape}")
     _check_shapes(amplitudes, phases, levels, system)
     _check_tones(amplitudes, phases)
     levels = _as_levels(levels, system.chain.ps_bits)

@@ -43,7 +43,7 @@ from scipy.special import i0e
 
 import wptsim.cli
 import wptsim.signal_chain
-from wptsim import ConfigurationError, DomainError, PhaseWord, ToneSet
+from wptsim import ConfigurationError, PhaseWord, ToneSet
 from wptsim.channel import receive_band
 from wptsim.rectenna import RectennaParams, dc_output_voltage, lambert_w0_log
 from wptsim.signal_chain import (
@@ -126,7 +126,7 @@ def lambert_w0(x: float) -> float:
     """
     x = float(x)
     if x < 0 or np.isnan(x):
-        raise DomainError("principal-branch evaluation requires x >= 0")
+        raise ConfigurationError("principal-branch evaluation requires x >= 0")
     if x == 0.0:
         return 0.0
     return lambert_w0_log(np.log(x))
@@ -164,11 +164,11 @@ def rapp_amplifier(
     overflows, and |y| stays strictly below the saturation voltage.
     """
     if np.iscomplexobj(x):
-        raise DomainError("the amplifier acts on a real signal")
+        raise ConfigurationError("the amplifier acts on a real signal")
     if smoothness < 1:
-        raise DomainError("smoothness must be >= 1")
+        raise ConfigurationError("smoothness must be >= 1")
     if gain <= 0 or saturation <= 0:
-        raise DomainError("gain and saturation must be positive")
+        raise ConfigurationError("gain and saturation must be positive")
     out = gain * x * _rapp_compression(gain * np.abs(x) / saturation, smoothness)
     # the true output is strictly below saturation but deep drives round up to
     # it in double precision; cap one ulp under the rail
@@ -246,16 +246,16 @@ def beamformed_received(
     has no quadrature at either, and a bin index below DC would wrap.
     """
     if np.iscomplexobj(hpa) or hpa.ndim != 1:
-        raise DomainError("the phase shifters act on one real passband signal")
+        raise ConfigurationError("the phase shifters act on one real passband signal")
     if insertion_loss < 1:
-        raise DomainError("insertion loss is a linear power ratio >= 1")
+        raise ConfigurationError("insertion loss is a linear power ratio >= 1")
     if band_coefficients.shape[0] != word.count:
-        raise DomainError(
+        raise ConfigurationError(
             f"expected {band_coefficients.shape[0]} phase levels, got {word.count}"
         )
     n = hpa.size
     if band.size and (band[0] <= 0 or 2 * band[-1] >= n):
-        raise DomainError("the receive band must lie strictly between DC and Nyquist")
+        raise ConfigurationError("the receive band must lie strictly between DC and Nyquist")
     scale = 1.0 / np.sqrt(insertion_loss * word.count)
     gain = (scale * np.exp(-1j * word.angles())) @ band_coefficients
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
@@ -271,9 +271,9 @@ def apply_phase_shifters(x: np.ndarray, word: PhaseWord, insertion_loss: float) 
     (N, n) stack of branches, one row per element.
     """
     if np.iscomplexobj(x):
-        raise DomainError("phase shifters act on the real passband signal")
+        raise ConfigurationError("phase shifters act on the real passband signal")
     if insertion_loss < 1:
-        raise DomainError("insertion loss is a linear power ratio >= 1")
+        raise ConfigurationError("insertion loss is a linear power ratio >= 1")
     # Hilbert transform: -j on every positive-frequency bin, none at DC or Nyquist
     spectrum = -1j * np.fft.rfft(x)
     spectrum[0] = 0.0
@@ -299,15 +299,15 @@ def received_signal(
     frequency; content outside the band is rejected.
     """
     if np.iscomplexobj(elements):
-        raise DomainError("received_signal combines real passband branches")
+        raise ConfigurationError("received_signal combines real passband branches")
     count = band_coefficients.shape[0]
     if elements.ndim != 2 or elements.shape[0] != count:
-        raise DomainError(
+        raise ConfigurationError(
             f"expected a stack of {count} element signals, got shape {elements.shape}"
         )
     n = elements.shape[1]
     if band.size and (band[0] < 0 or 2 * band[-1] > n):
-        raise DomainError("the receive band must lie between DC and Nyquist")
+        raise ConfigurationError("the receive band must lie between DC and Nyquist")
     bins = np.fft.rfft(elements, axis=1)[:, band]
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
     spectrum[band] = np.sum(band_coefficients * bins, axis=0)
@@ -320,7 +320,7 @@ def rhs_log_mean(received: np.ndarray, params: RectennaParams) -> float:
     Evaluated with log-sum-exp so hot diode drives stay finite.
     """
     if np.iscomplexobj(received):
-        raise DomainError("rectenna input must be a real signal")
+        raise ConfigurationError("rectenna input must be a real signal")
     scale = np.sqrt(params.source_resistance) / (params.ideality * params.thermal_voltage)
     exponents = scale * np.asarray(received, dtype=float)
     shift = exponents.max(axis=-1)
@@ -339,9 +339,9 @@ def hpa_power(
     negative for deeply saturated drives with equal port resistances.
     """
     if input_resistance <= 0 or output_resistance <= 0:
-        raise DomainError("port resistances must be positive")
+        raise ConfigurationError("port resistances must be positive")
     if amplifier_in.size != amplifier_out.size:
-        raise DomainError("amplifier input and output must share length")
+        raise ConfigurationError("amplifier input and output must share length")
     p_in = np.mean(np.abs(amplifier_in) ** 2, axis=-1) / input_resistance
     p_out = np.mean(np.abs(amplifier_out) ** 2, axis=-1) / output_resistance
     return float(p_out - p_in)

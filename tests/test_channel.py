@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.constants import speed_of_light
 
-from wptsim import DomainError, PhaseWord, ReceiverPosition, element_positions
+from wptsim import ConfigurationError, PhaseWord, ReceiverPosition, element_positions
 from conftest import received_envelope
 import reference
 from reference import apply_phase_shifters, passband_receive_band, received_signal
@@ -76,7 +76,7 @@ class TestGeometry:
         assert geom.count == 12
 
     def test_invalid_shape_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             element_positions(0, 3, CARRIER_RF)
 
 
@@ -144,7 +144,7 @@ class TestChannelCoefficient:
 
     def test_receiver_on_element_rejected(self):
         geom = element_positions(1, 1, CARRIER_RF)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             build_channel_matrix(geom, ReceiverPosition(0.0, 0.0, 0.0), 2.0)
 
     def test_table_geometry_gains_are_small(self):
@@ -234,15 +234,15 @@ class TestReceivedSignal:
 
     def test_wrong_element_count_rejected(self):
         sig = passband_tone(64, self.N_SAMP)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             self.received(stack(sig), _ConstantChannel(2))
         # a single waveform is not a stack, even for a one-element channel
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             self.received(sig, _ConstantChannel(1))
 
     def test_baseband_branch_rejected(self):
         sig = np.zeros(self.N_SAMP, dtype=complex)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             self.received(stack(sig), _ConstantChannel(1))
 
     def test_band_outside_the_period_rejected(self):
@@ -250,10 +250,10 @@ class TestReceivedSignal:
         # indexing would wrap to the top of the spectrum
         band, coefficients = passband_receive_band(_ConstantChannel(1), 4, 8, SPACING)
         sig = stack(passband_tone(4, self.N_SAMP))
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             received_signal(sig, band, coefficients)
         band, coefficients = passband_receive_band(_ConstantChannel(1), 64, 8, SPACING)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             received_signal(sig[:, :142], band, coefficients)
 
 
@@ -314,12 +314,12 @@ class TestBeamformedReceived:
         # 144 samples: the top band bin, 72, is the Nyquist bin
         sig = passband_tone(64, 144)
         band, coefficients = passband_receive_band(channel, self.CARRIER_BIN, 8, SPACING)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             reference.beamformed_received(sig, word, 1.0, band, coefficients)
         sig = passband_tone(4, self.N_SAMP)
         # a 4-bin carrier: the band reaches below DC
         band, coefficients = passband_receive_band(channel, 4, 8, SPACING)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             reference.beamformed_received(sig, word, 1.0, band, coefficients)
         # the library's fold takes any envelope period that holds all 2K + 1
         # band bins; SystemModel's M = 48 max(K, 4) always does
@@ -332,18 +332,18 @@ class TestBeamformedReceived:
         )
         band, coefficients = passband_receive_band(channel, self.CARRIER_BIN, 8, SPACING)
         sig = passband_tone(64, self.N_SAMP)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             reference.beamformed_received(
                 sig, PhaseWord([0, 0, 0], 2), 1.0, band, coefficients
             )
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             reference.beamformed_received(sig, PhaseWord([0, 0], 2), 0.5, band, coefficients)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             reference.beamformed_received(
                 stack(sig, sig), PhaseWord([0, 0], 2), 1.0, band, coefficients
             )
         baseband = np.zeros(self.N_SAMP, dtype=complex)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             reference.beamformed_received(baseband, PhaseWord([0, 0], 2), 1.0, band, coefficients)
         # the library's fold checks nothing: test_simulation.py's boundary
         # table holds the checks that reject its bad inputs before any stage

@@ -126,6 +126,20 @@ class TestConfig:
         widest = {"chain": {"dac_bits": 53, "ps_bits": 53}}
         build_setup(load_config(profile="desk", overrides=widest))
 
+    def test_insertion_loss_db_bounds_are_its_ratio_bounds(self):
+        # the chain record refuses a dB value whose linear ratio falls below 1
+        # or overflows: 3082.5 dB is 1.8e308, 3082.6 dB beyond the doubles,
+        # and -1e-300 dB rounds to a ratio of exactly 1
+        for db in (3082.5, -1e-300, 0.0, 0.5):
+            cfg = load_config(overrides={"chain": {"ps_insertion_loss_db": db}})
+            chain = build_setup(cfg).system.chain
+            assert chain.ps_insertion_loss_db == db
+            assert chain.ps_insertion_loss == 10.0 ** (db / 10.0) >= 1.0
+        for db in (3082.6, 1e200, -1e-3):
+            cfg = load_config(overrides={"chain": {"ps_insertion_loss_db": db}})
+            with pytest.raises(ConfigurationError, match="chain.ps_insertion_loss_db must be"):
+                build_setup(cfg)
+
     @pytest.mark.parametrize(
         "path",
         [
@@ -486,6 +500,25 @@ class TestSweepCommand:
         assert good["error"] == "" and good["p_total"] is not None
         assert "swarm.particles" in bad["error"] and bad["p_total"] is None
 
+    @pytest.mark.parametrize(
+        "path", ["power.supply_voltage", "chain.hpa_saturation", "swarm.amplitude_max"]
+    )
+    def test_overflowing_consumption_bound_recorded_in_row(self, path):
+        # the bound's squares overflow to inf, which no penalty exceeds; the
+        # OverflowError they raised once ended the sweep with no rows
+        section, key = path.split(".")
+        overrides = {
+            "swarm": {"seed": 3, "particles": 4, "iterations": 3},
+            "sweep": [{"path": path, "values": [1e200, 1.7e308, _TABLE[section][key][1]]}],
+        }
+        report, code = cmd_sweep(build_setup(load_config(profile="desk", overrides=overrides)))
+        assert code == EXIT_OK
+        *bad, good = report["rows"]
+        assert good["error"] == "" and good["p_total"] is not None
+        for row in bad:
+            assert "swarm.penalty 1e+06 W does not exceed the inf W bound" in row["error"]
+            assert row["p_total"] is None
+
     def test_csv_rendering(self):
         report, _ = cmd_sweep(self._sweep_setup([2, 3]))
         lines = render_report(report, "table").splitlines()
@@ -588,6 +621,21 @@ class TestMainEntryPoint:
         out.write_text("an earlier report\n")
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("value", ["1.0e+200", "1.7e+308"])
+    @pytest.mark.parametrize(
+        "path", ["power.supply_voltage", "chain.hpa_saturation", "swarm.amplitude_max"]
+    )
+    def test_overflowing_consumption_bound_exits_three(self, tmp_path, capsys, path, value):
+        section, key = path.split(".")
+        config = tmp_path / "huge.yaml"
+        config.write_text(f"{section}:\n  {key}: {value}\n")
+        assert main(["optimize", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            "configuration error: swarm.penalty 1e+06 W does not exceed the inf W bound"
+            " on transmitter consumption\n"
+        )
 
     @pytest.mark.parametrize(
         "text, flags, key",
@@ -885,3 +933,32 @@ class TestMainEntryPoint:
         assert proc.returncode == EXIT_NUMERICAL
         (line,) = proc.stderr.splitlines()
         assert line.startswith("numerical failure: hpa stage failed: overflow")
+
+
+_FLOAT_LEAVES = [
+    f"{section}.{key}"
+    for section, fields in _TABLE.items()
+    for key, (kind, _) in fields.items()
+    if kind in (float, (list, float))
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+@pytest.mark.parametrize("value", [-1e-300, 1e-300, 1e200, 1.7e308])
+@pytest.mark.parametrize("path", _FLOAT_LEAVES)
+def test_extreme_float_leaves_exit_with_a_code(tmp_path, capsys, path, value, command):
+    # every float leaf, and every entry of a list of floats, at a value that
+    # underflows or overflows what it meets: the command returns one of its
+    # exit codes, raises nothing, and prints at most one line on stderr
+    section, key = path.split(".")
+    kind, default = _TABLE[section][key]
+    if kind == (list, float):
+        value = [value] * len(default or [None] * _TABLE["waveform"]["tone_count"][1])
+    cfg = {section: {key: value}}
+    if command == "optimize":
+        cfg.setdefault("swarm", {}).update(particles=2, iterations=1)
+    config = tmp_path / "extreme.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "report")])
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG, EXIT_NUMERICAL)
+    assert capsys.readouterr().err.count("\n") <= 1

@@ -694,6 +694,16 @@ class TestSwarmConfig:
         with pytest.raises(ConfigurationError, match="swarm.penalty"):
             brute_force_grid(2, 2, setup.system, setup.swarm)
 
+    def test_velocity_update_that_overflows_is_refused(self):
+        # a coefficient of 1.7e308 times the 300 V amplitude range overflowed
+        # to inf velocities, and inf - inf to NaN, with a numpy warning
+        system = toy_setup().system
+        for coefficients in ({"social": 1.7e308}, {"cognitive": 1e306, "social": 1e306}):
+            with pytest.raises(ConfigurationError, match="swarm.cognitive .* and swarm.social"):
+                pso_run(system, SwarmConfig(particles=4, iterations=3, **coefficients))
+        huge = SwarmConfig(particles=4, iterations=3, cognitive=1e300, social=1e300)
+        assert len(pso_run(system, huge).fitness_trace) == 4
+
     def test_batch_bound_names_particles(self, monkeypatch):
         # a batch may hold 32 of the longest periods; 10^9 particles used to
         # die allocating 305 GiB at the first draw. Nothing is drawn here.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wptsim import DomainError, PowerBreakdown, ToneSet
+from wptsim import ConfigurationError, PowerBreakdown, ToneSet
 import reference
 from reference import rapp_amplifier
 from wptsim.power_model import dac_power, hpa_power, signal_power, total_power
@@ -57,7 +57,7 @@ class TestHpaPower:
     def test_mismatched_signals_rejected(self):
         a = np.zeros(80)
         b = np.zeros(160)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             reference.hpa_power(a, b, 1.0, 1.0)
 
 

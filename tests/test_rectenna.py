@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wptsim import DomainError, RectennaParams
+from wptsim import ConfigurationError, RectennaParams
 from wptsim.rectenna import (
     dc_output_voltage,
     harvest_from_signal,
@@ -54,7 +54,7 @@ class TestLambertW:
             assert_allclose(lambert_w0_log(np.log(x)), lambert_w0(x), rtol=1e-13)
 
     def test_negative_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             lambert_w0(-0.1)
 
 
@@ -173,7 +173,7 @@ class TestRhsLogMean:
 
     def test_complex_input_rejected(self, rectenna_params):
         # the passband reference takes real samples only
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             reference.rhs_log_mean(np.zeros(8, dtype=complex), rectenna_params)
 
 
@@ -220,7 +220,7 @@ class TestRootSolverOracle:
         assert all(b > a for a, b in zip(roots, roots[1:]))
 
     def test_rhs_log_must_be_finite(self, rectenna_params):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             solve_rectifier_equation(np.inf, rectenna_params)
 
 
@@ -247,7 +247,7 @@ class TestHarvestPipeline:
         assert result.v_out_dc >= -1e-12
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             RectennaParams(50.0, 1600.0, 5e-6, 25.86e-3, 0.9)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             RectennaParams(-50.0, 1600.0, 5e-6, 25.86e-3, 1.05)

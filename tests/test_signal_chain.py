@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 import wptsim
 from conftest import desk_setup
-from wptsim import DomainError, PhaseWord, ToneSet, run_chain
+from wptsim import ConfigurationError, PhaseWord, ToneSet, run_chain
 from reference import (
     apply_phase_shifters,
     passband_plan,
@@ -58,13 +58,13 @@ def quantizer_oracle(value, bits, full_scale):
 
 class TestToneSet:
     def test_invariants(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             ToneSet([1.0], [0.0, 0.0], SPACING)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             ToneSet([-1.0], [0.0], SPACING)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             ToneSet([1.0], [2.0 * np.pi], SPACING)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             ToneSet([1.0], [0.0], 0.0)
 
 
@@ -329,12 +329,12 @@ class TestRapp:
         assert np.all(np.diff(out) >= -1e-12)
 
     def test_smoothness_below_one_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             rapp_amplifier(np.zeros(8), 10.0, 10.0, 0.5)
 
     def test_complex_input_rejected(self):
         # the amplifier only ever sees the real passband period
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             rapp_amplifier(np.zeros(8, dtype=complex), 10.0, 10.0, 4.0)
 
 
@@ -364,14 +364,14 @@ class TestPhaseShifters:
         assert_allclose(scale, 0.1888, rtol=1e-3)
 
     def test_complex_input_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             apply_phase_shifters(np.zeros(160, dtype=complex), PhaseWord([0], 3), 1.0)
 
     def test_out_of_range_level_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             PhaseWord([8], 3)
         for bits in (1.5, np.float64(3.0)):
-            with pytest.raises(DomainError, match="bits"):
+            with pytest.raises(ConfigurationError, match="bits"):
                 PhaseWord([0], bits)
 
     def test_rotation_matches_envelope_math(self):
@@ -435,7 +435,7 @@ def _loaded_after(code: str, module: str) -> bool:
 
 
 PUBLIC_NAMES = {
-    "ConfigurationError", "DomainError", "NumericalError",
+    "ConfigurationError", "NumericalError",
     "PhaseWord", "PowerBreakdown", "PowerParams", "ReceiverPosition", "RectennaParams",
     "SwarmConfig", "SystemModel", "ToneSet",
     "load_config", "build_setup", "element_positions",
@@ -450,7 +450,7 @@ REMOVED_NAMES = [
     "build_channel_matrix", "dac_power", "dc_output_voltage", "harvest_from_signal",
     "harvested_power", "hpa_power", "lambert_w0_log", "lowpass_filter", "quantize_dac",
     "radiation_profile", "rapp_amplifier", "rhs_log_mean", "signal_power",
-    "solve_rectifier_equation", "synthesize_multitone", "total_power",
+    "solve_rectifier_equation", "synthesize_multitone", "total_power", "DomainError",
 ]
 
 
