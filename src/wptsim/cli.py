@@ -57,29 +57,41 @@ def _scalar(value) -> str:
 
 
 def emit_structured(data: dict, indent: int = 0) -> str:
-    """Render a nested report as YAML-compatible structured text."""
+    """Render a nested report as YAML-compatible structured text. An array
+    object that appears more than once in the report is formatted once."""
+    return _emit_structured(data, indent, {})
+
+
+def _emit_structured(data: dict, indent: int, arrays: dict) -> str:
+    # arrays: the rendered text of each array object met so far, by id; the
+    # report holds every one of them for the whole render, so no id is reused
     lines = []
     pad = "  " * indent
     for key, value in data.items():
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
-            lines.append(emit_structured(value, indent + 1))
+            lines.append(_emit_structured(value, indent + 1, arrays))
         elif isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
             lines.append(f"{pad}{key}:")
             for item in value:
-                body = emit_structured(item, indent + 2).splitlines()
+                body = _emit_structured(item, indent + 2, arrays).splitlines()
                 lines.append(f"{pad}  - {body[0].strip()}")
                 lines.extend(body[1:])
         elif isinstance(value, (list, tuple, np.ndarray)):
-            array = np.asarray(value)
-            if array.dtype.kind == "f" and array.ndim == 1:
-                rendered = _format_floats(array.tolist(), ", ")
-            else:
-                rendered = ", ".join(_scalar(v) for v in array.tolist())
+            rendered = arrays.get(id(value))
+            if rendered is None:
+                rendered = arrays[id(value)] = _array_text(value)
             lines.append(f"{pad}{key}: [{rendered}]")
         else:
             lines.append(f"{pad}{key}: {_scalar(value)}")
     return "\n".join(lines)
+
+
+def _array_text(value) -> str:
+    array = np.asarray(value)
+    if array.dtype.kind == "f" and array.ndim == 1:
+        return _format_floats(array.tolist(), ", ")
+    return ", ".join(_scalar(v) for v in array.tolist())
 
 
 def _table_cell(value) -> str:
@@ -111,18 +123,18 @@ def _solution_report(tones, word, outcome) -> dict:
     }
 
 
-def _stage_report(samples: np.ndarray, sample_rate: float, domain: str) -> dict:
+def _stage_report(samples: np.ndarray, sample_rate: float, domain: str,
+                  frequencies: np.ndarray) -> dict:
     """One period of a stage: its samples, and its spectrum over frequencies
     relative to DC (baseband) or to the carrier (envelope)."""
     n = samples.size
-    freqs = np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / sample_rate))
     return {
         "domain": domain,
         "sample_rate": sample_rate,
         "samples": n,
         "time_real": samples.real,
         "time_imag": samples.imag,
-        "spectrum_frequency": freqs,
+        "spectrum_frequency": frequencies,
         "spectrum_magnitude": np.abs(np.fft.fftshift(np.fft.fft(samples))) / n,
     }
 
@@ -131,13 +143,18 @@ def cmd_simulate(setup) -> tuple[dict, int]:
     """Run the chain once and report per-stage series, harvest, and power."""
     outcome = evaluate_solution(setup.tones, setup.phase_word, setup.system)
     system = setup.system
-    stages = {}
+    stages, axes = {}, {}
     for name in _STAGE_ORDER:
         if name in _BASEBAND_STAGES:
             domain, rate = "baseband-complex", system.chain.dac_sample_rate
         else:
             domain, rate = "envelope-complex", system.n_env * system.tone_spacing
-        stages[name] = _stage_report(getattr(outcome.stages, name), rate, domain)
+        samples = getattr(outcome.stages, name)
+        # the stages of a domain share one period length, so one frequency
+        # axis, which the renderers then format once
+        if domain not in axes:
+            axes[domain] = np.fft.fftshift(np.fft.fftfreq(samples.size, d=1.0 / rate))
+        stages[name] = _stage_report(samples, rate, domain, axes[domain])
     report = {
         "command": "simulate",
         **_solution_report(setup.tones, setup.phase_word, outcome),
@@ -240,22 +257,32 @@ def _float_cells(values: np.ndarray) -> list[str]:
 
 def _emit_stage_table(stages: dict) -> str:
     """The simulate report's stage series as CSV, one row per sample and per
-    spectrum bin: the text emit_table gives those rows, built a column at a time."""
+    spectrum bin: the text emit_table gives those rows, built a column at a time.
+    Each array object, and the time axis of each period length and rate, is
+    formatted once however many stages share it."""
+    cells = {}  # formatted cells by array id (the report holds every array) or by (n, rate)
+
+    def formatted(values: np.ndarray) -> list[str]:
+        if id(values) not in cells:
+            cells[id(values)] = _float_cells(values)
+        return cells[id(values)]
+
     lines = ["stage,series,index,coordinate,value"]
     for stage in _STAGE_ORDER:
         data = stages[stage]
-        time = np.arange(data["time_real"].size) / data["sample_rate"]
+        n, rate = data["time_real"].size, data["sample_rate"]
+        if (n, rate) not in cells:
+            cells[n, rate] = _float_cells(np.arange(n) / rate)
+        time = cells[n, rate]
         for series, coordinates, values in (
             ("time_real", time, data["time_real"]),
             ("time_imag", time, data["time_imag"]),
-            ("spectrum", data["spectrum_frequency"], data["spectrum_magnitude"]),
+            ("spectrum", formatted(data["spectrum_frequency"]), data["spectrum_magnitude"]),
         ):
             prefix = f"{_table_cell(stage)},{_table_cell(series)}"
             lines.extend(
                 f"{prefix},{i},{coordinate},{value}"
-                for i, coordinate, value in zip(
-                    range(values.size), _float_cells(coordinates), _float_cells(values)
-                )
+                for i, coordinate, value in zip(range(values.size), coordinates, formatted(values))
             )
     return "\n".join(lines) + "\n"
 

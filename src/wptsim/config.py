@@ -66,12 +66,15 @@ _TABLE = {
 
 
 def deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
+    """override merged over base, in new dicts wherever both hold a mapping;
+    neither argument is changed, and every other value is the one given, not
+    a copy (normalize_config builds the result's containers afresh)."""
+    merged = dict(base)
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
             merged[key] = deep_merge(merged[key], value)
         else:
-            merged[key] = copy.deepcopy(value)
+            merged[key] = value
     return merged
 
 
@@ -127,7 +130,8 @@ def _coerce_scalar(value, kind, path):
 
 
 def normalize_config(raw: dict) -> dict:
-    """Validate section/key structure and coerce every leaf to its type."""
+    """Validate section/key structure and coerce every leaf to its type. The
+    result shares no container with raw."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a mapping of sections")
     unknown = set(raw) - set(_TABLE) - {"sweep"}
@@ -159,7 +163,8 @@ def normalize_config(raw: dict) -> dict:
         if not isinstance(values, list) or not values:
             raise ConfigurationError(f"sweep[{i}]: values must be a nonempty list")
         _leaf_spec(path, f"sweep[{i}].path")
-        out_sweep.append({"path": path, "values": list(values)})
+        # a list leaf's sweep values are lists: copied, as every other leaf is
+        out_sweep.append({"path": path, "values": copy.deepcopy(values)})
     out["sweep"] = out_sweep
     return out
 
@@ -196,7 +201,8 @@ def load_config(path=None, profile: str = "paper", overrides: dict | None = None
     """Merge profile defaults, an optional YAML file, and direct overrides."""
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown profile {profile!r}")
-    cfg = copy.deepcopy(PROFILES[profile])
+    # read, never written: deep_merge and normalize_config build new containers
+    cfg = PROFILES[profile]
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:

@@ -43,6 +43,16 @@ class RectennaParams:
                 raise ConfigurationError(f"{f.name} must be positive")
         if self.ideality < 1:
             raise ConfigurationError("ideality must be >= 1")
+        # dc_output_voltage subtracts R_L I_0 and takes the log of the knee
+        if not (
+            self.load_resistance * self.saturation_current < math.inf
+            and 0.0 < self.load_constant < math.inf
+        ):
+            raise ConfigurationError(
+                f"saturation_current {self.saturation_current:g} and load_resistance"
+                f" {self.load_resistance:g} put R_L I_0 or the load line's knee"
+                " R_L I_0 / (ideality * thermal_voltage) out of floating-point range"
+            )
 
     @property
     def load_constant(self) -> float:

@@ -147,6 +147,12 @@ class ChainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
+        # quantize_dac's step; 2 dac_range overflows from about 9e307
+        if not math.isfinite(2.0 * self.dac_range / 2.0**self.dac_bits):
+            raise ConfigurationError(
+                f"dac_range {self.dac_range:g} must leave a finite DAC step"
+                " 2 dac_range / 2^dac_bits"
+            )
         if self.hpa_smoothness < 1:
             raise ConfigurationError("hpa_smoothness must be >= 1")
         if not 1 <= self.ps_bits <= MAX_BITS:

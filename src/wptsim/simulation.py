@@ -99,6 +99,15 @@ class SystemModel:
                 f"channel.boresight_exponent {self.boresight_exponent} must be finite"
                 " and exceed -1"
             )
+        # beamformed_received scales by 1/sqrt(loss N); past the doubles, every
+        # received period would be zero
+        if not chain.ps_insertion_loss * self.element_count < np.inf:
+            raise ConfigurationError(
+                f"chain.ps_insertion_loss_db {chain.ps_insertion_loss_db:g}: its linear ratio"
+                f" {chain.ps_insertion_loss:.3g} times the {self.element_count} elements of"
+                f" array.rows x array.cols = {self.geometry.rows} x {self.geometry.cols}"
+                " overflows"
+            )
         entries = self.element_count * (2 * tones + 1)
         if entries > MAX_CHANNEL_ENTRIES:
             raise ConfigurationError(

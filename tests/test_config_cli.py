@@ -37,6 +37,7 @@ from wptsim.cli import (
 )
 from wptsim.config import (
     _TABLE,
+    PROFILES,
     build_setup,
     config_set,
     dump_config,
@@ -100,6 +101,34 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(profile="desk", overrides={"sweep": [{"path": "chain.dac_bits", "values": []}]})
 
+    def test_loads_share_no_container(self, tmp_path):
+        # load_config copies nothing up front: the merge and the normalization
+        # build every container of the result afresh
+        before = dump_config(PROFILES["paper"])
+        path = tmp_path / "run.yaml"
+        path.write_text("receiver:\n  position: [0.0, 2.0, 0.0]\n")
+        overrides = {
+            "waveform": {"amplitudes": [0.5] * 8},
+            "receiver": {"position": [0.0, 1.0, 0.0]},
+            "sweep": [{"path": "receiver.position", "values": [[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]}],
+        }
+        given = yaml.safe_dump(overrides)
+        for args in ((None, "paper", None), (str(path), "desk", None), (None, "paper", overrides)):
+            cfg = load_config(*args)
+            assert yaml.safe_dump(overrides) == given
+            fresh = load_config(*args)
+            config_set(cfg, "chain.dac_bits", 5)
+            config_set(cfg, "swarm.seed", 99)
+            cfg["receiver"]["position"][1] = 7.0
+            cfg["sweep"].append({"path": "chain.dac_bits", "values": [2]})
+            if args[2] is not None:
+                cfg["waveform"]["amplitudes"][0] = 9.0
+                cfg["sweep"][0]["values"][0][1] = 7.0
+                cfg["sweep"][0]["values"].append([0.0, 3.0, 0.0])
+            assert yaml.safe_dump(overrides) == given
+            assert dump_config(PROFILES["paper"]) == before
+            assert load_config(*args) == fresh != cfg
+
     def test_config_set(self):
         cfg = load_config(profile="desk")
         config_set(cfg, "chain.dac_bits", 5)
@@ -130,8 +159,10 @@ class TestConfig:
         # the chain record refuses a dB value whose linear ratio falls below 1
         # or overflows: 3082.5 dB is 1.8e308, 3082.6 dB beyond the doubles,
         # and -1e-300 dB rounds to a ratio of exactly 1
+        one_element = {"rows": 1, "cols": 1}
         for db in (3082.5, -1e-300, 0.0, 0.5):
-            cfg = load_config(overrides={"chain": {"ps_insertion_loss_db": db}})
+            cfg = load_config(overrides={"chain": {"ps_insertion_loss_db": db},
+                                         "array": one_element})
             chain = build_setup(cfg).system.chain
             assert chain.ps_insertion_loss_db == db
             assert chain.ps_insertion_loss == 10.0 ** (db / 10.0) >= 1.0
@@ -139,6 +170,15 @@ class TestConfig:
             cfg = load_config(overrides={"chain": {"ps_insertion_loss_db": db}})
             with pytest.raises(ConfigurationError, match="chain.ps_insertion_loss_db must be"):
                 build_setup(cfg)
+        # the beam scales by 1/sqrt(loss N): a ratio whose product with the
+        # element count overflows is refused with the array's size, where it
+        # used to give a zero received period
+        cfg = load_config(overrides={"chain": {"ps_insertion_loss_db": 3082.5}})
+        with pytest.raises(ConfigurationError, match=re.escape(
+            "chain.ps_insertion_loss_db 3082.5: its linear ratio 1.78e+308 times the 25"
+            " elements of array.rows x array.cols = 5 x 5 overflows"
+        )):
+            build_setup(cfg)
 
     @pytest.mark.parametrize(
         "path",
@@ -315,6 +355,25 @@ class TestFormatting:
                         if pair[0] != pair[1])
             pytest.fail(f"{len(text)} vs {len(expected)} bytes; line {line} differs:\n"
                         f"{text.splitlines()[line]}\n{expected.splitlines()[line]}")
+
+
+    @pytest.mark.parametrize("fmt, floats", [("structured", 4656), ("table", 5104)])
+    def test_each_array_is_formatted_once(self, monkeypatch, fmt, floats):
+        # the paper report's 6 stages hold 18 float series of their own, and
+        # each domain's 3 stages share one frequency axis and, in the table,
+        # one time axis; formatting a shared axis again adds 928 floats to the
+        # structured report and 3248 to the table
+        counted = []
+
+        def spy(values, sep):
+            counted.append(len(values))
+            return format_floats(values, sep)
+
+        format_floats = wptsim.cli._format_floats
+        report = _report("simulate-paper")
+        monkeypatch.setattr(wptsim.cli, "_format_floats", spy)
+        render_report(report, fmt)
+        assert sum(counted) == floats
 
 
 @functools.cache
@@ -679,6 +738,16 @@ class TestMainEntryPoint:
             ("swarm:\n  cognitive: 0.0\n", [], "swarm.cognitive"),
             ("swarm:\n  social: -1.0\n", [], "swarm.social"),
             ("rectenna:\n  ideality: 0.5\n", [], "rectenna.ideality"),
+            (
+                "rectenna:\n  load_resistance: 1.0e-300\n  saturation_current: 1.0e-300\n",
+                [],
+                "rectenna.saturation_current 1e-300 and load_resistance 1e-300",
+            ),
+            (
+                "chain:\n  ps_insertion_loss_db: 3082.5\n",
+                [],
+                "chain.ps_insertion_loss_db 3082.5",
+            ),
             ("array:\n  rows: 0\n", [], "array.rows"),
             ("array:\n  cols: 0\n", [], "array.cols"),
             ("waveform:\n  tone_spacing: 0.0\n", [], "waveform.tone_spacing"),
@@ -723,7 +792,8 @@ class TestMainEntryPoint:
             "ps-bits-overflow", "penalty-below-dac-power", "dac-rate-not-multiple",
             "dac-rate-ratio-overflow", "dac-rate-zero", "hpa-gain-zero",
             "hpa-saturation-negative", "hpa-smoothness-below-one", "particles-one",
-            "cognitive-zero", "social-negative", "ideality-below-one", "array-rows-zero",
+            "cognitive-zero", "social-negative", "ideality-below-one", "load-line-underflow",
+            "insertion-loss-times-elements-overflow", "array-rows-zero",
             "array-cols-zero", "spacing-zero", "spacing-negative", "amplitude-negative",
             "amplitudes-short", "phase-above-turn", "phase-level-above-top",
             "spacing-1e-200-samples-bound",
@@ -943,6 +1013,11 @@ _FLOAT_LEAVES = [
 ]
 
 
+# finite leaves the records refuse because a quantity built from them
+# overflows: the DAC step 2 dac_range / 2^dac_bits, and R_L I_0
+_REFUSED_LEAVES = {("chain.dac_range", 1.7e308), ("rectenna.saturation_current", 1.7e308)}
+
+
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
 @pytest.mark.parametrize("value", [-1e-300, 1e-300, 1e200, 1.7e308])
 @pytest.mark.parametrize("path", _FLOAT_LEAVES)
@@ -950,6 +1025,7 @@ def test_extreme_float_leaves_exit_with_a_code(tmp_path, capsys, path, value, co
     # every float leaf, and every entry of a list of floats, at a value that
     # underflows or overflows what it meets: the command returns one of its
     # exit codes, raises nothing, and prints at most one line on stderr
+    refused = (path, value) in _REFUSED_LEAVES
     section, key = path.split(".")
     kind, default = _TABLE[section][key]
     if kind == (list, float):
@@ -960,5 +1036,8 @@ def test_extreme_float_leaves_exit_with_a_code(tmp_path, capsys, path, value, co
     config = tmp_path / "extreme.yaml"
     config.write_text(yaml.safe_dump(cfg))
     code = main([command, "--config", str(config), "--out", str(tmp_path / "report")])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == EXIT_CONFIG and err.startswith(f"configuration error: {path} ")
     assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG, EXIT_NUMERICAL)
-    assert capsys.readouterr().err.count("\n") <= 1
+    assert err.count("\n") <= 1
