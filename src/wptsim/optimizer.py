@@ -8,6 +8,7 @@ pulled toward feasibility. A brute-force grid provides toy-scale ground truth.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,10 +18,14 @@ from .signal_chain import PhaseWord, ToneSet
 from .simulation import (
     GRID_CHUNK_SAMPLES,
     MAX_PERIOD_SAMPLES,
+    _RAISE,
     SystemModel,
+    _amplified,
     _harvested,
+    _harvested_under_every_word,
+    _priced,
+    _quantized,
     _transmitted,
-    _under_every_word,
     evaluate_solution,
 )
 
@@ -198,16 +203,20 @@ class _Objective:
         return sent
 
     def rank(self, sent, levels):
-        """Fitness of emissions under phase levels (..., N), leading axes broadcast,
-        flat in C order, and a function building flat candidate p's CandidateEval."""
-        harvest, power = _harvested(sent, levels, self.system, GRID_CHUNK_SAMPLES)
-        shape, p_out_dc = harvest.p_out_dc.shape, harvest.p_out_dc.ravel()
+        """Fitness of a swarm's transmit, row p under row p's phase levels (P, N),
+        and a function building candidate p's CandidateEval."""
+        harvest, power = _harvested(sent, levels, self.system)
+        self.received_rows += len(levels)
+        return self._ranked(harvest.p_out_dc, power)
+
+    def _ranked(self, p_out_dc, power):
+        """Fitness of harvests p_out_dc (...) with the consumption broadcast
+        against them, flat in C order, and a function building flat candidate
+        p's CandidateEval."""
+        shape, p_out_dc = p_out_dc.shape, p_out_dc.ravel()
         p_total = np.broadcast_to(power.p_total, shape).ravel()
         values, feasible = _penalised(p_out_dc, p_total, self.swarm)
         self.evaluations += values.size
-        self.received_rows += (
-            len(sent.emission) * len(levels) if _under_every_word(sent, levels) else values.size
-        )
 
         def record(p: int) -> CandidateEval:
             # only the recorded candidate's fields are broadcast and read
@@ -224,6 +233,95 @@ class _Objective:
             tones, word, best.power, best.p_out_dc, best.feasible, best.fitness,
             np.asarray(trace), self.evaluations,
         )
+
+
+class _Points(NamedTuple):
+    """A grid's transmit of tone points (R, K): their amplitudes; each point's
+    DAC output as its row in the grid's table, (R,), where the outputs first
+    seen in this transmit take the rows from held on, past the table's end
+    where it has no room; and those f outputs' emissions (f, 2K+1) and
+    amplifier powers p_in and p_out (f, 2), or None when there are none."""
+
+    amplitudes: np.ndarray
+    slots: np.ndarray
+    held: int
+    emission: np.ndarray | None
+    powers: np.ndarray | None
+
+
+def _gathered(table, new, slots, held):
+    """Row slot of table for each slot below held, row slot - held of new for
+    the others."""
+    if new is None:
+        return table[slots]
+    if not held:  # a word-split grid's table holds nothing
+        return new[slots]
+    rows = np.empty((len(slots), table.shape[1]))
+    old = slots < held
+    rows[old] = table[slots[old]]
+    rows[~old] = new[slots[~old] - held]
+    return rows
+
+
+class _GridObjective(_Objective):
+    """A grid's objective, which ranks tone points under every word. It keeps a
+    table of the DAC outputs it has ranked, up to size of them, keyed by their
+    exact bytes (+0.0 and -0.0 apart, no tolerance): each output's amplifier
+    powers and its harvest under each of the words a rank holds. An output the
+    table holds is neither transmitted nor received again; each tone point's
+    consumption is its own."""
+
+    def __init__(self, system: SystemModel, swarm: SwarmConfig, size: int, words: int):
+        super().__init__(system, swarm)
+        self.slots = {}  # an output's bytes: its row in the table
+        self.powers, self.p_out_dc = np.empty((size, 2)), np.empty((size, words))
+
+    @np.errstate(**_RAISE)
+    def transmit(self, amplitudes, phases) -> _Points:
+        """Tone points (R, K) quantized, and the envelope and the amplifier run
+        once on each of their distinct DAC outputs that the table does not hold."""
+        rows = _quantized(amplitudes, phases, self.system)
+        slots, held = self.slots, len(self.slots)
+        data, width = rows.tobytes(), rows.itemsize * rows.shape[1]
+        # one pass groups the rows and looks them up: a new output takes the
+        # next slot, and leaves the table again where it has no room
+        keys = (data[i : i + width] for i in range(0, len(data), width))
+        index = np.array([slots.setdefault(key, len(slots)) for key in keys])
+        new = list(slots)[held:]
+        for key in new[len(self.powers) - held :]:
+            del slots[key]
+        emission = powers = None
+        if new:
+            new_rows = np.frombuffer(b"".join(new), rows.dtype).reshape(len(new), -1)
+            emission, p_in, p_out = _amplified(new_rows, self.system)
+            powers = np.stack((p_in, p_out), axis=1)
+            self.transmitted_rows += len(new)
+        return _Points(amplitudes, index, held, emission, powers)
+
+    def rank(self, points: _Points, levels):
+        """Fitness of a grid's tone points under every word of phase levels
+        (W, N), flat with the word fastest, and a function building flat
+        candidate p's CandidateEval. The outputs received here enter the
+        table while it has room."""
+        amplitudes, slots, held, emission, powers = points
+        received = None
+        with np.errstate(**_RAISE):
+            if emission is not None:
+                received = _harvested_under_every_word(
+                    emission, levels, self.system, GRID_CHUNK_SAMPLES
+                )
+                self.received_rows += received.size
+                admitted = len(self.slots) - held
+                if admitted:
+                    self.powers[held : held + admitted] = powers[:admitted]
+                    self.p_out_dc[held : held + admitted] = received[:admitted]
+            p_out_dc = _gathered(self.p_out_dc, received, slots, held)
+            powers = _gathered(self.powers, powers, slots, held)
+            # each point's own consumption, (R, 1), against its harvests (R, W)
+            power = _priced(
+                p_out_dc, amplitudes[:, None], powers[:, :1], powers[:, 1:], self.system
+            )
+        return self._ranked(p_out_dc, power)
 
 
 def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> OptimizationResult:
@@ -316,7 +414,6 @@ def brute_force_grid(
     """
     if amplitude_points < 1 or phase_points < 1:
         raise ConfigurationError("grid needs at least one point per dimension")
-    objective = _Objective(system, swarm)
     tone_count = system.tone_count
     element_count = system.element_count
     bits = system.chain.ps_bits
@@ -331,8 +428,9 @@ def brute_force_grid(
     # flat index i enumerates the grid as nested loops, the first amplitude
     # outermost and the last phase level innermost: tone point i // words,
     # word i % words. A chunk of tone points is synthesized and quantized at
-    # once, each of its distinct DAC outputs transmitted once, and each
-    # distinct emission received under every word.
+    # once, each of its distinct DAC outputs that the objective's table does
+    # not hold transmitted once, and each such emission received under every
+    # word.
     radices = (amplitude_points,) * tone_count + (phase_points,) * tone_count
     words = 2 ** (bits * element_count)
     tone_points = total // words
@@ -340,11 +438,16 @@ def brute_force_grid(
     # words values, each at most GRID_CHUNK_SAMPLES; a tone point of more words
     # than that is a chunk of its own, ranked a part of its words at a time,
     # so the chunks run in enumeration order. The objective receives a chunk's
-    # distinct emissions in blocks of at most GRID_CHUNK_SAMPLES samples, each
+    # new emissions in blocks of at most GRID_CHUNK_SAMPLES samples, each
     # forming its words' beam gains once for all its emissions; a table of all
-    # 2^(BN) words' gains would grow with the grid.
+    # 2^(BN) words' gains would grow with the grid. Its table of ranked DAC
+    # outputs holds as many as a chunk has tone points, so it too is one
+    # chunk's budget of DAC samples and ranked values, and none when a tone
+    # point's words are split.
     word_chunk = min(words, GRID_CHUNK_SAMPLES)
-    tone_chunk = max(1, GRID_CHUNK_SAMPLES // max(system.n_dac, words))
+    table_size = GRID_CHUNK_SAMPLES // max(system.n_dac, words)
+    tone_chunk = max(1, table_size)
+    objective = _GridObjective(system, swarm, table_size, word_chunk)
 
     best_fitness, best = np.inf, None
     for start in range(0, tone_points, tone_chunk):
@@ -352,7 +455,7 @@ def brute_force_grid(
         digits = np.stack(np.unravel_index(points, radices), axis=1)
         amplitudes = amplitude_axis[digits[:, :tone_count]]
         phases = phase_axis[digits[:, tone_count:]]
-        sent = objective.transmit(amplitudes[:, None], phases[:, None])
+        sent = objective.transmit(amplitudes, phases)
         for first in range(0, words, word_chunk):
             indices = np.arange(first, min(first + word_chunk, words))
             levels = np.stack(np.unravel_index(indices, (2**bits,) * element_count), axis=1)

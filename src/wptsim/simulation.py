@@ -208,6 +208,9 @@ def _stage(name: str, fn, *args):
     # the stages take validated inputs only, so whatever they raise is numerical
     try:
         return fn(*args)
+    except OverflowError as exc:
+        # a Python float's, whose message is an errno tuple such as (34, ...)
+        raise NumericalError(f"{name} stage failed: overflow in float arithmetic") from exc
     except Exception as exc:  # noqa: BLE001 - tag unexpected numerical failures
         raise NumericalError(f"{name} stage failed: {exc}") from exc
 
@@ -221,10 +224,10 @@ def _stage(name: str, fn, *args):
 # once per distinct DAC output. The kernels run on candidate arrays with any
 # leading axes, one candidate or a batch, and every reduction is along the last
 # axis, row by row, so a candidate's result does not depend on its batch. The
-# entry points (run_chain, evaluate_solution and the objective's two steps,
-# _transmitted and _harvested, which evaluate_batch runs too) make a
-# floating-point overflow or invalid operation raise, so that it fails as the
-# stage it happened in.
+# entry points (run_chain, evaluate_solution, the swarm's two steps,
+# _transmitted and _harvested, which evaluate_batch runs too, and the grid
+# objective's two, in wptsim.optimizer) make a floating-point overflow or
+# invalid operation raise, so that it fails as the stage it happened in.
 _RAISE = {"over": "raise", "invalid": "raise"}
 
 
@@ -295,12 +298,11 @@ def _harvest(received, system: SystemModel) -> HarvestResult:
     return _stage("rectenna", harvest_from_signal, received, system.rectenna)
 
 
-def _with_power(
-    harvest: HarvestResult, amplitudes, p_in, p_out, system: SystemModel
-) -> tuple[HarvestResult, PowerBreakdown]:
-    """The harvest, and the consumption of the tones (..., K) and amplifier
-    powers (...) of its transmits; the two results' shapes broadcast against
-    each other."""
+def _priced(p_out_dc, amplitudes, p_in, p_out, system: SystemModel) -> PowerBreakdown:
+    """The consumption of tones (..., K) whose transmits drew amplifier powers
+    p_in and p_out (...). Their harvests p_out_dc, whose shape broadcasts
+    against the consumption's, are checked with it: a non-finite value of
+    either fails the evaluation."""
     power = _stage(
         "power-model",
         total_power,
@@ -311,22 +313,23 @@ def _with_power(
         system.chain.dac_sample_rate,
         system.power,
     )
-    if not (np.isfinite(harvest.p_out_dc) & np.isfinite(power.p_total)).all():
+    if not (np.isfinite(p_out_dc) & np.isfinite(power.p_total)).all():
         raise NumericalError("evaluation produced a non-finite result")
-    return harvest, power
+    return power
 
 
 def _harvest_and_power(
     received, amplitudes, p_in, p_out, system: SystemModel
 ) -> tuple[HarvestResult, PowerBreakdown]:
     """The harvest of received periods (..., M), with the consumption of their transmits."""
-    return _with_power(_harvest(received, system), amplitudes, p_in, p_out, system)
+    harvest = _harvest(received, system)
+    return harvest, _priced(harvest.p_out_dc, amplitudes, p_in, p_out, system)
 
 
 class _Sent(NamedTuple):
-    """A transmit of tone rows (..., K): the distinct emissions (u, 2K+1), the
-    index of each row's emission among them (...), and each row's amplitudes
-    (..., K) and amplifier powers p_in and p_out (...)."""
+    """A transmit of tone rows (P, K): the distinct emissions (u, 2K+1), the
+    index of each row's emission among them (P,), and each row's amplitudes
+    (P, K) and amplifier powers p_in and p_out (P,)."""
 
     emission: np.ndarray
     inverse: np.ndarray
@@ -335,29 +338,45 @@ class _Sent(NamedTuple):
     p_out: np.ndarray
 
 
+def _quantized(amplitudes, phases, system: SystemModel) -> np.ndarray:
+    """The DAC outputs of tones (..., K), as rows (R, n_dac)."""
+    _, dac = _sampled(amplitudes, phases, system)
+    return dac.reshape(-1, system.n_dac)
+
+
+def _amplified(rows, system: SystemModel):
+    """The emissions (u, 2K+1) and amplifier powers p_in and p_out (u,) of DAC
+    rows (u, n_dac); the stage periods are not read again, so they are freed
+    before the receive."""
+    emission, (*_, p_in, p_out) = _emitted(rows, system)
+    return emission, p_in, p_out
+
+
 @np.errstate(**_RAISE)
 def _transmitted(amplitudes, phases, system: SystemModel) -> _Sent:
-    """The transmit of tones (..., K), each distinct DAC output once, found by
-    exact byte equality; the stage periods are not read again, so they are
-    freed before the receive."""
-    _, dac = _sampled(amplitudes, phases, system)
-    rows = dac.reshape(-1, system.n_dac)
+    """The transmit of tone rows (P, K), each distinct DAC output once, found
+    by exact byte equality."""
+    rows = _quantized(amplitudes, phases, system)
     first, inverse = _distinct_rows(rows)
-    emission, (*_, p_in, p_out) = _emitted(rows[first], system)
-    inverse = inverse.reshape(dac.shape[:-1])
+    emission, p_in, p_out = _amplified(rows[first], system)
     return _Sent(emission, inverse, amplitudes, p_in[inverse], p_out[inverse])
 
 
-def _under_every_word(sent: _Sent, levels) -> bool:
-    """Whether levels (W, N) are every tone row's words, the grid's shape of
-    tones (rows, 1, K), rather than one word a row (..., N)."""
-    return sent.amplitudes.ndim > levels.ndim
+@np.errstate(**_RAISE)
+def _harvested(sent: _Sent, levels, system: SystemModel) -> tuple[HarvestResult, PowerBreakdown]:
+    """Harvest and power of a _Sent's tone rows, row p's emission received
+    under row p's word of phase levels (P, N). Consumption is each row's own,
+    from its amplitudes."""
+    emission, inverse, amplitudes, p_in, p_out = sent
+    received = _receive(emission[inverse], levels, system)
+    return _harvest_and_power(received, amplitudes, p_in, p_out, system)
 
 
 # Most DAC samples (tone points x n_dac), ranked values (tone points x words)
 # and envelope samples in one receive (distinct emissions x words x n_env) in
-# a chunk of the grid, so its memory does not grow with the grid. The
-# rectenna's table read holds seven float arrays of the received samples
+# a chunk of the grid, so its memory does not grow with the grid; the grid's
+# table of the DAC outputs it has ranked holds one chunk's budget of them.
+# The rectenna's table read holds seven float arrays of the received samples
 # besides the complex periods, 9 doubles a sample, 1.2 MB at most; the
 # envelope and the amplifier run on the chunk's distinct DAC outputs, at most
 # tone points x n_env samples. (A swarm is one batch per iteration; the desk
@@ -365,43 +384,23 @@ def _under_every_word(sent: _Sent, levels) -> bool:
 GRID_CHUNK_SAMPLES = 2**14
 
 
-@np.errstate(**_RAISE)
-def _harvested(
-    sent: _Sent, levels, system: SystemModel, block_samples: int
-) -> tuple[HarvestResult, PowerBreakdown]:
-    """Harvest and power of a _Sent's tone rows under phase levels.
-
-    One word a row, tones (..., K) against levels (..., N): each row's
-    emission is received under its word. Every row under every word, tones
-    (rows, 1, K) against levels (W, N): each distinct emission is received
-    under every word, at most block_samples received samples at a time, and
-    each row reads its emission's harvests, (rows, W). Consumption is each
-    row's own, from its amplitudes.
-    """
-    emission, inverse, amplitudes, p_in, p_out = sent
-    if not _under_every_word(sent, levels):
-        received = _receive(emission[inverse], levels, system)
-        return _harvest_and_power(received, amplitudes, p_in, p_out, system)
-    # a block is all the words for as many emissions as fit, or one emission
-    # and as many words as fit
+def _harvested_under_every_word(emission, levels, system: SystemModel, block_samples: int):
+    """The harvested DC power of each emission (u, 2K+1) under each word of
+    phase levels (W, N), (u, W), received at most block_samples samples at a
+    time: a block is all the words for as many emissions as fit, or one
+    emission and as many words as fit."""
     words = min(len(levels), max(1, block_samples // system.n_env))
     emissions = max(1, block_samples // (words * system.n_env))
-    harvests = [
+    blocks = [
         [
             _harvest(
                 _receive(emission[e : e + emissions, None], levels[w : w + words], system), system
-            )
+            ).p_out_dc
             for w in range(0, len(levels), words)
         ]
         for e in range(0, len(emission), emissions)
     ]
-    # the distinct emissions' harvests, (u, W), and each row's of them
-    fields = {}
-    for name in vars(harvests[0][0]):
-        blocks = [np.concatenate([vars(h)[name] for h in row], axis=1) for row in harvests]
-        fields[name] = np.concatenate(blocks)[inverse[:, 0]]
-    harvest = HarvestResult(**fields)
-    return _with_power(harvest, amplitudes, p_in, p_out, system)
+    return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
 
 
 @np.errstate(**_RAISE)
@@ -448,7 +447,7 @@ def evaluate_batch(
     _check_tones(amplitudes, phases)
     levels = _as_levels(levels, system.chain.ps_bits)
     sent = _transmitted(amplitudes, phases, system)
-    harvest, power = _harvested(sent, levels, system, GRID_CHUNK_SAMPLES)
+    harvest, power = _harvested(sent, levels, system)
     # p_dac, p_mix and p_lo are the same for every candidate
     return harvest, PowerBreakdown(*np.broadcast_arrays(*vars(power).values()))
 

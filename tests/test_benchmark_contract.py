@@ -213,15 +213,18 @@ def test_kernels_run_once_per_batch_through_the_simulation_module(monkeypatch):
 def test_a_grid_and_a_swarm_run_the_transmit_once_per_chunk_or_batch(monkeypatch):
     # the transmit finds the distinct DAC outputs between quantize_dac and the
     # envelope, so every stage the harness times runs inside the calls it
-    # replaces: once per grid chunk (the toy's 336 tone points make two, each
-    # received in one block) and once per swarm batch
+    # replaces: synthesis and the DAC once per grid chunk (the toy's 336 tone
+    # points make two), the envelope, the amplifier and the receive only in
+    # the first, whose DAC outputs are all the second's too, received in one
+    # block; and each stage once per swarm batch
     names = ["synthesize_multitone", "quantize_dac", *KERNELS]
     calls = _count_calls(monkeypatch, names)
     profile, overrides = _perfbench_module("setup_probe").CONFIGS["toy-grid"]
     toy = build_setup(load_config(profile=profile, overrides=overrides))
     brute_force_grid(21, 16, toy.system, toy.swarm)
     chunks = math.ceil(21 * 16 / (GRID_CHUNK_SAMPLES // toy.system.n_dac))
-    assert chunks == 2 and calls == Counter(dict.fromkeys(names, chunks))
+    assert chunks == 2
+    assert calls == Counter({**dict.fromkeys(names, 1), **dict.fromkeys(names[:2], chunks)})
     calls.clear()
     desk = build_setup(load_config(profile="desk"))
     pso_run(desk.system, dataclasses.replace(desk.swarm, iterations=3))

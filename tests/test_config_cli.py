@@ -1041,3 +1041,21 @@ def test_extreme_float_leaves_exit_with_a_code(tmp_path, capsys, path, value, co
         assert code == EXIT_CONFIG and err.startswith(f"configuration error: {path} ")
     assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG, EXIT_NUMERICAL)
     assert err.count("\n") <= 1
+    # a Python float's overflow is named in words, not by its errno tuple
+    if code == EXIT_NUMERICAL:
+        assert err.startswith("numerical failure: ") and "(34, " not in err
+
+
+@pytest.mark.parametrize(
+    "path, stage",
+    [("power.supply_voltage", "power-model"), ("chain.hpa_saturation", "hpa")],
+)
+def test_a_python_float_overflow_names_its_stage(tmp_path, capsys, path, stage):
+    section, key = path.split(".")
+    config = tmp_path / "overflow.yaml"
+    config.write_text(yaml.safe_dump({section: {key: 1.0e200}}))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "report")])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        f"numerical failure: {stage} stage failed: overflow in float arithmetic\n"
+    )

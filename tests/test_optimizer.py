@@ -318,22 +318,72 @@ class TestBruteForceGrid:
 
 
 def _count_batches(monkeypatch) -> list:
-    """Record how many candidates each call of the optimizer's objective ranks,
-    and fail on any single-candidate evaluate_solution call."""
+    """Record how many candidates each ranking of the optimizer's objective
+    holds, a swarm's or a grid's, and fail on any single-candidate
+    evaluate_solution call."""
     sizes = []
-    rank = wptsim.optimizer._Objective.rank
+    ranked = wptsim.optimizer._Objective._ranked
 
-    def counting(self, sent, levels):
-        values, record = rank(self, sent, levels)
+    def counting(self, p_out_dc, power):
+        values, record = ranked(self, p_out_dc, power)
         sizes.append(values.size)
         return values, record
 
     def serial(*args):
         raise AssertionError("the optimizer evaluated one candidate at a time")
 
-    monkeypatch.setattr(wptsim.optimizer._Objective, "rank", counting)
+    monkeypatch.setattr(wptsim.optimizer._Objective, "_ranked", counting)
     monkeypatch.setattr(wptsim.optimizer, "evaluate_solution", serial)
     return sizes
+
+
+def _keep_objectives(monkeypatch) -> list:
+    """Record every _Objective the optimizer builds."""
+    objectives = []
+    objective_init = wptsim.optimizer._Objective.__init__
+
+    def keeping_init(self, *args):
+        objective_init(self, *args)
+        objectives.append(self)
+
+    monkeypatch.setattr(wptsim.optimizer._Objective, "__init__", keeping_init)
+    return objectives
+
+
+def _enumerated(system: SystemModel, swarm: SwarmConfig, amplitude_points, phase_points):
+    """The serial fitness of every candidate of a one-tone grid, in the
+    grid's enumeration order, and the candidates."""
+    bits = system.chain.ps_bits
+    values, candidates = [], []
+    for amplitude in np.linspace(0.0, swarm.amplitude_max, amplitude_points):
+        for phase in np.linspace(0.0, 2 * np.pi, phase_points, endpoint=False):
+            for levels in itertools.product(range(2**bits), repeat=system.element_count):
+                tones, word = ToneSet([amplitude], [phase], SPACING), PhaseWord(levels, bits)
+                values.append(evaluate_candidate(tones, word, system, swarm).fitness)
+                candidates.append((tones, word))
+    return values, candidates
+
+
+def _assert_first_minimum(result: OptimizationResult, values, candidates) -> None:
+    best = int(np.argmin(values))
+    tones, word = candidates[best]
+    assert result.best_fitness == values[best]
+    assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
+    assert np.array_equal(result.tones.phases, tones.phases)
+    assert np.array_equal(result.phase_word.levels, word.levels)
+
+
+def _distinct_dac_outputs(system: SystemModel, swarm: SwarmConfig, amplitude_points, phase_points):
+    """How many distinct DAC outputs a one-tone grid's tone points quantize to."""
+    amplitudes = np.linspace(0.0, swarm.amplitude_max, amplitude_points)
+    phases = np.linspace(0.0, 2 * np.pi, phase_points, endpoint=False)
+    digital = synthesize_multitone(
+        np.repeat(amplitudes, phase_points)[:, None],
+        np.tile(phases, amplitude_points)[:, None],
+        system.n_dac,
+    )
+    dac = quantize_dac(digital, system.chain.dac_bits, system.chain.dac_range)
+    return len({row.tobytes() for row in dac})
 
 
 class TestBatchedSearch:
@@ -360,17 +410,13 @@ class TestBatchedSearch:
 
     def test_grid_evaluates_in_memory_bounded_chunks(self, monkeypatch):
         # a chunk synthesizes and quantizes its tone points at once, transmits
-        # each distinct DAC output once and receives each distinct emission
-        # under every word; no chunk holds more than GRID_CHUNK_SAMPLES DAC
-        # samples, ranked values or received envelope samples in one array
+        # each distinct DAC output that the grid has not ranked yet once and
+        # receives each such emission under every word; no chunk holds more
+        # than GRID_CHUNK_SAMPLES DAC samples, ranked values or received
+        # envelope samples in one array
         ranked = _count_batches(monkeypatch)
-        objectives, quantized, received = [], [], []
-        objective_init = wptsim.optimizer._Objective.__init__
+        objectives, quantized, received = _keep_objectives(monkeypatch), [], []
         quantize, receive = wptsim.simulation.quantize_dac, wptsim.simulation._receive
-
-        def keeping_init(self, *args):
-            objective_init(self, *args)
-            objectives.append(self)
 
         def counting_quantize(*args):
             samples = quantize(*args)
@@ -382,7 +428,6 @@ class TestBatchedSearch:
             received.append(periods.shape)
             return periods
 
-        monkeypatch.setattr(wptsim.optimizer._Objective, "__init__", keeping_init)
         monkeypatch.setattr(wptsim.simulation, "quantize_dac", counting_quantize)
         monkeypatch.setattr(wptsim.simulation, "_receive", counting_receive)
         setup = toy_setup()
@@ -391,14 +436,16 @@ class TestBatchedSearch:
         (objective,) = objectives
         assert result.evaluations == objective.evaluations == sum(ranked) == 1012
         # 204 tone points of 80 DAC samples fill a chunk: 253 = 204 + 49 tone
-        # points, whose 300 V grid aliases to 6 and 5 distinct DAC outputs
+        # points, whose 300 V grid aliases to 6 and 5 distinct DAC outputs;
+        # the second chunk's 5 are among the first's 6, so only the first
+        # chunk transmits and receives
         points = GRID_CHUNK_SAMPLES // n_dac
         assert points == 204
-        assert quantized == [(204, 1, n_dac), (49, 1, n_dac)]
+        assert quantized == [(204, n_dac), (49, n_dac)]
         assert ranked == [204 * 4, 49 * 4]
-        assert received == [(6, 4, m), (5, 4, m)]
-        assert objective.transmitted_rows == 11
-        assert objective.received_rows == sum(math.prod(shape[:-1]) for shape in received) == 44
+        assert received == [(6, 4, m)]
+        assert objective.transmitted_rows == 6
+        assert objective.received_rows == sum(math.prod(shape[:-1]) for shape in received) == 24
         assert max(math.prod(shape) for shape in quantized) <= GRID_CHUNK_SAMPLES
         assert max(ranked) <= GRID_CHUNK_SAMPLES
         assert max(math.prod(shape) for shape in received) <= GRID_CHUNK_SAMPLES
@@ -413,7 +460,7 @@ class TestBatchedSearch:
         (objective,) = objectives
         words = GRID_CHUNK_SAMPLES // system.n_env
         assert words == 85
-        assert quantized == [(6, 1, system.n_dac)] and ranked == [6 * 128]
+        assert quantized == [(6, system.n_dac)] and ranked == [6 * 128]
         assert received == [(1, words, system.n_env), (1, 128 - words, system.n_env)] * 3
         assert (objective.transmitted_rows, objective.received_rows) == (3, 3 * 128)
 
@@ -428,27 +475,85 @@ class TestBatchedSearch:
         setup = toy_setup()
         system = setup.system
         swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
-        values, candidates = [], []
-        for amplitude in np.linspace(0.0, swarm.amplitude_max, 11):
-            for phase in np.linspace(0.0, 2 * np.pi, 23, endpoint=False):
-                for levels in itertools.product((0, 1), repeat=2):
-                    tones, word = ToneSet([amplitude], [phase], SPACING), PhaseWord(levels, 1)
-                    values.append(evaluate_candidate(tones, word, system, swarm).fitness)
-                    candidates.append((tones, word))
-        best = int(np.argmin(values))
-        tones, word = candidates[best]
+        values, candidates = _enumerated(system, swarm, 11, 23)
         if required == 0.0:
-            assert best == 0 and values.count(values[0]) == 92
+            assert int(np.argmin(values)) == 0 and values.count(values[0]) == 92
         for bound, chunk in ((GRID_CHUNK_SAMPLES, 816), (21 * 80, 84)):
             # the grid's chunk: whole tone points of 4 words each
             assert (bound // system.n_dac) * 4 == chunk and 1012 % chunk != 0
             assert (92 > chunk) == (bound < GRID_CHUNK_SAMPLES)
             monkeypatch.setattr(wptsim.optimizer, "GRID_CHUNK_SAMPLES", bound)
-            result = brute_force_grid(11, 23, system, swarm)
-            assert result.best_fitness == values[best]
-            assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
-            assert np.array_equal(result.tones.phases, tones.phases)
-            assert np.array_equal(result.phase_word.levels, word.levels)
+            _assert_first_minimum(brute_force_grid(11, 23, system, swarm), values, candidates)
+
+    def test_grid_transmits_each_distinct_dac_output_once(self, monkeypatch):
+        # at a bound of 21 x 80 the toy's 21 x 16 grid is 16 chunks of 21 tone
+        # points. Its 300 V amplitudes alias to 9 distinct DAC outputs, which
+        # the grid's table of 21 holds once ranked, so each is transmitted and
+        # received under the 4 words once (a dedupe within each chunk made 124
+        # transmits and 496 receives), and the grid still ranks as per-point
+        # enumeration does
+        setup = toy_setup()
+        system, swarm = setup.system, setup.swarm
+        objectives = _keep_objectives(monkeypatch)
+        monkeypatch.setattr(wptsim.optimizer, "GRID_CHUNK_SAMPLES", 21 * 80)
+        result = brute_force_grid(21, 16, system, swarm)
+        _assert_first_minimum(result, *_enumerated(system, swarm, 21, 16))
+        (objective,) = objectives
+        assert _distinct_dac_outputs(system, swarm, 21, 16) == 9
+        assert (objective.transmitted_rows, objective.received_rows) == (9, 9 * 4)
+
+    def test_grid_of_distinct_dac_outputs_keeps_its_cost_and_memory(self, monkeypatch):
+        # below the DAC's range the toy's 21 x 16 tone points quantize to 321
+        # distinct outputs, one for the 16 zero-amplitude points and one for
+        # each other point; no output recurs across its two chunks of 204 and
+        # 132 points, so the table saves nothing and the grid transmits and
+        # receives as often as a dedupe within each chunk did. No array the
+        # grid ranks, receives or keeps in its table exceeds
+        # GRID_CHUNK_SAMPLES elements
+        setup = toy_setup()
+        system = setup.system
+        swarm = dataclasses.replace(setup.swarm, amplitude_max=0.9)
+        assert swarm.amplitude_max < system.chain.dac_range
+        ranked = _count_batches(monkeypatch)
+        objectives, received = _keep_objectives(monkeypatch), []
+        receive = wptsim.simulation._receive
+
+        def counting_receive(*args):
+            periods = receive(*args)
+            received.append(periods.shape)
+            return periods
+
+        monkeypatch.setattr(wptsim.simulation, "_receive", counting_receive)
+        result = brute_force_grid(21, 16, system, swarm)
+        (objective,) = objectives
+        assert result.evaluations == sum(ranked) == 1344
+        assert _distinct_dac_outputs(system, swarm, 21, 16) == 321
+        assert (objective.transmitted_rows, objective.received_rows) == (321, 321 * 4)
+        assert max(ranked) <= GRID_CHUNK_SAMPLES
+        assert max(math.prod(shape) for shape in received) <= GRID_CHUNK_SAMPLES
+        assert len(objective.slots) == 204
+        assert len(objective.slots) * system.n_dac <= GRID_CHUNK_SAMPLES
+        assert max(objective.powers.size, objective.p_out_dc.size) <= GRID_CHUNK_SAMPLES
+
+    def test_four_element_two_bit_grid_transmits_its_nine_dac_outputs(self, monkeypatch):
+        # K = 1, N = 4, B = 2: 21 x 16 tone points under 256 words, 86 016
+        # candidates in chunks of 64 tone points. Its 9 distinct DAC outputs
+        # are transmitted once each and received under every word once: 9 and
+        # 2304, where a dedupe within each chunk made 49 and 12 544. The best
+        # point is the one the dedupe within each chunk found, bit for bit
+        setup = desk_setup(
+            waveform={"tone_count": 1},
+            array={"rows": 1, "cols": 4},
+            chain={"ps_bits": 2, "dac_bits": 8},
+        )
+        objectives = _keep_objectives(monkeypatch)
+        best = brute_force_grid(21, 16, setup.system, setup.swarm)
+        (objective,) = objectives
+        assert (objective.transmitted_rows, objective.received_rows) == (9, 2304)
+        assert best.evaluations == 86016
+        assert best.best_fitness == 270.20471680519984
+        assert best.tones.amplitudes.tolist() == [15.0] and best.tones.phases.tolist() == [0.0]
+        assert best.phase_word.levels.tolist() == [0, 0, 0, 0]
 
 
     @pytest.mark.parametrize("required", [20e-6, 0.0])
@@ -462,25 +567,13 @@ class TestBatchedSearch:
         setup = _seven_element_setup()
         system = setup.system
         swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
-        values, candidates = [], []
-        for amplitude in np.linspace(0.0, swarm.amplitude_max, 3):
-            for phase in np.linspace(0.0, 2 * np.pi, 2, endpoint=False):
-                for levels in itertools.product((0, 1), repeat=7):
-                    tones, word = ToneSet([amplitude], [phase], SPACING), PhaseWord(levels, 1)
-                    values.append(evaluate_candidate(tones, word, system, swarm).fitness)
-                    candidates.append((tones, word))
-        best = int(np.argmin(values))
-        tones, word = candidates[best]
+        values, candidates = _enumerated(system, swarm, 3, 2)
         if required == 0.0:
-            assert best == 0 and values.count(values[0]) == 256
+            assert int(np.argmin(values)) == 0 and values.count(values[0]) == 256
         for bound in (GRID_CHUNK_SAMPLES, 100):
             assert bound // system.n_env < 128
             monkeypatch.setattr(wptsim.optimizer, "GRID_CHUNK_SAMPLES", bound)
-            result = brute_force_grid(3, 2, system, swarm)
-            assert result.best_fitness == values[best]
-            assert np.array_equal(result.tones.amplitudes, tones.amplitudes)
-            assert np.array_equal(result.tones.phases, tones.phases)
-            assert np.array_equal(result.phase_word.levels, word.levels)
+            _assert_first_minimum(brute_force_grid(3, 2, system, swarm), values, candidates)
 
 
 def _seven_element_setup():
@@ -509,30 +602,32 @@ _GRID_SYSTEMS = {
     amplitude_max=st.sampled_from([1.0, 30.0, 300.0]),
 )
 def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplitude_max):
-    # the grid transmits a chunk of tone points at once, as (rows, 1, K)
-    # tones, and ranks them against every word; each (tone point, word) the
-    # objective harvests and prices must equal evaluate_batch on that row to
-    # the bit, whichever rows' DAC outputs were deduplicated
+    # the grid quantizes a chunk of tone points at once and ranks them against
+    # every word, reading each DAC output's harvests from what it received in
+    # this chunk or an earlier one; each (tone point, word) harvest and
+    # consumption that the objective ranks must equal evaluate_batch on that
+    # row to the bit, whichever rows' DAC outputs were deduplicated
     system = _GRID_SYSTEMS[name]
     tone_count, bits = system.tone_count, system.chain.ps_bits
     if tone_count == 2:
         amplitude_points, phase_points = min(amplitude_points, 2), min(phase_points, 2)
     swarm = SwarmConfig(amplitude_max=amplitude_max)
     chunks = []
-    transmitted, harvested = wptsim.optimizer._transmitted, wptsim.optimizer._harvested
+    quantized, priced = wptsim.optimizer._quantized, wptsim.optimizer._priced
 
-    def spy_transmitted(amplitudes, phases, system):
-        assert amplitudes.shape[1:] == phases.shape[1:] == (1, tone_count)
-        chunks.append({"amplitudes": amplitudes[:, 0], "phases": phases[:, 0], "results": []})
-        return transmitted(amplitudes, phases, system)
+    def spy_quantized(amplitudes, phases, system):
+        assert amplitudes.shape[1:] == phases.shape[1:] == (tone_count,)
+        chunks.append({"amplitudes": amplitudes, "phases": phases, "results": []})
+        return quantized(amplitudes, phases, system)
 
-    def spy_harvested(*args):
-        chunks[-1]["results"].append(harvested(*args))
-        return chunks[-1]["results"][-1]
+    def spy_priced(p_out_dc, *args):
+        power = priced(p_out_dc, *args)
+        chunks[-1]["results"].append((p_out_dc, power))
+        return power
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wptsim.optimizer, "_transmitted", spy_transmitted)
-        patch.setattr(wptsim.optimizer, "_harvested", spy_harvested)
+        patch.setattr(wptsim.optimizer, "_quantized", spy_quantized)
+        patch.setattr(wptsim.optimizer, "_priced", spy_priced)
         brute_force_grid(amplitude_points, phase_points, system, swarm)
 
     words = 2 ** (bits * system.element_count)
@@ -550,19 +645,12 @@ def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplit
         )
         # each rank's harvest is (rows, words ranked); its p_total (rows, 1)
         grid = {
-            "p_out_dc": np.concatenate([h.p_out_dc for h, _ in results], axis=1),
-            "rhs_log": np.concatenate([h.rhs_log for h, _ in results], axis=1),
-            "v_out_dc": np.concatenate([h.v_out_dc for h, _ in results], axis=1),
+            "p_out_dc": np.concatenate([h for h, _ in results], axis=1),
             "p_total": np.concatenate(
-                [np.broadcast_to(p.p_total, h.p_out_dc.shape) for h, p in results], axis=1
+                [np.broadcast_to(p.p_total, h.shape) for h, p in results], axis=1
             ),
         }
-        batch = {
-            "p_out_dc": batch_harvest.p_out_dc,
-            "rhs_log": batch_harvest.rhs_log,
-            "v_out_dc": batch_harvest.v_out_dc,
-            "p_total": batch_power.p_total,
-        }
+        batch = {"p_out_dc": batch_harvest.p_out_dc, "p_total": batch_power.p_total}
         for field, values in grid.items():
             assert values.shape == (rows, words)
             assert np.array_equal(values, batch[field].reshape(rows, words)), field
@@ -580,10 +668,10 @@ _RANK_SYSTEMS = {"desk": desk_setup().system, "toy": _TOY.system}
     seed=st.integers(0, 2**32 - 1),
 )
 def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, seed):
-    # the objective ranks decoded candidates in the swarm's (P, .) shape and
-    # in the grid's, (rows, 1, K) tones against (W, N) words; every flat row
-    # must equal evaluate_candidate on its candidate, record included, and be
-    # counted. Building each row's ToneSet and PhaseWord checks that the
+    # the objective ranks decoded candidates as a swarm does, row p under
+    # word p, and as a grid does, tone rows (rows, K) under every word (W, N);
+    # every flat row must equal evaluate_candidate on its candidate, record
+    # included, and be counted. Building each row's ToneSet and PhaseWord checks that the
     # decode made it valid. Amplitudes span four decades, so some rows are
     # feasible and some not.
     system = _RANK_SYSTEMS[name]
@@ -607,10 +695,9 @@ def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, 
         assert values[p] == expected.fitness and record(p) == expected
 
     words = min(words, particles)
-    sent = objective.transmit(amplitudes[:, None], phases[:, None])
-    values, record = objective.rank(sent, levels[:words])
-    assert values.shape == (particles * words,)
-    assert objective.evaluations == particles + particles * words
+    grid = wptsim.optimizer._GridObjective(system, swarm, 0, words)
+    values, record = grid.rank(grid.transmit(amplitudes, phases), levels[:words])
+    assert values.shape == (particles * words,) and grid.evaluations == particles * words
     for p in range(particles * words):
         expected = serial(*divmod(p, words))
         assert values[p] == expected.fitness and record(p) == expected
@@ -671,14 +758,27 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
     assert [record(p) for p in range(rows)] == expected
 
     words = min(words, rows)
-    sent = objective.transmit(amplitudes[:, None], phases[:, None])
-    values, record = objective.rank(sent, levels[:words])
-    assert objective.transmitted_rows == 2 * distinct
-    assert objective.received_rows == rows + distinct * words
+    grid = wptsim.optimizer._GridObjective(system, swarm, 0, words)
+    values, record = grid.rank(grid.transmit(amplitudes, phases), levels[:words])
+    assert (grid.transmitted_rows, grid.received_rows) == (distinct, distinct * words)
     # flat candidate p is row p // words under word p % words
     expected = [serial(row, levels[word]) for row in range(rows) for word in range(words)]
     assert np.array_equal(values, [e.fitness for e in expected])
     assert [record(p) for p in range(rows * words)] == expected
+
+    # a grid's objective keeps a table of the DAC outputs it has ranked: with
+    # room for them all, the rows ranked again in reverse order transmit and
+    # receive nothing; with room for one, the others run again. Each row
+    # still equals its serial evaluation
+    reverse = [serial(row, levels[word]) for row in reversed(range(rows)) for word in range(words)]
+    for size, transmits in ((rows, distinct), (1, 2 * distinct - 1)):
+        grid = wptsim.optimizer._GridObjective(system, swarm, size, words)
+        for order, rows_expected in ((slice(None), expected), (slice(None, None, -1), reverse)):
+            points = grid.transmit(amplitudes[order], phases[order])
+            values, record = grid.rank(points, levels[:words])
+            assert np.array_equal(values, [e.fitness for e in rows_expected])
+            assert [record(p) for p in range(rows * words)] == rows_expected
+        assert (grid.transmitted_rows, grid.received_rows) == (transmits, transmits * words)
 
 
 class TestSwarmConfig:
