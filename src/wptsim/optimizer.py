@@ -190,7 +190,7 @@ class _Objective:
     """The penalised fitness every search ranks by, counting what it ranks. Decoded
     and grid candidates are valid by construction, so they are not checked again.
     Besides the ranked candidates it counts the tone rows whose envelope and
-    amplifier ran, one per distinct DAC output, and the received periods."""
+    amplifier ran, every row of a swarm's batch, and the received periods."""
 
     def __init__(self, system: SystemModel, swarm: SwarmConfig):
         _check_penalty(system, swarm)

@@ -220,8 +220,9 @@ def _stage(name: str, fn, *args):
 # the 2K + 1 band bins of the amplified envelope, is all of the period that a
 # beam acts on: one transmit serves every phase word. Everything after the DAC
 # depends only on its output, and a B-bit DAC that saturates maps many tone
-# sets to one output, so a batch's transmit runs the envelope and the amplifier
-# once per distinct DAC output. The kernels run on candidate arrays with any
+# sets to one output; a grid, whose tone points repeat outputs, runs the
+# envelope and the amplifier once per distinct output (wptsim.optimizer), and a
+# batch runs them on every row. The kernels run on candidate arrays with any
 # leading axes, one candidate or a batch, and every reduction is along the last
 # axis, row by row, so a candidate's result does not depend on its batch. The
 # entry points (run_chain, evaluate_solution, the swarm's two steps,
@@ -249,34 +250,6 @@ def _emitted(dac, system: SystemModel):
     )
     emission = np.fft.fft(hpa).take(band_bins(system.tone_count, system.n_env), axis=-1)
     return emission, (mixer, hpa, p_in, p_out)
-
-
-def _row_hash(words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row of (R, w) 64-bit words, wrapping. Each word
-    is folded onto its low half and scaled by an odd multiplier of its own,
-    both bijections, so rows that differ in one word only always differ."""
-    folded = words >> np.uint64(32)
-    folded ^= words
-    odd = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64)
-    return np.dot(folded, odd * np.uint64(0x9E3779B97F4A7C15))
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of one row of each distinct byte pattern of (R, n) rows, and
-    each row's index among those, so rows[first][inverse] equals rows byte for
-    byte: +0.0 and -0.0 are told apart, and no tolerance is used. Equal rows
-    hash alike, so rows of R distinct hashes are all distinct. Otherwise rows
-    are grouped by hash and each is compared with its group's first; should a
-    hash collision group two different rows, every row counts as distinct."""
-    words = rows.view(np.uint64)
-    keys = _row_hash(words)
-    every = np.arange(len(rows))
-    if len(set(keys.tolist())) == len(rows):
-        return every, every
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if not np.array_equal(words[first[inverse]], words):
-        return every, every
-    return first, inverse
 
 
 def _receive(emission, levels, system: SystemModel) -> np.ndarray:
@@ -327,12 +300,10 @@ def _harvest_and_power(
 
 
 class _Sent(NamedTuple):
-    """A transmit of tone rows (P, K): the distinct emissions (u, 2K+1), the
-    index of each row's emission among them (P,), and each row's amplitudes
-    (P, K) and amplifier powers p_in and p_out (P,)."""
+    """A transmit of tone rows (P, K): each row's emission (P, 2K+1),
+    amplitudes (P, K) and amplifier powers p_in and p_out (P,)."""
 
     emission: np.ndarray
-    inverse: np.ndarray
     amplitudes: np.ndarray
     p_in: np.ndarray
     p_out: np.ndarray
@@ -345,8 +316,8 @@ def _quantized(amplitudes, phases, system: SystemModel) -> np.ndarray:
 
 
 def _amplified(rows, system: SystemModel):
-    """The emissions (u, 2K+1) and amplifier powers p_in and p_out (u,) of DAC
-    rows (u, n_dac); the stage periods are not read again, so they are freed
+    """The emissions (R, 2K+1) and amplifier powers p_in and p_out (R,) of DAC
+    rows (R, n_dac); the stage periods are not read again, so they are freed
     before the receive."""
     emission, (*_, p_in, p_out) = _emitted(rows, system)
     return emission, p_in, p_out
@@ -354,12 +325,9 @@ def _amplified(rows, system: SystemModel):
 
 @np.errstate(**_RAISE)
 def _transmitted(amplitudes, phases, system: SystemModel) -> _Sent:
-    """The transmit of tone rows (P, K), each distinct DAC output once, found
-    by exact byte equality."""
-    rows = _quantized(amplitudes, phases, system)
-    first, inverse = _distinct_rows(rows)
-    emission, p_in, p_out = _amplified(rows[first], system)
-    return _Sent(emission, inverse, amplitudes, p_in[inverse], p_out[inverse])
+    """The transmit of tone rows (P, K), every row's DAC output amplified."""
+    emission, p_in, p_out = _amplified(_quantized(amplitudes, phases, system), system)
+    return _Sent(emission, amplitudes, p_in, p_out)
 
 
 @np.errstate(**_RAISE)
@@ -367,8 +335,8 @@ def _harvested(sent: _Sent, levels, system: SystemModel) -> tuple[HarvestResult,
     """Harvest and power of a _Sent's tone rows, row p's emission received
     under row p's word of phase levels (P, N). Consumption is each row's own,
     from its amplitudes."""
-    emission, inverse, amplitudes, p_in, p_out = sent
-    received = _receive(emission[inverse], levels, system)
+    emission, amplitudes, p_in, p_out = sent
+    received = _receive(emission, levels, system)
     return _harvest_and_power(received, amplitudes, p_in, p_out, system)
 
 

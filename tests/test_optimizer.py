@@ -718,9 +718,10 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
     # rows drawn with repeats, in any order, from tone sets and their DAC
     # aliases: the same phases at twice the amplitudes, which the DAC maps to
     # the same output below half a step (and mostly past its range) while
-    # their consumption differs. The transmit runs once per distinct DAC
-    # output, yet every row of evaluate_batch and of the objective's rank, in
-    # both shapes, must equal the serial evaluation of its own candidate
+    # their consumption differs. The swarm's transmit runs on every row and
+    # the grid's once per distinct DAC output, yet every row of evaluate_batch
+    # and of the objective's rank, in both shapes, must equal the serial
+    # evaluation of its own candidate
     system = _RANK_SYSTEMS[name]
     tone_count, elements, bits = system.tone_count, system.element_count, system.chain.ps_bits
     swarm = SwarmConfig(required_dc_power=required)
@@ -752,7 +753,7 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
 
     objective = wptsim.optimizer._Objective(system, swarm)
     values, record = objective.rank(objective.transmit(amplitudes, phases), levels)
-    assert (objective.transmitted_rows, objective.received_rows) == (distinct, rows)
+    assert (objective.transmitted_rows, objective.received_rows) == (rows, rows)
     expected = [serial(p, levels[p]) for p in range(rows)]
     assert np.array_equal(values, [e.fitness for e in expected])
     assert [record(p) for p in range(rows)] == expected
@@ -779,6 +780,44 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
             assert np.array_equal(values, [e.fitness for e in rows_expected])
             assert [record(p) for p in range(rows * words)] == rows_expected
         assert (grid.transmitted_rows, grid.received_rows) == (transmits, transmits * words)
+
+
+def test_grid_table_keeps_signed_zero_outputs_apart():
+    # the grid's table groups DAC outputs by their exact bytes. A toy tone far
+    # below half a DAC step quantizes to zeros signed as its samples: at phase
+    # 0 and at pi the outputs are equal as numbers but differ in each zero's
+    # sign, so they take two slots; twice the amplitude at phase 0 is the
+    # first output byte for byte and takes its slot. Each point still ranks
+    # equal to its serial evaluation
+    system = _TOY.system
+    swarm = SwarmConfig(required_dc_power=0.0)
+    amplitudes, phases = np.array([[1e-4], [1e-4], [2e-4]]), np.array([[0.0], [np.pi], [0.0]])
+    dac = quantize_dac(
+        synthesize_multitone(amplitudes, phases, system.n_dac),
+        system.chain.dac_bits,
+        system.chain.dac_range,
+    )
+    assert np.array_equal(dac[0], dac[1]) and dac[0].tobytes() != dac[1].tobytes()
+    assert dac[0].tobytes() == dac[2].tobytes()
+    levels = np.array([[0, 0], [1, 0]])
+    grid = wptsim.optimizer._GridObjective(system, swarm, len(amplitudes), len(levels))
+    points = grid.transmit(amplitudes, phases)
+    assert points.slots.tolist() == [0, 1, 0]
+    assert (grid.transmitted_rows, len(grid.slots)) == (2, 2)
+    values, record = grid.rank(points, levels)
+    bits = system.chain.ps_bits
+    expected = [
+        evaluate_candidate(
+            ToneSet(amplitudes[row], phases[row], system.tone_spacing),
+            PhaseWord(levels[word], bits),
+            system,
+            swarm,
+        )
+        for row in range(len(amplitudes))
+        for word in range(len(levels))
+    ]
+    assert np.array_equal(values, [e.fitness for e in expected])
+    assert [record(p) for p in range(len(expected))] == expected
 
 
 class TestSwarmConfig:

@@ -273,6 +273,11 @@ class TestEvaluateBatch:
         for case in bad:
             with pytest.raises(ConfigurationError):
                 evaluate_batch(*case, system)
+        # an empty batch is a batch: every field is a (0,) array
+        harvest, power = evaluate_batch(amplitudes[:0], phases[:0], levels[:0], system)
+        for record in (harvest, power):
+            for field, values in vars(record).items():
+                assert values.shape == (0,), field
 
     def test_overflow_in_any_row_fails_the_batch_as_its_stage(self):
         # a zero row is fine at any gain; one driven row overflows the drive.
@@ -306,36 +311,6 @@ def test_a_non_finite_or_huge_received_sample_fails_as_the_rectenna(sample, mess
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(NumericalError, match=f"rectenna stage failed: {message}"):
             wptsim.simulation._harvest_and_power(received, amplitudes, 0.0, 0.0, system)
-
-
-def test_distinct_rows_are_distinct_byte_patterns(monkeypatch):
-    # +0.0 and -0.0 are different rows, equal rows are one; whatever the hash
-    # groups, rows[first][inverse] is rows byte for byte
-    a = np.array([0.0, 1.0 + 1.0j, -1.0j])
-    b = np.array([-0.0, 1.0 + 1.0j, -1.0j])
-    c = np.array([0.0, 1.0 + 1.0j, 1.0j])
-    rows = np.stack([a, b, a, c, b])
-
-    def assert_rebuilt(first, inverse):
-        assert rows[first][inverse].tobytes() == rows.tobytes()
-
-    first, inverse = wptsim.simulation._distinct_rows(rows)
-    assert_rebuilt(first, inverse)
-    assert len(first) == 3
-    assert inverse[0] == inverse[2] and inverse[1] == inverse[4]
-    assert len(set(inverse[[0, 1, 3]].tolist())) == 3
-    first, inverse = wptsim.simulation._distinct_rows(rows[[0, 1, 3]])
-    assert first.tolist() == inverse.tolist() == [0, 1, 2]
-    # a hash that groups every row: different rows are then all kept apart,
-    # and equal rows still form one group
-    monkeypatch.setattr(
-        wptsim.simulation, "_row_hash", lambda words: np.zeros(len(words), np.uint64)
-    )
-    first, inverse = wptsim.simulation._distinct_rows(rows)
-    assert_rebuilt(first, inverse)
-    assert first.tolist() == inverse.tolist() == list(range(5))
-    first, inverse = wptsim.simulation._distinct_rows(rows[[0, 2, 0]])
-    assert first.tolist() == [0] and inverse.tolist() == [0, 0, 0]
 
 
 def test_a_desk_batch_peaks_below_sixteen_sample_arrays():
