@@ -20,12 +20,11 @@ from .simulation import (
     MAX_PERIOD_SAMPLES,
     _RAISE,
     SystemModel,
-    _amplified,
-    _harvested,
+    _emitted,
+    _evaluated,
     _harvested_under_every_word,
     _priced,
-    _quantized,
-    _transmitted,
+    _sampled,
     evaluate_solution,
 )
 
@@ -187,26 +186,20 @@ def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
 
 
 class _Objective:
-    """The penalised fitness every search ranks by, counting what it ranks. Decoded
-    and grid candidates are valid by construction, so they are not checked again.
-    Besides the ranked candidates it counts the tone rows whose envelope and
-    amplifier ran, every row of a swarm's batch, and the received periods."""
+    """The penalised fitness every search ranks by, counting the candidates it
+    ranks. Decoded and grid candidates are valid by construction, so they are
+    not checked again. A swarm's batch is one evaluation step."""
 
     def __init__(self, system: SystemModel, swarm: SwarmConfig):
         _check_penalty(system, swarm)
         self.system, self.swarm = system, swarm
-        self.evaluations = self.transmitted_rows = self.received_rows = 0
+        self.evaluations = 0
 
-    def transmit(self, amplitudes, phases):
-        sent = _transmitted(amplitudes, phases, self.system)
-        self.transmitted_rows += len(sent.emission)
-        return sent
-
-    def rank(self, sent, levels):
-        """Fitness of a swarm's transmit, row p under row p's phase levels (P, N),
-        and a function building candidate p's CandidateEval."""
-        harvest, power = _harvested(sent, levels, self.system)
-        self.received_rows += len(levels)
+    def rank(self, amplitudes, phases, levels):
+        """Fitness of a swarm's decoded rows, tones (P, K) under phase levels
+        (P, N), row p under row p's word, and a function building candidate
+        p's CandidateEval."""
+        harvest, power = _evaluated(amplitudes, phases, levels, self.system)
         return self._ranked(harvest.p_out_dc, power)
 
     def _ranked(self, p_out_dc, power):
@@ -264,15 +257,20 @@ def _gathered(table, new, slots, held):
 
 
 class _GridObjective(_Objective):
-    """A grid's objective, which ranks tone points under every word. It keeps a
-    table of the DAC outputs it has ranked, up to size of them, keyed by their
-    exact bytes (+0.0 and -0.0 apart, no tolerance): each output's amplifier
-    powers and its harvest under each of the words a rank holds. An output the
-    table holds is neither transmitted nor received again; each tone point's
-    consumption is its own."""
+    """A grid's objective, which ranks tone points under every word in two
+    steps split at the DAC output: transmit quantizes the tone points and
+    runs the envelope and the amplifier once per distinct output, and rank
+    receives each new emission under every word. It keeps a table of the DAC
+    outputs it has ranked, up to size of them, keyed by their exact bytes
+    (+0.0 and -0.0 apart, no tolerance): each output's amplifier powers and
+    its harvest under each of the words a rank holds. An output the table
+    holds is neither transmitted nor received again; each tone point's
+    consumption is its own. Besides the ranked candidates it counts the DAC
+    outputs whose envelope and amplifier ran and the received periods."""
 
     def __init__(self, system: SystemModel, swarm: SwarmConfig, size: int, words: int):
         super().__init__(system, swarm)
+        self.transmitted_rows = self.received_rows = 0
         self.slots = {}  # an output's bytes: its row in the table
         self.powers, self.p_out_dc = np.empty((size, 2)), np.empty((size, words))
 
@@ -280,7 +278,7 @@ class _GridObjective(_Objective):
     def transmit(self, amplitudes, phases) -> _Points:
         """Tone points (R, K) quantized, and the envelope and the amplifier run
         once on each of their distinct DAC outputs that the table does not hold."""
-        rows = _quantized(amplitudes, phases, self.system)
+        rows = _sampled(amplitudes, phases, self.system)[1]
         slots, held = self.slots, len(self.slots)
         data, width = rows.tobytes(), rows.itemsize * rows.shape[1]
         # one pass groups the rows and looks them up: a new output takes the
@@ -293,7 +291,7 @@ class _GridObjective(_Objective):
         emission = powers = None
         if new:
             new_rows = np.frombuffer(b"".join(new), rows.dtype).reshape(len(new), -1)
-            emission, p_in, p_out = _amplified(new_rows, self.system)
+            emission, (*_, p_in, p_out) = _emitted(new_rows, self.system)
             powers = np.stack((p_in, p_out), axis=1)
             self.transmitted_rows += len(new)
         return _Points(amplitudes, index, held, emission, powers)
@@ -358,10 +356,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     rng = np.random.default_rng(swarm.seed)
 
     def evaluate(positions):
-        amplitudes, phases, levels = _decode_swarm(
-            positions, system.tone_count, system.chain.ps_bits
-        )
-        return objective.rank(objective.transmit(amplitudes, phases), levels)
+        return objective.rank(*_decode_swarm(positions, system.tone_count, system.chain.ps_bits))
 
     positions = lower + rng.random((swarm.particles, n_var)) * span
     velocities = np.zeros_like(positions)

@@ -72,11 +72,26 @@ def _check_tones(amplitudes: np.ndarray, phases: np.ndarray) -> None:
         raise ConfigurationError("phases must lie in [0, 2*pi)")
 
 
+def _real(values, name: str) -> np.ndarray:
+    """values as an array of real numbers (bool, integer or float). Complex,
+    string and object arrays are refused rather than cast, which would drop
+    an imaginary part or fail inside numpy."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ConfigurationError(f"{name} must be real numbers, got {values.dtype} values")
+    return values
+
+
+def _as_floats(values, name: str) -> np.ndarray:
+    """values as a float array of real numbers."""
+    return _real(values, name).astype(float, copy=False)
+
+
 def _as_levels(levels, bits: int) -> np.ndarray:
     """The phase levels as an int array. Each must be a whole number in
     [0, 2^bits - 1]; integral floats are accepted, fractions refused rather
     than truncated."""
-    levels = np.asarray(levels)
+    levels = _real(levels, "levels")
     top = 2**bits - 1
     if not ((levels >= 0) & (levels <= top) & (np.floor(levels) == levels)).all():
         raise ConfigurationError(f"levels must be whole numbers in [0, {top}]")
@@ -96,8 +111,8 @@ class ToneSet:
     tone_spacing: float
 
     def __post_init__(self):
-        amplitudes = np.asarray(self.amplitudes, dtype=float)
-        phases = np.asarray(self.phases, dtype=float)
+        amplitudes = _as_floats(self.amplitudes, "amplitudes")
+        phases = _as_floats(self.phases, "phases")
         object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "phases", phases)
         if amplitudes.ndim != 1 or amplitudes.shape != phases.shape:
@@ -174,8 +189,8 @@ class PhaseWord:
     def __post_init__(self):
         require_finite(self)
         levels = np.asarray(self.levels)
-        if self.bits < 1:
-            raise ConfigurationError("bits must be at least 1")
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ConfigurationError(f"bits must lie in [1, {MAX_BITS}]")
         if levels.ndim != 1 or levels.size == 0:
             raise ConfigurationError("levels must be a nonempty 1-D vector")
         object.__setattr__(self, "levels", _as_levels(levels, self.bits))

@@ -1,7 +1,6 @@
 """End-to-end system model: transmit chain, propagation, harvest, and power."""
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .signal_chain import (
     ToneSet,
     ENVELOPE_SAMPLES_PER_TONE,
     _angles,
+    _as_floats,
     _as_levels,
     _as_multiple,
     _check_tones,
@@ -220,15 +220,16 @@ def _stage(name: str, fn, *args):
 # the 2K + 1 band bins of the amplified envelope, is all of the period that a
 # beam acts on: one transmit serves every phase word. Everything after the DAC
 # depends only on its output, and a B-bit DAC that saturates maps many tone
-# sets to one output; a grid, whose tone points repeat outputs, runs the
-# envelope and the amplifier once per distinct output (wptsim.optimizer), and a
-# batch runs them on every row. The kernels run on candidate arrays with any
-# leading axes, one candidate or a batch, and every reduction is along the last
-# axis, row by row, so a candidate's result does not depend on its batch. The
-# entry points (run_chain, evaluate_solution, the swarm's two steps,
-# _transmitted and _harvested, which evaluate_batch runs too, and the grid
-# objective's two, in wptsim.optimizer) make a floating-point overflow or
-# invalid operation raise, so that it fails as the stage it happened in.
+# sets to one output. Only a grid, whose tone points repeat outputs, splits an
+# evaluation there: its objective (wptsim.optimizer) runs the envelope and the
+# amplifier once per distinct output and receives each emission under every
+# word. A batch (a swarm's, or evaluate_batch's) is one step, _evaluated, row p
+# under row p's word. The kernels run on candidate arrays with any leading
+# axes, one candidate or a batch, and every reduction is along the last axis,
+# row by row, so a candidate's result does not depend on its batch. The entry
+# points (run_chain, evaluate_solution, _evaluated, and the grid objective's
+# transmit and rank) make a floating-point overflow or invalid operation
+# raise, so that it fails as the stage it happened in.
 _RAISE = {"over": "raise", "invalid": "raise"}
 
 
@@ -299,43 +300,16 @@ def _harvest_and_power(
     return harvest, _priced(harvest.p_out_dc, amplitudes, p_in, p_out, system)
 
 
-class _Sent(NamedTuple):
-    """A transmit of tone rows (P, K): each row's emission (P, 2K+1),
-    amplitudes (P, K) and amplifier powers p_in and p_out (P,)."""
-
-    emission: np.ndarray
-    amplitudes: np.ndarray
-    p_in: np.ndarray
-    p_out: np.ndarray
-
-
-def _quantized(amplitudes, phases, system: SystemModel) -> np.ndarray:
-    """The DAC outputs of tones (..., K), as rows (R, n_dac)."""
-    _, dac = _sampled(amplitudes, phases, system)
-    return dac.reshape(-1, system.n_dac)
-
-
-def _amplified(rows, system: SystemModel):
-    """The emissions (R, 2K+1) and amplifier powers p_in and p_out (R,) of DAC
-    rows (R, n_dac); the stage periods are not read again, so they are freed
-    before the receive."""
-    emission, (*_, p_in, p_out) = _emitted(rows, system)
-    return emission, p_in, p_out
-
-
 @np.errstate(**_RAISE)
-def _transmitted(amplitudes, phases, system: SystemModel) -> _Sent:
-    """The transmit of tone rows (P, K), every row's DAC output amplified."""
-    emission, p_in, p_out = _amplified(_quantized(amplitudes, phases, system), system)
-    return _Sent(emission, amplitudes, p_in, p_out)
-
-
-@np.errstate(**_RAISE)
-def _harvested(sent: _Sent, levels, system: SystemModel) -> tuple[HarvestResult, PowerBreakdown]:
-    """Harvest and power of a _Sent's tone rows, row p's emission received
-    under row p's word of phase levels (P, N). Consumption is each row's own,
-    from its amplitudes."""
-    emission, amplitudes, p_in, p_out = sent
+def _evaluated(
+    amplitudes, phases, levels, system: SystemModel
+) -> tuple[HarvestResult, PowerBreakdown]:
+    """Harvest and power of candidate rows, tones (P, K) under phase levels
+    (P, N), row p's emission received under row p's word. Consumption is each
+    row's own, from its amplitudes. The digital, dac, mixer and hpa periods
+    are not read again, so they are freed before the receive."""
+    emission, (*periods, p_in, p_out) = _emitted(_sampled(amplitudes, phases, system)[1], system)
+    del periods
     received = _receive(emission, levels, system)
     return _harvest_and_power(received, amplitudes, p_in, p_out, system)
 
@@ -406,16 +380,15 @@ def evaluate_batch(
     The batch is checked once, here; a numerical failure of any row fails the
     whole batch as its stage.
     """
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    phases = np.asarray(phases, dtype=float)
+    amplitudes = _as_floats(amplitudes, "amplitudes")
+    phases = _as_floats(phases, "phases")
     levels = np.asarray(levels)
     if amplitudes.ndim != 2:
         raise ConfigurationError(f"expected (P, K) amplitudes, got shape {amplitudes.shape}")
     _check_shapes(amplitudes, phases, levels, system)
     _check_tones(amplitudes, phases)
     levels = _as_levels(levels, system.chain.ps_bits)
-    sent = _transmitted(amplitudes, phases, system)
-    harvest, power = _harvested(sent, levels, system)
+    harvest, power = _evaluated(amplitudes, phases, levels, system)
     # p_dac, p_mix and p_lo are the same for every candidate
     return harvest, PowerBreakdown(*np.broadcast_arrays(*vars(power).values()))
 

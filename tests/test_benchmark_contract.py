@@ -212,12 +212,13 @@ def test_kernels_run_once_per_batch_through_the_simulation_module(monkeypatch):
 
 def test_a_grid_and_a_swarm_run_the_transmit_once_per_chunk_or_batch(monkeypatch):
     # the grid's transmit finds the DAC outputs its table does not hold
-    # between quantize_dac and the envelope, and a swarm's transmit runs the
-    # envelope on every row, so every stage the harness times runs inside the
-    # calls it replaces: synthesis and the DAC once per grid chunk (the toy's
-    # 336 tone points make two), the envelope, the amplifier and the receive
-    # only in the first, whose DAC outputs are all the second's too, received
-    # in one block; and each stage once per swarm batch
+    # between quantize_dac and the envelope, and a swarm's batch is one step
+    # that runs every stage on every row, so every stage the harness times
+    # runs inside the calls it replaces: synthesis and the DAC once per grid
+    # chunk (the toy's 336 tone points make two), the envelope, the amplifier
+    # and the receive only in the first, whose DAC outputs are all the
+    # second's too, received in one block; and each stage once per swarm
+    # batch, which amplifies every row
     names = ["synthesize_multitone", "quantize_dac", *KERNELS]
     calls = _count_calls(monkeypatch, names)
     profile, overrides = _perfbench_module("setup_probe").CONFIGS["toy-grid"]
@@ -227,6 +228,15 @@ def test_a_grid_and_a_swarm_run_the_transmit_once_per_chunk_or_batch(monkeypatch
     assert chunks == 2
     assert calls == Counter({**dict.fromkeys(names, 1), **dict.fromkeys(names[:2], chunks)})
     calls.clear()
+    amplified = []
+    counted = wptsim.simulation.amplify_envelope
+
+    def amplifying(envelope, *args):
+        amplified.append(envelope.shape[:-1])
+        return counted(envelope, *args)
+
+    monkeypatch.setattr(wptsim.simulation, "amplify_envelope", amplifying)
     desk = build_setup(load_config(profile="desk"))
     pso_run(desk.system, dataclasses.replace(desk.swarm, iterations=3))
     assert calls == Counter(dict.fromkeys(names, 4))
+    assert amplified == [(desk.swarm.particles,)] * 4

@@ -613,12 +613,12 @@ def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplit
         amplitude_points, phase_points = min(amplitude_points, 2), min(phase_points, 2)
     swarm = SwarmConfig(amplitude_max=amplitude_max)
     chunks = []
-    quantized, priced = wptsim.optimizer._quantized, wptsim.optimizer._priced
+    sampled, priced = wptsim.optimizer._sampled, wptsim.optimizer._priced
 
-    def spy_quantized(amplitudes, phases, system):
+    def spy_sampled(amplitudes, phases, system):
         assert amplitudes.shape[1:] == phases.shape[1:] == (tone_count,)
         chunks.append({"amplitudes": amplitudes, "phases": phases, "results": []})
-        return quantized(amplitudes, phases, system)
+        return sampled(amplitudes, phases, system)
 
     def spy_priced(p_out_dc, *args):
         power = priced(p_out_dc, *args)
@@ -626,7 +626,7 @@ def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplit
         return power
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wptsim.optimizer, "_quantized", spy_quantized)
+        patch.setattr(wptsim.optimizer, "_sampled", spy_sampled)
         patch.setattr(wptsim.optimizer, "_priced", spy_priced)
         brute_force_grid(amplitude_points, phase_points, system, swarm)
 
@@ -688,7 +688,7 @@ def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, 
         return evaluate_candidate(tones, PhaseWord(levels[word], bits), system, swarm)
 
     objective = wptsim.optimizer._Objective(system, swarm)
-    values, record = objective.rank(objective.transmit(amplitudes, phases), levels)
+    values, record = objective.rank(amplitudes, phases, levels)
     assert values.shape == (particles,) and objective.evaluations == particles
     for p in range(particles):
         expected = serial(p, p)
@@ -718,10 +718,10 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
     # rows drawn with repeats, in any order, from tone sets and their DAC
     # aliases: the same phases at twice the amplitudes, which the DAC maps to
     # the same output below half a step (and mostly past its range) while
-    # their consumption differs. The swarm's transmit runs on every row and
-    # the grid's once per distinct DAC output, yet every row of evaluate_batch
-    # and of the objective's rank, in both shapes, must equal the serial
-    # evaluation of its own candidate
+    # their consumption differs. A swarm's batch is one step on every row
+    # and the grid transmits once per distinct DAC output, yet every row of
+    # evaluate_batch and of the objective's rank, in both shapes, must equal
+    # the serial evaluation of its own candidate
     system = _RANK_SYSTEMS[name]
     tone_count, elements, bits = system.tone_count, system.element_count, system.chain.ps_bits
     swarm = SwarmConfig(required_dc_power=required)
@@ -752,8 +752,7 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
                 assert np.array_equal(getattr(batch, field)[p], value), field
 
     objective = wptsim.optimizer._Objective(system, swarm)
-    values, record = objective.rank(objective.transmit(amplitudes, phases), levels)
-    assert (objective.transmitted_rows, objective.received_rows) == (rows, rows)
+    values, record = objective.rank(amplitudes, phases, levels)
     expected = [serial(p, levels[p]) for p in range(rows)]
     assert np.array_equal(values, [e.fitness for e in expected])
     assert [record(p) for p in range(rows)] == expected

@@ -26,6 +26,7 @@ from wptsim.channel import ChannelMatrix, beamformed_received, build_channel_mat
 from wptsim.power_model import total_power
 from wptsim.rectenna import harvest_from_signal
 from wptsim.signal_chain import (
+    MAX_BITS,
     amplify_envelope,
     band_bins,
     complex_envelope,
@@ -313,11 +314,13 @@ def test_a_non_finite_or_huge_received_sample_fails_as_the_rectenna(sample, mess
             wptsim.simulation._harvest_and_power(received, amplitudes, 0.0, 0.0, system)
 
 
-def test_a_desk_batch_peaks_below_sixteen_sample_arrays():
+def test_a_desk_batch_peaks_below_twelve_sample_arrays():
     # traced memory of one evaluate_batch at P = 30, counted in float (P, M)
-    # arrays (1 474 560 bytes on desk). The amplifier reads its zone table
-    # one coefficient row at a time; a gather of the whole (4, 2, P, M) table
-    # at once would cross the bound. A count of allocations, not a timing.
+    # arrays (1 474 560 bytes on desk): 9.5 of them. The amplifier reads its
+    # zone table one coefficient row at a time, and the batch frees its
+    # mixer and amplifier periods before the receive; a gather of the whole
+    # (4, 2, P, M) table at once, or those periods kept through the receive
+    # (13.2), would cross the bound. A count of allocations, not a timing.
     system = _SYSTEMS["desk"]
     particles = 30
     batch = _batch(system, particles, np.random.default_rng(30))
@@ -333,7 +336,7 @@ def test_a_desk_batch_peaks_below_sixteen_sample_arrays():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak <= 16 * particles * system.n_env * np.dtype(float).itemsize
+    assert peak <= 12 * particles * system.n_env * np.dtype(float).itemsize
 
 
 class TestSystemModelValidation:
@@ -543,6 +546,59 @@ def test_non_finite_tones_rejected_at_both_entry_points(amplitude, phase):
     amplitudes[1, 0], phases[1, 0] = amplitude, phase
     with pytest.raises(ConfigurationError):
         evaluate_batch(amplitudes, phases, levels, system)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # 2^64 - 1 used to be stored as level -1, an angle of -3.4e-19 rad
+        lambda: PhaseWord([2**64 - 1], 64),
+        # used to raise OverflowError converting the level to a C long
+        lambda: PhaseWord([2**65 - 1], 65),
+        # 2.0**1100 used to overflow in angles()
+        lambda: PhaseWord([0, 1], 1100).angles(),
+        lambda: PhaseWord([0], 0),
+    ],
+    ids=["64_bits", "65_bits", "1100_bits", "0_bits"],
+)
+def test_phase_word_bits_outside_the_chain_range_rejected(build):
+    # PhaseWord takes the bits ChainConfig.ps_bits takes, [1, MAX_BITS]
+    with pytest.raises(ConfigurationError, match=rf"^bits must lie in \[1, {MAX_BITS}\]$"):
+        build()
+    with pytest.raises(ConfigurationError, match=rf"^ps_bits must lie in \[1, {MAX_BITS}\]$"):
+        dataclasses.replace(_CHAIN, ps_bits=MAX_BITS + 1)
+    assert PhaseWord([2**MAX_BITS - 1], MAX_BITS).levels.tolist() == [2**MAX_BITS - 1]
+
+
+def _batch_of(**values):
+    # a toy batch of two candidates with the given arrays in place of its own
+    system = _SYSTEMS["toy"]
+    batch = _batch(system, 2, np.random.default_rng(5))
+    batch = {**dict(zip(("amplitudes", "phases", "levels"), batch)), **values}
+    return lambda: evaluate_batch(**batch, system=system)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        # each used to escape as a numpy error, or to drop an imaginary part
+        (lambda: PhaseWord(["a"], 3), "levels"),  # UFuncTypeError
+        (lambda: PhaseWord(np.array([1], dtype=object), 3), "levels"),
+        (lambda: ToneSet([1 + 1j], [0.0], SPACING), "amplitudes"),  # TypeError
+        (lambda: ToneSet(["a"], [0.0], SPACING), "amplitudes"),  # ValueError
+        (lambda: ToneSet([1.0], ["0.5"], SPACING), "phases"),  # cast to 0.5
+        (_batch_of(levels=np.ones((2, 2), dtype=complex)), "levels"),  # TypeError
+        (_batch_of(amplitudes=np.ones((2, 1), dtype=complex)), "amplitudes"),  # ComplexWarning
+        (_batch_of(phases=np.zeros((2, 1), dtype=object)), "phases"),
+    ],
+    ids=[
+        "word_string", "word_object", "tones_complex", "tones_string", "tones_string_number",
+        "batch_complex_levels", "batch_complex_amplitudes", "batch_object_phases",
+    ],
+)
+def test_non_real_free_variables_rejected(build, name):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be real numbers"):
+        build()
 
 
 def test_fractional_phase_levels_rejected_and_integral_floats_accepted():
