@@ -19,15 +19,22 @@ class NumericalError(ArithmeticError):
 
 
 def require_finite(record) -> None:
-    """Refuse, naming it, the first float field of a dataclass record that is
-    NaN or infinite, so the record's range checks compare finite numbers (every
-    comparison with NaN is False, so `x <= 0` alone lets NaN through), or the
-    first int field that is not a Python or numpy integer (a 1.5-bit word or
-    4.5 particles is refused here, not run or met deep inside numpy; a bool,
-    as in config loading, is refused too)."""
+    """Refuse, naming it, the first init field of a dataclass record that is a
+    float field not holding a finite real number, so the record's range checks
+    compare finite numbers (every comparison with NaN is False, so `x <= 0`
+    alone lets NaN through), or an int field not holding a Python or numpy
+    integer (a 1.5-bit word or 4.5 particles is refused here, not run or met
+    deep inside numpy; a bool, as in config loading, is refused too)."""
     for f in fields(record):
+        if not f.init:
+            continue
         value = getattr(record, f.name)
-        if f.type is float and not math.isfinite(value):
-            raise ConfigurationError(f"{f.name} must be finite, got {value}")
-        if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        if f.type is float and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ConfigurationError(f"{f.name} must be a finite number, got {value!r}")
+        if f.type is int and not _is_integer(value):
             raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -8,13 +8,12 @@ pulled toward feasibility. A brute-force grid provides toy-scale ground truth.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, require_finite
+from .errors import ConfigurationError, _is_integer, require_finite
 from .power_model import PowerBreakdown, dac_power
-from .signal_chain import PhaseWord, ToneSet
+from .signal_chain import PhaseWord, ToneSet, _as_floats
 from .simulation import (
     GRID_CHUNK_SAMPLES,
     MAX_PERIOD_SAMPLES,
@@ -122,7 +121,7 @@ def decode_particle(
     The relaxed [0, 1] beam variables scale by 2^B - 1 and floor down; phases
     wrap modulo one turn so the upper bound 2*pi maps onto 0.
     """
-    position = np.asarray(position, dtype=float)
+    position = _as_floats(position, "position")
     if position.size <= 2 * tone_count:
         raise ConfigurationError("particle must carry 2K tone entries plus N beam entries")
     amplitudes, phases, levels = _decode_swarm(position[None], tone_count, ps_bits)
@@ -188,7 +187,7 @@ def _check_penalty(system: SystemModel, swarm: SwarmConfig) -> None:
 class _Objective:
     """The penalised fitness every search ranks by, counting the candidates it
     ranks. Decoded and grid candidates are valid by construction, so they are
-    not checked again. A swarm's batch is one evaluation step."""
+    not checked again. Each search's batch or chunk is one call of rank."""
 
     def __init__(self, system: SystemModel, swarm: SwarmConfig):
         _check_penalty(system, swarm)
@@ -228,20 +227,6 @@ class _Objective:
         )
 
 
-class _Points(NamedTuple):
-    """A grid's transmit of tone points (R, K): their amplitudes; each point's
-    DAC output as its row in the grid's table, (R,), where the outputs first
-    seen in this transmit take the rows from held on, past the table's end
-    where it has no room; and those f outputs' emissions (f, 2K+1) and
-    amplifier powers p_in and p_out (f, 2), or None when there are none."""
-
-    amplitudes: np.ndarray
-    slots: np.ndarray
-    held: int
-    emission: np.ndarray | None
-    powers: np.ndarray | None
-
-
 def _gathered(table, new, slots, held):
     """Row slot of table for each slot below held, row slot - held of new for
     the others."""
@@ -257,16 +242,15 @@ def _gathered(table, new, slots, held):
 
 
 class _GridObjective(_Objective):
-    """A grid's objective, which ranks tone points under every word in two
-    steps split at the DAC output: transmit quantizes the tone points and
-    runs the envelope and the amplifier once per distinct output, and rank
-    receives each new emission under every word. It keeps a table of the DAC
-    outputs it has ranked, up to size of them, keyed by their exact bytes
-    (+0.0 and -0.0 apart, no tolerance): each output's amplifier powers and
-    its harvest under each of the words a rank holds. An output the table
-    holds is neither transmitted nor received again; each tone point's
-    consumption is its own. Besides the ranked candidates it counts the DAC
-    outputs whose envelope and amplifier ran and the received periods."""
+    """A grid's objective, which ranks tone points under every word in one
+    step, as the swarm's ranks its batch. It keeps a table of the DAC outputs
+    it has ranked, up to size of them, keyed by their exact bytes (+0.0 and
+    -0.0 apart, no tolerance): each output's amplifier powers and its harvest
+    under each of the words it was ranked under, so a table is valid for one
+    word set. An output the table holds is neither transmitted nor received
+    again; each tone point's consumption is its own. Besides the ranked
+    candidates it counts the DAC outputs whose envelope and amplifier ran and
+    the received periods."""
 
     def __init__(self, system: SystemModel, swarm: SwarmConfig, size: int, words: int):
         super().__init__(system, swarm)
@@ -274,47 +258,40 @@ class _GridObjective(_Objective):
         self.slots = {}  # an output's bytes: its row in the table
         self.powers, self.p_out_dc = np.empty((size, 2)), np.empty((size, words))
 
-    @np.errstate(**_RAISE)
-    def transmit(self, amplitudes, phases) -> _Points:
-        """Tone points (R, K) quantized, and the envelope and the amplifier run
-        once on each of their distinct DAC outputs that the table does not hold."""
-        rows = _sampled(amplitudes, phases, self.system)[1]
-        slots, held = self.slots, len(self.slots)
-        data, width = rows.tobytes(), rows.itemsize * rows.shape[1]
-        # one pass groups the rows and looks them up: a new output takes the
-        # next slot, and leaves the table again where it has no room
-        keys = (data[i : i + width] for i in range(0, len(data), width))
-        index = np.array([slots.setdefault(key, len(slots)) for key in keys])
-        new = list(slots)[held:]
-        for key in new[len(self.powers) - held :]:
-            del slots[key]
-        emission = powers = None
-        if new:
-            new_rows = np.frombuffer(b"".join(new), rows.dtype).reshape(len(new), -1)
-            emission, (*_, p_in, p_out) = _emitted(new_rows, self.system)
-            powers = np.stack((p_in, p_out), axis=1)
-            self.transmitted_rows += len(new)
-        return _Points(amplitudes, index, held, emission, powers)
-
-    def rank(self, points: _Points, levels):
-        """Fitness of a grid's tone points under every word of phase levels
-        (W, N), flat with the word fastest, and a function building flat
-        candidate p's CandidateEval. The outputs received here enter the
-        table while it has room."""
-        amplitudes, slots, held, emission, powers = points
-        received = None
+    def rank(self, amplitudes, phases, levels):
+        """Fitness of a grid's tone points (R, K) under every word of phase
+        levels (W, N), flat with the word fastest, and a function building
+        flat candidate p's CandidateEval. The points are quantized; the
+        envelope and the amplifier run once on each distinct DAC output the
+        table does not hold, and its emission is received under every word.
+        Those outputs enter the table while it has room."""
         with np.errstate(**_RAISE):
-            if emission is not None:
+            rows = _sampled(amplitudes, phases, self.system)[1]
+            slots, held = self.slots, len(self.slots)
+            data, width = rows.tobytes(), rows.itemsize * rows.shape[1]
+            # one pass groups the rows and looks them up: a new output takes the
+            # next slot, and leaves the table again where it has no room
+            keys = (data[i : i + width] for i in range(0, len(data), width))
+            index = np.array([slots.setdefault(key, len(slots)) for key in keys])
+            new = list(slots)[held:]
+            for key in new[len(self.powers) - held :]:
+                del slots[key]
+            received = powers = None
+            if new:
+                new_rows = np.frombuffer(b"".join(new), rows.dtype).reshape(len(new), -1)
+                emission, (*_, p_in, p_out) = _emitted(new_rows, self.system)
+                powers = np.stack((p_in, p_out), axis=1)
                 received = _harvested_under_every_word(
                     emission, levels, self.system, GRID_CHUNK_SAMPLES
                 )
+                self.transmitted_rows += len(new)
                 self.received_rows += received.size
-                admitted = len(self.slots) - held
+                admitted = len(slots) - held
                 if admitted:
                     self.powers[held : held + admitted] = powers[:admitted]
                     self.p_out_dc[held : held + admitted] = received[:admitted]
-            p_out_dc = _gathered(self.p_out_dc, received, slots, held)
-            powers = _gathered(self.powers, powers, slots, held)
+            p_out_dc = _gathered(self.p_out_dc, received, index, held)
+            powers = _gathered(self.powers, powers, index, held)
             # each point's own consumption, (R, 1), against its harvests (R, W)
             power = _priced(
                 p_out_dc, amplitudes[:, None], powers[:, :1], powers[:, 1:], self.system
@@ -407,8 +384,8 @@ def brute_force_grid(
 
     Ground truth for toy instances; refuses grids beyond the 1e7-point budget.
     """
-    if amplitude_points < 1 or phase_points < 1:
-        raise ConfigurationError("grid needs at least one point per dimension")
+    if not all(_is_integer(n) and n >= 1 for n in (amplitude_points, phase_points)):
+        raise ConfigurationError("grid needs at least one point, a whole number, per dimension")
     tone_count = system.tone_count
     element_count = system.element_count
     bits = system.chain.ps_bits
@@ -422,23 +399,18 @@ def brute_force_grid(
     phase_axis = np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False)
     # flat index i enumerates the grid as nested loops, the first amplitude
     # outermost and the last phase level innermost: tone point i // words,
-    # word i % words. A chunk of tone points is synthesized and quantized at
-    # once, each of its distinct DAC outputs that the objective's table does
-    # not hold transmitted once, and each such emission received under every
-    # word.
+    # word i % words. A chunk holds tone points x n_dac DAC samples and ranks
+    # tone points x words values, each at most GRID_CHUNK_SAMPLES, in one
+    # objective rank; a tone point of more words than that is a chunk of its
+    # own, ranked a part of its words at a time, so the chunks run in
+    # enumeration order. The objective's table of ranked DAC outputs holds as
+    # many as a chunk has tone points, so it too is one chunk's budget. A
+    # table is valid for one word set, so a word-split grid's holds none, and
+    # each part of a tone point's words transmits it again: one envelope row
+    # per GRID_CHUNK_SAMPLES received rows.
     radices = (amplitude_points,) * tone_count + (phase_points,) * tone_count
     words = 2 ** (bits * element_count)
     tone_points = total // words
-    # a chunk holds tone points x n_dac DAC samples and ranks tone points x
-    # words values, each at most GRID_CHUNK_SAMPLES; a tone point of more words
-    # than that is a chunk of its own, ranked a part of its words at a time,
-    # so the chunks run in enumeration order. The objective receives a chunk's
-    # new emissions in blocks of at most GRID_CHUNK_SAMPLES samples, each
-    # forming its words' beam gains once for all its emissions; a table of all
-    # 2^(BN) words' gains would grow with the grid. Its table of ranked DAC
-    # outputs holds as many as a chunk has tone points, so it too is one
-    # chunk's budget of DAC samples and ranked values, and none when a tone
-    # point's words are split.
     word_chunk = min(words, GRID_CHUNK_SAMPLES)
     table_size = GRID_CHUNK_SAMPLES // max(system.n_dac, words)
     tone_chunk = max(1, table_size)
@@ -450,11 +422,10 @@ def brute_force_grid(
         digits = np.stack(np.unravel_index(points, radices), axis=1)
         amplitudes = amplitude_axis[digits[:, :tone_count]]
         phases = phase_axis[digits[:, tone_count:]]
-        sent = objective.transmit(amplitudes, phases)
         for first in range(0, words, word_chunk):
             indices = np.arange(first, min(first + word_chunk, words))
             levels = np.stack(np.unravel_index(indices, (2**bits,) * element_count), axis=1)
-            values, record = objective.rank(sent, levels)
+            values, record = objective.rank(amplitudes, phases, levels)
             # ties keep the first point in enumeration order: argmin within a
             # chunk, a strict improvement across chunks
             flat = int(np.argmin(values))

@@ -75,8 +75,11 @@ def _check_tones(amplitudes: np.ndarray, phases: np.ndarray) -> None:
 def _real(values, name: str) -> np.ndarray:
     """values as an array of real numbers (bool, integer or float). Complex,
     string and object arrays are refused rather than cast, which would drop
-    an imaginary part or fail inside numpy."""
-    values = np.asarray(values)
+    an imaginary part or fail inside numpy, and so are ragged nested lists."""
+    try:
+        values = np.asarray(values)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name} must be a rectangular array, not ragged") from exc
     if values.dtype.kind not in "biuf":
         raise ConfigurationError(f"{name} must be real numbers, got {values.dtype} values")
     return values
@@ -120,6 +123,7 @@ class ToneSet:
         if amplitudes.size == 0:
             raise ConfigurationError("amplitudes must hold at least one tone")
         _check_tones(amplitudes, phases)
+        require_finite(self)
         if not self.tone_spacing > 0:
             raise ConfigurationError("tone_spacing must be positive")
 
@@ -188,9 +192,9 @@ class PhaseWord:
 
     def __post_init__(self):
         require_finite(self)
-        levels = np.asarray(self.levels)
         if not 1 <= self.bits <= MAX_BITS:
             raise ConfigurationError(f"bits must lie in [1, {MAX_BITS}]")
+        levels = _real(self.levels, "levels")
         if levels.ndim != 1 or levels.size == 0:
             raise ConfigurationError("levels must be a nonempty 1-D vector")
         object.__setattr__(self, "levels", _as_levels(levels, self.bits))

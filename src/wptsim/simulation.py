@@ -12,7 +12,7 @@ from .channel import (
     build_channel_matrix,
     receive_band,
 )
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, require_finite
 from .power_model import PowerBreakdown, PowerParams, total_power
 from .rectenna import HarvestResult, RectennaParams, harvest_from_signal
 from .signal_chain import (
@@ -25,6 +25,7 @@ from .signal_chain import (
     _as_levels,
     _as_multiple,
     _check_tones,
+    _real,
     amplify_envelope,
     band_bins,
     complex_envelope,
@@ -69,6 +70,7 @@ class SystemModel:
     band_coefficients: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        require_finite(self)
         if self.tone_count < 1:
             raise ConfigurationError("waveform.tone_count must be at least 1")
         if self.tone_spacing <= 0:
@@ -220,16 +222,16 @@ def _stage(name: str, fn, *args):
 # the 2K + 1 band bins of the amplified envelope, is all of the period that a
 # beam acts on: one transmit serves every phase word. Everything after the DAC
 # depends only on its output, and a B-bit DAC that saturates maps many tone
-# sets to one output. Only a grid, whose tone points repeat outputs, splits an
-# evaluation there: its objective (wptsim.optimizer) runs the envelope and the
-# amplifier once per distinct output and receives each emission under every
-# word. A batch (a swarm's, or evaluate_batch's) is one step, _evaluated, row p
-# under row p's word. The kernels run on candidate arrays with any leading
-# axes, one candidate or a batch, and every reduction is along the last axis,
-# row by row, so a candidate's result does not depend on its batch. The entry
-# points (run_chain, evaluate_solution, _evaluated, and the grid objective's
-# transmit and rank) make a floating-point overflow or invalid operation
-# raise, so that it fails as the stage it happened in.
+# sets to one output. A batch (a swarm's, or evaluate_batch's) is one step,
+# _evaluated, row p under row p's word. A grid's chunk is one step too, its
+# objective's rank (wptsim.optimizer), which runs the envelope and the
+# amplifier once per distinct DAC output and receives each emission under
+# every word. The kernels run on candidate arrays with any leading axes, one
+# candidate or a batch, and every reduction is along the last axis, row by
+# row, so a candidate's result does not depend on its batch. The entry points
+# (run_chain, evaluate_solution, _evaluated, and the grid objective's rank)
+# make a floating-point overflow or invalid operation raise, so that it fails
+# as the stage it happened in.
 _RAISE = {"over": "raise", "invalid": "raise"}
 
 
@@ -382,7 +384,7 @@ def evaluate_batch(
     """
     amplitudes = _as_floats(amplitudes, "amplitudes")
     phases = _as_floats(phases, "phases")
-    levels = np.asarray(levels)
+    levels = _real(levels, "levels")
     if amplitudes.ndim != 2:
         raise ConfigurationError(f"expected (P, K) amplitudes, got shape {amplitudes.shape}")
     _check_shapes(amplitudes, phases, levels, system)

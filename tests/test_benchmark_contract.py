@@ -211,7 +211,7 @@ def test_kernels_run_once_per_batch_through_the_simulation_module(monkeypatch):
 
 
 def test_a_grid_and_a_swarm_run_the_transmit_once_per_chunk_or_batch(monkeypatch):
-    # the grid's transmit finds the DAC outputs its table does not hold
+    # the grid's rank finds the DAC outputs its table does not hold
     # between quantize_dac and the envelope, and a swarm's batch is one step
     # that runs every stage on every row, so every stage the harness times
     # runs inside the calls it replaces: synthesis and the DAC once per grid

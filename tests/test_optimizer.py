@@ -559,21 +559,27 @@ class TestBatchedSearch:
     @pytest.mark.parametrize("required", [20e-6, 0.0])
     def test_word_split_grid_matches_per_point_enumeration(self, monkeypatch, required):
         # 3 x 2 tone points x 128 words. At the default bound they are one
-        # chunk, and each distinct emission is received under 85 and then 43
-        # words; at a bound of 100 each tone point is a chunk of its own,
-        # ranked under 100 and then 28 words. With no harvest required every
-        # word of a tone point ties, the zero-amplitude points first, across
-        # the split and across tone points, and the first of them must win
+        # chunk, and each of the 3 distinct emissions is received under 85
+        # and then 43 words; at a bound of 100 each tone point is a chunk of
+        # its own, ranked under 100 and then 28 words, and its table holds
+        # nothing, so each of the 6 points is transmitted again for its 28
+        # words: 12 transmits, and 6 x 128 receives. With no harvest required
+        # every word of a tone point ties, the zero-amplitude points first,
+        # across the split and across tone points, and the first of them
+        # must win
         setup = _seven_element_setup()
         system = setup.system
         swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
         values, candidates = _enumerated(system, swarm, 3, 2)
         if required == 0.0:
             assert int(np.argmin(values)) == 0 and values.count(values[0]) == 256
-        for bound in (GRID_CHUNK_SAMPLES, 100):
+        objectives = _keep_objectives(monkeypatch)
+        for bound, transmits, receives in ((GRID_CHUNK_SAMPLES, 3, 384), (100, 12, 768)):
             assert bound // system.n_env < 128
             monkeypatch.setattr(wptsim.optimizer, "GRID_CHUNK_SAMPLES", bound)
             _assert_first_minimum(brute_force_grid(3, 2, system, swarm), values, candidates)
+            objective = objectives.pop()
+            assert (objective.transmitted_rows, objective.received_rows) == (transmits, receives)
 
 
 def _seven_element_setup():
@@ -696,7 +702,7 @@ def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, 
 
     words = min(words, particles)
     grid = wptsim.optimizer._GridObjective(system, swarm, 0, words)
-    values, record = grid.rank(grid.transmit(amplitudes, phases), levels[:words])
+    values, record = grid.rank(amplitudes, phases, levels[:words])
     assert values.shape == (particles * words,) and grid.evaluations == particles * words
     for p in range(particles * words):
         expected = serial(*divmod(p, words))
@@ -759,7 +765,7 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
 
     words = min(words, rows)
     grid = wptsim.optimizer._GridObjective(system, swarm, 0, words)
-    values, record = grid.rank(grid.transmit(amplitudes, phases), levels[:words])
+    values, record = grid.rank(amplitudes, phases, levels[:words])
     assert (grid.transmitted_rows, grid.received_rows) == (distinct, distinct * words)
     # flat candidate p is row p // words under word p % words
     expected = [serial(row, levels[word]) for row in range(rows) for word in range(words)]
@@ -774,8 +780,7 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
     for size, transmits in ((rows, distinct), (1, 2 * distinct - 1)):
         grid = wptsim.optimizer._GridObjective(system, swarm, size, words)
         for order, rows_expected in ((slice(None), expected), (slice(None, None, -1), reverse)):
-            points = grid.transmit(amplitudes[order], phases[order])
-            values, record = grid.rank(points, levels[:words])
+            values, record = grid.rank(amplitudes[order], phases[order], levels[:words])
             assert np.array_equal(values, [e.fitness for e in rows_expected])
             assert [record(p) for p in range(rows * words)] == rows_expected
         assert (grid.transmitted_rows, grid.received_rows) == (transmits, transmits * words)
@@ -800,10 +805,9 @@ def test_grid_table_keeps_signed_zero_outputs_apart():
     assert dac[0].tobytes() == dac[2].tobytes()
     levels = np.array([[0, 0], [1, 0]])
     grid = wptsim.optimizer._GridObjective(system, swarm, len(amplitudes), len(levels))
-    points = grid.transmit(amplitudes, phases)
-    assert points.slots.tolist() == [0, 1, 0]
+    values, record = grid.rank(amplitudes, phases, levels)
+    assert [grid.slots[row.tobytes()] for row in dac] == [0, 1, 0]
     assert (grid.transmitted_rows, len(grid.slots)) == (2, 2)
-    values, record = grid.rank(points, levels)
     bits = system.chain.ps_bits
     expected = [
         evaluate_candidate(

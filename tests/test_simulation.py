@@ -15,6 +15,8 @@ from wptsim import (
     NumericalError,
     PhaseWord,
     ToneSet,
+    brute_force_grid,
+    decode_particle,
     evaluate_batch,
     evaluate_solution,
     pso_run,
@@ -598,6 +600,40 @@ def _batch_of(**values):
 )
 def test_non_real_free_variables_rejected(build, name):
     with pytest.raises(ConfigurationError, match=f"^{name} must be real numbers"):
+        build()
+
+
+_TOY = toy_setup()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # each used to escape as a numpy or Python error, or to be accepted
+        (lambda: ToneSet([1.0], [0.0], "a"), "tone_spacing"),  # TypeError
+        (lambda: ToneSet([1.0], [0.0], float("inf")), "tone_spacing"),  # accepted
+        (lambda: ToneSet([[1.0], [1.0, 2.0]], [0.0], SPACING), "amplitudes"),  # ValueError
+        (lambda: PhaseWord([[0], [0, 1]], 3), "levels"),  # ValueError
+        (_batch_of(amplitudes=[[1.0], [1.0, 2.0]]), "amplitudes"),  # ValueError
+        (_batch_of(levels=[[0, 0], [0]]), "levels"),  # ValueError
+        (lambda: decode_particle([[1.0], [1.0, 2.0]], 1, SPACING, 1), "position"),
+        # 2.5 tones built a 6-column H_band, and True a 1-tone model
+        (_replace(_TOY.system, tone_count=2.5), "tone_count"),
+        (_replace(_TOY.system, tone_count=True), "tone_count"),
+        (_replace(_TOY.system, tone_count="1"), "tone_count"),  # TypeError
+        (_replace(_TOY.system, boresight_exponent=None), "boresight_exponent"),  # TypeError
+        (lambda: brute_force_grid(2.5, 2, _TOY.system, _TOY.swarm), "grid"),  # TypeError
+        (lambda: brute_force_grid("2", 2, _TOY.system, _TOY.swarm), "grid"),  # TypeError
+    ],
+    ids=[
+        "spacing_string", "spacing_inf", "tones_ragged", "word_ragged",
+        "batch_ragged_amplitudes", "batch_ragged_levels", "particle_ragged",
+        "tone_count_fraction", "tone_count_bool", "tone_count_string",
+        "boresight_exponent_none", "grid_fraction", "grid_string",
+    ],
+)
+def test_malformed_arguments_rejected_at_the_boundary(build, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
         build()
 
 
