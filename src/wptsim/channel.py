@@ -1,10 +1,11 @@
 """Near-field propagation from the planar array to the energy receiver."""
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _is_integer, require_finite
 from .signal_chain import band_bins
 
 # m/s, exact by the SI definition of the metre (scipy.constants.speed_of_light;
@@ -25,6 +26,9 @@ class ReceiverPosition:
     x: float
     y: float
     z: float
+
+    def __post_init__(self):
+        require_finite(self)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -54,14 +58,15 @@ class ArrayGeometry:
 
 def element_positions(rows: int, cols: int, carrier: float) -> ArrayGeometry:
     """Lay out the rows x cols element grid for the given RF carrier."""
-    if rows < 1 or cols < 1:
-        raise ConfigurationError(f"{'rows' if rows < 1 else 'cols'} must be at least 1")
+    for name, count in (("rows", rows), ("cols", cols)):
+        if not (_is_integer(count) and count >= 1):
+            raise ConfigurationError(f"{name} must be an integer of at least 1, got {count!r}")
     if rows * cols > MAX_CHANNEL_ENTRIES:
         raise ConfigurationError(
             f"rows x cols = {rows} x {cols} elements; at most {MAX_CHANNEL_ENTRIES} are modelled"
         )
-    if carrier <= 0:
-        raise ConfigurationError("carrier frequency must be positive")
+    if not (isinstance(carrier, numbers.Real) and 0 < carrier < math.inf):
+        raise ConfigurationError(f"carrier frequency must be positive and finite, got {carrier!r}")
     spacing = 0.5 * speed_of_light / carrier
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing

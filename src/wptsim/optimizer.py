@@ -13,16 +13,16 @@ import numpy as np
 
 from .errors import ConfigurationError, _is_integer, require_finite
 from .power_model import PowerBreakdown, dac_power
-from .signal_chain import PhaseWord, ToneSet, _as_floats
+from .signal_chain import MAX_BITS, PhaseWord, ToneSet, _as_floats
 from .simulation import (
-    GRID_CHUNK_SAMPLES,
     MAX_PERIOD_SAMPLES,
     _RAISE,
     SystemModel,
     _emitted,
     _evaluated,
-    _harvested_under_every_word,
+    _harvest,
     _priced,
+    _receive,
     _sampled,
     evaluate_solution,
 )
@@ -38,6 +38,17 @@ GRID_BUDGET = 10_000_000
 # this is 2.5 to 4 GB. No period exceeds MAX_PERIOD_SAMPLES, so every system
 # admits 32 particles, the default 30 too.
 _SWARM_BATCH_SAMPLES = 32 * MAX_PERIOD_SAMPLES
+
+# Most DAC samples (tone points x n_dac), ranked values (tone points x words)
+# and envelope samples in one receive (distinct emissions x words x n_env) in
+# a chunk of the grid, so its memory does not grow with the grid; the grid's
+# table of the DAC outputs it has ranked holds one chunk's budget of them.
+# The rectenna's table read holds seven float arrays of the received samples
+# besides the complex periods, 9 doubles a sample, 1.2 MB at most; the
+# envelope and the amplifier run on the chunk's distinct DAC outputs, at most
+# tone points x n_env samples. (A swarm is one batch per iteration; the desk
+# swarm, 30 x 384 samples, is smaller than one chunk.)
+GRID_CHUNK_SAMPLES = 2**14
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,11 @@ def decode_particle(
     The relaxed [0, 1] beam variables scale by 2^B - 1 and floor down; phases
     wrap modulo one turn so the upper bound 2*pi maps onto 0.
     """
+    # checked before the decode forms 2^B - 1, whose cost grows with B
+    if not (_is_integer(ps_bits) and 1 <= ps_bits <= MAX_BITS):
+        raise ConfigurationError(f"ps_bits must be an integer in [1, {MAX_BITS}], got {ps_bits!r}")
+    if not (_is_integer(tone_count) and tone_count >= 1):
+        raise ConfigurationError(f"tone_count must be a positive integer, got {tone_count!r}")
     position = _as_floats(position, "position")
     if position.size <= 2 * tone_count:
         raise ConfigurationError("particle must carry 2K tone entries plus N beam entries")
@@ -227,36 +243,41 @@ class _Objective:
         )
 
 
-def _gathered(table, new, slots, held):
-    """Row slot of table for each slot below held, row slot - held of new for
-    the others."""
-    if new is None:
-        return table[slots]
-    if not held:  # a word-split grid's table holds nothing
-        return new[slots]
-    rows = np.empty((len(slots), table.shape[1]))
-    old = slots < held
-    rows[old] = table[slots[old]]
-    rows[~old] = new[slots[~old] - held]
-    return rows
+def _harvested_under_every_word(emission, levels, system: SystemModel):
+    """The harvested DC power of each emission (u, 2K+1) under each word of
+    phase levels (W, N), (u, W), received at most GRID_CHUNK_SAMPLES samples
+    at a time: a block is all the words for as many emissions as fit, or one
+    emission and as many words as fit."""
+    words = min(len(levels), max(1, GRID_CHUNK_SAMPLES // system.n_env))
+    emissions = max(1, GRID_CHUNK_SAMPLES // (words * system.n_env))
+    blocks = [
+        [
+            _harvest(
+                _receive(emission[e : e + emissions, None], levels[w : w + words], system), system
+            ).p_out_dc
+            for w in range(0, len(levels), words)
+        ]
+        for e in range(0, len(emission), emissions)
+    ]
+    return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
 
 
 class _GridObjective(_Objective):
     """A grid's objective, which ranks tone points under every word in one
     step, as the swarm's ranks its batch. It keeps a table of the DAC outputs
     it has ranked, up to size of them, keyed by their exact bytes (+0.0 and
-    -0.0 apart, no tolerance): each output's amplifier powers and its harvest
-    under each of the words it was ranked under, so a table is valid for one
-    word set. An output the table holds is neither transmitted nor received
-    again; each tone point's consumption is its own. Besides the ranked
-    candidates it counts the DAC outputs whose envelope and amplifier ran and
-    the received periods."""
+    -0.0 apart, no tolerance): two arrays, each output's amplifier powers and
+    its harvest under each of the words it was ranked under, so a table is
+    valid for one word set. An output the table holds is neither transmitted
+    nor received again; each tone point's consumption is its own. Besides the
+    ranked candidates it counts the DAC outputs whose envelope and amplifier
+    ran and the received periods."""
 
-    def __init__(self, system: SystemModel, swarm: SwarmConfig, size: int, words: int):
+    def __init__(self, system: SystemModel, swarm: SwarmConfig, size: int):
         super().__init__(system, swarm)
         self.transmitted_rows = self.received_rows = 0
-        self.slots = {}  # an output's bytes: its row in the table
-        self.powers, self.p_out_dc = np.empty((size, 2)), np.empty((size, words))
+        self.size, self.slots = size, {}  # slots: an output's bytes, its row in the table
+        self.powers, self.p_out_dc = np.empty((0, 2)), np.empty((0, 0))
 
     def rank(self, amplitudes, phases, levels):
         """Fitness of a grid's tone points (R, K) under every word of phase
@@ -264,34 +285,31 @@ class _GridObjective(_Objective):
         flat candidate p's CandidateEval. The points are quantized; the
         envelope and the amplifier run once on each distinct DAC output the
         table does not hold, and its emission is received under every word.
-        Those outputs enter the table while it has room."""
+        The table grows by those outputs and is cut back to its first size."""
         with np.errstate(**_RAISE):
             rows = _sampled(amplitudes, phases, self.system)[1]
             slots, held = self.slots, len(self.slots)
             data, width = rows.tobytes(), rows.itemsize * rows.shape[1]
             # one pass groups the rows and looks them up: a new output takes the
-            # next slot, and leaves the table again where it has no room
+            # next slot, and leaves the table again past its size
             keys = (data[i : i + width] for i in range(0, len(data), width))
             index = np.array([slots.setdefault(key, len(slots)) for key in keys])
             new = list(slots)[held:]
-            for key in new[len(self.powers) - held :]:
-                del slots[key]
-            received = powers = None
             if new:
                 new_rows = np.frombuffer(b"".join(new), rows.dtype).reshape(len(new), -1)
                 emission, (*_, p_in, p_out) = _emitted(new_rows, self.system)
-                powers = np.stack((p_in, p_out), axis=1)
-                received = _harvested_under_every_word(
-                    emission, levels, self.system, GRID_CHUNK_SAMPLES
-                )
+                received = _harvested_under_every_word(emission, levels, self.system)
                 self.transmitted_rows += len(new)
                 self.received_rows += received.size
-                admitted = len(slots) - held
-                if admitted:
-                    self.powers[held : held + admitted] = powers[:admitted]
-                    self.p_out_dc[held : held + admitted] = received[:admitted]
-            p_out_dc = _gathered(self.p_out_dc, received, index, held)
-            powers = _gathered(self.powers, powers, index, held)
+                self.powers = np.concatenate((self.powers, np.stack((p_in, p_out), axis=1)))
+                # an empty table takes this call's words: a word-split grid's
+                # holds nothing, and ranks a part of the words at a time
+                table = self.p_out_dc.reshape(held, len(levels))
+                self.p_out_dc = np.concatenate((table, received))
+            p_out_dc, powers = self.p_out_dc[index], self.powers[index]
+            self.powers, self.p_out_dc = self.powers[: self.size], self.p_out_dc[: self.size]
+            for key in new[self.size - held :]:
+                del slots[key]
             # each point's own consumption, (R, 1), against its harvests (R, W)
             power = _priced(
                 p_out_dc, amplitudes[:, None], powers[:, :1], powers[:, 1:], self.system
@@ -403,9 +421,10 @@ def brute_force_grid(
     # tone points x words values, each at most GRID_CHUNK_SAMPLES, in one
     # objective rank; a tone point of more words than that is a chunk of its
     # own, ranked a part of its words at a time, so the chunks run in
-    # enumeration order. The objective's table of ranked DAC outputs holds as
-    # many as a chunk has tone points, so it too is one chunk's budget. A
-    # table is valid for one word set, so a word-split grid's holds none, and
+    # enumeration order. The objective's table of ranked DAC outputs keeps as
+    # many as a chunk has tone points: a rank grows it by at most a chunk's
+    # new outputs and cuts it back, so it holds at most two chunks' budget. A
+    # table is valid for one word set, so a word-split grid's keeps none, and
     # each part of a tone point's words transmits it again: one envelope row
     # per GRID_CHUNK_SAMPLES received rows.
     radices = (amplitude_points,) * tone_count + (phase_points,) * tone_count
@@ -414,7 +433,7 @@ def brute_force_grid(
     word_chunk = min(words, GRID_CHUNK_SAMPLES)
     table_size = GRID_CHUNK_SAMPLES // max(system.n_dac, words)
     tone_chunk = max(1, table_size)
-    objective = _GridObjective(system, swarm, table_size, word_chunk)
+    objective = _GridObjective(system, swarm, table_size)
 
     best_fitness, best = np.inf, None
     for start in range(0, tone_points, tone_chunk):

@@ -224,11 +224,14 @@ def _stage(name: str, fn, *args):
 # depends only on its output, and a B-bit DAC that saturates maps many tone
 # sets to one output. A batch (a swarm's, or evaluate_batch's) is one step,
 # _evaluated, row p under row p's word. A grid's chunk is one step too, its
-# objective's rank (wptsim.optimizer), which runs the envelope and the
-# amplifier once per distinct DAC output and receives each emission under
-# every word. The kernels run on candidate arrays with any leading axes, one
-# candidate or a batch, and every reduction is along the last axis, row by
-# row, so a candidate's result does not depend on its batch. The entry points
+# objective's rank (wptsim.optimizer, which holds the grid's budget and its
+# block receive), which runs the envelope and the amplifier once per
+# distinct DAC output and receives each emission under every word. Every
+# composition calls the steps below, and they call the stage kernels through
+# this module, so a kernel wrapped here is timed on every path. The kernels
+# run on candidate arrays with any leading axes, one candidate or a batch,
+# and every reduction is along the last axis, row by row, so a candidate's
+# result does not depend on its batch. The entry points
 # (run_chain, evaluate_solution, _evaluated, and the grid objective's rank)
 # make a floating-point overflow or invalid operation raise, so that it fails
 # as the stage it happened in.
@@ -314,37 +317,6 @@ def _evaluated(
     del periods
     received = _receive(emission, levels, system)
     return _harvest_and_power(received, amplitudes, p_in, p_out, system)
-
-
-# Most DAC samples (tone points x n_dac), ranked values (tone points x words)
-# and envelope samples in one receive (distinct emissions x words x n_env) in
-# a chunk of the grid, so its memory does not grow with the grid; the grid's
-# table of the DAC outputs it has ranked holds one chunk's budget of them.
-# The rectenna's table read holds seven float arrays of the received samples
-# besides the complex periods, 9 doubles a sample, 1.2 MB at most; the
-# envelope and the amplifier run on the chunk's distinct DAC outputs, at most
-# tone points x n_env samples. (A swarm is one batch per iteration; the desk
-# swarm, 30 x 384 samples, is smaller than one chunk.)
-GRID_CHUNK_SAMPLES = 2**14
-
-
-def _harvested_under_every_word(emission, levels, system: SystemModel, block_samples: int):
-    """The harvested DC power of each emission (u, 2K+1) under each word of
-    phase levels (W, N), (u, W), received at most block_samples samples at a
-    time: a block is all the words for as many emissions as fit, or one
-    emission and as many words as fit."""
-    words = min(len(levels), max(1, block_samples // system.n_env))
-    emissions = max(1, block_samples // (words * system.n_env))
-    blocks = [
-        [
-            _harvest(
-                _receive(emission[e : e + emissions, None], levels[w : w + words], system), system
-            ).p_out_dc
-            for w in range(0, len(levels), words)
-        ]
-        for e in range(0, len(emission), emissions)
-    ]
-    return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
 
 
 @np.errstate(**_RAISE)

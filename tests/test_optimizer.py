@@ -351,14 +351,16 @@ def _keep_objectives(monkeypatch) -> list:
 
 
 def _enumerated(system: SystemModel, swarm: SwarmConfig, amplitude_points, phase_points):
-    """The serial fitness of every candidate of a one-tone grid, in the
-    grid's enumeration order, and the candidates."""
-    bits = system.chain.ps_bits
+    """The serial fitness of every candidate of a grid, in the grid's
+    enumeration order, and the candidates."""
+    bits, tone_count = system.chain.ps_bits, system.tone_count
+    amplitude_axis = np.linspace(0.0, swarm.amplitude_max, amplitude_points)
+    phase_axis = np.linspace(0.0, 2 * np.pi, phase_points, endpoint=False)
     values, candidates = [], []
-    for amplitude in np.linspace(0.0, swarm.amplitude_max, amplitude_points):
-        for phase in np.linspace(0.0, 2 * np.pi, phase_points, endpoint=False):
+    for amplitudes in itertools.product(amplitude_axis, repeat=tone_count):
+        for phases in itertools.product(phase_axis, repeat=tone_count):
             for levels in itertools.product(range(2**bits), repeat=system.element_count):
-                tones, word = ToneSet([amplitude], [phase], SPACING), PhaseWord(levels, bits)
+                tones, word = ToneSet(amplitudes, phases, SPACING), PhaseWord(levels, bits)
                 values.append(evaluate_candidate(tones, word, system, swarm).fitness)
                 candidates.append((tones, word))
     return values, candidates
@@ -374,14 +376,13 @@ def _assert_first_minimum(result: OptimizationResult, values, candidates) -> Non
 
 
 def _distinct_dac_outputs(system: SystemModel, swarm: SwarmConfig, amplitude_points, phase_points):
-    """How many distinct DAC outputs a one-tone grid's tone points quantize to."""
+    """How many distinct DAC outputs a grid's tone points quantize to."""
+    tone_count = system.tone_count
     amplitudes = np.linspace(0.0, swarm.amplitude_max, amplitude_points)
     phases = np.linspace(0.0, 2 * np.pi, phase_points, endpoint=False)
-    digital = synthesize_multitone(
-        np.repeat(amplitudes, phase_points)[:, None],
-        np.tile(phases, amplitude_points)[:, None],
-        system.n_dac,
-    )
+    # every tone point, its amplitudes then its phases, in enumeration order
+    points = np.array(list(itertools.product(*[amplitudes] * tone_count, *[phases] * tone_count)))
+    digital = synthesize_multitone(points[:, :tone_count], points[:, tone_count:], system.n_dac)
     dac = quantize_dac(digital, system.chain.dac_bits, system.chain.dac_range)
     return len({row.tobytes() for row in dac})
 
@@ -416,7 +417,7 @@ class TestBatchedSearch:
         # envelope samples in one array
         ranked = _count_batches(monkeypatch)
         objectives, quantized, received = _keep_objectives(monkeypatch), [], []
-        quantize, receive = wptsim.simulation.quantize_dac, wptsim.simulation._receive
+        quantize, receive = wptsim.simulation.quantize_dac, wptsim.optimizer._receive
 
         def counting_quantize(*args):
             samples = quantize(*args)
@@ -429,7 +430,7 @@ class TestBatchedSearch:
             return periods
 
         monkeypatch.setattr(wptsim.simulation, "quantize_dac", counting_quantize)
-        monkeypatch.setattr(wptsim.simulation, "_receive", counting_receive)
+        monkeypatch.setattr(wptsim.optimizer, "_receive", counting_receive)
         setup = toy_setup()
         n_dac, m = setup.system.n_dac, setup.system.n_env
         result = brute_force_grid(11, 23, setup.system, setup.swarm)
@@ -516,14 +517,14 @@ class TestBatchedSearch:
         assert swarm.amplitude_max < system.chain.dac_range
         ranked = _count_batches(monkeypatch)
         objectives, received = _keep_objectives(monkeypatch), []
-        receive = wptsim.simulation._receive
+        receive = wptsim.optimizer._receive
 
         def counting_receive(*args):
             periods = receive(*args)
             received.append(periods.shape)
             return periods
 
-        monkeypatch.setattr(wptsim.simulation, "_receive", counting_receive)
+        monkeypatch.setattr(wptsim.optimizer, "_receive", counting_receive)
         result = brute_force_grid(21, 16, system, swarm)
         (objective,) = objectives
         assert result.evaluations == sum(ranked) == 1344
@@ -580,6 +581,52 @@ class TestBatchedSearch:
             _assert_first_minimum(brute_force_grid(3, 2, system, swarm), values, candidates)
             objective = objectives.pop()
             assert (objective.transmitted_rows, objective.received_rows) == (transmits, receives)
+
+
+    @pytest.mark.parametrize(
+        "name, amplitude_max, amplitude_points, phase_points",
+        [("toy", 0.9, 7, 6), ("toy", 300.0, 7, 6), ("K2-N2-B1", 300.0, 4, 3)],
+    )
+    def test_grid_table_is_cut_back_to_its_size(
+        self, monkeypatch, name, amplitude_max, amplitude_points, phase_points
+    ):
+        # at a bound of n_dac, 3 n_dac and 21 x 80 samples the table keeps 1,
+        # 3 and 21 DAC outputs: each rank grows it by its new outputs, and the
+        # outputs past its size leave it and their slots again, to be
+        # transmitted again when they recur. After every rank the table holds
+        # at most its size of rows and one slot a row, and the grid still
+        # ranks as per-point enumeration does
+        system = (_TOY if name == "toy" else _two_tone_setup()).system
+        swarm = SwarmConfig(amplitude_max=amplitude_max)
+        values, candidates = _enumerated(system, swarm, amplitude_points, phase_points)
+        distinct = _distinct_dac_outputs(system, swarm, amplitude_points, phase_points)
+        objectives, tables = _keep_objectives(monkeypatch), []
+        rank = wptsim.optimizer._GridObjective.rank
+
+        def checking_rank(self, *args):
+            ranked = rank(self, *args)
+            rows = len(self.powers)
+            assert rows == len(self.p_out_dc) == len(self.slots) <= self.size
+            tables.append(rows)
+            return ranked
+
+        monkeypatch.setattr(wptsim.optimizer._GridObjective, "rank", checking_rank)
+        for bound in (system.n_dac, 3 * system.n_dac, 21 * 80):
+            monkeypatch.setattr(wptsim.optimizer, "GRID_CHUNK_SAMPLES", bound)
+            result = brute_force_grid(amplitude_points, phase_points, system, swarm)
+            _assert_first_minimum(result, values, candidates)
+            objective = objectives.pop()
+            assert objective.size == bound // system.n_dac
+            assert max(tables) == min(objective.size, distinct)
+            assert objective.transmitted_rows >= distinct
+            tables.clear()
+
+
+def _two_tone_setup():
+    """K = 2 tones, N = 2 elements of 1 bit, the desk DAC of 3 bits."""
+    return desk_setup(
+        waveform={"tone_count": 2}, array={"rows": 1, "cols": 2}, chain={"ps_bits": 1}
+    )
 
 
 def _seven_element_setup():
@@ -701,7 +748,7 @@ def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, 
         assert values[p] == expected.fitness and record(p) == expected
 
     words = min(words, particles)
-    grid = wptsim.optimizer._GridObjective(system, swarm, 0, words)
+    grid = wptsim.optimizer._GridObjective(system, swarm, 0)
     values, record = grid.rank(amplitudes, phases, levels[:words])
     assert values.shape == (particles * words,) and grid.evaluations == particles * words
     for p in range(particles * words):
@@ -764,7 +811,7 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
     assert [record(p) for p in range(rows)] == expected
 
     words = min(words, rows)
-    grid = wptsim.optimizer._GridObjective(system, swarm, 0, words)
+    grid = wptsim.optimizer._GridObjective(system, swarm, 0)
     values, record = grid.rank(amplitudes, phases, levels[:words])
     assert (grid.transmitted_rows, grid.received_rows) == (distinct, distinct * words)
     # flat candidate p is row p // words under word p % words
@@ -778,7 +825,7 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
     # still equals its serial evaluation
     reverse = [serial(row, levels[word]) for row in reversed(range(rows)) for word in range(words)]
     for size, transmits in ((rows, distinct), (1, 2 * distinct - 1)):
-        grid = wptsim.optimizer._GridObjective(system, swarm, size, words)
+        grid = wptsim.optimizer._GridObjective(system, swarm, size)
         for order, rows_expected in ((slice(None), expected), (slice(None, None, -1), reverse)):
             values, record = grid.rank(amplitudes[order], phases[order], levels[:words])
             assert np.array_equal(values, [e.fitness for e in rows_expected])
@@ -804,7 +851,7 @@ def test_grid_table_keeps_signed_zero_outputs_apart():
     assert np.array_equal(dac[0], dac[1]) and dac[0].tobytes() != dac[1].tobytes()
     assert dac[0].tobytes() == dac[2].tobytes()
     levels = np.array([[0, 0], [1, 0]])
-    grid = wptsim.optimizer._GridObjective(system, swarm, len(amplitudes), len(levels))
+    grid = wptsim.optimizer._GridObjective(system, swarm, len(amplitudes))
     values, record = grid.rank(amplitudes, phases, levels)
     assert [grid.slots[row.tobytes()] for row in dac] == [0, 1, 0]
     assert (grid.transmitted_rows, len(grid.slots)) == (2, 2)

@@ -14,9 +14,11 @@ from wptsim import (
     ConfigurationError,
     NumericalError,
     PhaseWord,
+    ReceiverPosition,
     ToneSet,
     brute_force_grid,
     decode_particle,
+    element_positions,
     evaluate_batch,
     evaluate_solution,
     pso_run,
@@ -624,12 +626,24 @@ _TOY = toy_setup()
         (_replace(_TOY.system, boresight_exponent=None), "boresight_exponent"),  # TypeError
         (lambda: brute_force_grid(2.5, 2, _TOY.system, _TOY.swarm), "grid"),  # TypeError
         (lambda: brute_force_grid("2", 2, _TOY.system, _TOY.swarm), "grid"),  # TypeError
+        # 2^B - 1 was formed before any check: OverflowError
+        (lambda: decode_particle(np.zeros(3), 1, SPACING, 1100), "ps_bits"),
+        (lambda: decode_particle(np.zeros(3), 1, SPACING, 10**5), "ps_bits"),
+        (lambda: decode_particle(np.zeros(3), 2.5, SPACING, 1), "tone_count"),
+        (lambda: decode_particle(np.zeros(3), "1", SPACING, 1), "tone_count"),  # TypeError
+        (lambda: element_positions(2.5, 2, 5.18e9), "rows"),  # TypeError
+        (lambda: element_positions("2", 2, 5.18e9), "rows"),  # TypeError
+        (lambda: element_positions(2, 2, float("nan")), "carrier"),  # NaN positions
+        (lambda: ReceiverPosition("a", 1.0, 0.0), "x"),  # accepted
     ],
     ids=[
         "spacing_string", "spacing_inf", "tones_ragged", "word_ragged",
         "batch_ragged_amplitudes", "batch_ragged_levels", "particle_ragged",
         "tone_count_fraction", "tone_count_bool", "tone_count_string",
         "boresight_exponent_none", "grid_fraction", "grid_string",
+        "particle_1100_bits", "particle_100000_bits", "particle_tone_count_fraction",
+        "particle_tone_count_string", "array_rows_fraction", "array_rows_string",
+        "array_carrier_nan", "receiver_string",
     ],
 )
 def test_malformed_arguments_rejected_at_the_boundary(build, message):
