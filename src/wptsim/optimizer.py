@@ -7,6 +7,7 @@ pulled toward feasibility. A brute-force grid provides toy-scale ground truth.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,11 @@ def particle_bounds(
     tone_count: int, element_count: int, amplitude_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lower/upper bounds of the 2K + N search vector."""
+    for name, count in (("tone_count", tone_count), ("element_count", element_count)):
+        if not (_is_integer(count) and count >= 1):
+            raise ConfigurationError(f"{name} must be an integer of at least 1, got {count!r}")
+    if not (isinstance(amplitude_max, numbers.Real) and 0 < amplitude_max < math.inf):
+        raise ConfigurationError(f"amplitude_max must be finite and > 0, got {amplitude_max!r}")
     n_var = 2 * tone_count + element_count
     lower = np.zeros(n_var)
     upper = np.concatenate(
@@ -138,6 +144,8 @@ def decode_particle(
     if not (_is_integer(tone_count) and tone_count >= 1):
         raise ConfigurationError(f"tone_count must be a positive integer, got {tone_count!r}")
     position = _as_floats(position, "position")
+    if not np.isfinite(position).all():
+        raise ConfigurationError("position must hold finite numbers")
     if position.size <= 2 * tone_count:
         raise ConfigurationError("particle must carry 2K tone entries plus N beam entries")
     amplitudes, phases, levels = _decode_swarm(position[None], tone_count, ps_bits)
@@ -289,11 +297,12 @@ class _GridObjective(_Objective):
         with np.errstate(**_RAISE):
             rows = _sampled(amplitudes, phases, self.system)[1]
             slots, held = self.slots, len(self.slots)
-            data, width = rows.tobytes(), rows.itemsize * rows.shape[1]
-            # one pass groups the rows and looks them up: a new output takes the
-            # next slot, and leaves the table again past its size
-            keys = (data[i : i + width] for i in range(0, len(data), width))
-            index = np.array([slots.setdefault(key, len(slots)) for key in keys])
+            # each row's bytes, from one C call; a new output takes the next slot
+            # in first-occurrence order, and leaves the table again past its size
+            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+            for key in dict.fromkeys(keys):
+                slots.setdefault(key, len(slots))
+            index = list(map(slots.__getitem__, keys))
             new = list(slots)[held:]
             if new:
                 new_rows = np.frombuffer(b"".join(new), rows.dtype).reshape(len(new), -1)

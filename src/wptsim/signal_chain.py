@@ -216,33 +216,32 @@ def synthesize_multitone(amplitudes: np.ndarray, phases: np.ndarray, n: int) -> 
     bins a_k e^{j phi_k}, zero-padded to n, synthesizes it, exactly periodic
     by construction.
     """
-    # scaled in place, so a grid chunk (261 KB of periods on the toy) holds
-    # one copy of its periods, not two
+    # scaled in place on the real view (one copy of a grid chunk's 261 KB of
+    # toy periods, not two): complex / K scales both parts by 1/K alike, but for
+    # the sign of an exactly zero part, which the DAC's + 0.0 erases
     period = np.fft.ifft(amplitudes * np.exp(1j * phases), n=n, norm="forward")
-    period /= amplitudes.shape[-1]
+    period.view(float)[...] *= 1.0 / amplitudes.shape[-1]
     return period
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
-    """Round half away from zero: the values' scratch (overwritten) holds the
-    fraction, and one new buffer the rounded values.
+    """Round half away from zero, into one new buffer (the values gain + 0.0).
 
-    Symmetric about zero, unlike numpy's round-half-even. The fraction
-    v - trunc(v) is exact, whereas trunc(v +- 0.5) rounds the largest double
-    below 0.5 up because the sum rounds to 1.0. trunc keeps the sign of v, so
-    a value below one half in magnitude rounds to a signed zero, as
-    sign(v) * 0 would; adding 0.0 first makes -0.0 itself round to +0.0, as
-    sign(-0.0) = 0 does. Besides the values, one sample-sized buffer is
-    live, not two: a grid chunk's quantizer touches 261 KB less memory on the
-    toy, which the C allocator otherwise returned and faulted in again every
-    chunk.
+    Symmetric about zero, unlike numpy's round-half-even. v + sign(v) * B,
+    with B the largest double below 0.5, truncates to the rounded value for
+    every double, whereas v + 0.5 would round B itself up to 1. trunc keeps the
+    sign of the sum, so a value below one half in magnitude rounds to a signed
+    zero, as sign(v) * 0 would; adding 0.0 first makes -0.0 itself round to
+    +0.0, as sign(-0.0) = 0 does. Besides the values, one sample-sized buffer
+    is live, not two: a grid chunk's quantizer touches 261 KB less memory on
+    the toy, which the C allocator otherwise returned and faulted in again
+    every chunk.
     """
     values += 0.0
-    whole = np.trunc(values)
-    values -= whole
-    np.abs(values, out=values)
-    whole += np.copysign(values >= 0.5, whole, out=values)
-    return whole
+    rounded = np.copysign(0.49999999999999994, values)  # B
+    rounded += values
+    np.trunc(rounded, out=rounded)
+    return rounded
 
 
 def quantize_dac(samples: np.ndarray, bits: int, full_scale: float) -> np.ndarray:

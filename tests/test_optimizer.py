@@ -870,6 +870,39 @@ def test_grid_table_keeps_signed_zero_outputs_apart():
     assert [record(p) for p in range(len(expected))] == expected
 
 
+def test_grid_slots_hold_the_rows_bytes_in_first_occurrence_order():
+    # two chunks of toy tone points with repeats, within and across the
+    # chunks: the table's slots are the rows' DAC bytes in the order they
+    # first occur, numbered 0, 1, ... in that order. With room for only the
+    # first chunk's outputs, the second chunk's new ones leave the table again
+    system = _TOY.system
+    swarm = SwarmConfig(required_dc_power=0.0)
+    scale = system.chain.dac_range
+    chunks = [np.array([0.6, 0.2, 0.6, 0.4, 0.2]), np.array([0.8, 0.4, 1.0, 0.8, 0.6])]
+    rows = [
+        quantize_dac(
+            synthesize_multitone(scale * chunk[:, None], np.zeros((len(chunk), 1)), system.n_dac),
+            system.chain.dac_bits,
+            scale,
+        )
+        for chunk in chunks
+    ]
+    first = []
+    for row in np.concatenate(rows):
+        if row.tobytes() not in first:
+            first.append(row.tobytes())
+    assert len(first) == 5
+    held = len({row.tobytes() for row in rows[0]})
+    levels = np.array([[0, 0], [1, 0]])
+    for size, slots in ((len(first), first), (held, first[:held])):
+        grid = wptsim.optimizer._GridObjective(system, swarm, size)
+        for chunk in chunks:
+            grid.rank(scale * chunk[:, None], np.zeros((len(chunk), 1)), levels)
+        assert list(grid.slots) == slots
+        assert list(grid.slots.values()) == list(range(len(slots)))
+        assert grid.transmitted_rows == len(first)
+
+
 class TestSwarmConfig:
     def test_penalty_must_exceed_consumption_bound(self):
         # a 36-bit DAC alone draws 1.03e6 W, above the default 1e6 W penalty

@@ -99,6 +99,21 @@ class TestSynthesize:
             expected = multitone_oracle(amplitudes, phases, SPACING, n * SPACING)
             assert_allclose(sig, expected, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("tone_count", range(1, 13))
+    def test_equals_the_inverse_dft_divided_by_the_tone_count(self, rng, tone_count):
+        # scaling by 1/K in place equals dividing by K, for every K (not only
+        # powers of two), on one candidate and on batches of them
+        for shape in ((tone_count,), (3, tone_count), (2, 3, tone_count)):
+            amplitudes = rng.random(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+            phases = rng.uniform(0.0, 2.0 * np.pi, shape)
+            for n in (tone_count, 2 * tone_count + 1, 80):
+                expected = (
+                    np.fft.ifft(amplitudes * np.exp(1j * phases), n, norm="forward") / tone_count
+                )
+                sig = synthesize_multitone(amplitudes, phases, n)
+                assert sig.shape == expected.shape
+                assert np.array_equal(sig, expected)
+
     def test_periodicity_of_first_wrapped_sample(self, rng):
         amplitudes = rng.random(8)
         tones = ToneSet(amplitudes, np.zeros(8), SPACING)

@@ -21,6 +21,7 @@ from wptsim import (
     element_positions,
     evaluate_batch,
     evaluate_solution,
+    particle_bounds,
     pso_run,
     run_chain,
 )
@@ -635,6 +636,19 @@ _TOY = toy_setup()
         (lambda: element_positions("2", 2, 5.18e9), "rows"),  # TypeError
         (lambda: element_positions(2, 2, float("nan")), "carrier"),  # NaN positions
         (lambda: ReceiverPosition("a", 1.0, 0.0), "x"),  # accepted
+        (lambda: particle_bounds(2.5, 2, 300.0), "tone_count"),  # TypeError
+        (lambda: particle_bounds("1", 2, 300.0), "tone_count"),  # TypeError
+        (lambda: particle_bounds(-1, 2, 300.0), "tone_count"),  # ValueError
+        (lambda: particle_bounds(1, 0.5, 300.0), "element_count"),  # TypeError
+        (lambda: particle_bounds(1, 2, float("nan")), "amplitude_max"),  # accepted
+        (lambda: particle_bounds(1, 2, float("inf")), "amplitude_max"),  # accepted
+        (lambda: particle_bounds(1, 2, "300"), "amplitude_max"),  # accepted, string bounds
+        (lambda: particle_bounds(1, 2, 0.0), "amplitude_max"),  # accepted
+        # the decode's cast warned first: a RuntimeWarning under the suite's filter
+        (lambda: decode_particle([np.nan] * 3, 1, SPACING, 1), "position"),
+        (lambda: decode_particle([1.0, 0.0, np.inf], 1, SPACING, 1), "position"),
+        # refused after the decode, as ToneSet's amplitudes
+        (lambda: decode_particle([-np.inf, 0.0, 0.5], 1, SPACING, 1), "position"),
     ],
     ids=[
         "spacing_string", "spacing_inf", "tones_ragged", "word_ragged",
@@ -643,7 +657,10 @@ _TOY = toy_setup()
         "boresight_exponent_none", "grid_fraction", "grid_string",
         "particle_1100_bits", "particle_100000_bits", "particle_tone_count_fraction",
         "particle_tone_count_string", "array_rows_fraction", "array_rows_string",
-        "array_carrier_nan", "receiver_string",
+        "array_carrier_nan", "receiver_string", "bounds_tone_count_fraction",
+        "bounds_tone_count_string", "bounds_tone_count_negative", "bounds_element_count_fraction",
+        "bounds_amplitude_nan", "bounds_amplitude_inf", "bounds_amplitude_string",
+        "bounds_amplitude_zero", "particle_nan", "particle_inf", "particle_negative_inf",
     ],
 )
 def test_malformed_arguments_rejected_at_the_boundary(build, message):

@@ -4,13 +4,18 @@
 
 Each tree's wptsim (its src/) runs these cases in an interpreter of its own:
 19 brute-force grids, with each grid's transmit and receive counts; three
-desk swarms of 30 particles and 200 iterations; and a 40-row evaluate_batch
-on desk, the toy and K2-N3-B2. Every field of every result is compared by
-type, dtype, shape and bytes, so +0.0 and -0.0 differ. One line is printed a
-case, and the exit status is 1 if any case differs or fails on either tree.
+desk swarms of 30 particles and 200 iterations; a 40-row evaluate_batch on
+desk, the toy and K2-N3-B2, and the chain stages of evaluate_solution on each
+of those rows; and the simulate report, in both formats, of six candidates on
+desk and on the toy, zero amplitudes and quarter-turn phases among them.
+Every field of every result is compared by type, dtype, shape and bytes, so
++0.0 and -0.0 differ, and a report's text by its SHA-256 and line count. One
+line is printed a case, and the exit status is 1 if any case differs or fails
+on either tree.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +57,19 @@ GRIDS = [
 SWARM_SEEDS = (1, 2, 7)
 BATCH_SYSTEMS = ("desk", "toy", "K2-N3-B2")
 BATCH_ROWS = 40
+SIMULATE_SYSTEMS = ("desk", "toy")
+# each simulated candidate's amplitudes and phases by tone index k of K; the
+# phase word cycles through the levels along the elements
+QUARTER_TURNS = np.pi / 2.0 * np.arange(4)
+SIMULATE_CANDIDATES = {
+    **{f"zero amplitudes at phase {q}pi/2": (lambda k, q=q: (0.0, QUARTER_TURNS[q]))
+       for q in range(4)},
+    "every other tone zero, turns cycling": lambda k: ((k + 1) % 2 * 1.0, QUARTER_TURNS[k % 4]),
+    "random amplitudes, turns at random": lambda k: (
+        np.random.default_rng(3).uniform(0.0, 5.0, k.size),
+        QUARTER_TURNS[np.random.default_rng(4).integers(0, 4, k.size)],
+    ),
+}
 COUNTS = ("transmitted_rows", "received_rows")  # a grid objective's
 
 
@@ -66,6 +84,8 @@ def _fields(value, name=""):
 
 
 def _encoded(value):
+    if isinstance(value, str):
+        return ["str", "utf-8", [value.count("\n")], hashlib.sha256(value.encode()).hexdigest()]
     array = np.asarray(value)
     return [type(value).__name__, array.dtype.str, list(array.shape), array.tobytes().hex()]
 
@@ -78,6 +98,7 @@ def _decoded(encoded):
 def _cases():
     """(name, function returning a dict of result leaves) for every case."""
     import wptsim
+    import wptsim.cli
     import wptsim.optimizer
 
     setups = {}
@@ -116,8 +137,7 @@ def _cases():
         run = setup("desk")
         return _fields(wptsim.pso_run(run.system, dataclasses.replace(run.swarm, seed=seed)))
 
-    def batch(system):
-        run = setup(system)
+    def batch_rows(run):
         tones, elements = run.system.tone_count, run.system.element_count
         rng = np.random.default_rng(11)
         # four and a half decades of drive, from far below a DAC step to deep
@@ -126,8 +146,39 @@ def _cases():
         amplitudes = rng.random((BATCH_ROWS, tones)) * scales
         phases = rng.uniform(0.0, 2.0 * np.pi, (BATCH_ROWS, tones))
         levels = rng.integers(0, 2**run.system.chain.ps_bits, (BATCH_ROWS, elements))
-        harvest, power = wptsim.evaluate_batch(amplitudes, phases, levels, run.system)
+        return amplitudes, phases, levels
+
+    def batch(system):
+        run = setup(system)
+        harvest, power = wptsim.evaluate_batch(*batch_rows(run), run.system)
         return {**_fields(harvest, "harvest"), **_fields(power, "power")}
+
+    def stages(system):
+        # the serial evaluation of each batch row, its chain stages stacked
+        run = setup(system)
+        bits = run.system.chain.ps_bits
+        rows = [
+            wptsim.evaluate_solution(
+                wptsim.ToneSet(a, p, run.system.tone_spacing), wptsim.PhaseWord(w, bits),
+                run.system,
+            ).stages
+            for a, p, w in zip(*batch_rows(run))
+        ]
+        names = [*_fields(rows[0]), "lpf"]
+        return {f"stages.{name}": np.stack([getattr(row, name) for row in rows]) for name in names}
+
+    def simulate(system, candidate):
+        run = setup(system)
+        k = np.arange(run.system.tone_count)
+        amplitudes, phases = (np.broadcast_to(v, k.shape) for v in candidate(k))
+        word = np.arange(run.system.element_count) % 2**run.system.chain.ps_bits
+        run = dataclasses.replace(
+            run,
+            tones=wptsim.ToneSet(amplitudes, phases, run.system.tone_spacing),
+            phase_word=wptsim.PhaseWord(word, run.system.chain.ps_bits),
+        )
+        report, _ = wptsim.cli.cmd_simulate(run)
+        return {fmt: wptsim.cli.render_report(report, fmt) for fmt in ("structured", "table")}
 
     for case in GRIDS:
         system, amplitude_points, phase_points, amplitude_max, required, bound = case
@@ -140,6 +191,13 @@ def _cases():
         yield f"pso_run desk seed={seed}", lambda seed=seed: swarm_run(seed)
     for system in BATCH_SYSTEMS:
         yield f"evaluate_batch {system} {BATCH_ROWS} rows", lambda system=system: batch(system)
+    for system in BATCH_SYSTEMS:
+        yield f"evaluate_solution stages {system} {BATCH_ROWS} rows", lambda system=system: (
+            stages(system)
+        )
+    for system in SIMULATE_SYSTEMS:
+        for label, candidate in SIMULATE_CANDIDATES.items():
+            yield f"simulate {system} {label}", lambda s=system, c=candidate: simulate(s, c)
 
 
 def dump() -> None:
