@@ -11,6 +11,10 @@ that change is within the metric's bound, and whether it is a gain beyond
 the parent's interquartile range. It prints the failed and attempted ops of
 each tree too. The exit status is 1 if a metric is worse than the parent's
 by more than its bound, an op failed or a run gave no result.
+
+Make both trees the same way, say each commit's `git archive` in a new
+directory: paper-simulate has read about 3% apart between two long-lived
+checkouts of equivalent code.
 """
 
 import argparse
@@ -23,7 +27,7 @@ from pathlib import Path
 SEED = 1
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float) -> dict | None:
     """One perfbench result line of tree, or None if the run gave none."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
