@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _is_integer, require_finite
+from .channel import MAX_CHANNEL_ENTRIES
+from .errors import ConfigurationError, NumericalError, _is_integer, require_finite
 from .power_model import PowerBreakdown, dac_power
-from .signal_chain import MAX_BITS, PhaseWord, ToneSet, _as_floats
+from .signal_chain import ENVELOPE_SAMPLES_PER_TONE, MAX_BITS, PhaseWord, ToneSet, _as_floats
 from .simulation import (
     MAX_PERIOD_SAMPLES,
     _RAISE,
@@ -40,15 +41,15 @@ GRID_BUDGET = 10_000_000
 # admits 32 particles, the default 30 too.
 _SWARM_BATCH_SAMPLES = 32 * MAX_PERIOD_SAMPLES
 
-# Most DAC samples (tone points x n_dac), ranked values (tone points x words)
-# and envelope samples in one receive (distinct emissions x words x n_env) in
-# a chunk of the grid, so its memory does not grow with the grid; the grid's
-# table of the DAC outputs it has ranked holds one chunk's budget of them.
-# The rectenna's table read holds seven float arrays of the received samples
-# besides the complex periods, 9 doubles a sample, 1.2 MB at most; the
-# envelope and the amplifier run on the chunk's distinct DAC outputs, at most
-# tone points x n_env samples. (A swarm is one batch per iteration; the desk
-# swarm, 30 x 384 samples, is smaller than one chunk.)
+# Most DAC samples (tone points x n_dac) in a chunk of the grid, which ranks
+# one value a tone point, and envelope samples in one receive (distinct
+# emissions x words x n_env), so its memory does not grow with the grid; the
+# grid's table holds a row of four numbers for as many DAC outputs as a chunk
+# has tone points. The rectenna's table read holds seven float arrays of the
+# received samples besides the complex periods, 9 doubles a sample, 1.2 MB at
+# most; the envelope and the amplifier run on the chunk's distinct DAC
+# outputs, at most tone points x n_env samples. (A swarm is one batch per
+# iteration; the desk swarm, 30 x 384 samples, is smaller than one chunk.)
 GRID_CHUNK_SAMPLES = 2**14
 
 
@@ -118,6 +119,11 @@ def particle_bounds(
             raise ConfigurationError(f"{name} must be an integer of at least 1, got {count!r}")
     if not (isinstance(amplitude_max, numbers.Real) and 0 < amplitude_max < math.inf):
         raise ConfigurationError(f"amplitude_max must be finite and > 0, got {amplitude_max!r}")
+    # counts that no SystemModel admits are refused before they size an array
+    if tone_count > MAX_PERIOD_SAMPLES // ENVELOPE_SAMPLES_PER_TONE:
+        raise ConfigurationError(f"tone_count {tone_count} is more than a period holds")
+    if element_count * (2 * tone_count + 1) > MAX_CHANNEL_ENTRIES:
+        raise ConfigurationError(f"element_count {element_count} is more than a channel holds")
     n_var = 2 * tone_count + element_count
     lower = np.zeros(n_var)
     upper = np.concatenate(
@@ -225,20 +231,17 @@ class _Objective:
         harvest, power = _evaluated(amplitudes, phases, levels, self.system)
         return self._ranked(harvest.p_out_dc, power)
 
-    def _ranked(self, p_out_dc, power):
-        """Fitness of harvests p_out_dc (...) with the consumption broadcast
-        against them, flat in C order, and a function building flat candidate
-        p's CandidateEval."""
-        shape, p_out_dc = p_out_dc.shape, p_out_dc.ravel()
-        p_total = np.broadcast_to(power.p_total, shape).ravel()
-        values, feasible = _penalised(p_out_dc, p_total, self.swarm)
-        self.evaluations += values.size
+    def _ranked(self, p_out_dc, power, candidates=1):
+        """Fitness of harvests p_out_dc (P,) under consumption (P,), each row
+        counted as candidates ranked, and a function building row p's
+        CandidateEval."""
+        values, feasible = _penalised(p_out_dc, power.p_total, self.swarm)
+        self.evaluations += values.size * candidates
 
         def record(p: int) -> CandidateEval:
-            # only the recorded candidate's fields are broadcast and read
-            index = np.unravel_index(p, shape)
+            # only the recorded row's fields are broadcast and read
             row = PowerBreakdown(
-                *(float(np.broadcast_to(v, shape)[index]) for v in vars(power).values())
+                *(float(np.broadcast_to(v, values.shape)[p]) for v in vars(power).values())
             )
             return CandidateEval(float(values[p]), float(p_out_dc[p]), row, bool(feasible[p]))
 
@@ -251,49 +254,62 @@ class _Objective:
         )
 
 
-def _harvested_under_every_word(emission, levels, system: SystemModel):
-    """The harvested DC power of each emission (u, 2K+1) under each word of
-    phase levels (W, N), (u, W), received at most GRID_CHUNK_SAMPLES samples
-    at a time: a block is all the words for as many emissions as fit, or one
-    emission and as many words as fit."""
-    words = min(len(levels), max(1, GRID_CHUNK_SAMPLES // system.n_env))
+def _levels(words, system: SystemModel):
+    """The phase levels (..., N) of flat word indices (...), the last element fastest."""
+    return np.stack(np.unravel_index(words, (2**system.chain.ps_bits,) * system.element_count), -1)
+
+
+def _best_words(emission, system: SystemModel, swarm: SwarmConfig):
+    """Each emission's (u, 2K+1) harvest under its best word and that word's
+    flat index, (u, 2): the first word of least fitness with consumption
+    scored 0, so the first feasible word, else the first of least penalised
+    shortfall. A receive holds at most GRID_CHUNK_SAMPLES samples: all the
+    words for as many emissions as fit, or one emission and as many words."""
+    count = 2 ** (system.chain.ps_bits * system.element_count)
+    words = min(count, max(1, GRID_CHUNK_SAMPLES // system.n_env))
     emissions = max(1, GRID_CHUNK_SAMPLES // (words * system.n_env))
-    blocks = [
-        [
-            _harvest(
-                _receive(emission[e : e + emissions, None], levels[w : w + words], system), system
-            ).p_out_dc
-            for w in range(0, len(levels), words)
-        ]
-        for e in range(0, len(emission), emissions)
-    ]
-    return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
+    found = np.full((len(emission), 3), np.inf)  # fitness, harvest, word
+    for e in range(0, len(emission), emissions):
+        for first in range(0, count, words):
+            flat = np.arange(first, min(first + words, count))
+            received = _receive(emission[e : e + emissions, None], _levels(flat, system), system)
+            p_out_dc = _harvest(received, system).p_out_dc
+            if not np.isfinite(p_out_dc).all():
+                raise NumericalError("evaluation produced a non-finite result")
+            values = _penalised(p_out_dc, np.zeros(p_out_dc.shape), swarm)[0]
+            rows, pick = np.arange(len(values)), np.argmin(values, axis=1)
+            block = np.stack((values[rows, pick], p_out_dc[rows, pick], flat[pick]), axis=1)
+            # a later block's word only if strictly less: ties keep the first
+            better = block[:, 0] < found[e : e + emissions, 0]
+            found[e : e + emissions][better] = block[better]
+    return found[:, 1:]
 
 
 class _GridObjective(_Objective):
-    """A grid's objective, which ranks tone points under every word in one
-    step, as the swarm's ranks its batch. It keeps a table of the DAC outputs
-    it has ranked, up to size of them, keyed by their exact bytes (+0.0 and
-    -0.0 apart, no tolerance): two arrays, each output's amplifier powers and
-    its harvest under each of the words it was ranked under, so a table is
-    valid for one word set. An output the table holds is neither transmitted
-    nor received again; each tone point's consumption is its own. Besides the
-    ranked candidates it counts the DAC outputs whose envelope and amplifier
-    ran and the received periods."""
+    """A grid's objective, which ranks each tone point, in one step as the
+    swarm's ranks its batch, by its least fitness over every word: its
+    fitness under its DAC output's best word (_best_words), since a point's
+    consumption does not read its word, nor an infeasible fitness the
+    consumption. It keeps a table of the DAC outputs it has ranked, up to
+    size of them, keyed by their exact bytes (+0.0 and -0.0 apart, no
+    tolerance), a row an output; one the table holds is neither transmitted
+    nor received again. Besides the ranked candidates, every (tone point,
+    word), it counts the DAC outputs whose envelope and amplifier ran and
+    the received periods."""
 
     def __init__(self, system: SystemModel, swarm: SwarmConfig, size: int):
         super().__init__(system, swarm)
         self.transmitted_rows = self.received_rows = 0
+        self.words = 2 ** (system.chain.ps_bits * system.element_count)
         self.size, self.slots = size, {}  # slots: an output's bytes, its row in the table
-        self.powers, self.p_out_dc = np.empty((0, 2)), np.empty((0, 0))
+        self.table = np.empty((0, 4))  # p_in, p_out, harvest, word
 
-    def rank(self, amplitudes, phases, levels):
-        """Fitness of a grid's tone points (R, K) under every word of phase
-        levels (W, N), flat with the word fastest, and a function building
-        flat candidate p's CandidateEval. The points are quantized; the
-        envelope and the amplifier run once on each distinct DAC output the
-        table does not hold, and its emission is received under every word.
-        The table grows by those outputs and is cut back to its first size."""
+    def rank(self, amplitudes, phases):
+        """Fitness of a grid's tone points (R, K) under their best words, a
+        function building point p's CandidateEval, and the words' flat
+        indices. The points are quantized; the envelope and the amplifier
+        run once on each distinct DAC output the table does not hold. The
+        table grows by those outputs and is cut back to its first size."""
         with np.errstate(**_RAISE):
             rows = _sampled(amplitudes, phases, self.system)[1]
             slots, held = self.slots, len(self.slots)
@@ -307,23 +323,16 @@ class _GridObjective(_Objective):
             if new:
                 new_rows = np.frombuffer(b"".join(new), rows.dtype).reshape(len(new), -1)
                 emission, (*_, p_in, p_out) = _emitted(new_rows, self.system)
-                received = _harvested_under_every_word(emission, levels, self.system)
+                best = _best_words(emission, self.system, self.swarm)
                 self.transmitted_rows += len(new)
-                self.received_rows += received.size
-                self.powers = np.concatenate((self.powers, np.stack((p_in, p_out), axis=1)))
-                # an empty table takes this call's words: a word-split grid's
-                # holds nothing, and ranks a part of the words at a time
-                table = self.p_out_dc.reshape(held, len(levels))
-                self.p_out_dc = np.concatenate((table, received))
-            p_out_dc, powers = self.p_out_dc[index], self.powers[index]
-            self.powers, self.p_out_dc = self.powers[: self.size], self.p_out_dc[: self.size]
+                self.received_rows += len(new) * self.words
+                self.table = np.concatenate((self.table, np.column_stack((p_in, p_out, best))))
+            p_in, p_out, p_out_dc, word = self.table[index].T
+            self.table = self.table[: self.size]
             for key in new[self.size - held :]:
                 del slots[key]
-            # each point's own consumption, (R, 1), against its harvests (R, W)
-            power = _priced(
-                p_out_dc, amplitudes[:, None], powers[:, :1], powers[:, 1:], self.system
-            )
-        return self._ranked(p_out_dc, power)
+            power = _priced(p_out_dc, amplitudes, p_in, p_out, self.system)
+        return *self._ranked(p_out_dc, power, self.words), word.astype(int)
 
 
 def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> OptimizationResult:
@@ -426,41 +435,29 @@ def brute_force_grid(
     phase_axis = np.linspace(0.0, 2.0 * np.pi, phase_points, endpoint=False)
     # flat index i enumerates the grid as nested loops, the first amplitude
     # outermost and the last phase level innermost: tone point i // words,
-    # word i % words. A chunk holds tone points x n_dac DAC samples and ranks
-    # tone points x words values, each at most GRID_CHUNK_SAMPLES, in one
-    # objective rank; a tone point of more words than that is a chunk of its
-    # own, ranked a part of its words at a time, so the chunks run in
-    # enumeration order. The objective's table of ranked DAC outputs keeps as
-    # many as a chunk has tone points: a rank grows it by at most a chunk's
-    # new outputs and cuts it back, so it holds at most two chunks' budget. A
-    # table is valid for one word set, so a word-split grid's keeps none, and
-    # each part of a tone point's words transmits it again: one envelope row
-    # per GRID_CHUNK_SAMPLES received rows.
+    # word i % words. The objective ranks each tone point under its best
+    # word, so a chunk is whole tone points, as many as GRID_CHUNK_SAMPLES
+    # DAC samples hold (at least one), and the objective's table keeps as
+    # many DAC outputs: a rank grows it by at most a chunk's new outputs and
+    # cuts it back, so it holds at most two chunks' budget.
     radices = (amplitude_points,) * tone_count + (phase_points,) * tone_count
-    words = 2 ** (bits * element_count)
-    tone_points = total // words
-    word_chunk = min(words, GRID_CHUNK_SAMPLES)
-    table_size = GRID_CHUNK_SAMPLES // max(system.n_dac, words)
-    tone_chunk = max(1, table_size)
-    objective = _GridObjective(system, swarm, table_size)
+    tone_points = total // 2 ** (bits * element_count)
+    chunk = max(1, GRID_CHUNK_SAMPLES // system.n_dac)
+    objective = _GridObjective(system, swarm, chunk)
 
     best_fitness, best = np.inf, None
-    for start in range(0, tone_points, tone_chunk):
-        points = np.arange(start, min(start + tone_chunk, tone_points))
+    for start in range(0, tone_points, chunk):
+        points = np.arange(start, min(start + chunk, tone_points))
         digits = np.stack(np.unravel_index(points, radices), axis=1)
         amplitudes = amplitude_axis[digits[:, :tone_count]]
         phases = phase_axis[digits[:, tone_count:]]
-        for first in range(0, words, word_chunk):
-            indices = np.arange(first, min(first + word_chunk, words))
-            levels = np.stack(np.unravel_index(indices, (2**bits,) * element_count), axis=1)
-            values, record = objective.rank(amplitudes, phases, levels)
-            # ties keep the first point in enumeration order: argmin within a
-            # chunk, a strict improvement across chunks
-            flat = int(np.argmin(values))
-            if values[flat] < best_fitness:
-                best_fitness = values[flat]
-                point, word = divmod(flat, len(levels))
-                best = record(flat), amplitudes[point], phases[point], levels[word]
-    best_eval, amplitudes, phases, levels = best
-    tones, word = ToneSet(amplitudes, phases, system.tone_spacing), PhaseWord(levels, bits)
-    return objective.result(tones, word, best_eval, [best_eval.fitness])
+        values, record, best_word = objective.rank(amplitudes, phases)
+        # ties keep the first point in enumeration order: argmin within a
+        # chunk, a strict improvement across chunks
+        point = int(np.argmin(values))
+        if values[point] < best_fitness:
+            best_fitness = values[point]
+            best = record(point), amplitudes[point], phases[point], best_word[point]
+    best_eval, amplitudes, phases, word = best
+    tones, levels = ToneSet(amplitudes, phases, system.tone_spacing), _levels(word, system)
+    return objective.result(tones, PhaseWord(levels, bits), best_eval, [best_eval.fitness])

@@ -224,17 +224,17 @@ def _stage(name: str, fn, *args):
 # depends only on its output, and a B-bit DAC that saturates maps many tone
 # sets to one output. A batch (a swarm's, or evaluate_batch's) is one step,
 # _evaluated, row p under row p's word. A grid's chunk is one step too, its
-# objective's rank (wptsim.optimizer, which holds the grid's budget and its
-# block receive), which runs the envelope and the amplifier once per
-# distinct DAC output and receives each emission under every word. Every
-# composition calls the steps below, and they call the stage kernels through
-# this module, so a kernel wrapped here is timed on every path. The kernels
-# run on candidate arrays with any leading axes, one candidate or a batch,
-# and every reduction is along the last axis, row by row, so a candidate's
-# result does not depend on its batch. The entry points
-# (run_chain, evaluate_solution, _evaluated, and the grid objective's rank)
-# make a floating-point overflow or invalid operation raise, so that it fails
-# as the stage it happened in.
+# objective's rank (wptsim.optimizer, with the grid's budget and its block
+# receive): the envelope and the amplifier run once per distinct DAC output,
+# whose emission is received under every word to find its best word, and each
+# tone point is ranked once, under its output's best word. Every composition
+# calls the steps below, and they call the stage kernels through this module,
+# so a kernel wrapped here is timed on every path. The kernels run on
+# candidate arrays with any leading axes, one candidate or a batch, and every
+# reduction is along the last axis, row by row, so a candidate's result does
+# not depend on its batch. The entry points (run_chain, evaluate_solution,
+# _evaluated, and the grid objective's rank) make a floating-point overflow or
+# invalid operation raise, so that it fails as the stage it happened in.
 _RAISE = {"over": "raise", "invalid": "raise"}
 
 

@@ -1,5 +1,6 @@
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -319,14 +320,15 @@ class TestBruteForceGrid:
 
 def _count_batches(monkeypatch) -> list:
     """Record how many candidates each ranking of the optimizer's objective
-    holds, a swarm's or a grid's, and fail on any single-candidate
-    evaluate_solution call."""
+    counts, a swarm's or a grid's, check that it ranks one value a row, and
+    fail on any single-candidate evaluate_solution call."""
     sizes = []
     ranked = wptsim.optimizer._Objective._ranked
 
-    def counting(self, p_out_dc, power):
-        values, record = ranked(self, p_out_dc, power)
-        sizes.append(values.size)
+    def counting(self, p_out_dc, power, candidates=1):
+        values, record = ranked(self, p_out_dc, power, candidates)
+        assert values.shape == p_out_dc.shape == (len(p_out_dc),)
+        sizes.append(values.size * candidates)
         return values, record
 
     def serial(*args):
@@ -375,6 +377,31 @@ def _assert_first_minimum(result: OptimizationResult, values, candidates) -> Non
     assert np.array_equal(result.phase_word.levels, word.levels)
 
 
+def _serial_best_words(system: SystemModel, swarm: SwarmConfig, amplitudes, phases) -> list:
+    """Each tone row's first least evaluate_candidate over every word, in the
+    grid's word order (the last element fastest), and that word's flat index."""
+    bits = system.chain.ps_bits
+    words = list(itertools.product(range(2**bits), repeat=system.element_count))
+    best = []
+    for row_amplitudes, row_phases in zip(amplitudes, phases):
+        tones = ToneSet(row_amplitudes, row_phases, system.tone_spacing)
+        evals = [evaluate_candidate(tones, PhaseWord(w, bits), system, swarm) for w in words]
+        word = int(np.argmin([e.fitness for e in evals]))
+        best.append((evals[word], word))
+    return best
+
+
+def _assert_ranked_as_serial(ranked, system, swarm, amplitudes, phases) -> None:
+    """A grid objective's rank of tone rows is each row's serial first least
+    candidate over every word: value, record and word, bit for bit."""
+    values, record, words = ranked
+    expected = _serial_best_words(system, swarm, amplitudes, phases)
+    assert values.shape == words.shape == (len(amplitudes),)
+    assert np.array_equal(values, [e.fitness for e, _ in expected])
+    assert [record(p) for p in range(len(values))] == [e for e, _ in expected]
+    assert words.tolist() == [w for _, w in expected]
+
+
 def _distinct_dac_outputs(system: SystemModel, swarm: SwarmConfig, amplitude_points, phase_points):
     """How many distinct DAC outputs a grid's tone points quantize to."""
     tone_count = system.tone_count
@@ -411,10 +438,11 @@ class TestBatchedSearch:
 
     def test_grid_evaluates_in_memory_bounded_chunks(self, monkeypatch):
         # a chunk synthesizes and quantizes its tone points at once, transmits
-        # each distinct DAC output that the grid has not ranked yet once and
-        # receives each such emission under every word; no chunk holds more
-        # than GRID_CHUNK_SAMPLES DAC samples, ranked values or received
-        # envelope samples in one array
+        # each distinct DAC output that the grid has not ranked yet once,
+        # receives each such emission under every word and ranks one value a
+        # tone point, which counts its every word; no chunk holds more than
+        # GRID_CHUNK_SAMPLES DAC samples or received envelope samples in one
+        # array
         ranked = _count_batches(monkeypatch)
         objectives, quantized, received = _keep_objectives(monkeypatch), [], []
         quantize, receive = wptsim.simulation.quantize_dac, wptsim.optimizer._receive
@@ -439,7 +467,8 @@ class TestBatchedSearch:
         # 204 tone points of 80 DAC samples fill a chunk: 253 = 204 + 49 tone
         # points, whose 300 V grid aliases to 6 and 5 distinct DAC outputs;
         # the second chunk's 5 are among the first's 6, so only the first
-        # chunk transmits and receives
+        # chunk transmits and receives. Each chunk ranks one value a tone
+        # point (_count_batches checks the shape) and counts its 4 words
         points = GRID_CHUNK_SAMPLES // n_dac
         assert points == 204
         assert quantized == [(204, n_dac), (49, n_dac)]
@@ -448,12 +477,11 @@ class TestBatchedSearch:
         assert objective.transmitted_rows == 6
         assert objective.received_rows == sum(math.prod(shape[:-1]) for shape in received) == 24
         assert max(math.prod(shape) for shape in quantized) <= GRID_CHUNK_SAMPLES
-        assert max(ranked) <= GRID_CHUNK_SAMPLES
         assert max(math.prod(shape) for shape in received) <= GRID_CHUNK_SAMPLES
 
         # 128 words x 192 samples exceed a receive: the 6 tone points are one
-        # chunk, ranked against all 128 words at once, and each of their 3
-        # distinct emissions is received under 85 and then 43 words
+        # chunk, ranked as 6 values that count 128 words each, and each of
+        # their 3 distinct emissions is received under 85 and then 43 words
         objectives.clear(), quantized.clear(), received.clear(), ranked.clear()
         system = _seven_element_setup().system
         assert 128 * system.n_env > GRID_CHUNK_SAMPLES
@@ -464,6 +492,7 @@ class TestBatchedSearch:
         assert quantized == [(6, system.n_dac)] and ranked == [6 * 128]
         assert received == [(1, words, system.n_env), (1, 128 - words, system.n_env)] * 3
         assert (objective.transmitted_rows, objective.received_rows) == (3, 3 * 128)
+        assert max(math.prod(shape) for shape in received) <= GRID_CHUNK_SAMPLES
 
     @pytest.mark.parametrize("required", [20e-6, 0.0])
     def test_chunked_grid_matches_per_point_enumeration(self, monkeypatch, required):
@@ -510,7 +539,7 @@ class TestBatchedSearch:
         # 132 points, so the table saves nothing and the grid transmits and
         # receives as often as a dedupe within each chunk did. No array the
         # grid ranks, receives or keeps in its table exceeds
-        # GRID_CHUNK_SAMPLES elements
+        # GRID_CHUNK_SAMPLES elements; the table is a row of 4 a DAC output
         setup = toy_setup()
         system = setup.system
         swarm = dataclasses.replace(setup.swarm, amplitude_max=0.9)
@@ -530,11 +559,12 @@ class TestBatchedSearch:
         assert result.evaluations == sum(ranked) == 1344
         assert _distinct_dac_outputs(system, swarm, 21, 16) == 321
         assert (objective.transmitted_rows, objective.received_rows) == (321, 321 * 4)
-        assert max(ranked) <= GRID_CHUNK_SAMPLES
+        assert ranked == [204 * 4, 132 * 4]
         assert max(math.prod(shape) for shape in received) <= GRID_CHUNK_SAMPLES
         assert len(objective.slots) == 204
         assert len(objective.slots) * system.n_dac <= GRID_CHUNK_SAMPLES
-        assert max(objective.powers.size, objective.p_out_dc.size) <= GRID_CHUNK_SAMPLES
+        assert objective.table.shape == (204, 4)
+        assert objective.table.size <= GRID_CHUNK_SAMPLES
 
     def test_four_element_two_bit_grid_transmits_its_nine_dac_outputs(self, monkeypatch):
         # K = 1, N = 4, B = 2: 21 x 16 tone points under 256 words, 86 016
@@ -562,12 +592,12 @@ class TestBatchedSearch:
         # 3 x 2 tone points x 128 words. At the default bound they are one
         # chunk, and each of the 3 distinct emissions is received under 85
         # and then 43 words; at a bound of 100 each tone point is a chunk of
-        # its own, ranked under 100 and then 28 words, and its table holds
-        # nothing, so each of the 6 points is transmitted again for its 28
-        # words: 12 transmits, and 6 x 128 receives. With no harvest required
-        # every word of a tone point ties, the zero-amplitude points first,
-        # across the split and across tone points, and the first of them
-        # must win
+        # its own, received one word at a time (a receive of 192 samples
+        # exceeds 100), and the table holds one DAC output. The points'
+        # outputs run 0, 0, 1, 2, 1, 2, so only the second point's is held:
+        # 5 transmits, and 5 x 128 receives. With no harvest required every
+        # word of a tone point ties, the zero-amplitude points first, across
+        # the split and across tone points, and the first of them must win
         setup = _seven_element_setup()
         system = setup.system
         swarm = dataclasses.replace(setup.swarm, required_dc_power=required)
@@ -575,7 +605,7 @@ class TestBatchedSearch:
         if required == 0.0:
             assert int(np.argmin(values)) == 0 and values.count(values[0]) == 256
         objectives = _keep_objectives(monkeypatch)
-        for bound, transmits, receives in ((GRID_CHUNK_SAMPLES, 3, 384), (100, 12, 768)):
+        for bound, transmits, receives in ((GRID_CHUNK_SAMPLES, 3, 384), (100, 5, 640)):
             assert bound // system.n_env < 128
             monkeypatch.setattr(wptsim.optimizer, "GRID_CHUNK_SAMPLES", bound)
             _assert_first_minimum(brute_force_grid(3, 2, system, swarm), values, candidates)
@@ -605,8 +635,8 @@ class TestBatchedSearch:
 
         def checking_rank(self, *args):
             ranked = rank(self, *args)
-            rows = len(self.powers)
-            assert rows == len(self.p_out_dc) == len(self.slots) <= self.size
+            rows = len(self.table)
+            assert rows == len(self.slots) <= self.size
             tables.append(rows)
             return ranked
 
@@ -655,86 +685,173 @@ _GRID_SYSTEMS = {
     amplitude_max=st.sampled_from([1.0, 30.0, 300.0]),
 )
 def test_grid_rows_equal_batch_rows(name, amplitude_points, phase_points, amplitude_max):
-    # the grid quantizes a chunk of tone points at once and ranks them against
-    # every word, reading each DAC output's harvests from what it received in
-    # this chunk or an earlier one; each (tone point, word) harvest and
-    # consumption that the objective ranks must equal evaluate_batch on that
-    # row to the bit, whichever rows' DAC outputs were deduplicated
+    # the grid quantizes a chunk of tone points at once, receives each DAC
+    # output it has not ranked yet under every word, in blocks, and ranks
+    # each tone point under its output's best word, reading what it received
+    # in this chunk or an earlier one. Each (DAC output, word) harvest that a
+    # block receive forms must equal evaluate_batch on a tone point of that
+    # output under that word, and each tone point's ranked harvest and
+    # consumption evaluate_batch on that point under its best word, to the
+    # bit, whichever rows' DAC outputs were deduplicated
     system = _GRID_SYSTEMS[name]
     tone_count, bits = system.tone_count, system.chain.ps_bits
     if tone_count == 2:
         amplitude_points, phase_points = min(amplitude_points, 2), min(phase_points, 2)
     swarm = SwarmConfig(amplitude_max=amplitude_max)
-    chunks = []
-    sampled, priced = wptsim.optimizer._sampled, wptsim.optimizer._priced
+    points, sent, blocks, ranks = {}, [], [], []
+    steps = ("_sampled", "_emitted", "_receive", "_harvest")
+    spied = {step: getattr(wptsim.optimizer, step) for step in steps}
+    rank = wptsim.optimizer._GridObjective.rank
 
     def spy_sampled(amplitudes, phases, system):
-        assert amplitudes.shape[1:] == phases.shape[1:] == (tone_count,)
-        chunks.append({"amplitudes": amplitudes, "phases": phases, "results": []})
-        return sampled(amplitudes, phases, system)
+        digital, dac = spied["_sampled"](amplitudes, phases, system)
+        for point in zip(amplitudes, phases, dac):
+            points.setdefault(point[2].tobytes(), point[:2])  # each output's first tone point
+        return digital, dac
 
-    def spy_priced(p_out_dc, *args):
-        power = priced(p_out_dc, *args)
-        chunks[-1]["results"].append((p_out_dc, power))
-        return power
+    def spy_emitted(rows, system):
+        sent.extend(row.tobytes() for row in rows)
+        return spied["_emitted"](rows, system)
+
+    def spy_receive(emission, levels, system):
+        blocks.append({"emissions": len(emission), "levels": levels})
+        return spied["_receive"](emission, levels, system)
+
+    def spy_harvest(received, system):
+        result = spied["_harvest"](received, system)
+        blocks[-1]["p_out_dc"] = result.p_out_dc
+        return result
+
+    def spy_rank(self, amplitudes, phases):
+        ranks.append((amplitudes, phases, rank(self, amplitudes, phases)))
+        return ranks[-1][-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wptsim.optimizer, "_sampled", spy_sampled)
-        patch.setattr(wptsim.optimizer, "_priced", spy_priced)
+        for step, spy in zip(steps, (spy_sampled, spy_emitted, spy_receive, spy_harvest)):
+            patch.setattr(wptsim.optimizer, step, spy)
+        patch.setattr(wptsim.optimizer._GridObjective, "rank", spy_rank)
         brute_force_grid(amplitude_points, phase_points, system, swarm)
 
     words = 2 ** (bits * system.element_count)
     levels = np.stack(np.unravel_index(np.arange(words), (2**bits,) * system.element_count), -1)
-    points = sum(len(chunk["amplitudes"]) for chunk in chunks)
-    assert points == (amplitude_points * phase_points) ** tone_count
-    for chunk in chunks:
-        amplitudes, phases, results = chunk["amplitudes"], chunk["phases"], chunk["results"]
-        rows = len(amplitudes)
-        batch_harvest, batch_power = evaluate_batch(
-            np.repeat(amplitudes, words, axis=0),
-            np.repeat(phases, words, axis=0),
-            np.tile(levels, (rows, 1)),
-            system,
-        )
-        # each rank's harvest is (rows, words ranked); its p_total (rows, 1)
-        grid = {
-            "p_out_dc": np.concatenate([h for h, _ in results], axis=1),
-            "p_total": np.concatenate(
-                [np.broadcast_to(p.p_total, h.shape) for h, p in results], axis=1
-            ),
-        }
-        batch = {"p_out_dc": batch_harvest.p_out_dc, "p_total": batch_power.p_total}
-        for field, values in grid.items():
-            assert values.shape == (rows, words)
-            assert np.array_equal(values, batch[field].reshape(rows, words)), field
+    assert sum(len(amplitudes) for amplitudes, *_ in ranks) == (
+        (amplitude_points * phase_points) ** tone_count
+    )
+    # the blocks run emissions outer and words inner, so a block that starts
+    # at the first word starts the next transmitted outputs' emissions
+    received = [{"levels": [], "p_out_dc": []} for _ in sent]
+    first = 0
+    for block in blocks:
+        if not block["levels"][0].any():
+            first, start = first + block["emissions"], first
+        for e, p_out_dc in enumerate(block["p_out_dc"]):
+            received[start + e]["levels"].append(block["levels"])
+            received[start + e]["p_out_dc"].append(p_out_dc)
+    assert first == len(sent)
+    for output in received:
+        assert np.array_equal(np.concatenate(output["levels"]), levels)
+    tone_points = [points[key] for key in sent]
+    batch_harvest, _ = evaluate_batch(
+        np.repeat([a for a, _ in tone_points], words, axis=0),
+        np.repeat([p for _, p in tone_points], words, axis=0),
+        np.tile(levels, (len(sent), 1)),
+        system,
+    )
+    grid = np.array([np.concatenate(output["p_out_dc"]) for output in received])
+    assert grid.shape == (len(sent), words)
+    assert np.array_equal(grid, batch_harvest.p_out_dc.reshape(grid.shape))
+
+    for amplitudes, phases, (values, record, best) in ranks:
+        batch_harvest, batch_power = evaluate_batch(amplitudes, phases, levels[best], system)
+        records = [record(p) for p in range(len(values))]
+        assert np.array_equal([r.p_out_dc for r in records], batch_harvest.p_out_dc)
+        for field, column in vars(batch_power).items():
+            assert np.array_equal([getattr(r.power, field) for r in records], column), field
+
+
+@functools.cache
+def _small_system(tone_count, elements, ps_bits, dac_bits) -> SystemModel:
+    return desk_setup(
+        waveform={"tone_count": tone_count},
+        array={"rows": 1, "cols": elements},
+        chain={"ps_bits": ps_bits, "dac_bits": dac_bits},
+    ).system
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tone_count=st.sampled_from([1, 2]),
+    elements=st.integers(1, 3),
+    ps_bits=st.integers(1, 2),
+    dac_bits=st.sampled_from([3, 8]),
+    amplitude_max=st.sampled_from([0.9, 30.0, 300.0]),
+    required=st.sampled_from([0.0, 20e-6, 1.0]),
+    data=st.data(),
+)
+def test_grid_answer_is_the_first_minimum_of_every_candidate(
+    tone_count, elements, ps_bits, dac_bits, amplitude_max, required, data
+):
+    # the grid ranks each tone point under its DAC output's best word: the
+    # first feasible word, else the first of least penalised shortfall,
+    # whichever point sent the output. Its answer must be the first minimum
+    # of every (tone point, word) candidate in enumeration order, record
+    # included, bit for bit. With no harvest required every word is
+    # feasible and ties; at 1 W none is, and the answer is decided among
+    # infeasible words, zero-amplitude points tying exactly
+    system = _small_system(tone_count, elements, ps_bits, dac_bits)
+    # at most about 200 candidates: (amplitude x phase points)^K x words
+    points = 200 // 2 ** (ps_bits * elements)
+    side = math.isqrt(points) if tone_count == 2 else points
+    amplitude_points = data.draw(st.integers(1, max(1, min(6, side))), "amplitude_points")
+    phase_points = data.draw(
+        st.integers(1, max(1, min(6, side // amplitude_points))), "phase_points"
+    )
+    swarm = SwarmConfig(amplitude_max=amplitude_max, required_dc_power=required)
+    values, candidates = _enumerated(system, swarm, amplitude_points, phase_points)
+    assert len(values) <= 200
+    result = brute_force_grid(amplitude_points, phase_points, system, swarm)
+    _assert_first_minimum(result, values, candidates)
+    expected = evaluate_candidate(*candidates[int(np.argmin(values))], system, swarm)
+    assert result.p_out_dc == expected.p_out_dc and result.power == expected.power
+    assert result.feasible == expected.feasible
+    assert result.evaluations == len(values)
 
 
 _RANK_SYSTEMS = {"desk": desk_setup().system, "toy": _TOY.system}
+# a grid ranks every word, so each system's grid rows are drawn on one of few
+# words: the toy's own, and desk's DAC at K = 2, N = 2, B = 1
+_RANK_GRID_SYSTEMS = {"desk": _two_tone_setup().system, "toy": _TOY.system}
+
+
+def _decoded_rows(system: SystemModel, swarm: SwarmConfig, particles, rng):
+    """Random decoded candidates, amplitudes spanning four decades so that
+    some rows are feasible and some not."""
+    tone_count = system.tone_count
+    lower, upper = particle_bounds(tone_count, system.element_count, swarm.amplitude_max)
+    positions = lower + rng.random((particles, lower.size)) * (upper - lower)
+    positions[:, :tone_count] *= 10.0 ** -rng.uniform(0.0, 4.0, (particles, 1))
+    return wptsim.optimizer._decode_swarm(positions, tone_count, system.chain.ps_bits)
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     name=st.sampled_from(sorted(_RANK_SYSTEMS)),
     particles=st.integers(1, 6),
-    words=st.integers(1, 4),
     required=st.sampled_from([0.0, 20e-6, 1e-3]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, seed):
+def test_ranked_rows_equal_the_serial_fitness(name, particles, required, seed):
     # the objective ranks decoded candidates as a swarm does, row p under
-    # word p, and as a grid does, tone rows (rows, K) under every word (W, N);
-    # every flat row must equal evaluate_candidate on its candidate, record
-    # included, and be counted. Building each row's ToneSet and PhaseWord checks that the
-    # decode made it valid. Amplitudes span four decades, so some rows are
-    # feasible and some not.
+    # word p, and as a grid does, each tone row under its first least word
+    # of all; every row must equal evaluate_candidate on its candidate, or
+    # on its first least candidate over every word, record and word
+    # included, and be counted, a grid's row once a word. Building each
+    # row's ToneSet and PhaseWord checks that the decode made it valid
     system = _RANK_SYSTEMS[name]
-    tone_count, bits = system.tone_count, system.chain.ps_bits
+    bits = system.chain.ps_bits
     swarm = SwarmConfig(required_dc_power=required)
-    lower, upper = particle_bounds(tone_count, system.element_count, swarm.amplitude_max)
     rng = np.random.default_rng(seed)
-    positions = lower + rng.random((particles, lower.size)) * (upper - lower)
-    positions[:, :tone_count] *= 10.0 ** -rng.uniform(0.0, 4.0, (particles, 1))
-    amplitudes, phases, levels = wptsim.optimizer._decode_swarm(positions, tone_count, bits)
+    amplitudes, phases, levels = _decoded_rows(system, swarm, particles, rng)
 
     def serial(point, word):
         tones = ToneSet(amplitudes[point], phases[point], system.tone_spacing)
@@ -747,13 +864,31 @@ def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, 
         expected = serial(p, p)
         assert values[p] == expected.fitness and record(p) == expected
 
-    words = min(words, particles)
+    system = _RANK_GRID_SYSTEMS[name]
+    amplitudes, phases, _ = _decoded_rows(system, swarm, particles, rng)
     grid = wptsim.optimizer._GridObjective(system, swarm, 0)
-    values, record = grid.rank(amplitudes, phases, levels[:words])
-    assert values.shape == (particles * words,) and grid.evaluations == particles * words
-    for p in range(particles * words):
-        expected = serial(*divmod(p, words))
-        assert values[p] == expected.fitness and record(p) == expected
+    ranked = grid.rank(amplitudes, phases)
+    assert grid.evaluations == particles * 2 ** (system.chain.ps_bits * system.element_count)
+    _assert_ranked_as_serial(ranked, system, swarm, amplitudes, phases)
+
+
+def _aliased_rows(system: SystemModel, tone_sets, rows, rng):
+    """Rows drawn with repeats, in any order, from tone sets and their DAC
+    aliases, with random words: the tone rows, their words and their DAC
+    outputs."""
+    tone_count = system.tone_count
+    scales = rng.choice([1e-4, 1.0, 150.0], (tone_sets, 1))
+    base = rng.uniform(0.5, 1.0, (tone_sets, tone_count)) * scales
+    pick = rng.integers(0, 2 * tone_sets, rows)
+    amplitudes = np.concatenate([base, 2.0 * base])[pick]
+    phases = np.tile(rng.uniform(0.0, 2.0 * np.pi, (tone_sets, tone_count)), (2, 1))[pick]
+    levels = rng.integers(0, 2**system.chain.ps_bits, (rows, system.element_count))
+    dac = quantize_dac(
+        synthesize_multitone(amplitudes, phases, system.n_dac),
+        system.chain.dac_bits,
+        system.chain.dac_range,
+    )
+    return amplitudes, phases, levels, dac
 
 
 @settings(max_examples=20, deadline=None)
@@ -761,12 +896,11 @@ def test_ranked_rows_equal_the_serial_fitness(name, particles, words, required, 
     name=st.sampled_from(sorted(_RANK_SYSTEMS)),
     tone_sets=st.integers(1, 4),
     rows=st.integers(1, 12),
-    words=st.integers(1, 4),
     required=st.sampled_from([0.0, 20e-6]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
-    name, tone_sets, rows, words, required, seed
+    name, tone_sets, rows, required, seed
 ):
     # rows drawn with repeats, in any order, from tone sets and their DAC
     # aliases: the same phases at twice the amplitudes, which the DAC maps to
@@ -774,23 +908,13 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
     # their consumption differs. A swarm's batch is one step on every row
     # and the grid transmits once per distinct DAC output, yet every row of
     # evaluate_batch and of the objective's rank, in both shapes, must equal
-    # the serial evaluation of its own candidate
+    # the serial evaluation of its own candidate, a grid's row its first
+    # least candidate over every word
     system = _RANK_SYSTEMS[name]
-    tone_count, elements, bits = system.tone_count, system.element_count, system.chain.ps_bits
+    bits = system.chain.ps_bits
     swarm = SwarmConfig(required_dc_power=required)
     rng = np.random.default_rng(seed)
-    scales = rng.choice([1e-4, 1.0, 150.0], (tone_sets, 1))
-    base = rng.uniform(0.5, 1.0, (tone_sets, tone_count)) * scales
-    pick = rng.integers(0, 2 * tone_sets, rows)
-    amplitudes = np.concatenate([base, 2.0 * base])[pick]
-    phases = np.tile(rng.uniform(0.0, 2.0 * np.pi, (tone_sets, tone_count)), (2, 1))[pick]
-    levels = rng.integers(0, 2**bits, (rows, elements))
-    dac = quantize_dac(
-        synthesize_multitone(amplitudes, phases, system.n_dac),
-        system.chain.dac_bits,
-        system.chain.dac_range,
-    )
-    distinct = len({row.tobytes() for row in dac})
+    amplitudes, phases, levels, _ = _aliased_rows(system, tone_sets, rows, rng)
 
     def serial(row, word):
         tones = ToneSet(amplitudes[row], phases[row], system.tone_spacing)
@@ -810,26 +934,23 @@ def test_repeated_and_aliased_rows_equal_the_serial_evaluation(
     assert np.array_equal(values, [e.fitness for e in expected])
     assert [record(p) for p in range(rows)] == expected
 
-    words = min(words, rows)
+    system = _RANK_GRID_SYSTEMS[name]
+    words = 2 ** (system.chain.ps_bits * system.element_count)
+    amplitudes, phases, _, dac = _aliased_rows(system, tone_sets, rows, rng)
+    distinct = len({row.tobytes() for row in dac})
     grid = wptsim.optimizer._GridObjective(system, swarm, 0)
-    values, record = grid.rank(amplitudes, phases, levels[:words])
+    _assert_ranked_as_serial(grid.rank(amplitudes, phases), system, swarm, amplitudes, phases)
     assert (grid.transmitted_rows, grid.received_rows) == (distinct, distinct * words)
-    # flat candidate p is row p // words under word p % words
-    expected = [serial(row, levels[word]) for row in range(rows) for word in range(words)]
-    assert np.array_equal(values, [e.fitness for e in expected])
-    assert [record(p) for p in range(rows * words)] == expected
 
     # a grid's objective keeps a table of the DAC outputs it has ranked: with
     # room for them all, the rows ranked again in reverse order transmit and
     # receive nothing; with room for one, the others run again. Each row
-    # still equals its serial evaluation
-    reverse = [serial(row, levels[word]) for row in reversed(range(rows)) for word in range(words)]
+    # still equals its serial first least candidate
     for size, transmits in ((rows, distinct), (1, 2 * distinct - 1)):
         grid = wptsim.optimizer._GridObjective(system, swarm, size)
-        for order, rows_expected in ((slice(None), expected), (slice(None, None, -1), reverse)):
-            values, record = grid.rank(amplitudes[order], phases[order], levels[:words])
-            assert np.array_equal(values, [e.fitness for e in rows_expected])
-            assert [record(p) for p in range(rows * words)] == rows_expected
+        for order in (slice(None), slice(None, None, -1)):
+            ranked = grid.rank(amplitudes[order], phases[order])
+            _assert_ranked_as_serial(ranked, system, swarm, amplitudes[order], phases[order])
         assert (grid.transmitted_rows, grid.received_rows) == (transmits, transmits * words)
 
 
@@ -839,7 +960,7 @@ def test_grid_table_keeps_signed_zero_outputs_apart():
     # 0 and at pi the outputs are equal as numbers but differ in each zero's
     # sign, so they take two slots; twice the amplitude at phase 0 is the
     # first output byte for byte and takes its slot. Each point still ranks
-    # equal to its serial evaluation
+    # equal to its serial first least candidate over every word
     system = _TOY.system
     swarm = SwarmConfig(required_dc_power=0.0)
     amplitudes, phases = np.array([[1e-4], [1e-4], [2e-4]]), np.array([[0.0], [np.pi], [0.0]])
@@ -850,24 +971,11 @@ def test_grid_table_keeps_signed_zero_outputs_apart():
     )
     assert np.array_equal(dac[0], dac[1]) and dac[0].tobytes() != dac[1].tobytes()
     assert dac[0].tobytes() == dac[2].tobytes()
-    levels = np.array([[0, 0], [1, 0]])
     grid = wptsim.optimizer._GridObjective(system, swarm, len(amplitudes))
-    values, record = grid.rank(amplitudes, phases, levels)
+    ranked = grid.rank(amplitudes, phases)
     assert [grid.slots[row.tobytes()] for row in dac] == [0, 1, 0]
     assert (grid.transmitted_rows, len(grid.slots)) == (2, 2)
-    bits = system.chain.ps_bits
-    expected = [
-        evaluate_candidate(
-            ToneSet(amplitudes[row], phases[row], system.tone_spacing),
-            PhaseWord(levels[word], bits),
-            system,
-            swarm,
-        )
-        for row in range(len(amplitudes))
-        for word in range(len(levels))
-    ]
-    assert np.array_equal(values, [e.fitness for e in expected])
-    assert [record(p) for p in range(len(expected))] == expected
+    _assert_ranked_as_serial(ranked, system, swarm, amplitudes, phases)
 
 
 def test_grid_slots_hold_the_rows_bytes_in_first_occurrence_order():
@@ -893,11 +1001,10 @@ def test_grid_slots_hold_the_rows_bytes_in_first_occurrence_order():
             first.append(row.tobytes())
     assert len(first) == 5
     held = len({row.tobytes() for row in rows[0]})
-    levels = np.array([[0, 0], [1, 0]])
     for size, slots in ((len(first), first), (held, first[:held])):
         grid = wptsim.optimizer._GridObjective(system, swarm, size)
         for chunk in chunks:
-            grid.rank(scale * chunk[:, None], np.zeros((len(chunk), 1)), levels)
+            grid.rank(scale * chunk[:, None], np.zeros((len(chunk), 1)))
         assert list(grid.slots) == slots
         assert list(grid.slots.values()) == list(range(len(slots)))
         assert grid.transmitted_rows == len(first)

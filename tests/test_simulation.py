@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import (
+    array_shapes,
+    arrays,
+    byte_string_dtypes,
+    scalar_dtypes,
+    unicode_string_dtypes,
+)
 from numpy.testing import assert_allclose
 
 from conftest import desk_setup, toy_setup
@@ -640,6 +647,10 @@ _TOY = toy_setup()
         (lambda: particle_bounds("1", 2, 300.0), "tone_count"),  # TypeError
         (lambda: particle_bounds(-1, 2, 300.0), "tone_count"),  # ValueError
         (lambda: particle_bounds(1, 0.5, 300.0), "element_count"),  # TypeError
+        # counts no SystemModel admits: numpy's ValueError, or arrays sized by them
+        (lambda: particle_bounds(2**70, 2, 300.0), "tone_count"),  # ValueError
+        (lambda: particle_bounds(21846, 1, 1.0), "tone_count"),  # accepted
+        (lambda: particle_bounds(1, 2**21, 1.0), "element_count"),  # accepted
         (lambda: particle_bounds(1, 2, float("nan")), "amplitude_max"),  # accepted
         (lambda: particle_bounds(1, 2, float("inf")), "amplitude_max"),  # accepted
         (lambda: particle_bounds(1, 2, "300"), "amplitude_max"),  # accepted, string bounds
@@ -659,6 +670,8 @@ _TOY = toy_setup()
         "particle_tone_count_string", "array_rows_fraction", "array_rows_string",
         "array_carrier_nan", "receiver_string", "bounds_tone_count_fraction",
         "bounds_tone_count_string", "bounds_tone_count_negative", "bounds_element_count_fraction",
+        "bounds_tone_count_huge", "bounds_tone_count_past_a_period",
+        "bounds_element_count_past_the_channel",
         "bounds_amplitude_nan", "bounds_amplitude_inf", "bounds_amplitude_string",
         "bounds_amplitude_zero", "particle_nan", "particle_inf", "particle_negative_inf",
     ],
@@ -666,6 +679,67 @@ _TOY = toy_setup()
 def test_malformed_arguments_rejected_at_the_boundary(build, message):
     with pytest.raises(ConfigurationError, match=f"^{message}"):
         build()
+
+
+# Python objects, empty, ragged and one-element lists, arrays of narrow
+# dtypes and a count past every bound: 22 values, each put into every
+# argument slot below with the others valid. No count lies between 10^5 and
+# 2^62, and a valid grid is 2 x 2 tone points
+_FUZZ_VALUES = [
+    None, "a", "1.0", 1j, True, b"1",
+    [], [[1.0], [1.0, 2.0]], [[0], [0, 1]],
+    [np.nan], [np.inf], [-1.0], [1e308], [1e-320], [-0.0], -0.0,
+    np.ones(1, np.float16), np.ones(1, np.int8), np.ones(1, np.uint64),
+    {}, object(), 2**70,
+]
+_FUZZ_SLOTS = {
+    "ToneSet.amplitudes": lambda v: ToneSet(v, [0.0], SPACING),
+    "ToneSet.phases": lambda v: ToneSet([1.0], v, SPACING),
+    "ToneSet.tone_spacing": lambda v: ToneSet([1.0], [0.0], v),
+    "PhaseWord.levels": lambda v: PhaseWord(v, 1),
+    "PhaseWord.bits": lambda v: PhaseWord([0, 1], v),
+    "evaluate_batch.amplitudes": lambda v: evaluate_batch(v, [[0.0]], [[0, 1]], _TOY.system),
+    "evaluate_batch.phases": lambda v: evaluate_batch([[1.0]], v, [[0, 1]], _TOY.system),
+    "evaluate_batch.levels": lambda v: evaluate_batch([[1.0]], [[0.0]], v, _TOY.system),
+    "decode_particle.position": lambda v: decode_particle(v, 1, SPACING, 1),
+    "decode_particle.tone_count": lambda v: decode_particle(np.zeros(3), v, SPACING, 1),
+    "decode_particle.tone_spacing": lambda v: decode_particle(np.zeros(3), 1, v, 1),
+    "decode_particle.ps_bits": lambda v: decode_particle(np.zeros(3), 1, SPACING, v),
+    "particle_bounds.tone_count": lambda v: particle_bounds(v, 2, 300.0),
+    "particle_bounds.element_count": lambda v: particle_bounds(1, v, 300.0),
+    "particle_bounds.amplitude_max": lambda v: particle_bounds(1, 2, v),
+    "brute_force_grid.amplitude_points": lambda v: brute_force_grid(v, 2, _TOY.system, _TOY.swarm),
+    "brute_force_grid.phase_points": lambda v: brute_force_grid(2, v, _TOY.system, _TOY.swarm),
+}
+_ANY_ARRAY = arrays(
+    st.one_of(scalar_dtypes(), byte_string_dtypes(), unicode_string_dtypes()),
+    array_shapes(min_dims=0, max_dims=2, max_side=3),
+)
+
+
+def _accepted_or_refused(slot: str, value) -> None:
+    """Call slot's entry point with value; it may succeed, or refuse with a
+    ConfigurationError or a NumericalError, and nothing else."""
+    try:
+        _FUZZ_SLOTS[slot](value)
+    except (ConfigurationError, NumericalError):
+        pass
+    except Exception as exc:  # a numpy warning too, under the suite's filter
+        raise AssertionError(f"{slot} = {value!r} escaped as {type(exc).__name__}") from exc
+
+
+@pytest.mark.parametrize("slot", sorted(_FUZZ_SLOTS))
+def test_only_the_two_refusals_escape_the_python_api(slot):
+    # every value of the table into this slot, then arrays of every dtype
+    for value in _FUZZ_VALUES:
+        _accepted_or_refused(slot, value)
+
+    @settings(max_examples=25, deadline=None)
+    @given(value=_ANY_ARRAY)
+    def drawn(value):
+        _accepted_or_refused(slot, value)
+
+    drawn()
 
 
 def test_fractional_phase_levels_rejected_and_integral_floats_accepted():

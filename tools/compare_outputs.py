@@ -3,7 +3,7 @@
     python tools/compare_outputs.py PARENT_TREE CHANGE_TREE
 
 Each tree's wptsim (its src/) runs these cases in an interpreter of its own:
-19 brute-force grids, with each grid's transmit and receive counts; three
+21 brute-force grids, with each grid's transmit and receive counts; three
 desk swarms of 30 particles and 200 iterations; a 40-row evaluate_batch on
 desk, the toy and K2-N3-B2, and the chain stages of evaluate_solution on each
 of those rows; and the simulate report, in both formats, of six candidates on
@@ -38,6 +38,8 @@ SYSTEMS = {
                  "chain": {"ps_bits": 2}},
     "K1-N7-B1": {"waveform": {"tone_count": 1}, "array": {"rows": 1, "cols": 7},
                  "chain": {"ps_bits": 1, "dac_bits": 8}},
+    "K1-N15-B1": {"waveform": {"tone_count": 1}, "array": {"rows": 1, "cols": 15},
+                  "chain": {"ps_bits": 1, "dac_bits": 8}},
 }
 
 # (system, amplitude points, phase points, amplitude_max, required_dc_power,
@@ -53,6 +55,9 @@ GRIDS = [
     ("K2-N3-B2", 4, 4, 0.9, 20e-6, None),
     *[("K1-N7-B1", 3, 2, 300.0, req, bound) for bound in (None, 100) for req in (20e-6, 0.0)],
     *[("toy", 21, 16, 300.0, req, 21 * 80) for req in (20e-6, 0.0)],
+    # 32768 words: more than GRID_CHUNK_SAMPLES at the module's own bound;
+    # nothing is feasible at 1 W
+    *[("K1-N15-B1", 2, 1, 300.0, req, None) for req in (20e-6, 1.0)],
 ]
 SWARM_SEEDS = (1, 2, 7)
 BATCH_SYSTEMS = ("desk", "toy", "K2-N3-B2")
