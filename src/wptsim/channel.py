@@ -1,11 +1,10 @@
 """Near-field propagation from the planar array to the energy receiver."""
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from .errors import ConfigurationError, _is_integer, require_finite
+from .errors import ConfigurationError, _as_real, _is_integer, require_finite
 from .signal_chain import band_bins
 
 # m/s, exact by the SI definition of the metre (scipy.constants.speed_of_light;
@@ -61,12 +60,15 @@ def element_positions(rows: int, cols: int, carrier: float) -> ArrayGeometry:
     for name, count in (("rows", rows), ("cols", cols)):
         if not (_is_integer(count) and count >= 1):
             raise ConfigurationError(f"{name} must be an integer of at least 1, got {count!r}")
+    # Python numbers, so that numpy scalars of narrow dtypes do not wrap or round
+    rows, cols = int(rows), int(cols)
     if rows * cols > MAX_CHANNEL_ENTRIES:
         raise ConfigurationError(
             f"rows x cols = {rows} x {cols} elements; at most {MAX_CHANNEL_ENTRIES} are modelled"
         )
-    if not (isinstance(carrier, numbers.Real) and 0 < carrier < math.inf):
+    if not 0 < _as_real(carrier) < math.inf:
         raise ConfigurationError(f"carrier frequency must be positive and finite, got {carrier!r}")
+    carrier = float(carrier)
     spacing = 0.5 * speed_of_light / carrier
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing

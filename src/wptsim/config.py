@@ -10,6 +10,7 @@ chosen profile.
 
 import copy
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -199,8 +200,13 @@ def _yaml_problem(exc: yaml.YAMLError) -> str:
 
 def load_config(path=None, profile: str = "paper", overrides: dict | None = None) -> dict:
     """Merge profile defaults, an optional YAML file, and direct overrides."""
-    if profile not in PROFILES:
+    if not (isinstance(profile, str) and profile in PROFILES):
         raise ConfigurationError(f"unknown profile {profile!r}")
+    # open() reads an int as a file descriptor, and a bool is an int
+    if not (path is None or isinstance(path, (str, os.PathLike))):
+        raise ConfigurationError(f"config path must be a string or a path, got {path!r}")
+    if not (overrides is None or isinstance(overrides, dict)):
+        raise ConfigurationError(f"overrides must be a mapping of sections, got {overrides!r}")
     # read, never written: deep_merge and normalize_config build new containers
     cfg = PROFILES[profile]
     if path is not None:

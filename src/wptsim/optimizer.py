@@ -7,15 +7,13 @@ pulled toward feasibility. A brute-force grid provides toy-scale ground truth.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MAX_CHANNEL_ENTRIES
 from .errors import ConfigurationError, NumericalError, _is_integer, require_finite
 from .power_model import PowerBreakdown, dac_power
-from .signal_chain import ENVELOPE_SAMPLES_PER_TONE, MAX_BITS, PhaseWord, ToneSet, _as_floats
+from .signal_chain import PhaseWord, ToneSet, _as_floats
 from .simulation import (
     MAX_PERIOD_SAMPLES,
     _RAISE,
@@ -110,63 +108,41 @@ class OptimizationResult:
     evaluations: int
 
 
-def particle_bounds(
-    tone_count: int, element_count: int, amplitude_max: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower/upper bounds of the 2K + N search vector."""
-    for name, count in (("tone_count", tone_count), ("element_count", element_count)):
-        if not (_is_integer(count) and count >= 1):
-            raise ConfigurationError(f"{name} must be an integer of at least 1, got {count!r}")
-    if not (isinstance(amplitude_max, numbers.Real) and 0 < amplitude_max < math.inf):
-        raise ConfigurationError(f"amplitude_max must be finite and > 0, got {amplitude_max!r}")
-    # counts that no SystemModel admits are refused before they size an array
-    if tone_count > MAX_PERIOD_SAMPLES // ENVELOPE_SAMPLES_PER_TONE:
-        raise ConfigurationError(f"tone_count {tone_count} is more than a period holds")
-    if element_count * (2 * tone_count + 1) > MAX_CHANNEL_ENTRIES:
-        raise ConfigurationError(f"element_count {element_count} is more than a channel holds")
-    n_var = 2 * tone_count + element_count
-    lower = np.zeros(n_var)
-    upper = np.concatenate(
-        [
-            np.full(tone_count, amplitude_max),
-            np.full(tone_count, 2.0 * np.pi),
-            np.ones(element_count),
-        ]
-    )
-    return lower, upper
+def particle_bounds(system: SystemModel, swarm: SwarmConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lower/upper bounds of the system's 2K + N search vector."""
+    tones, beams = np.ones(system.tone_count), np.ones(system.element_count)
+    upper = np.concatenate([swarm.amplitude_max * tones, 2.0 * np.pi * tones, beams])
+    return np.zeros(upper.size), upper
 
 
-def decode_particle(
-    position: np.ndarray, tone_count: int, tone_spacing: float, ps_bits: int
-) -> tuple[ToneSet, PhaseWord]:
+def decode_particle(position: np.ndarray, system: SystemModel) -> tuple[ToneSet, PhaseWord]:
     """Split a particle into tone amplitudes/phases and integer phase levels.
 
-    The relaxed [0, 1] beam variables scale by 2^B - 1 and floor down; phases
+    The relaxed beam variables clip to [0, 1], scale by 2^B - 1 and floor down; phases
     wrap modulo one turn so the upper bound 2*pi maps onto 0.
     """
-    # checked before the decode forms 2^B - 1, whose cost grows with B
-    if not (_is_integer(ps_bits) and 1 <= ps_bits <= MAX_BITS):
-        raise ConfigurationError(f"ps_bits must be an integer in [1, {MAX_BITS}], got {ps_bits!r}")
-    if not (_is_integer(tone_count) and tone_count >= 1):
-        raise ConfigurationError(f"tone_count must be a positive integer, got {tone_count!r}")
     position = _as_floats(position, "position")
     if not np.isfinite(position).all():
         raise ConfigurationError("position must hold finite numbers")
-    if position.size <= 2 * tone_count:
-        raise ConfigurationError("particle must carry 2K tone entries plus N beam entries")
-    amplitudes, phases, levels = _decode_swarm(position[None], tone_count, ps_bits)
-    return ToneSet(amplitudes[0], phases[0], tone_spacing), PhaseWord(levels[0], ps_bits)
+    size = 2 * system.tone_count + system.element_count
+    if position.shape != (size,):
+        raise ConfigurationError(
+            f"position must be the {size} entries of 2K tones and N beams, got {position.shape}"
+        )
+    amplitudes, phases, levels = _decode_swarm(position[None], system)
+    tones = ToneSet(amplitudes[0], phases[0], system.tone_spacing)
+    return tones, PhaseWord(levels[0], system.chain.ps_bits)
 
 
 def _decode_swarm(
-    positions: np.ndarray, tone_count: int, ps_bits: int
+    positions: np.ndarray, system: SystemModel
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """decode_particle's rule on every row of a (P, 2K + N) swarm at once:
     the candidates' amplitudes, phases and phase levels as arrays."""
-    top = 2**ps_bits - 1
+    tone_count, top = system.tone_count, 2**system.chain.ps_bits - 1
     amplitudes = positions[:, :tone_count]
     phases = np.mod(positions[:, tone_count : 2 * tone_count], 2.0 * np.pi)
-    levels = np.clip(np.floor(positions[:, 2 * tone_count :] * top).astype(int), 0, top)
+    levels = np.floor(np.clip(positions[:, 2 * tone_count :], 0.0, 1.0) * top).astype(int)
     return amplitudes, phases, levels
 
 
@@ -352,7 +328,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
             f"swarm.particles {swarm.particles} puts {batch:.3g} samples in one batch;"
             f" at most {_SWARM_BATCH_SAMPLES} are simulated"
         )
-    lower, upper = particle_bounds(system.tone_count, system.element_count, swarm.amplitude_max)
+    lower, upper = particle_bounds(system, swarm)
     n_var = lower.size
     span = upper - lower
     # no velocity component exceeds (inertia clamp + cognitive + social) times
@@ -369,7 +345,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
     rng = np.random.default_rng(swarm.seed)
 
     def evaluate(positions):
-        return objective.rank(*_decode_swarm(positions, system.tone_count, system.chain.ps_bits))
+        return objective.rank(*_decode_swarm(positions, system))
 
     positions = lower + rng.random((swarm.particles, n_var)) * span
     velocities = np.zeros_like(positions)
@@ -407,9 +383,7 @@ def pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Optimizat
         if callback is not None:
             callback(iteration, positions, g_eval.fitness)
 
-    tones, word = decode_particle(
-        g_position, system.tone_count, system.tone_spacing, system.chain.ps_bits
-    )
+    tones, word = decode_particle(g_position, system)
     return objective.result(tones, word, g_eval, trace)
 
 
@@ -422,6 +396,8 @@ def brute_force_grid(
     """
     if not all(_is_integer(n) and n >= 1 for n in (amplitude_points, phase_points)):
         raise ConfigurationError("grid needs at least one point, a whole number, per dimension")
+    # Python ints: a numpy scalar's product would wrap past its dtype
+    amplitude_points, phase_points = int(amplitude_points), int(phase_points)
     tone_count = system.tone_count
     element_count = system.element_count
     bits = system.chain.ps_bits

@@ -71,8 +71,9 @@ class SystemModel:
 
     def __post_init__(self):
         require_finite(self)
-        if self.tone_count < 1:
-            raise ConfigurationError("waveform.tone_count must be at least 1")
+        # bounded before the bandwidth turns it into a float, which overflows past 2^1024
+        if not 1 <= self.tone_count <= MAX_PERIOD_SAMPLES:
+            raise ConfigurationError(f"waveform.tone_count must lie in [1, {MAX_PERIOD_SAMPLES}]")
         if self.tone_spacing <= 0:
             raise ConfigurationError("waveform.tone_spacing must be positive")
         chain, tones, bw = self.chain, self.tone_count, self.bandwidth

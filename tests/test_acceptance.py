@@ -220,9 +220,7 @@ def test_criterion_08_channel_values():
 def test_criterion_09_pso_mechanics():
     start = time.perf_counter()
     setup = desk_setup(swarm={"particles": 20, "iterations": 50, "seed": 9})
-    lower, upper = particle_bounds(
-        setup.system.tone_count, setup.system.element_count, setup.swarm.amplitude_max
-    )
+    lower, upper = particle_bounds(setup.system, setup.swarm)
 
     def watch(iteration, positions, best):
         assert np.all(positions >= lower) and np.all(positions <= upper)

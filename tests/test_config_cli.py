@@ -90,6 +90,39 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             normalize_config({"mystery": {}})
 
+    def test_arguments_of_the_wrong_kind_rejected(self):
+        # a list profile raised TypeError (unhashable), string overrides AttributeError
+        for kwargs, message in (
+            ({"profile": ["paper"]}, "unknown profile"),
+            ({"profile": None}, "unknown profile"),
+            ({"overrides": "swarm"}, "overrides must be a mapping"),
+            ({"overrides": [("swarm", {})]}, "overrides must be a mapping"),
+            ({"path": b"run.yaml"}, "config path must be a string or a path"),
+        ):
+            with pytest.raises(ConfigurationError, match=f"^{message}"):
+                load_config(**kwargs)
+
+    def test_int_and_bool_paths_are_not_file_descriptors(self):
+        # open() read True as fd 1, and its with block closed stdout, and 0 as
+        # stdin: in a child whose stdin is /dev/null, not in this process
+        probe = (
+            "from wptsim import ConfigurationError, load_config\n"
+            "for path in (True, 0):\n"
+            "    try:\n"
+            "        load_config(path)\n"
+            "    except ConfigurationError as exc:\n"
+            "        print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], stdin=subprocess.DEVNULL, capture_output=True,
+            text=True, timeout=120, env=_source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "config path must be a string or a path, got True",
+            "config path must be a string or a path, got 0",
+        ]
+
     def test_sweep_path_must_exist(self):
         with pytest.raises(ConfigurationError):
             load_config(

@@ -31,36 +31,56 @@ from wptsim.signal_chain import quantize_dac, synthesize_multitone
 
 SPACING = 1.25e6
 
+# K = 1 tone and N = 1 element of 3 bits: a particle of 3 entries
+_ONE_ELEMENT = desk_setup(waveform={"tone_count": 1}, array={"rows": 1, "cols": 1}).system
+
 
 class TestDecodeParticle:
     def test_zero_maps_to_level_zero(self):
         z = np.array([1.0, 0.0, 0.0])
-        _, word = decode_particle(z, 1, SPACING, 3)
+        _, word = decode_particle(z, _ONE_ELEMENT)
         assert word.levels[0] == 0
 
     def test_unit_maps_to_top_level(self):
         z = np.array([1.0, 0.0, 1.0])
-        _, word = decode_particle(z, 1, SPACING, 3)
+        _, word = decode_particle(z, _ONE_ELEMENT)
         assert word.levels[0] == 7
 
     def test_half_maps_to_three(self):
         z = np.array([1.0, 0.0, 0.5])
-        _, word = decode_particle(z, 1, SPACING, 3)
+        _, word = decode_particle(z, _ONE_ELEMENT)
         assert word.levels[0] == 3
 
+    def test_beam_entries_past_the_range_clip_to_the_end_levels(self):
+        # a finite beam entry past 2^63 / (2^B - 1) used to wrap in the
+        # integer cast, with a numpy warning, and decode as level 0
+        for beam, level in ((1e308, 7), (1.5, 7), (-1e308, 0), (-0.5, 0)):
+            _, word = decode_particle(np.array([1.0, 0.0, beam]), _ONE_ELEMENT)
+            assert word.levels.tolist() == [level]
+
     def test_levels_always_in_range(self, rng):
+        system = desk_setup(waveform={"tone_count": 4}, array={"rows": 3, "cols": 3}).system
         for _ in range(50):
             z = np.concatenate([rng.random(4) * 300, rng.random(4) * 2 * np.pi, rng.random(9)])
-            _, word = decode_particle(z, 4, SPACING, 3)
+            _, word = decode_particle(z, system)
             assert np.all((word.levels >= 0) & (word.levels <= 7))
 
     def test_phase_upper_bound_wraps(self):
         z = np.array([1.0, 2.0 * np.pi, 0.0])
-        tones, _ = decode_particle(z, 1, SPACING, 3)
+        tones, _ = decode_particle(z, _ONE_ELEMENT)
         assert tones.phases[0] == 0.0
 
+    def test_position_must_be_the_systems_search_vector(self):
+        # any length above 2K used to pass, the levels read from what was left
+        for size in (2, 4, 9):
+            with pytest.raises(ConfigurationError, match=r"^position must be the 3 entries"):
+                decode_particle(np.zeros(size), _ONE_ELEMENT)
+        with pytest.raises(ConfigurationError, match=r"^position must be the 3 entries"):
+            decode_particle(np.zeros((1, 3)), _ONE_ELEMENT)
+
     def test_bounds_shape(self):
-        lower, upper = particle_bounds(8, 25, 300.0)
+        setup = desk_setup()
+        lower, upper = particle_bounds(setup.system, setup.swarm)
         assert lower.size == upper.size == 41
         assert np.all(lower == 0.0)
         assert upper[0] == 300.0 and upper[8] == 2.0 * np.pi and upper[-1] == 1.0
@@ -79,7 +99,7 @@ class TestFitness:
     def test_zero_amplitudes_blow_past_penalty(self):
         setup = desk_setup()
         z = np.zeros(41)
-        value = evaluate_candidate(*decode_particle(z, 8, SPACING, 3), setup.system, setup.swarm)
+        value = evaluate_candidate(*decode_particle(z, setup.system), setup.system, setup.swarm)
         assert value.fitness > setup.swarm.penalty
 
     def test_infeasible_ranked_by_violation(self):
@@ -112,7 +132,7 @@ class TestFitness:
         z = np.concatenate([np.full(8, 0.7), np.linspace(0, 6, 8), np.linspace(0, 1, 25)])
         system, swarm = setup.system, setup.swarm
         values = {
-            evaluate_candidate(*decode_particle(z, 8, SPACING, 3), system, swarm).fitness
+            evaluate_candidate(*decode_particle(z, system), system, swarm).fitness
             for _ in range(5)
         }
         assert len(values) == 1
@@ -141,9 +161,7 @@ class TestPsoRun:
 
     def test_trace_non_increasing_and_bounds_respected(self):
         setup = toy_setup(particles=12, iterations=30, seed=5)
-        lower, upper = particle_bounds(
-            setup.system.tone_count, setup.system.element_count, setup.swarm.amplitude_max
-        )
+        lower, upper = particle_bounds(setup.system, setup.swarm)
         seen = []
 
         def watch(iteration, positions, best):
@@ -169,7 +187,7 @@ def _system_swarm(setup):
 
 def serial_pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> OptimizationResult:
     """The per-particle swarm loop that pso_run's array update must reproduce."""
-    lower, upper = particle_bounds(system.tone_count, system.element_count, swarm.amplitude_max)
+    lower, upper = particle_bounds(system, swarm)
     n_var = lower.size
     span = upper - lower
     v_max = VELOCITY_CLAMP * span
@@ -178,9 +196,7 @@ def serial_pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Op
     rng = np.random.default_rng(swarm.seed)
 
     def evaluate(position):
-        tones, word = decode_particle(
-            position, system.tone_count, system.tone_spacing, system.chain.ps_bits
-        )
+        tones, word = decode_particle(position, system)
         return evaluate_candidate(tones, word, system, swarm)
 
     positions = np.empty((swarm.particles, n_var))
@@ -228,9 +244,7 @@ def serial_pso_run(system: SystemModel, swarm: SwarmConfig, callback=None) -> Op
         if callback is not None:
             callback(iteration, positions, g_eval.fitness)
 
-    tones, word = decode_particle(
-        g_position, system.tone_count, system.tone_spacing, system.chain.ps_bits
-    )
+    tones, word = decode_particle(g_position, system)
     return OptimizationResult(
         tones=tones,
         phase_word=word,
@@ -826,11 +840,10 @@ _RANK_GRID_SYSTEMS = {"desk": _two_tone_setup().system, "toy": _TOY.system}
 def _decoded_rows(system: SystemModel, swarm: SwarmConfig, particles, rng):
     """Random decoded candidates, amplitudes spanning four decades so that
     some rows are feasible and some not."""
-    tone_count = system.tone_count
-    lower, upper = particle_bounds(tone_count, system.element_count, swarm.amplitude_max)
+    lower, upper = particle_bounds(system, swarm)
     positions = lower + rng.random((particles, lower.size)) * (upper - lower)
-    positions[:, :tone_count] *= 10.0 ** -rng.uniform(0.0, 4.0, (particles, 1))
-    return wptsim.optimizer._decode_swarm(positions, tone_count, system.chain.ps_bits)
+    positions[:, : system.tone_count] *= 10.0 ** -rng.uniform(0.0, 4.0, (particles, 1))
+    return wptsim.optimizer._decode_swarm(positions, system)
 
 
 @settings(max_examples=20, deadline=None)

@@ -22,13 +22,14 @@ from wptsim import (
     NumericalError,
     PhaseWord,
     ReceiverPosition,
+    SwarmConfig,
     ToneSet,
     brute_force_grid,
     decode_particle,
     element_positions,
     evaluate_batch,
     evaluate_solution,
-    particle_bounds,
+    load_config,
     pso_run,
     run_chain,
 )
@@ -616,6 +617,12 @@ def test_non_real_free_variables_rejected(build, name):
 _TOY = toy_setup()
 
 
+def _past_the_channel():
+    # 51782 elements x 81 band bins is one H_band entry past MAX_CHANNEL_ENTRIES
+    geometry = element_positions(1, 51782, _DESK.system.geometry.carrier)
+    return dataclasses.replace(_DESK.system, tone_count=40, geometry=geometry)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -626,7 +633,7 @@ _TOY = toy_setup()
         (lambda: PhaseWord([[0], [0, 1]], 3), "levels"),  # ValueError
         (_batch_of(amplitudes=[[1.0], [1.0, 2.0]]), "amplitudes"),  # ValueError
         (_batch_of(levels=[[0, 0], [0]]), "levels"),  # ValueError
-        (lambda: decode_particle([[1.0], [1.0, 2.0]], 1, SPACING, 1), "position"),
+        (lambda: decode_particle([[1.0], [1.0, 2.0]], _TOY.system), "position"),
         # 2.5 tones built a 6-column H_band, and True a 1-tone model
         (_replace(_TOY.system, tone_count=2.5), "tone_count"),
         (_replace(_TOY.system, tone_count=True), "tone_count"),
@@ -634,46 +641,53 @@ _TOY = toy_setup()
         (_replace(_TOY.system, boresight_exponent=None), "boresight_exponent"),  # TypeError
         (lambda: brute_force_grid(2.5, 2, _TOY.system, _TOY.swarm), "grid"),  # TypeError
         (lambda: brute_force_grid("2", 2, _TOY.system, _TOY.swarm), "grid"),  # TypeError
-        # 2^B - 1 was formed before any check: OverflowError
-        (lambda: decode_particle(np.zeros(3), 1, SPACING, 1100), "ps_bits"),
-        (lambda: decode_particle(np.zeros(3), 1, SPACING, 10**5), "ps_bits"),
-        (lambda: decode_particle(np.zeros(3), 2.5, SPACING, 1), "tone_count"),
-        (lambda: decode_particle(np.zeros(3), "1", SPACING, 1), "tone_count"),  # TypeError
+        # the decode formed 2^B - 1 from the bits the chain refuses: OverflowError
+        (_replace(_CHAIN, ps_bits=1100), "ps_bits"),
+        (_replace(_CHAIN, ps_bits=10**5), "ps_bits"),
         (lambda: element_positions(2.5, 2, 5.18e9), "rows"),  # TypeError
+        (lambda: element_positions(2, 0.5, 5.18e9), "cols"),  # TypeError
         (lambda: element_positions("2", 2, 5.18e9), "rows"),  # TypeError
         (lambda: element_positions(2, 2, float("nan")), "carrier"),  # NaN positions
         (lambda: ReceiverPosition("a", 1.0, 0.0), "x"),  # accepted
-        (lambda: particle_bounds(2.5, 2, 300.0), "tone_count"),  # TypeError
-        (lambda: particle_bounds("1", 2, 300.0), "tone_count"),  # TypeError
-        (lambda: particle_bounds(-1, 2, 300.0), "tone_count"),  # ValueError
-        (lambda: particle_bounds(1, 0.5, 300.0), "element_count"),  # TypeError
-        # counts no SystemModel admits: numpy's ValueError, or arrays sized by them
-        (lambda: particle_bounds(2**70, 2, 300.0), "tone_count"),  # ValueError
-        (lambda: particle_bounds(21846, 1, 1.0), "tone_count"),  # accepted
-        (lambda: particle_bounds(1, 2**21, 1.0), "element_count"),  # accepted
-        (lambda: particle_bounds(1, 2, float("nan")), "amplitude_max"),  # accepted
-        (lambda: particle_bounds(1, 2, float("inf")), "amplitude_max"),  # accepted
-        (lambda: particle_bounds(1, 2, "300"), "amplitude_max"),  # accepted, string bounds
-        (lambda: particle_bounds(1, 2, 0.0), "amplitude_max"),  # accepted
+        (_replace(_TOY.system, tone_count=-1), "waveform.tone_count"),
+        # counts the swarm's bounds refused too, which read them from the model
+        (_replace(_TOY.system, tone_count=2**70), "waveform.tone_count"),
+        # integers past the doubles: OverflowError
+        (_replace(_TOY.system, tone_count=2**1100), "waveform.tone_count"),
+        (lambda: SwarmConfig(amplitude_max=2**1100), "amplitude_max"),
+        (lambda: element_positions(1, 2, 2**1100), "carrier"),
+        # 21846 tones put 48 x 21846 envelope samples in a period, past 2^20
+        (
+            _replace(
+                _DESK.system,
+                tone_count=21846,
+                chain=dataclasses.replace(_CHAIN, dac_sample_rate=2 * 21846 * SPACING),
+            ),
+            "waveform.tone_count",
+        ),
+        (_past_the_channel, "waveform.tone_count"),
+        (lambda: SwarmConfig(amplitude_max=float("nan")), "amplitude_max"),
+        (lambda: SwarmConfig(amplitude_max=float("inf")), "amplitude_max"),
+        (lambda: SwarmConfig(amplitude_max="300"), "amplitude_max"),
+        (lambda: SwarmConfig(amplitude_max=0.0), "amplitude_max"),
         # the decode's cast warned first: a RuntimeWarning under the suite's filter
-        (lambda: decode_particle([np.nan] * 3, 1, SPACING, 1), "position"),
-        (lambda: decode_particle([1.0, 0.0, np.inf], 1, SPACING, 1), "position"),
+        (lambda: decode_particle([np.nan] * 4, _TOY.system), "position"),
+        (lambda: decode_particle([1.0, 0.0, np.inf, 0.0], _TOY.system), "position"),
         # refused after the decode, as ToneSet's amplitudes
-        (lambda: decode_particle([-np.inf, 0.0, 0.5], 1, SPACING, 1), "position"),
+        (lambda: decode_particle([-np.inf, 0.0, 0.5, 0.5], _TOY.system), "position"),
     ],
     ids=[
         "spacing_string", "spacing_inf", "tones_ragged", "word_ragged",
         "batch_ragged_amplitudes", "batch_ragged_levels", "particle_ragged",
         "tone_count_fraction", "tone_count_bool", "tone_count_string",
         "boresight_exponent_none", "grid_fraction", "grid_string",
-        "particle_1100_bits", "particle_100000_bits", "particle_tone_count_fraction",
-        "particle_tone_count_string", "array_rows_fraction", "array_rows_string",
-        "array_carrier_nan", "receiver_string", "bounds_tone_count_fraction",
-        "bounds_tone_count_string", "bounds_tone_count_negative", "bounds_element_count_fraction",
-        "bounds_tone_count_huge", "bounds_tone_count_past_a_period",
-        "bounds_element_count_past_the_channel",
-        "bounds_amplitude_nan", "bounds_amplitude_inf", "bounds_amplitude_string",
-        "bounds_amplitude_zero", "particle_nan", "particle_inf", "particle_negative_inf",
+        "chain_1100_bits", "chain_100000_bits", "array_rows_fraction", "array_cols_fraction",
+        "array_rows_string", "array_carrier_nan", "receiver_string", "tone_count_negative",
+        "tone_count_huge", "tone_count_past_the_doubles", "swarm_amplitude_past_the_doubles",
+        "array_carrier_past_the_doubles", "tone_count_past_a_period",
+        "elements_past_the_channel",
+        "swarm_amplitude_nan", "swarm_amplitude_inf", "swarm_amplitude_string",
+        "swarm_amplitude_zero", "particle_nan", "particle_inf", "particle_negative_inf",
     ],
 )
 def test_malformed_arguments_rejected_at_the_boundary(build, message):
@@ -682,16 +696,34 @@ def test_malformed_arguments_rejected_at_the_boundary(build, message):
 
 
 # Python objects, empty, ragged and one-element lists, arrays of narrow
-# dtypes and a count past every bound: 22 values, each put into every
-# argument slot below with the others valid. No count lies between 10^5 and
-# 2^62, and a valid grid is 2 x 2 tone points
+# dtypes, numpy scalars whose dtype wraps or rounds (100 tones in an int8,
+# 2^63 in a uint64, 1000 Hz in a float16), a count past every bound and an
+# integer past the doubles: 26 values, each put into every argument slot
+# below with the others valid. No count lies between 10^5 and 2^62, and a
+# valid grid is 2 x 2 tone points
 _FUZZ_VALUES = [
     None, "a", "1.0", 1j, True, b"1",
     [], [[1.0], [1.0, 2.0]], [[0], [0, 1]],
     [np.nan], [np.inf], [-1.0], [1e308], [1e-320], [-0.0], -0.0,
     np.ones(1, np.float16), np.ones(1, np.int8), np.ones(1, np.uint64),
-    {}, object(), 2**70,
+    np.int8(100), np.uint64(2**63), np.float16(1000.0),
+    {}, object(), 2**70, 2**1100,
 ]
+
+
+def _number_fields(name: str, record) -> dict:
+    """A slot for each number field of record, which gets the value in place
+    of its own."""
+    return {
+        f"{name}.{f.name}": lambda v, field=f.name: dataclasses.replace(record, **{field: v})
+        for f in dataclasses.fields(record)
+        if f.init and f.type in (int, float)
+    }
+
+
+# The numbers, arrays and names of the public entry points. A parameter
+# typed as a record (a SystemModel, ChainConfig or SwarmConfig) is typed API,
+# built by its own constructor, and is not fuzzed with arbitrary objects.
 _FUZZ_SLOTS = {
     "ToneSet.amplitudes": lambda v: ToneSet(v, [0.0], SPACING),
     "ToneSet.phases": lambda v: ToneSet([1.0], v, SPACING),
@@ -701,15 +733,23 @@ _FUZZ_SLOTS = {
     "evaluate_batch.amplitudes": lambda v: evaluate_batch(v, [[0.0]], [[0, 1]], _TOY.system),
     "evaluate_batch.phases": lambda v: evaluate_batch([[1.0]], v, [[0, 1]], _TOY.system),
     "evaluate_batch.levels": lambda v: evaluate_batch([[1.0]], [[0.0]], v, _TOY.system),
-    "decode_particle.position": lambda v: decode_particle(v, 1, SPACING, 1),
-    "decode_particle.tone_count": lambda v: decode_particle(np.zeros(3), v, SPACING, 1),
-    "decode_particle.tone_spacing": lambda v: decode_particle(np.zeros(3), 1, v, 1),
-    "decode_particle.ps_bits": lambda v: decode_particle(np.zeros(3), 1, SPACING, v),
-    "particle_bounds.tone_count": lambda v: particle_bounds(v, 2, 300.0),
-    "particle_bounds.element_count": lambda v: particle_bounds(1, v, 300.0),
-    "particle_bounds.amplitude_max": lambda v: particle_bounds(1, 2, v),
+    "decode_particle.position": lambda v: decode_particle(v, _TOY.system),
     "brute_force_grid.amplitude_points": lambda v: brute_force_grid(v, 2, _TOY.system, _TOY.swarm),
     "brute_force_grid.phase_points": lambda v: brute_force_grid(2, v, _TOY.system, _TOY.swarm),
+    "element_positions.rows": lambda v: element_positions(v, 2, 5.18e9),
+    "element_positions.cols": lambda v: element_positions(1, v, 5.18e9),
+    "element_positions.carrier": lambda v: element_positions(1, 2, v),
+    "load_config.profile": lambda v: load_config(profile=v),
+    "load_config.overrides": lambda v: load_config(overrides=v),
+    **{
+        f"SystemModel.{name}": lambda v, name=name: dataclasses.replace(_TOY.system, **{name: v})
+        for name in ("tone_count", "tone_spacing", "boresight_exponent")
+    },
+    **_number_fields("ChainConfig", _CHAIN),
+    **_number_fields("RectennaParams", _RECTENNA),
+    **_number_fields("PowerParams", _POWER),
+    **_number_fields("SwarmConfig", _TOY.swarm),
+    **_number_fields("ReceiverPosition", _TOY.system.receiver),
 }
 _ANY_ARRAY = arrays(
     st.one_of(scalar_dtypes(), byte_string_dtypes(), unicode_string_dtypes()),
@@ -740,6 +780,25 @@ def test_only_the_two_refusals_escape_the_python_api(slot):
         _accepted_or_refused(slot, value)
 
     drawn()
+
+
+def test_numpy_scalars_are_stored_as_python_numbers():
+    # each record used to keep the scalar: an int8 of 100 tones wrapped to
+    # n_env = -64 and a (25, 0) H_band, and a float16 spacing of 1000 Hz
+    # overflowed 1e8 / 1000; the array's int8 rows x cols wrapped to 16
+    system = _DESK.system
+    with pytest.raises(ConfigurationError, match="^chain.dac_sample_rate .* below twice"):
+        dataclasses.replace(system, tone_count=np.int8(100))
+    narrow = dataclasses.replace(system, tone_spacing=np.float16(1000.0))
+    assert type(narrow.tone_spacing) is float and narrow.n_dac == 100_000
+    wide = dataclasses.replace(system, tone_spacing=1000.0)
+    assert np.array_equal(narrow.band_coefficients, wide.band_coefficients)
+    geometry = element_positions(np.int8(100), np.int8(100), np.float16(1000.0))
+    assert (geometry.rows, geometry.count, geometry.positions.shape) == (100, 10_000, (10_000, 3))
+    assert type(geometry.rows) is int and type(geometry.carrier) is float
+    swarm = SwarmConfig(seed=np.uint64(2**63), amplitude_max=np.float16(1000.0))
+    assert (swarm.seed, swarm.amplitude_max) == (2**63, 1000.0)
+    assert type(swarm.seed) is int and type(swarm.amplitude_max) is float
 
 
 def test_fractional_phase_levels_rejected_and_integral_floats_accepted():
